@@ -21,11 +21,17 @@ import numpy as np
 
 from .core import (
     HADAMARD,
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     StateVector,
     UnitaryMatrix,
     _check_qubit_count,
     bit_reversal_permutation,
     dft_oracle,
+    embed,
+    qubit_bits,
 )
 
 HADAMARD_KIND = "hadamard"
@@ -168,13 +174,6 @@ def build_approximate(n: int, m: int) -> Circuit:
     return Circuit(n, kept, decomposition=f"approximate({m})")
 
 
-def _embed_single(op: np.ndarray, j: int, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for pos in range(1, n + 1):
-        out = np.kron(out, op if pos == j else np.eye(2, dtype=complex))
-    return out
-
-
 def x_power(alpha: float) -> np.ndarray:
     """Principal power X**alpha = H diag(1, exp(i*pi*alpha)) H."""
     return HADAMARD @ np.diag([1.0, np.exp(1j * np.pi * alpha)]) @ HADAMARD
@@ -183,45 +182,28 @@ def x_power(alpha: float) -> np.ndarray:
 def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
     """Embed a gate into the full 2**n-dimensional unitary."""
     _check_qubit_count(n)
-    dim = 2 ** n
     if g.kind == HADAMARD_KIND:
-        if not 1 <= g.j <= n:
-            raise ValueError(f"qubit label {g.j} outside 1..{n}")
-        return UnitaryMatrix(n, _embed_single(HADAMARD, g.j, n))
+        return UnitaryMatrix(n, embed(n, {g.j: HADAMARD}))
     if g.kind == TOTAL_HADAMARD_KIND:
-        out = np.eye(1, dtype=complex)
-        for _ in range(n):
-            out = np.kron(out, HADAMARD)
-        return UnitaryMatrix(n, out)
+        return UnitaryMatrix(n, embed(n, dict.fromkeys(range(1, n + 1), HADAMARD)))
     if not (1 <= g.j < g.k <= n):
         raise ValueError(f"invalid qubit pair ({g.j}, {g.k}) for n={n}")
+    control, target = qubit_bits(g.j, n), qubit_bits(g.k, n)
     if g.kind == CONTROLLED_PHASE_KIND:
-        diag = np.ones(dim, dtype=complex)
-        for a in range(dim):
-            if (a >> (n - g.j)) & 1 and (a >> (n - g.k)) & 1:
-                diag[a] = np.exp(1j * g.theta)
-        return UnitaryMatrix(n, np.diag(diag))
+        return UnitaryMatrix(n, np.diag(np.where(control & target, np.exp(1j * g.theta), 1.0)))
     if g.kind == ROOT_CNOT_KIND:
         xa = x_power(g.alpha)
-        m = np.eye(dim, dtype=complex)
-        for a in range(dim):
-            if not ((a >> (n - g.j)) & 1) or ((a >> (n - g.k)) & 1):
-                continue
-            b = a ^ (1 << (n - g.k))  # partner with target bit 0
-            lo, hi = b, a
-            m[lo, lo], m[lo, hi] = xa[0, 0], xa[0, 1]
-            m[hi, lo], m[hi, hi] = xa[1, 0], xa[1, 1]
+        # control-set indices with target 0 (lo) and 1 (hi); lo[i], hi[i] is one pair
+        lo = np.flatnonzero(control > target)
+        hi = np.flatnonzero(control & target)
+        m = np.eye(2 ** n, dtype=complex)
+        m[lo, lo], m[lo, hi] = xa[0, 0], xa[0, 1]
+        m[hi, lo], m[hi, hi] = xa[1, 0], xa[1, 1]
         return UnitaryMatrix(n, m)
     if g.kind == SWAP_KIND:
-        m = np.zeros((dim, dim), dtype=complex)
-        for a in range(dim):
-            bj = (a >> (n - g.j)) & 1
-            bk = (a >> (n - g.k)) & 1
-            b = a & ~(1 << (n - g.j)) & ~(1 << (n - g.k))
-            b |= bk << (n - g.j)
-            b |= bj << (n - g.k)
-            m[b, a] = 1.0
-        return UnitaryMatrix(n, m)
+        # SWAP = (II + XX + YY + ZZ) / 2 on the pair
+        return UnitaryMatrix(n, sum(embed(n, {g.j: p, g.k: p})
+                                    for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)) / 2.0)
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
 

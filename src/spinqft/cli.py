@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -58,9 +59,20 @@ class RunConfig:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinqft-")
+    """Write where and with the mode ``open(path, "w")`` would (symlinks
+    followed, FIFOs and devices written in place), but replace a regular
+    file atomically."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".spinqft-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -78,7 +90,7 @@ def _emit(text: str, out: str) -> None:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_range(text: str) -> tuple:
@@ -313,6 +325,8 @@ def main(argv=None) -> int:
             parser.error(f"--n must lie in [1, {VERIFY_MAX_QUBITS}] for full-matrix verification")
         if args.decomp == "approximate" and args.m and not 1 <= args.m <= args.n:
             parser.error("--m must lie in [1, n]")
+    if args.command == "tomo-roundtrip" and args.samples < 1:
+        parser.error("--samples must be >= 1")
     config = config_from_args(args)
     try:
         return _HANDLERS[config.command](config, parser)

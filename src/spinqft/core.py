@@ -3,9 +3,13 @@
 States, density matrices and unitaries are thin immutable wrappers around
 complex numpy arrays, indexed in the computational basis with qubit 1 as
 the most significant bit (basis integer ``a`` has the bit of qubit ``j``
-at position ``n - j``).  The Fourier matrix built here by a direct double
-loop is the independent oracle that every circuit- and pulse-level
-construction in the package is checked against.
+at position ``n - j``).  ``embed`` (local operators as Kronecker
+products, qubit 1 leftmost) and ``qubit_bits`` (one qubit's bit across
+all basis indices) are the only places outside the oracle that apply
+this ordering; every gate, pulse, observable and noise channel in the
+package is built on them.  The Fourier matrix built here by a direct
+double loop is the independent oracle that every circuit- and
+pulse-level construction in the package is checked against.
 """
 
 from __future__ import annotations
@@ -124,9 +128,21 @@ def entries_of(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
-def qubit_bit(a: int, j: int, n: int) -> int:
-    """Bit of qubit ``j`` (1-based, qubit 1 most significant) in basis index ``a``."""
-    return (a >> (n - j)) & 1
+def qubit_bits(j: int, n: int) -> np.ndarray:
+    """Bit of qubit ``j`` (1-based, qubit 1 most significant) in every
+    basis index 0 .. 2**n - 1, as an integer array."""
+    return (np.arange(2 ** n) >> (n - j)) & 1
+
+
+def embed(n: int, factors: dict) -> np.ndarray:
+    """Kronecker product of the 2x2 ``factors``, keyed by 1-based qubit,
+    with the identity on every other qubit; qubit 1 is the leftmost factor."""
+    if not set(factors) <= set(range(1, n + 1)):
+        raise ValueError(f"qubit labels {sorted(factors)} outside 1..{n}")
+    out = np.eye(1, dtype=complex)
+    for j in range(1, n + 1):
+        out = np.kron(out, factors.get(j, PAULI_I))
+    return out
 
 
 def basis_state(n: int, a: int) -> StateVector:

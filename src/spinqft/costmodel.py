@@ -37,10 +37,10 @@ class LiquidParams:
     J: float = CHLOROFORM_J_HZ
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.J <= 0:
-            raise ValueError("J must be > 0")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and >= 0")
+        if not 0 < self.J < math.inf:
+            raise ValueError("J must be finite and > 0")
 
     @property
     def kappa(self) -> float:
@@ -56,8 +56,8 @@ class SolidParams:
     Delta: float
 
     def __post_init__(self):
-        if self.delta < 0 or self.Delta < 0:
-            raise ValueError("time costs must be >= 0")
+        if not (0 <= self.delta < math.inf and 0 <= self.Delta < math.inf):
+            raise ValueError("time costs must be finite and >= 0")
         # sanity band generously bracketing the 10-50 MHz dipolar strength
         if not 1e3 <= self.d <= 1e12:
             raise ValueError(f"dipolar coupling {self.d} Hz outside sane range")

@@ -35,6 +35,8 @@ from .core import (
     DensityMatrix,
     UnitaryMatrix,
     _check_qubit_count,
+    embed,
+    qubit_bits,
     transition_states,
 )
 
@@ -236,11 +238,6 @@ def _rotation_2x2(angle: float, phase: float, sign: int) -> np.ndarray:
     return c * np.eye(2, dtype=complex) - 1j * sign * s * axis
 
 
-def _z_half(a: int, j: int, n: int) -> float:
-    """Iz eigenvalue of spin j in basis state a: +1/2 for bit 0."""
-    return 0.5 if not (a >> (n - j)) & 1 else -0.5
-
-
 def expand_composite_z(e: CompositeZ, conventions: Conventions = DEFAULT_CONVENTIONS) -> list[SpinPulse]:
     """Expand a z-pulse into its three-pulse rf sandwich."""
     half = math.pi / 2.0
@@ -259,13 +256,8 @@ def element_unitary(e: PulseElement, system: SpinSystem,
     n = system.n
     dim = 2 ** n
     if isinstance(e, SpinPulse):
-        if any(not 1 <= s <= n for s in e.spins):
-            raise ValueError(f"pulse spins {e.spins} outside 1..{n}")
         r = _rotation_2x2(e.angle, e.phase, conventions.pulse_sign)
-        out = np.eye(1, dtype=complex)
-        for pos in range(1, n + 1):
-            out = np.kron(out, r if pos in e.spins else np.eye(2, dtype=complex))
-        return UnitaryMatrix(n, out)
+        return UnitaryMatrix(n, embed(n, dict.fromkeys(e.spins, r)))
     if isinstance(e, TransitionPulse):
         a, b = transition_states(e.from_label, e.to_label, n)
         r = _rotation_2x2(e.angle, e.phase, conventions.pulse_sign)
@@ -276,18 +268,15 @@ def element_unitary(e: PulseElement, system: SpinSystem,
     if isinstance(e, CouplingDelay):
         legs = e.resolved(system)
         t_max = max(t for _, _, t in legs)
-        diag = np.zeros(dim)
-        for a in range(dim):
-            phase = 0.0
-            for j, k, t in legs:
-                j_hz = system.coupling(j, k)
-                phase -= conventions.coupling_sign * 2.0 * math.pi * j_hz * t \
-                    * _z_half(a, j, n) * _z_half(a, k, n)
-            for j, off in enumerate(system.offsets, start=1):
-                if off:
-                    phase -= 2.0 * math.pi * off * t_max * _z_half(a, j, n)
-            diag[a] = phase
-        return UnitaryMatrix(n, np.diag(np.exp(1j * diag)))
+        iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
+        phase = np.zeros(dim)
+        for j, k, t in legs:
+            j_hz = system.coupling(j, k)
+            phase -= conventions.coupling_sign * 2.0 * math.pi * j_hz * t * iz[j] * iz[k]
+        for j, off in enumerate(system.offsets, start=1):
+            if off:
+                phase -= 2.0 * math.pi * off * t_max * iz[j]
+        return UnitaryMatrix(n, np.diag(np.exp(1j * phase)))
     if isinstance(e, CompositeZ):
         out = np.eye(dim, dtype=complex)
         for pulse in expand_composite_z(e, conventions):
@@ -324,8 +313,9 @@ class NoiseModel:
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
-        if any(r < 0 for r in rates):
-            raise ValueError("dephasing rates must be >= 0")
+        times = (self.spin_pulse_seconds, self.transition_pulse_seconds)
+        if not all(0 <= v < math.inf for v in rates + times):
+            raise ValueError("dephasing rates and element times must be finite and >= 0")
         object.__setattr__(self, "rates", rates)
 
     @classmethod
@@ -346,11 +336,10 @@ class NoiseModel:
     def damping_matrix(self, n: int, seconds: float) -> np.ndarray:
         if len(self.rates) != n:
             raise ValueError(f"noise model has {len(self.rates)} rates, system has {n} spins")
-        dim = 2 ** n
-        d = np.ones((dim, dim))
+        d = np.ones((2 ** n, 2 ** n))
         for j in range(1, n + 1):
             g = math.exp(-self.rates[j - 1] * seconds)
-            bits = np.array([(a >> (n - j)) & 1 for a in range(dim)])
+            bits = qubit_bits(j, n)
             differs = bits[:, None] != bits[None, :]
             d *= np.where(differs, g, 1.0)
         return d

@@ -27,6 +27,7 @@ from .core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    embed,
     entries_of,
 )
 from .nmr import DEFAULT_CONVENTIONS, PHASE_X, PHASE_Y, SpinPulse, SpinSystem, element_unitary
@@ -93,17 +94,7 @@ def observables(n: int) -> tuple:
         for comp in ("x", "y"):
             for r in range(len(others) + 1):
                 for ctx in itertools.combinations(others, r):
-                    factors = []
-                    for pos in range(1, n + 1):
-                        if pos == j:
-                            factors.append(half[comp])
-                        elif pos in ctx:
-                            factors.append(PAULI_Z)  # 2*Iz
-                        else:
-                            factors.append(PAULI_I)
-                    m = factors[0]
-                    for f in factors[1:]:
-                        m = np.kron(m, f)
+                    m = embed(n, {j: half[comp], **dict.fromkeys(ctx, PAULI_Z)})  # Z = 2*Iz
                     label = f"I{comp}{j}" + "".join(f"Z{k}" for k in ctx)
                     out.append((label, m))
     return tuple(out)
@@ -149,9 +140,7 @@ def _pauli_basis(n: int) -> tuple:
     for labels in itertools.product("IXYZ", repeat=n):
         if all(c == "I" for c in labels):
             continue
-        m = singles[labels[0]]
-        for c in labels[1:]:
-            m = np.kron(m, singles[c])
+        m = embed(n, {j: singles[c] for j, c in enumerate(labels, start=1)})
         out.append(("".join(labels), m))
     return tuple(out)
 

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, outputs, schema, determinism."""
 
 import json
+import os
+import stat
+import threading
 from importlib import resources
 
 import jsonschema
@@ -147,6 +150,15 @@ class TestTomoRoundtrip:
         _, out, _ = run_cli(["tomo-roundtrip", "--n", "2", "--samples", "2"], capsys)
         assert json.loads(out)["seed"] == 123
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_is_usage_error(self, samples, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tomo-roundtrip", "--n", "2", "--samples", samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "spinqft: error: --samples must be >= 1"
+
 
 class TestExportFig2:
     def test_output_csv(self, capsys, tmp_path):
@@ -164,6 +176,76 @@ class TestExportFig2:
         assert code == 0
         first = out.strip().splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(1.0, abs=1e-9)  # |00> population
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--sequence", "serial-n2", "--t2", "nan"],
+        ["simulate", "--sequence", "serial-n2", "--t2", "inf"],
+        ["cost", "--model", "liquid", "--J", "nan", "--n-range", "1..3"],
+        ["cost", "--model", "liquid", "--J", "inf", "--n-range", "1..3"],
+        ["cost", "--model", "liquid", "--delta", "inf", "--n-range", "1..3", "--format", "json"],
+    ])
+    def test_rejected_as_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # in particular no NaN or Infinity
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("spinqft: error: ")
+
+
+class TestOutPath:
+    ARGS = ["verify", "--n", "2", "--out"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert cli.main(self.ARGS + [str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["command"] == "verify"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        spare = tmp_path / "spare.fifo"
+        os.link(fifo, spare)  # reaches the FIFO even if its first name is replaced
+        received = []
+
+        def drain():
+            with open(spare, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        assert cli.main(self.ARGS + [str(fifo)]) == 0
+        reader.join(timeout=5)
+        if reader.is_alive():  # nothing opened the FIFO for writing: release the reader
+            os.close(os.open(spare, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=5)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert json.loads(received[0])["command"] == "verify"
+
+    def test_new_file_follows_umask(self, tmp_path):
+        out = tmp_path / "new.json"
+        old = os.umask(0o022)
+        try:
+            assert cli.main(self.ARGS + [str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "old.json"
+        out.write_text("stale\n")
+        out.chmod(0o640)
+        assert cli.main(self.ARGS + [str(out)]) == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+        assert json.loads(out.read_text())["command"] == "verify"
 
 
 class TestDeterminism:

@@ -52,6 +52,15 @@ class TestLiquid:
         with pytest.raises(ValueError):
             costmodel.LiquidParams(delta=-1e-6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        for make in (lambda: costmodel.LiquidParams(J=bad),
+                     lambda: costmodel.LiquidParams(delta=bad),
+                     lambda: costmodel.SolidParams(delta=bad, d=2e7, Delta=1e-7),
+                     lambda: costmodel.SolidParams(delta=1e-8, d=2e7, Delta=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
 
 class TestParallel:
     def test_n2_equals_kappa(self):

@@ -255,6 +255,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             nmr.NoiseModel((-1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        for make in (lambda: nmr.NoiseModel((bad, 0.0)),
+                     lambda: nmr.NoiseModel((1.0, 0.0), spin_pulse_seconds=bad),
+                     lambda: nmr.NoiseModel((1.0, 0.0), transition_pulse_seconds=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
 
 class TestDsl:
     def test_parse_spin_pulse(self):
