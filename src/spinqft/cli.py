@@ -11,6 +11,10 @@ dispatch, so identical inputs produce byte-identical outputs.  Exit
 codes: 0 success, 1 verification failure, 2 usage error.  The
 environment variable ``SPINQFT_SEED`` overrides the seed used for
 readout perturbation.
+
+Only ``costmodel`` is imported at module level.  The matrix layers
+(``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
+inside the handlers that use them, so ``cost`` never loads them.
 """
 
 from __future__ import annotations
@@ -22,15 +26,19 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import costmodel
 
-from . import circuits, core, costmodel, nmr, tomography
+if TYPE_CHECKING:
+    from . import core, nmr
 
 VERIFY_TOL = 1e-10
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
 VERIFY_MAX_QUBITS = 8
+# a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
+N_RANGE_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -99,12 +107,15 @@ def _parse_range(text: str) -> tuple:
         lo, hi = int(lo_txt), int(hi_txt)
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like '1..10', got {text!r}")
-    if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"range {text!r} must satisfy 1 <= lo <= hi")
+    if not 1 <= lo <= hi <= N_RANGE_MAX:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} must satisfy 1 <= lo <= hi <= {N_RANGE_MAX}")
     return tuple(range(lo, hi + 1))
 
 
 def cmd_verify(config: RunConfig, parser) -> int:
+    from . import circuits
+
     if config.decomposition == "approximate":
         circuit = circuits.build_approximate(config.n, config.m or config.n)
     elif config.decomposition == "serial":
@@ -149,9 +160,11 @@ def cmd_cost(config: RunConfig, parser) -> int:
 
 
 def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
+    from . import nmr
+
     if name in nmr.SEQUENCE_LIBRARY:
         return nmr.library_sequence(name)
-    if os.path.exists(name):
+    if os.path.isfile(name):
         try:
             return nmr.parse_sequence(open(name).read(), name=os.path.basename(name))
         except nmr.SequenceParseError as exc:
@@ -161,12 +174,16 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
 
 
 def _pseudopure_input(system: nmr.SpinSystem) -> core.DensityMatrix:
+    from . import nmr
+
     if system.n == 2:
         return nmr.prepare_pseudopure_temporal_avg(system)
     return nmr.pseudopure_projector_deviation(system.n)
 
 
 def _ideal_target_unitary(n: int, reverse_readout: bool) -> core.UnitaryMatrix:
+    from . import core
+
     f = core.dft_oracle(n).entries
     if reverse_readout:
         f = core.bit_reversal_permutation(n).entries @ f
@@ -174,6 +191,10 @@ def _ideal_target_unitary(n: int, reverse_readout: bool) -> core.UnitaryMatrix:
 
 
 def cmd_simulate(config: RunConfig, parser) -> int:
+    import numpy as np
+
+    from . import core, nmr, tomography
+
     seq = _resolve_sequence(config.sequence, parser)
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
@@ -211,6 +232,10 @@ def cmd_simulate(config: RunConfig, parser) -> int:
 
 
 def cmd_tomo_roundtrip(config: RunConfig, parser) -> int:
+    import numpy as np
+
+    from . import core, tomography
+
     rng = np.random.default_rng(config.seed)
     dim = 2 ** config.n
     worst = 0.0
@@ -236,6 +261,8 @@ def cmd_tomo_roundtrip(config: RunConfig, parser) -> int:
 
 
 def cmd_export_fig2(config: RunConfig, parser) -> int:
+    from . import core, nmr, tomography
+
     seq = _resolve_sequence(config.sequence, parser)
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
@@ -327,6 +354,10 @@ def main(argv=None) -> int:
             parser.error("--m must lie in [1, n]")
     if args.command == "tomo-roundtrip" and args.samples < 1:
         parser.error("--samples must be >= 1")
+    if args.out:
+        out = os.path.realpath(args.out)
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
+            parser.error(f"--out {args.out}: not a file in an existing directory")
     config = config_from_args(args)
     try:
         return _HANDLERS[config.command](config, parser)

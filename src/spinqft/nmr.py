@@ -32,6 +32,7 @@ from importlib import resources
 import numpy as np
 
 from .core import (
+    MAX_QUBITS,
     DensityMatrix,
     UnitaryMatrix,
     _check_qubit_count,
@@ -505,7 +506,15 @@ def parse_sequence(text: str, name: str = "") -> PulseSequence:
         if not stripped:
             continue
         if stripped.startswith("n:"):
-            n = int(stripped[2:].strip())
+            value = stripped[2:].strip()
+            try:
+                n = int(value)
+            except ValueError:  # also digit strings too long to convert
+                n = 0
+            if not 1 <= n <= MAX_QUBITS:
+                raise SequenceParseError(
+                    f"spin count must be an integer in [1, {MAX_QUBITS}], got {value!r}",
+                    lineno, line.index("n:") + 1)
             continue
         if stripped.startswith("name:"):
             name = name or stripped[5:].strip()

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, outputs, schema, determinism."""
 
+import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from importlib import resources
 
@@ -82,6 +85,27 @@ class TestCost:
             cli.main(["cost", "--model", "solid", "--n-range", "1..3"])
         assert exc.value.code == 2
 
+    def test_range_above_the_cap_is_rejected_before_it_is_built(self):
+        top = cli.N_RANGE_MAX
+        assert cli._parse_range(f"{top}..{top}") == (top,)
+        with pytest.raises(argparse.ArgumentTypeError, match=str(top)):
+            cli._parse_range(f"1..{top + 1}")
+
+    def test_cost_loads_no_matrix_layer(self, tmp_path):
+        # a fresh interpreter: this test process has imported everything
+        code = ("import sys\n"
+                "from spinqft import cli\n"
+                "assert cli.main(['cost', '--model', 'solid', '--d', '2e7', '--Delta', '1e-7',\n"
+                "                 '--n-range', '1..5', '--format', 'json']) == 0\n"
+                "heavy = {'numpy', 'spinqft.core', 'spinqft.circuits', 'spinqft.nmr',\n"
+                "         'spinqft.tomography'}\n"
+                "print(sorted(heavy & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "[]"
+
 
 class TestSimulate:
     def test_noiseless_fidelity(self, capsys):
@@ -110,6 +134,11 @@ class TestSimulate:
     def test_unknown_sequence_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--sequence", "nonsense"])
+        assert exc.value.code == 2
+
+    def test_directory_as_sequence_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_sequence_from_file(self, capsys, tmp_path):
@@ -185,6 +214,10 @@ class TestNonFiniteInput:
         ["cost", "--model", "liquid", "--J", "nan", "--n-range", "1..3"],
         ["cost", "--model", "liquid", "--J", "inf", "--n-range", "1..3"],
         ["cost", "--model", "liquid", "--delta", "inf", "--n-range", "1..3", "--format", "json"],
+        ["cost", "--model", "liquid", "--J", "1e-320", "--n-range", "1..3"],
+        ["cost", "--model", "liquid", "--delta", "1e308", "--n-range", "1..3", "--format", "json"],
+        ["cost", "--model", "solid", "--d", "2e7", "--Delta", "1e308", "--delta", "1e-8",
+         "--n-range", "1..3"],
     ])
     def test_rejected_as_usage_error(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +271,22 @@ class TestOutPath:
         finally:
             os.umask(old)
         assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_no_file_to_write_is_usage_error_before_any_work(self, target, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_work(*args):
+            raise AssertionError("handler ran")
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGS + [str(tmp_path / target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("spinqft: error: --out ")
+        assert not (tmp_path / "missing").exists()
 
     def test_existing_file_keeps_its_mode(self, tmp_path):
         out = tmp_path / "old.json"

@@ -1,6 +1,8 @@
 """Time-cost models: closed forms, double-sum agreement, scaling claims."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,64 @@ class TestCouplingIdentity:
         closed = costmodel.t_serial_liquid(n, p).coupling_term
         direct = p.kappa * sum(2.0 ** (j - k) for j in range(n) for k in range(j + 1, n + 1))
         assert abs(closed - direct) <= 1e-12 * closed
+
+
+def j_major_double_sum(n):
+    return sum(2.0 ** (j - k) for j in range(n) for k in range(j + 1, n + 1))
+
+
+class TestDirectSums:
+    """The column-by-column direct sums behind every closed-form check."""
+
+    def test_match_the_literal_double_sum(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "_direct_sums", [0.0])
+        for n in range(1, 401):
+            literal = j_major_double_sum(n)
+            assert abs(costmodel._direct_sum(n) - literal) <= 1e-15 * literal, n
+
+    def test_a_poisoned_sum_fails_the_check_from_its_n_up(self, monkeypatch):
+        sums = [0.0]
+        monkeypatch.setattr(costmodel, "_direct_sums", sums)
+        liquid = costmodel.LiquidParams()
+        solid = costmodel.SolidParams(delta=1e-8, d=2e7, Delta=1e-7)
+        costmodel.sweep("liquid", liquid, range(1, 11))
+        sums[10] *= 1 + 1e-9
+        costmodel.t_serial_liquid(9, liquid)
+        costmodel.t_serial_solid(9, solid)
+        for fn, params in ((costmodel.t_serial_liquid, liquid),
+                           (costmodel.t_serial_solid, solid)):
+            for n in (10, 11, 30):
+                with pytest.raises(ArithmeticError, match=f"n={n}"):
+                    fn(n, params)
+
+    def test_concurrent_sweeps_build_the_same_sums(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "_direct_sums", [0.0])
+        p = costmodel.LiquidParams()
+        errors = []
+
+        def work(top):
+            try:
+                for n in range(1, top + 1):
+                    costmodel.t_serial_liquid(n, p)
+            except ArithmeticError as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(150 + 7 * i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        built = costmodel._direct_sums
+        monkeypatch.setattr(costmodel, "_direct_sums", [0.0])
+        costmodel._direct_sum(len(built) - 1)
+        assert built == costmodel._direct_sums
 
 
 class TestLiquid:
@@ -60,6 +120,20 @@ class TestLiquid:
                      lambda: costmodel.SolidParams(delta=1e-8, d=2e7, Delta=bad)):
             with pytest.raises(ValueError, match="finite"):
                 make()
+
+    def test_coupling_too_weak_for_a_finite_kappa_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            costmodel.LiquidParams(J=1e-320)
+
+    def test_overflowing_coupling_time_rejected(self):
+        p = costmodel.LiquidParams(J=1e-307)  # kappa about 3e307
+        costmodel.t_serial_liquid(2, p)
+        with pytest.raises(ValueError, match="overflows at n=7"):
+            costmodel.sweep("liquid", p, range(1, 11))
+
+    def test_overflowing_pulse_term_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            costmodel.t_serial_liquid(2, costmodel.LiquidParams(delta=1e308))
 
 
 class TestParallel:
@@ -158,3 +232,12 @@ class TestSweep:
     def test_breakdown_total_consistency(self):
         with pytest.raises(ValueError):
             costmodel.CostBreakdown(1, "x", 1.0, 1.0, 0.0, 3.0)
+
+    @pytest.mark.parametrize("terms", [
+        (1.0, 1.0, math.inf, math.inf),
+        (math.inf, 1.0, 0.0, math.inf),
+        (1.0, math.nan, 0.0, math.nan),
+    ])
+    def test_breakdown_rejects_non_finite_terms(self, terms):
+        with pytest.raises(ValueError, match="not finite"):
+            costmodel.CostBreakdown(1, "x", *terms)

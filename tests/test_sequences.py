@@ -82,6 +82,19 @@ class TestCalibrationIsLoadBearing:
         assert sequence_fidelity(bracketed) < 0.1
 
 
+class TestSpinCountDirective:
+    @pytest.mark.parametrize("text,line,column", [
+        ("n: abc\n90y@s1\n", 1, 1),
+        ("# two spins\n  n: 0\n", 2, 3),
+        ("90y@s1\nn: 13\n", 2, 1),
+    ])
+    def test_bad_count_reports_position(self, text, line, column):
+        with pytest.raises(nmr.SequenceParseError, match="spin count") as exc:
+            nmr.parse_sequence(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).startswith(f"line {line}, column {column}: ")
+
+
 class TestCouplingValueIndependence:
     def test_symbolic_delays_make_unitary_j_independent(self):
         seq = nmr.library_sequence("serial-n3")
