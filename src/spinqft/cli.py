@@ -91,10 +91,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(text: str, out: str) -> None:
-    if out:
-        _atomic_write(out, text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        _atomic_write(out, text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _json_text(doc: dict) -> str:
@@ -166,7 +169,10 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
         return nmr.library_sequence(name)
     if os.path.isfile(name):
         try:
-            return nmr.parse_sequence(open(name).read(), name=os.path.basename(name))
+            with open(name) as fh:
+                return nmr.parse_sequence(fh.read(), name=os.path.basename(name))
+        except OSError as exc:
+            parser.error(f"cannot read {name}: {exc.strerror or exc}")
         except nmr.SequenceParseError as exc:
             parser.error(f"cannot parse {name}: {exc}")
     parser.error(f"unknown sequence {name!r}: not a library name "
@@ -337,8 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    seed = int(os.environ.get("SPINQFT_SEED", fields.get("seed", DEFAULT_SEED)))
-    fields["seed"] = seed
+    seed = os.environ.get("SPINQFT_SEED", fields.get("seed", DEFAULT_SEED))
+    try:
+        fields["seed"] = int(seed)
+    except ValueError:
+        raise ValueError(f"SPINQFT_SEED must be an integer, got {seed!r}") from None
     if "decomp" in vars(args):
         fields["decomposition"] = args.decomp
     return RunConfig(**fields)
@@ -358,8 +367,8 @@ def main(argv=None) -> int:
         out = os.path.realpath(args.out)
         if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
             parser.error(f"--out {args.out}: not a file in an existing directory")
-    config = config_from_args(args)
     try:
+        config = config_from_args(args)
         return _HANDLERS[config.command](config, parser)
     except (ValueError, KeyError) as exc:
         parser.error(str(exc))

@@ -543,11 +543,13 @@ def format_element(e: PulseElement) -> str:
         return f"z{math.degrees(e.angle):g}@s{e.spin}"
     if isinstance(e, CouplingDelay):
         parts = []
-        for j, k, dur in e.durations:
-            if isinstance(dur, SymbolicDuration):
-                parts.append(f"1/({dur.m}*J{j}{k})")
-            else:
+        for j, k, dur in e.durations:  # j < k
+            if not isinstance(dur, SymbolicDuration):
                 raise ValueError("only symbolic delays have a DSL form")
+            if k > 9:  # parse_sequence reads one digit per spin: J110 is not (1, 10)
+                raise ValueError(f"delay on spins ({j}, {k}): the DSL names single-digit "
+                                 "spins only")
+            parts.append(f"1/({dur.m}*J{j}{k})")
         body = parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}"
         return f"delay:{body}"
     raise TypeError(f"unknown pulse element {e!r}")

@@ -4,11 +4,13 @@ Readout follows the ensemble NMR scheme: each of the 3**n experiments
 applies one of {none, 90_x, 90_y} per qubit and then records the exact
 expectation values of the single-quantum observables of every spin
 (I_x^j and I_y^j dressed by every z-product over the other spins).
-Reconstruction is plain linear inversion of the resulting design matrix,
-which is informationally complete on the traceless Hermitian space; the
-package proves that constructively by building and rank-checking the
-matrix.  Expectations are exact (infinite ensemble) by default, with an
-optional seeded Gaussian perturbation for robustness studies.
+``measure`` reads one state or a stack of states; the design matrix is
+that readout applied to the stack of non-identity Pauli strings.
+Reconstruction is plain linear inversion of the design matrix, which is
+informationally complete on the traceless Hermitian space (full column
+rank, checked by the test suite).  Expectations are exact (infinite
+ensemble) by default, with an optional seeded Gaussian perturbation for
+robustness studies.
 """
 
 from __future__ import annotations
@@ -103,18 +105,22 @@ def observables(n: int) -> tuple:
 def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
             rng: np.random.Generator | None = None,
             conventions=DEFAULT_CONVENTIONS) -> np.ndarray:
-    """Expectation values Tr(rho' O) after the readout pulses.
+    """Expectation values Tr(rho' O) after the readout pulses, one per
+    observable of ``observables(n)``.
 
-    Exact by default; ``noise_sigma`` adds i.i.d. Gaussian perturbation
-    from ``rng`` for robustness tests.
+    ``rho`` is one 2**n x 2**n matrix, read as n * 2**n values, or a stack
+    of k of them with shape (k, 2**n, 2**n), read as a (k, n * 2**n)
+    array.  Exact by default; ``noise_sigma`` adds i.i.d. Gaussian
+    perturbation from ``rng`` for robustness tests.
     """
     m = entries_of(rho)
     n = experiment.n
-    if m.shape != (2 ** n, 2 ** n):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2 ** n, 2 ** n):
         raise ValueError(f"state dimension {m.shape} does not match {n}-qubit readout")
     u = readout_unitary(experiment, conventions)
     rotated = u @ m @ u.conj().T
-    values = np.array([float(np.real(np.trace(rotated @ o))) for _, o in observables(n)])
+    obs = np.array([o for _, o in observables(n)])
+    values = np.tensordot(rotated, obs, axes=([-1, -2], [1, 2])).real  # Tr(rotated @ o)
     if noise_sigma:
         if rng is None:
             rng = np.random.default_rng()
@@ -133,35 +139,24 @@ def measure_all(rho, noise_sigma: float = 0.0,
 
 
 @lru_cache(maxsize=None)
-def _pauli_basis(n: int) -> tuple:
-    """Non-identity Pauli strings (4**n - 1 of them), the coefficient basis."""
-    singles = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-    out = []
-    for labels in itertools.product("IXYZ", repeat=n):
-        if all(c == "I" for c in labels):
-            continue
-        m = embed(n, {j: singles[c] for j, c in enumerate(labels, start=1)})
-        out.append(("".join(labels), m))
-    return tuple(out)
+def _pauli_basis(n: int) -> np.ndarray:
+    """The 4**n - 1 non-identity Pauli strings, the coefficient basis,
+    stacked in lexicographic I < X < Y < Z order."""
+    # [1:] drops the all-identity string, which comes first
+    strings = list(itertools.product((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z), repeat=n))[1:]
+    return np.array([embed(n, dict(enumerate(f, start=1))) for f in strings])
 
 
 @lru_cache(maxsize=None)
 def design_matrix(n: int) -> np.ndarray:
-    """Linear map from Pauli coefficients to the stacked measurement vector.
+    """Linear map from Pauli coefficients to the stacked measurement vector:
+    the readout of every non-identity Pauli string.
 
     Row (experiment, observable), column p: Tr(U_e W_p U_e^dag O_o).
     Informational completeness of the readout scheme is equivalent to this
     matrix having full column rank 4**n - 1.
     """
-    paulis = _pauli_basis(n)
-    obs = observables(n)
-    rows = []
-    for e in all_experiments(n):
-        u = readout_unitary(e)
-        rotated = [u @ w @ u.conj().T for _, w in paulis]
-        for _, o in obs:
-            rows.append([float(np.real(np.trace(rw @ o))) for rw in rotated])
-    return np.array(rows)
+    return np.concatenate([measure(_pauli_basis(n), e).T for e in all_experiments(n)])
 
 
 def reconstruct(values: np.ndarray, n: int) -> DensityMatrix:
@@ -176,10 +171,7 @@ def reconstruct(values: np.ndarray, n: int) -> DensityMatrix:
     if values.shape[0] != a.shape[0]:
         raise ValueError(f"expected {a.shape[0]} readout values, got {values.shape[0]}")
     coeffs, *_ = np.linalg.lstsq(a, values, rcond=None)
-    dim = 2 ** n
-    m = np.zeros((dim, dim), dtype=complex)
-    for c, (_, w) in zip(coeffs, _pauli_basis(n)):
-        m += c * w
+    m = np.tensordot(coeffs, _pauli_basis(n), axes=1)
     m = (m + m.conj().T) / 2.0  # scrub roundoff asymmetry
     return DensityMatrix(n, m, traceless=True)
 

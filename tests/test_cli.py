@@ -156,6 +156,23 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_unreadable_sequence_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "locked.seq"
+        path.write_text("n: 2\n90y@s1\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"spinqft: error: cannot read {path}: Permission denied")
+
     def test_no_reverse_readout_changes_nothing_on_flat_target(self, capsys):
         # the transform of |0...0> is reversal-invariant, so both readouts agree
         _, a, _ = run_cli(["simulate", "--sequence", "serial-n2"], capsys)
@@ -178,6 +195,18 @@ class TestTomoRoundtrip:
         monkeypatch.setenv("SPINQFT_SEED", "123")
         _, out, _ = run_cli(["tomo-roundtrip", "--n", "2", "--samples", "2"], capsys)
         assert json.loads(out)["seed"] == 123
+
+    @pytest.mark.parametrize("args", [["verify", "--n", "2"],
+                                      ["tomo-roundtrip", "--n", "2", "--samples", "1"]])
+    def test_bad_seed_env_is_usage_error(self, args, capsys, monkeypatch):
+        monkeypatch.setenv("SPINQFT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "spinqft: error: SPINQFT_SEED must be an integer, got 'abc'")
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_is_usage_error(self, samples, capsys):
@@ -287,6 +316,21 @@ class TestOutPath:
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith("spinqft: error: --out ")
         assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, text):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "_atomic_write", refuse)
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGS + [str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"spinqft: error: cannot write --out {out}: Permission denied")
 
     def test_existing_file_keeps_its_mode(self, tmp_path):
         out = tmp_path / "old.json"

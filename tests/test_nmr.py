@@ -317,6 +317,12 @@ class TestDsl:
             np.testing.assert_allclose(nmr.sequence_unitary(back, system).entries,
                                        nmr.sequence_unitary(seq, system).entries, atol=1e-12)
 
+    def test_format_refuses_delay_spins_it_cannot_parse(self):
+        short = nmr.CouplingDelay(((1, 9, nmr.SymbolicDuration(2)),))
+        assert nmr.parse_sequence("n: 9\n" + nmr.format_element(short)).elements == (short,)
+        with pytest.raises(ValueError):
+            nmr.format_element(nmr.CouplingDelay(((1, 10, nmr.SymbolicDuration(2)),)))
+
     def test_unknown_library_name(self):
         with pytest.raises(KeyError):
             nmr.library_sequence("nonsense")

@@ -35,10 +35,11 @@ class TestReadout:
         r2 = random_traceless_hermitian(2, rng)
         e = tomography.ReadoutExperiment(("x", "y"))
         combo = 0.3 * r1.entries + 1.7 * r2.entries
-        np.testing.assert_allclose(
-            tomography.measure(combo, e),
-            0.3 * tomography.measure(r1, e) + 1.7 * tomography.measure(r2, e),
-            atol=1e-12)
+        one, two = tomography.measure(r1, e), tomography.measure(r2, e)
+        np.testing.assert_allclose(tomography.measure(combo, e), 0.3 * one + 1.7 * two,
+                                   atol=1e-12)
+        stacked = tomography.measure(np.stack([r1.entries, r2.entries]), e)
+        np.testing.assert_allclose(stacked, [one, two], atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -50,8 +51,40 @@ class TestReadout:
         b = tomography.measure_all(rho, noise_sigma=0.01, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
+    def test_perturbation_is_drawn_in_readout_order(self):
+        n = 2
+        rho = nmr.pseudopure_projector_deviation(n)
+        noisy = tomography.measure_all(rho, 0.01, np.random.default_rng(9))
+        draws = np.random.default_rng(9).normal(0.0, 0.01, size=n * 2 ** n * 3 ** n)
+        np.testing.assert_array_equal(noisy, tomography.measure_all(rho) + draws)
+
+
+def _design_reference(n):
+    """Row (experiment, observable), column p: Re Tr(U_e W_p U_e^dag O_o),
+    one dense trace per entry."""
+    rows = []
+    for e in tomography.all_experiments(n):
+        u = tomography.readout_unitary(e)
+        rotated = [u @ w @ u.conj().T for w in tomography._pauli_basis(n)]
+        for _, o in tomography.observables(n):
+            rows.append([np.real(np.trace(rw @ o)) for rw in rotated])
+    return np.array(rows)
+
 
 class TestReconstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_design_matrix_matches_per_trace_reference(self, n):
+        np.testing.assert_allclose(tomography.design_matrix(n), _design_reference(n),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_design_matrix_rows_hit_one_pauli(self, n):
+        # the readout pulses are Clifford: each rotated observable is +-one Pauli string
+        a = tomography.design_matrix(n)
+        nonzero = np.abs(a) > 1e-12
+        assert (nonzero.sum(axis=1) == 1).all()
+        np.testing.assert_allclose(np.abs(a[nonzero]), 2 ** (n - 1), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_design_matrix_full_rank(self, n):
         a = tomography.design_matrix(n)
