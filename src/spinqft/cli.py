@@ -244,14 +244,17 @@ def cmd_tomo_roundtrip(config: RunConfig, parser) -> int:
 
     rng = np.random.default_rng(config.seed)
     dim = 2 ** config.n
-    worst = 0.0
+    states = []
     for _ in range(config.samples):
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (h + h.conj().T) / 2.0
         h -= np.trace(h) / dim * np.eye(dim)
-        rho = core.DensityMatrix(config.n, h, traceless=True)
-        recon = tomography.reconstruct(tomography.measure_all(rho), config.n)
-        worst = max(worst, float(np.max(np.abs(recon.entries - rho.entries))))
+        states.append(core.DensityMatrix(config.n, h, traceless=True).entries)
+    readouts = tomography.measure_all(np.array(states))  # one readout of the whole stack
+    worst = 0.0
+    for rho, values in zip(states, readouts):
+        recon = tomography.reconstruct(values, config.n)
+        worst = max(worst, float(np.max(np.abs(recon.entries - rho))))
     passed = worst <= TOMO_TOL
     doc = {
         "command": "tomo-roundtrip",
@@ -370,7 +373,9 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return _HANDLERS[config.command](config, parser)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        parser.error(str(exc.args[0]) if exc.args else str(exc))
+    except ValueError as exc:
         parser.error(str(exc))
 
 

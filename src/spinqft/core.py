@@ -4,10 +4,11 @@ States, density matrices and unitaries are thin immutable wrappers around
 complex numpy arrays, indexed in the computational basis with qubit 1 as
 the most significant bit (basis integer ``a`` has the bit of qubit ``j``
 at position ``n - j``).  ``embed`` (local operators as Kronecker
-products, qubit 1 leftmost) and ``qubit_bits`` (one qubit's bit across
-all basis indices) are the only places outside the oracle that apply
-this ordering; every gate, pulse, observable and noise channel in the
-package is built on them.  The Fourier matrix built here by a direct
+products, qubit 1 leftmost), ``apply_local`` (the same operators applied
+to an array without building them) and ``qubit_bits`` (one qubit's bit
+across all basis indices) are the only places outside the oracle that
+apply this ordering; every gate, pulse, observable and noise channel in
+the package is built on them.  The Fourier matrix built here by a direct
 double loop is the independent oracle that every circuit- and
 pulse-level construction in the package is checked against.
 """
@@ -83,17 +84,18 @@ class DensityMatrix:
         m = _frozen(np.asarray(self.entries))
         if m.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
+        # every check is written `not x <= tol`, so that a NaN fails it
         scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * scale:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
         if self.traceless:
-            if abs(tr) > 1e-9 * scale:
+            if not abs(tr) <= 1e-9 * scale:
                 raise ValueError(f"deviation matrix must be traceless, trace = {tr}")
         else:
-            if abs(tr - 1.0) > 1e-9:
+            if not abs(tr - 1.0) <= 1e-9:
                 raise ValueError(f"physical density matrix must have trace 1, trace = {tr}")
-            if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
+            if not float(np.min(np.linalg.eigvalsh(m))) >= -1e-10:
                 raise ValueError("physical density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", m)
 
@@ -114,7 +116,7 @@ class UnitaryMatrix:
         m = _frozen(np.asarray(self.entries))
         if m.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
-        if np.max(np.abs(m @ m.conj().T - np.eye(dim))) > UNITARITY_TOL:
+        if not np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= UNITARITY_TOL:  # NaN fails
             raise ValueError("matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
 
@@ -134,15 +136,37 @@ def qubit_bits(j: int, n: int) -> np.ndarray:
     return (np.arange(2 ** n) >> (n - j)) & 1
 
 
+def _check_labels(n: int, factors: dict) -> None:
+    if not set(factors) <= set(range(1, n + 1)):
+        raise ValueError(f"qubit labels {sorted(factors)} outside 1..{n}")
+
+
 def embed(n: int, factors: dict) -> np.ndarray:
     """Kronecker product of the 2x2 ``factors``, keyed by 1-based qubit,
     with the identity on every other qubit; qubit 1 is the leftmost factor."""
-    if not set(factors) <= set(range(1, n + 1)):
-        raise ValueError(f"qubit labels {sorted(factors)} outside 1..{n}")
+    _check_labels(n, factors)
     out = np.eye(1, dtype=complex)
     for j in range(1, n + 1):
         out = np.kron(out, factors.get(j, PAULI_I))
     return out
+
+
+def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
+    """``embed(n, factors) @ a`` without building the 2**n x 2**n matrix.
+
+    Axis 0 of ``a`` (length 2**n) is split as (higher qubits, qubit j,
+    lower qubits and the other axes), qubit 1 most significant, and each
+    2x2 factor is one broadcast matrix product on its qubit's axis.
+    Returns a new complex array of the shape of ``a``.
+    """
+    _check_labels(n, factors)
+    out = np.asarray(a, dtype=complex)
+    shape = out.shape
+    if shape[:1] != (2 ** n,):
+        raise ValueError(f"expected axis 0 of length {2 ** n}, got shape {shape}")
+    for j, f in factors.items():
+        out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
+    return out.reshape(shape) if factors else out.copy()
 
 
 def basis_state(n: int, a: int) -> StateVector:

@@ -20,6 +20,13 @@ transform exactly; both toggles remain configurable via ``Conventions``.
 Delays act pair-by-pair as written (an idealization of the refocusing
 tricks that isolate one coupling on hardware), and pulses are
 instantaneous; durations matter only to the dephasing noise model.
+
+A noiseless ``run`` conjugates by the dense ``sequence_unitary``.  A noisy
+``run`` never builds a 2**n x 2**n element unitary: it applies each
+element to the density matrix where the element acts (2x2 rotations on
+the pulsed spins' qubit axes through ``core.apply_local``, two rows and
+columns for a transition pulse, an elementwise phase for a delay), then
+the element's dephasing channel.
 """
 
 from __future__ import annotations
@@ -33,9 +40,11 @@ import numpy as np
 
 from .core import (
     MAX_QUBITS,
+    UNITARITY_TOL,
     DensityMatrix,
     UnitaryMatrix,
     _check_qubit_count,
+    apply_local,
     embed,
     qubit_bits,
     transition_states,
@@ -251,6 +260,22 @@ def expand_composite_z(e: CompositeZ, conventions: Conventions = DEFAULT_CONVENT
     return [SpinPulse((e.spin,), half, PHASE_X), mid, SpinPulse((e.spin,), half, PHASE_X)]
 
 
+def _delay_phases(e: CouplingDelay, system: SpinSystem, conventions: Conventions) -> np.ndarray:
+    """Diagonal of a coupling delay's unitary, one phase factor per basis state."""
+    n = system.n
+    legs = e.resolved(system)
+    t_max = max(t for _, _, t in legs)
+    iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
+    phase = np.zeros(2 ** n)
+    for j, k, t in legs:
+        j_hz = system.coupling(j, k)
+        phase -= conventions.coupling_sign * 2.0 * math.pi * j_hz * t * iz[j] * iz[k]
+    for j, off in enumerate(system.offsets, start=1):
+        if off:
+            phase -= 2.0 * math.pi * off * t_max * iz[j]
+    return np.exp(1j * phase)
+
+
 def element_unitary(e: PulseElement, system: SpinSystem,
                     conventions: Conventions = DEFAULT_CONVENTIONS) -> UnitaryMatrix:
     """Exact unitary of one pulse element on the full Hilbert space."""
@@ -267,17 +292,7 @@ def element_unitary(e: PulseElement, system: SpinSystem,
         m[b, a], m[b, b] = r[1, 0], r[1, 1]
         return UnitaryMatrix(n, m)
     if isinstance(e, CouplingDelay):
-        legs = e.resolved(system)
-        t_max = max(t for _, _, t in legs)
-        iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
-        phase = np.zeros(dim)
-        for j, k, t in legs:
-            j_hz = system.coupling(j, k)
-            phase -= conventions.coupling_sign * 2.0 * math.pi * j_hz * t * iz[j] * iz[k]
-        for j, off in enumerate(system.offsets, start=1):
-            if off:
-                phase -= 2.0 * math.pi * off * t_max * iz[j]
-        return UnitaryMatrix(n, np.diag(np.exp(1j * phase)))
+        return UnitaryMatrix(n, np.diag(_delay_phases(e, system, conventions)))
     if isinstance(e, CompositeZ):
         out = np.eye(dim, dtype=complex)
         for pulse in expand_composite_z(e, conventions):
@@ -295,6 +310,47 @@ def sequence_unitary(seq: PulseSequence, system: SpinSystem,
     for e in seq.elements:
         out = element_unitary(e, system, conventions).entries @ out
     return UnitaryMatrix(system.n, out)
+
+
+def _checked_rotation(angle: float, phase: float, conventions: Conventions) -> np.ndarray:
+    """One spin's pulse rotation, checked unitary as a 1-qubit matrix."""
+    return UnitaryMatrix(1, _rotation_2x2(angle, phase, conventions.pulse_sign)).entries
+
+
+def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
+                       conventions: Conventions) -> np.ndarray:
+    """``u @ rho @ u^H`` for ``u = element_unitary(e)``, applied where the
+    element acts instead of through the 2**n x 2**n unitary.
+
+    A spin pulse mixes the rows, then the columns, of its spins' qubit
+    axes (``core.apply_local``); a transition pulse rewrites two rows and
+    two columns; a coupling delay multiplies by the outer product of its
+    phase vector with its conjugate; a composite z applies its three
+    rf pulses.  Each applied 2x2 rotation is checked unitary, and each
+    delay phase vector unit-modulus, to the same 1e-10 as the dense path.
+    """
+    n = system.n
+    if isinstance(e, SpinPulse):
+        f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase, conventions))
+        rows = apply_local(rho, n, f)
+        return apply_local(rows.conj().T, n, f).conj().T
+    if isinstance(e, TransitionPulse):
+        a, b = transition_states(e.from_label, e.to_label, n)
+        r = _checked_rotation(e.angle, e.phase, conventions)
+        out = np.array(rho, dtype=complex)
+        out[[a, b]] = r @ out[[a, b]]
+        out[:, [a, b]] = out[:, [a, b]] @ r.conj().T
+        return out
+    if isinstance(e, CouplingDelay):
+        p = _delay_phases(e, system, conventions)
+        if not np.max(np.abs(np.abs(p) - 1.0)) <= UNITARITY_TOL:  # NaN fails
+            raise ValueError("delay phase factors are not unit-modulus within 1e-10")
+        return rho * np.outer(p, p.conj())
+    if isinstance(e, CompositeZ):
+        for pulse in expand_composite_z(e, conventions):
+            rho = _conjugate_element(rho, pulse, system, conventions)
+        return rho
+    raise TypeError(f"unknown pulse element {e!r}")
 
 
 # -- dephasing noise ------------------------------------------------------
@@ -351,21 +407,25 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
         conventions: Conventions = DEFAULT_CONVENTIONS) -> DensityMatrix:
     """Propagate a density matrix through a sequence.
 
-    Without noise this equals conjugation by ``sequence_unitary`` exactly;
-    with noise, each element's unitary is followed by the dephasing
-    channel for that element's wall time.
+    Without noise this equals conjugation by ``sequence_unitary`` exactly.
+    With noise, each element is applied where it acts
+    (``_conjugate_element``, no 2**n x 2**n unitary is built) and then
+    followed by the dephasing channel for that element's wall time; the
+    channel's damping matrix is built once per distinct element time.
     """
     if seq.n != system.n or rho.n != system.n:
         raise ValueError("sequence, system and state must share the spin count")
     if noise is None or not any(noise.rates):
         u = sequence_unitary(seq, system, conventions).entries
         return DensityMatrix(system.n, u @ rho.entries @ u.conj().T, traceless=rho.traceless)
+    damping = {}  # element seconds -> damping matrix, for this run only
     state = np.array(rho.entries)
     for e in seq.elements:
-        u = element_unitary(e, system, conventions).entries
-        state = u @ state @ u.conj().T
-        d = noise.damping_matrix(system.n, noise.element_seconds(e, system))
-        state = state * d  # Schur-product dephasing channel
+        state = _conjugate_element(state, e, system, conventions)
+        t = noise.element_seconds(e, system)
+        if t not in damping:
+            damping[t] = noise.damping_matrix(system.n, t)
+        state = state * damping[t]  # Schur-product dephasing channel
     return DensityMatrix(system.n, state, traceless=rho.traceless)
 
 

@@ -81,6 +81,12 @@ def readout_unitary(e: ReadoutExperiment, conventions=DEFAULT_CONVENTIONS) -> np
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Lock an array that an ``lru_cache`` hands to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def observables(n: int) -> tuple:
     """Detected single-quantum observables: for each spin j, I_x^j and
@@ -98,7 +104,7 @@ def observables(n: int) -> tuple:
                 for ctx in itertools.combinations(others, r):
                     m = embed(n, {j: half[comp], **dict.fromkeys(ctx, PAULI_Z)})  # Z = 2*Iz
                     label = f"I{comp}{j}" + "".join(f"Z{k}" for k in ctx)
-                    out.append((label, m))
+                    out.append((label, _read_only(m)))
     return tuple(out)
 
 
@@ -131,11 +137,15 @@ def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
 def measure_all(rho, noise_sigma: float = 0.0,
                 rng: np.random.Generator | None = None,
                 conventions=DEFAULT_CONVENTIONS) -> np.ndarray:
-    """Stacked measurement vector over all 3**n experiments."""
+    """Stacked measurement vector over all 3**n experiments.
+
+    A stack of k states, shape (k, 2**n, 2**n), gives a (k, n * 2**n * 3**n)
+    array, one measurement vector per state.
+    """
     m = entries_of(rho)
-    n = int(np.log2(m.shape[0]))
+    n = int(np.log2(m.shape[-1]))
     return np.concatenate([measure(rho, e, noise_sigma, rng, conventions)
-                           for e in all_experiments(n)])
+                           for e in all_experiments(n)], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +154,7 @@ def _pauli_basis(n: int) -> np.ndarray:
     stacked in lexicographic I < X < Y < Z order."""
     # [1:] drops the all-identity string, which comes first
     strings = list(itertools.product((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z), repeat=n))[1:]
-    return np.array([embed(n, dict(enumerate(f, start=1))) for f in strings])
+    return _read_only(np.array([embed(n, dict(enumerate(f, start=1))) for f in strings]))
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +166,8 @@ def design_matrix(n: int) -> np.ndarray:
     Informational completeness of the readout scheme is equivalent to this
     matrix having full column rank 4**n - 1.
     """
-    return np.concatenate([measure(_pauli_basis(n), e).T for e in all_experiments(n)])
+    return _read_only(np.concatenate([measure(_pauli_basis(n), e).T
+                                      for e in all_experiments(n)]))
 
 
 def reconstruct(values: np.ndarray, n: int) -> DensityMatrix:

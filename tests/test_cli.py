@@ -173,6 +173,15 @@ class TestSimulate:
         assert captured.err.splitlines()[-1] == (
             f"spinqft: error: cannot read {path}: Permission denied")
 
+    def test_unknown_coupling_message_has_no_quotes(self, capsys, tmp_path):
+        path = tmp_path / "spin0.seq"
+        path.write_text("n: 2\ndelay:1/(2*J01)\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "spinqft: error: no coupling defined for spin pair (0, 1)")
+
     def test_no_reverse_readout_changes_nothing_on_flat_target(self, capsys):
         # the transform of |0...0> is reversal-invariant, so both readouts agree
         _, a, _ = run_cli(["simulate", "--sequence", "serial-n2"], capsys)

@@ -167,6 +167,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             core.UnitaryMatrix(1, np.array([[1, 0], [0, 2.0]]))
 
+    @pytest.mark.parametrize("make", [
+        lambda m: core.UnitaryMatrix(1, m),
+        lambda m: core.DensityMatrix(1, m),
+        lambda m: core.DensityMatrix(1, m, traceless=True),
+    ], ids=["unitary", "density", "deviation"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, make, bad):
+        with pytest.raises(ValueError):
+            make(np.array([[bad, 0], [0, 1]], dtype=complex))
+
 
 class TestJson:
     def test_matrix_roundtrip(self):

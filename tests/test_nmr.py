@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_traceless_hermitian
+
 from spinqft import core, nmr
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -177,6 +179,115 @@ class TestSequenceEvaluation:
         rho = nmr.pseudopure_projector_deviation(2)
         quiet = nmr.run(seq, system, rho, nmr.NoiseModel.uniform(2, 0.0))
         np.testing.assert_allclose(quiet.entries, nmr.run(seq, system, rho).entries, atol=0)
+
+
+def local_conjugation_cases():
+    default = nmr.DEFAULT_CONVENTIONS
+    for n in range(1, 6):
+        pairs = tuple((j, k, 40.0 * j + 7.0 * k)
+                      for j in range(1, n + 1) for k in range(j + 1, n + 1))
+        system = nmr.SpinSystem(n, pairs, offsets=(12.0, 0.0, -30.0, 4.5, 0.0)[:n])
+        yield pytest.param(system, nmr.SpinPulse(tuple(range(1, n + 1)), 1.3, 0.7), default,
+                           id=f"n{n}-all-spins")
+        yield pytest.param(system, nmr.SpinPulse((n,), 2.2, nmr.PHASE_MINUS_Y), default,
+                           id=f"n{n}-last-spin")
+        if n >= 3:
+            yield pytest.param(system, nmr.SpinPulse((1, 3), 0.4, nmr.PHASE_Y), default,
+                               id=f"n{n}-spins-1-3")
+        for a in range(2 ** n):
+            b = a ^ (1 << (a % n))  # flip one bit: a single-quantum transition
+            pulse = nmr.TransitionPulse(a + 1, b + 1, 0.9 + a,
+                                        nmr.PHASE_X if a % 2 else nmr.PHASE_MINUS_Y)
+            yield pytest.param(system, pulse, default, id=f"n{n}-t{a + 1}-{b + 1}")
+        if n >= 2:
+            legs = [(1, n, nmr.SymbolicDuration(4)), (1, 2, 1.3e-3)]
+            if n >= 3:
+                legs.append((2, 3, nmr.SymbolicDuration(8)))
+            for sign in (1, -1):
+                yield pytest.param(system, nmr.CouplingDelay(tuple(legs)),
+                                   nmr.Conventions(coupling_sign=sign),
+                                   id=f"n{n}-delay-sign{sign:+d}")
+        for conv in (nmr.COMPOSITE_Z_LITERAL, nmr.COMPOSITE_Z_XY_MINUS, nmr.COMPOSITE_Z_MINUS_XY):
+            for angle in (0.8, -2.1):
+                yield pytest.param(system, nmr.CompositeZ(n, angle),
+                                   nmr.Conventions(composite_z=conv), id=f"n{n}-z{angle:+}-{conv}")
+
+
+@pytest.mark.parametrize("system,e,conv", list(local_conjugation_cases()))
+def test_local_conjugation_equals_dense_conjugation(system, e, conv):
+    rho = random_traceless_hermitian(system.n, np.random.default_rng(system.n)).entries
+    u = nmr.element_unitary(e, system, conv).entries
+    got = nmr._conjugate_element(rho, e, system, conv)
+    np.testing.assert_allclose(got, u @ rho @ u.conj().T, rtol=0, atol=1e-14)
+
+
+def serial_program(n):
+    """The serial transform on ``n`` spins as DSL text: per spin m, a
+    coupling interval and z-correction sandwich for each later spin k,
+    then the composite Hadamard on m."""
+    tokens = []
+    for m in range(n, 0, -1):
+        for k in range(n, m, -1):
+            d = k - m
+            tokens += [f"delay:1/({2 ** (d + 1)}*J{m}{k})", f"90y@s{m},s{k}",
+                       f"{90.0 / 2 ** d:g}x@s{m},s{k}", f"90-y@s{m},s{k}"]
+        tokens += [f"45y@s{m}", f"180x@s{m}", f"45-y@s{m}"]
+    return nmr.parse_sequence(f"name: serial-{n}\nn: {n}\n" + " ".join(tokens) + "\n")
+
+
+def noisy_programs():
+    for name in nmr.SEQUENCE_LIBRARY:
+        yield pytest.param(nmr.library_sequence(name), id=name)
+    for seq in nmr.pseudopure_cycle_sequences():
+        yield pytest.param(seq, id=seq.name)
+    for n in (4, 5, 6):
+        yield pytest.param(serial_program(n), id=f"serial-{n}")
+
+
+class TestNoisyRun:
+    @pytest.mark.parametrize("seq", list(noisy_programs()))
+    def test_matches_dense_reference_loop(self, seq):
+        system = nmr.system_for_sequence(seq)
+        rho = (nmr.prepare_pseudopure_temporal_avg(system) if seq.n == 2
+               else nmr.pseudopure_projector_deviation(seq.n))
+        noise = nmr.NoiseModel(tuple(3.0 + 2.0 * j for j in range(seq.n)))
+        state = rho.entries
+        for e in seq.elements:  # dense unitary per element, then the channel
+            u = nmr.element_unitary(e, system).entries
+            d = noise.damping_matrix(seq.n, noise.element_seconds(e, system))
+            state = (u @ state @ u.conj().T) * d
+        np.testing.assert_allclose(nmr.run(seq, system, rho, noise).entries, state,
+                                   rtol=0, atol=1e-14)
+
+    def test_damping_built_once_per_distinct_element_time(self, monkeypatch):
+        seq = serial_program(4)
+        system = nmr.system_for_sequence(seq)
+        noise = nmr.NoiseModel.uniform(4, 5.0)
+        calls = []
+        build = nmr.NoiseModel.damping_matrix
+
+        def counting(self, n, seconds):
+            calls.append(seconds)
+            return build(self, n, seconds)
+
+        monkeypatch.setattr(nmr.NoiseModel, "damping_matrix", counting)
+        nmr.run(seq, system, nmr.pseudopure_projector_deviation(4), noise)
+        times = [noise.element_seconds(e, system) for e in seq.elements]
+        assert len(times) > len(set(times))
+        assert sorted(calls) == sorted(set(times))
+
+    @pytest.mark.parametrize("e,system", [
+        (nmr.SpinPulse((1,), math.nan, 0.0), nmr.chloroform()),
+        (nmr.TransitionPulse(3, 4, math.nan, 0.0), nmr.chloroform()),
+        (nmr.CompositeZ(2, math.nan), nmr.chloroform()),
+        (nmr.CouplingDelay(((1, 2, 1e-3),)), nmr.SpinSystem(2, ((1, 2, math.inf),))),
+    ], ids=["spin-pulse", "transition", "composite-z", "delay"])
+    def test_non_finite_element_is_rejected(self, e, system):
+        seq = nmr.PulseSequence("bad", 2, (e,))
+        rho = nmr.pseudopure_projector_deviation(2)
+        for noise in (None, nmr.NoiseModel.uniform(2, 5.0)):
+            with pytest.raises(ValueError, match="unit"):
+                nmr.run(seq, system, rho, noise)
 
 
 class TestSimultaneity:

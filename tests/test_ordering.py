@@ -2,16 +2,17 @@
 
 Every gate, pulse and noise matrix is compared with a reference built
 entry by entry from the rule alone: qubit j (1-based) is bit n - j of
-the basis index, so qubit 1 is the most significant bit.
+the basis index, so qubit 1 is the most significant bit.  The
+matrix-free ``core.apply_local`` is compared with ``core.embed``.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from spinqft import circuits, nmr
+from spinqft import circuits, core, nmr
 
 
 def bit(a, j, n):
@@ -117,3 +118,37 @@ def test_damping_matrix_matches_per_basis_reference(n):
             if bit(b, j, n) != bit(a, j, n):
                 expected[b, a] *= math.exp(-noise.rates[j - 1] * seconds)
     np.testing.assert_allclose(noise.damping_matrix(n, seconds), expected, rtol=1e-15, atol=0)
+
+
+def local_cases():
+    for n in range(1, 6):
+        for k in (1, 2):
+            for qubits in combinations(range(1, n + 1), k):
+                yield pytest.param(n, qubits, id=f"n{n}-" + "".join(map(str, qubits)))
+
+
+@pytest.mark.parametrize("n,qubits", list(local_cases()))
+def test_apply_local_equals_embedded_product(n, qubits):
+    rng = np.random.default_rng(n * 100 + sum(qubits))
+    dim = 2 ** n
+    factors = {j: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for j in qubits}
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for operand in (a, a.conj().T, a[:, 0], a.reshape(dim, 2, -1)):
+        got = core.apply_local(operand, n, factors)
+        assert got.shape == operand.shape
+        np.testing.assert_allclose(got, np.tensordot(core.embed(n, factors), operand, axes=1),
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,labels", [(3, (0,)), (3, (4,)), (2, (1, 3)), (1, (-1,))])
+def test_apply_local_rejects_labels_embed_rejects(n, labels):
+    factors = dict.fromkeys(labels, H)
+    for call in (lambda: core.embed(n, factors),
+                 lambda: core.apply_local(np.eye(2 ** n), n, factors)):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
+
+def test_apply_local_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        core.apply_local(np.eye(4), 3, {1: H})

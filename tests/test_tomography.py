@@ -51,6 +51,14 @@ class TestReadout:
         b = tomography.measure_all(rho, noise_sigma=0.01, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
+    def test_stack_reads_each_state(self):
+        rng = np.random.default_rng(11)
+        states = [random_traceless_hermitian(3, rng).entries for _ in range(4)]
+        stacked = tomography.measure_all(np.array(states))
+        assert stacked.shape == (4, 3 * 2 ** 3 * 3 ** 3)
+        np.testing.assert_allclose(stacked, [tomography.measure_all(m) for m in states],
+                                   rtol=0, atol=1e-14)
+
     def test_perturbation_is_drawn_in_readout_order(self):
         n = 2
         rho = nmr.pseudopure_projector_deviation(n)
@@ -108,6 +116,18 @@ class TestReconstruction:
             rec = tomography.reconstruct(tomography.measure_all(rho), n)
             worst = max(worst, float(np.max(np.abs(rec.entries - rho.entries))))
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("cached", [
+        lambda: tomography.design_matrix(2),
+        lambda: tomography._pauli_basis(2),
+        lambda: tomography.observables(2)[0][1],
+    ], ids=["design_matrix", "pauli_basis", "observable"])
+    def test_cached_arrays_are_read_only(self, cached):
+        with pytest.raises(ValueError):
+            cached()[...] *= 2
+        rho = nmr.pseudopure_projector_deviation(2)
+        rec = tomography.reconstruct(tomography.measure_all(rho), 2)
+        np.testing.assert_allclose(rec.entries, rho.entries, rtol=0, atol=1e-12)
 
     def test_incomplete_readout_rejected(self):
         with pytest.raises(ValueError):
