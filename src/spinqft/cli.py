@@ -12,6 +12,12 @@ codes: 0 success, 1 verification failure, 2 usage error.  The
 environment variable ``SPINQFT_SEED`` overrides the seed used for
 readout perturbation.
 
+A JSON report is encoded in full before anything is written, so a
+report that cannot be encoded writes nothing; it is then written row by
+row (``_json_text``), with the bytes ``json.dumps(..., sort_keys=True,
+indent=2)`` would give, without ever holding the report as one string.
+A failed write to stdout exits 2 with one line.
+
 Only ``costmodel`` is imported at module level.  The matrix layers
 (``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
 inside the handlers that use them, so ``cost`` never loads them.
@@ -66,14 +72,14 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: list[str]) -> None:
     """Write where and with the mode ``open(path, "w")`` would (symlinks
     followed, FIFOs and devices written in place), but replace a regular
     file atomically."""
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     umask = os.umask(0)
     os.umask(umask)
@@ -82,7 +88,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,18 +96,69 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(chunks: list[str], out: str) -> None:
+    """Write encoded text chunks to ``out``, or to stdout when it is empty."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit: let that flush reach nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"spinqft: error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+            raise SystemExit(2) from None
         return
     try:
-        _atomic_write(out, text)
+        _atomic_write(out, chunks)
     except OSError as exc:
         raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_text(doc: dict) -> list[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    as chunks to write one after the other.
+
+    Dicts and lists are walked here; each list of floats (a matrix row) is
+    one call of the C encoder, re-indented by replacing its ``", "``
+    separators, which a float's repr never contains.  An array (anything
+    with ``tolist``) is written one row at a time, so no nested list of
+    Python floats is built.  NaN or infinity raises ``ValueError`` before
+    anything is written.  Keys must be strings, as in every report.
+    """
+    chunks = []
+    _encode_into(chunks, doc, "\n")
+    chunks.append("\n")
+    return chunks
+
+
+def _encode_into(chunks: list[str], value, newline: str) -> None:
+    # ``newline`` is a line break plus the indent of the line that opens ``value``
+    if hasattr(value, "tolist"):
+        value = list(value) if value.ndim > 1 else value.tolist()
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        opener = "{"
+        for key, item in sorted(value.items()):
+            chunks.append(f"{opener}{inner}{_encode(key)}: ")
+            _encode_into(chunks, item, inner)
+            opener = ","
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float}:
+            body = _encode(value)[1:-1].replace(", ", "," + inner)
+            chunks.append(f"[{inner}{body}{newline}]")
+            return
+        opener = "["
+        for item in value:
+            chunks.append(opener + inner)
+            _encode_into(chunks, item, inner)
+            opener = ","
+        chunks.append(newline + "]")
+    else:
+        chunks.append(_encode(value))
 
 
 def _parse_range(text: str) -> tuple:
@@ -148,7 +205,7 @@ def cmd_cost(config: RunConfig, parser) -> int:
     rows = costmodel.sweep(config.model, params, config.n_range)
     text = (costmodel.sweep_to_json(rows) if config.fmt == "json"
             else costmodel.sweep_to_csv(rows))
-    _emit(text, config.out)
+    _emit([text], config.out)
     n_top = config.n_range[-1]
     if config.model == "solid":
         serial = costmodel.t_serial_solid(n_top, params)
@@ -221,8 +278,8 @@ def cmd_simulate(config: RunConfig, parser) -> int:
         "reverse_readout": config.reverse_readout,
         "seed": config.seed,
         "fidelity_report": report.as_dict(),
-        "rho_exp": core.matrix_to_json(rho_exp),
-        "rho_target": core.matrix_to_json(rho_th),
+        "rho_exp": {"n": system.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
+        "rho_target": {"n": system.n, "re": rho_th.entries.real, "im": rho_th.entries.imag},
     }
     status = 0
     if config.tomography:
@@ -281,7 +338,7 @@ def cmd_export_fig2(config: RunConfig, parser) -> int:
         rho = core.conjugate(_ideal_target_unitary(system.n, True), rho_init)
     else:
         rho = nmr.run(seq, system, rho_init)
-    _emit(tomography.bar_chart_csv(rho), config.out)
+    _emit([tomography.bar_chart_csv(rho)], config.out)
     return 0
 
 

@@ -16,7 +16,6 @@ pulse-level construction in the package is checked against.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,8 +307,3 @@ def density_matrix_from_json(doc: dict) -> DensityMatrix:
 
 def unitary_from_json(doc: dict) -> UnitaryMatrix:
     return UnitaryMatrix(int(doc["n"]), matrix_from_json(doc))
-
-
-def dump_matrix(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(obj), fh, sort_keys=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
 
 import numpy as np
@@ -319,21 +320,24 @@ def _checked_rotation(angle: float, phase: float, conventions: Conventions) -> n
 
 def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
                        conventions: Conventions) -> np.ndarray:
-    """``u @ rho @ u^H`` for ``u = element_unitary(e)``, applied where the
-    element acts instead of through the 2**n x 2**n unitary.
+    """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
+    ``rho``, applied where the element acts instead of through the
+    2**n x 2**n unitary.
 
-    A spin pulse mixes the rows, then the columns, of its spins' qubit
-    axes (``core.apply_local``); a transition pulse rewrites two rows and
-    two columns; a coupling delay multiplies by the outer product of its
-    phase vector with its conjugate; a composite z applies its three
-    rf pulses.  Each applied 2x2 rotation is checked unitary, and each
-    delay phase vector unit-modulus, to the same 1e-10 as the dense path.
+    A spin pulse mixes the rows of its spins' qubit axes
+    (``core.apply_local``) twice, in ``rho`` and then in ``(u rho)^H``,
+    since ``u (u rho)^H = u rho u^H``; a transition pulse rewrites two
+    rows and two columns; a coupling delay multiplies by the outer
+    product of its phase vector with its conjugate; a composite z
+    applies its three rf pulses.  Each applied 2x2 rotation is checked
+    unitary, and each delay phase vector unit-modulus, to the same 1e-10
+    as the dense path.
     """
     n = system.n
     if isinstance(e, SpinPulse):
         f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase, conventions))
-        rows = apply_local(rho, n, f)
-        return apply_local(rows.conj().T, n, f).conj().T
+        # one copy of the transposed view, and the result is C-ordered
+        return apply_local(apply_local(rho, n, f).conj().T, n, f)
     if isinstance(e, TransitionPulse):
         a, b = transition_states(e.from_label, e.to_label, n)
         r = _checked_rotation(e.angle, e.phase, conventions)
@@ -589,18 +593,50 @@ def parse_sequence(text: str, name: str = "") -> PulseSequence:
     return PulseSequence(name, n, tuple(elements))
 
 
+_PHASE_TEXT = {PHASE_X: "x", PHASE_Y: "y", PHASE_MINUS_X: "-x", PHASE_MINUS_Y: "-y"}
+
+
+def _degrees_text(angle: float) -> str:
+    """``angle`` (radians) in degrees, as decimal text without an exponent
+    that ``math.radians`` maps back to ``angle`` exactly.
+
+    The repr of ``math.degrees(angle)`` is tried first, then its float
+    neighbours, and the shortest exact one is written; an angle that no
+    decimal maps back to exactly is written as the nearest one.
+    """
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {angle!r} has no DSL form")
+    up = down = math.degrees(angle) + 0.0  # + 0.0 turns -0.0 into 0.0
+    near = [up]
+    for _ in range(4):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        near += [up, down]
+    exact = [d for d in near if math.radians(d) == angle]
+    best = (min(exact, key=lambda d: len(repr(d))) if exact
+            else min(near, key=lambda d: abs(math.radians(d) - angle)))
+    return format(Decimal(repr(best)), "f").removesuffix(".0")
+
+
 def format_element(e: PulseElement) -> str:
-    """Render one element back into DSL text."""
+    """Render one element back into DSL text that ``parse_sequence`` reads
+    back as the same element.
+
+    Raises ``ValueError`` for what the DSL cannot write: an rf phase other
+    than x, y, -x, -y, a negative or non-finite pulse angle, a numeric
+    delay, or a delay on a spin above 9.
+    """
     if isinstance(e, SpinPulse) or isinstance(e, TransitionPulse):
-        phase_txt = {PHASE_X: "x", PHASE_Y: "y", PHASE_MINUS_X: "-x", PHASE_MINUS_Y: "-y"}
-        key = min(phase_txt, key=lambda p: abs(p - e.phase % (2 * math.pi)))
-        angle = math.degrees(e.angle)
-        angle_txt = f"{angle:g}"
+        phase_txt = _PHASE_TEXT.get(e.phase % (2 * math.pi))
+        if phase_txt is None:
+            raise ValueError(f"rf phase {e.phase!r} is not one of x, y, -x, -y")
+        if not e.angle >= 0:
+            raise ValueError(f"pulse angle {e.angle!r} must be >= 0")
+        head = _degrees_text(e.angle) + phase_txt
         if isinstance(e, SpinPulse):
-            return f"{angle_txt}{phase_txt[key]}@" + ",".join(f"s{s}" for s in e.spins)
-        return f"{angle_txt}{phase_txt[key]}@t{e.from_label}-{e.to_label}"
+            return f"{head}@" + ",".join(f"s{s}" for s in e.spins)
+        return f"{head}@t{e.from_label}-{e.to_label}"
     if isinstance(e, CompositeZ):
-        return f"z{math.degrees(e.angle):g}@s{e.spin}"
+        return f"z{_degrees_text(e.angle)}@s{e.spin}"
     if isinstance(e, CouplingDelay):
         parts = []
         for j, k, dur in e.durations:  # j < k

@@ -16,7 +16,6 @@ robustness studies.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -201,9 +200,6 @@ class FidelityReport:
             "signal_retention": self.signal_retention,
             "fidelity": self.fidelity,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:

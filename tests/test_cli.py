@@ -7,10 +7,15 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinqft import cli
 
@@ -365,3 +370,81 @@ class TestDeterminism:
             _, out, _ = run_cli(["cost", "--model", "liquid", "--n-range", "1..8"], capsys)
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
+SCALARS = st.none() | st.booleans() | st.integers() | FINITE | st.text()
+DOCS = st.dictionaries(st.text(), st.recursive(
+    SCALARS | st.lists(FINITE),  # float lists take the one-call row path
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=30))
+
+
+def report_shaped_doc(as_arrays):
+    """A doc shaped like an n = 8 ``simulate`` report."""
+    rng = np.random.default_rng(8)
+    doc = {"command": "simulate", "n": 8, "fidelity_report": {"fidelity": 0.5}}
+    for key in ("rho_exp", "rho_target"):
+        m = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        re, im = (m.real, m.imag) if as_arrays else (m.real.tolist(), m.imag.tolist())
+        doc[key] = {"n": 8, "re": re, "im": im}
+    return doc
+
+
+class TestJsonText:
+    @settings(deadline=None)
+    @given(DOCS)
+    def test_equals_indented_dumps(self, doc):
+        assert "".join(cli._json_text(doc)) == dumps(doc)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+                      elements=FINITE))
+    def test_array_is_written_as_its_tolist(self, a):
+        doc = {"m": a, "rows": [a, a.T]}
+        expected = {"m": a.tolist(), "rows": [a.tolist(), a.T.tolist()]}
+        assert "".join(cli._json_text(doc)) == dumps(expected)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises_before_any_chunk(self, bad):
+        docs = [{"x": bad}, {"row": [0.5, bad]}, {"a": {"b": [[1.0], [bad, 2.0]]}},
+                {"m": np.array([[0.0, 1.0], [bad, 0.0]])}, {"v": np.array([bad])}]
+        for doc in docs:
+            with pytest.raises(ValueError):
+                cli._json_text(doc)
+
+    @pytest.mark.parametrize("as_arrays", [False, True], ids=["lists", "arrays"])
+    def test_report_peak_memory_is_about_its_length(self, as_arrays):
+        doc = report_shaped_doc(as_arrays)
+        tracemalloc.start()
+        try:
+            chunks = cli._json_text(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(map(len, chunks))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+class TestStdoutFailure:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [["simulate", "--sequence", "serial-n2"],
+                                      ["verify", "--n", "2"]], ids=["simulate", "verify"])
+    def test_full_device_exits_2_with_one_line(self, args, unbuffered, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spinqft.cli", *args], cwd=tmp_path,
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == "spinqft: error: cannot write stdout: No space left on device\n"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_traceless_hermitian
 
@@ -375,6 +377,20 @@ class TestNoise:
                 make()
 
 
+DEGREES = st.integers(0, 12).flatmap(
+    lambda places: st.decimals(0, 720, places=places)).map(lambda d: format(d, "f"))
+SPIN = st.integers(1, 9)
+DSL_TOKENS = st.one_of(
+    st.builds("{}{}{}@s{}".format, DEGREES, st.sampled_from(["", "-"]),
+              st.sampled_from("xy"), st.lists(SPIN, min_size=1, max_size=3).map(
+                  lambda spins: ",s".join(map(str, spins)))),
+    st.builds("{}{}{}@t{}-{}".format, DEGREES, st.sampled_from(["", "-"]),
+              st.sampled_from("xy"), st.integers(1, 512), st.integers(1, 512)),
+    st.builds("z{}{}@s{}".format, st.sampled_from(["", "-"]), DEGREES, SPIN),
+    st.builds("delay:1/({}*J{}{})".format, st.integers(1, 64), SPIN, SPIN)
+    .filter(lambda t: t[-3] != t[-2]))
+
+
 class TestDsl:
     def test_parse_spin_pulse(self):
         seq = nmr.parse_sequence("n: 2\n90y@s1,s2\n")
@@ -433,6 +449,39 @@ class TestDsl:
         assert nmr.parse_sequence("n: 9\n" + nmr.format_element(short)).elements == (short,)
         with pytest.raises(ValueError):
             nmr.format_element(nmr.CouplingDelay(((1, 10, nmr.SymbolicDuration(2)),)))
+
+    def test_format_keeps_every_digit_of_an_angle(self):
+        # 90/2**8 degrees: the 1-9 pulse of the generated n = 9 serial program
+        token = "0.3515625x@s1,s9"
+        (e,) = nmr.parse_sequence("n: 9\n" + token).elements
+        assert nmr.format_element(e) == token
+
+    @pytest.mark.parametrize("e", [
+        nmr.SpinPulse((1,), math.pi / 2, 0.3),
+        nmr.TransitionPulse(1, 2, math.pi / 2, nmr.PHASE_Y + 1e-9),
+        nmr.SpinPulse((1,), -1.0, nmr.PHASE_X),
+        nmr.TransitionPulse(1, 2, -math.pi, nmr.PHASE_Y),
+        nmr.SpinPulse((1,), math.inf, nmr.PHASE_X),
+        nmr.CompositeZ(1, math.nan),
+    ], ids=["off-label-phase", "near-label-phase", "negative-pulse", "negative-transition",
+            "infinite-pulse", "nan-z"])
+    def test_format_refuses_what_it_cannot_write_back(self, e):
+        with pytest.raises(ValueError):
+            nmr.format_element(e)
+
+    def test_format_writes_a_negative_z_angle_and_an_equivalent_phase(self):
+        seq = nmr.PulseSequence("s", 1, (nmr.CompositeZ(1, -1.0),
+                                         nmr.SpinPulse((1,), 1.0, -math.pi / 2)))
+        back = nmr.parse_sequence(nmr.format_sequence(seq)).elements
+        assert back[0] == seq.elements[0]
+        assert back[1] == nmr.SpinPulse((1,), 1.0, nmr.PHASE_MINUS_Y)
+
+    @settings(deadline=None)
+    @given(st.lists(DSL_TOKENS, min_size=1, max_size=8))
+    def test_parse_format_parse_gives_equal_elements(self, tokens):
+        seq = nmr.parse_sequence("n: 9\n" + " ".join(tokens))
+        back = nmr.parse_sequence(nmr.format_sequence(seq))
+        assert (back.n, back.elements) == (seq.n, seq.elements)
 
     def test_unknown_library_name(self):
         with pytest.raises(KeyError):
