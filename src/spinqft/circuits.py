@@ -9,8 +9,8 @@ evaluation multiplies unitaries right-to-left over the list.
 
 Both exact builders produce the transform with the output bits in
 reversed order: ``bit_reversal @ circuit_unitary(...)`` equals the
-Fourier oracle up to a global phase.  No SWAP gates are emitted; a
-swap-appending wrapper exists for cost accounting only.
+Fourier oracle up to a global phase.  No SWAP gates are emitted:
+verification applies the reversal as a comparison-time permutation.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ import numpy as np
 
 from .core import (
     HADAMARD,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     StateVector,
     UnitaryMatrix,
     _check_qubit_count,
@@ -38,7 +34,6 @@ HADAMARD_KIND = "hadamard"
 TOTAL_HADAMARD_KIND = "total_hadamard"
 CONTROLLED_PHASE_KIND = "controlled_phase"
 ROOT_CNOT_KIND = "root_cnot"
-SWAP_KIND = "swap"
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class Gate:
     alpha: float = 0.0  # root-of-CNOT exponent in (0, 1]
 
     def __post_init__(self):
-        if self.kind in (CONTROLLED_PHASE_KIND, ROOT_CNOT_KIND, SWAP_KIND):
+        if self.kind in (CONTROLLED_PHASE_KIND, ROOT_CNOT_KIND):
             if not self.j < self.k:
                 raise ValueError(f"two-qubit gate needs j < k, got j={self.j}, k={self.k}")
         if self.kind == ROOT_CNOT_KIND and not 0.0 < self.alpha <= 1.0:
@@ -74,10 +69,6 @@ def controlled_phase(j: int, k: int, theta: float) -> Gate:
 def root_cnot(j: int, k: int, alpha: float) -> Gate:
     """Controlled X**alpha with control ``j`` and target ``k``."""
     return Gate(ROOT_CNOT_KIND, j=j, k=k, alpha=float(alpha))
-
-
-def swap(j: int, k: int) -> Gate:
-    return Gate(SWAP_KIND, j=j, k=k)
 
 
 @dataclass(frozen=True)
@@ -105,21 +96,19 @@ class Circuit:
 class GateCounts:
     hadamards: int = 0
     controlled_phases: int = 0
-    swaps: int = 0
     total_hadamards: int = 0
     root_cnots: int = 0
 
 
 def gate_counts(circuit: Circuit) -> GateCounts:
     """Tally gates by kind with a linear scan."""
-    tally = {k: 0 for k in (HADAMARD_KIND, CONTROLLED_PHASE_KIND, SWAP_KIND,
+    tally = {k: 0 for k in (HADAMARD_KIND, CONTROLLED_PHASE_KIND,
                             TOTAL_HADAMARD_KIND, ROOT_CNOT_KIND)}
     for g in circuit.gates:
         tally[g.kind] += 1
     return GateCounts(
         hadamards=tally[HADAMARD_KIND],
         controlled_phases=tally[CONTROLLED_PHASE_KIND],
-        swaps=tally[SWAP_KIND],
         total_hadamards=tally[TOTAL_HADAMARD_KIND],
         root_cnots=tally[ROOT_CNOT_KIND],
     )
@@ -200,10 +189,6 @@ def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
         m[lo, lo], m[lo, hi] = xa[0, 0], xa[0, 1]
         m[hi, lo], m[hi, hi] = xa[1, 0], xa[1, 1]
         return UnitaryMatrix(n, m)
-    if g.kind == SWAP_KIND:
-        # SWAP = (II + XX + YY + ZZ) / 2 on the pair
-        return UnitaryMatrix(n, sum(embed(n, {g.j: p, g.k: p})
-                                    for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)) / 2.0)
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
 
@@ -214,19 +199,6 @@ def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
     for g in circuit.gates:
         out = gate_unitary(g, circuit.n).entries @ out
     return UnitaryMatrix(circuit.n, out)
-
-
-def with_bit_reversal_swaps(circuit: Circuit) -> Circuit:
-    """Append the floor(n/2) SWAP gates that undo the output bit reversal.
-
-    Cost-accounting helper; the builders themselves never emit SWAPs
-    because verification applies the reversal as a comparison-time
-    permutation.
-    """
-    gates = list(circuit.gates)
-    for j in range(1, circuit.n // 2 + 1):
-        gates.append(swap(j, circuit.n + 1 - j))
-    return Circuit(circuit.n, tuple(gates), decomposition=circuit.decomposition + "+swaps")
 
 
 def qft_product_state(a: int, n: int) -> StateVector:
@@ -265,29 +237,3 @@ def verify_against_oracle(circuit: Circuit, tol: float = 1e-10) -> tuple[bool, f
     dev = float(np.max(np.abs(lhs - np.exp(1j * gamma) * target)))
     return ok, dev
 
-
-# -- JSON interchange ---------------------------------------------------
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    records = []
-    for g in circuit.gates:
-        rec = {"kind": g.kind}
-        if g.kind == HADAMARD_KIND:
-            rec["j"] = g.j
-        elif g.kind in (CONTROLLED_PHASE_KIND, ROOT_CNOT_KIND, SWAP_KIND):
-            rec["j"], rec["k"] = g.j, g.k
-        if g.kind == CONTROLLED_PHASE_KIND:
-            rec["theta"] = g.theta
-        if g.kind == ROOT_CNOT_KIND:
-            rec["alpha"] = g.alpha
-        records.append(rec)
-    return {"n": circuit.n, "decomposition": circuit.decomposition, "gates": records}
-
-
-def circuit_from_json(doc: dict) -> Circuit:
-    gates = []
-    for rec in doc["gates"]:
-        kind = rec["kind"]
-        gates.append(Gate(kind, j=rec.get("j", 0), k=rec.get("k", 0),
-                          theta=rec.get("theta", 0.0), alpha=rec.get("alpha", 0.0)))
-    return Circuit(int(doc["n"]), tuple(gates), decomposition=doc.get("decomposition", ""))

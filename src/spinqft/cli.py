@@ -9,14 +9,15 @@ cross-check), ``tomo-roundtrip`` (reconstruction identity check), and
 Every invocation is normalized into an immutable ``RunConfig`` before
 dispatch, so identical inputs produce byte-identical outputs.  Exit
 codes: 0 success, 1 verification failure, 2 usage error.  The
-environment variable ``SPINQFT_SEED`` overrides the seed used for
-readout perturbation.
+environment variable ``SPINQFT_SEED`` overrides ``--seed``: it draws the
+random states of ``tomo-roundtrip``, and ``simulate`` only records it in
+its report.
 
 A JSON report is encoded in full before anything is written, so a
 report that cannot be encoded writes nothing; it is then written row by
 row (``_json_text``), with the bytes ``json.dumps(..., sort_keys=True,
 indent=2)`` would give, without ever holding the report as one string.
-A failed write to stdout exits 2 with one line.
+A failed write to stdout, or a closed stdout, exits 2 with one line.
 
 Only ``costmodel`` is imported at module level.  The matrix layers
 (``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
@@ -26,6 +27,7 @@ inside the handlers that use them, so ``cost`` never loads them.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -100,11 +102,14 @@ def _emit(chunks: list[str], out: str) -> None:
     """Write encoded text chunks to ``out``, or to stdout when it is empty."""
     if not out:
         try:
+            if sys.stdout is None:  # the process started with file descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError as exc:
-            # the interpreter flushes stdout again at exit: let that flush reach nothing
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if sys.stdout is not None:
+                # the interpreter flushes stdout again at exit: let that flush reach nothing
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             print(f"spinqft: error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
             raise SystemExit(2) from None
         return
@@ -203,17 +208,14 @@ def cmd_cost(config: RunConfig, parser) -> int:
             parser.error("solid model requires --d and --Delta")
         params = costmodel.SolidParams(delta=config.delta, d=config.d, Delta=config.Delta)
     rows = costmodel.sweep(config.model, params, config.n_range)
+    # the serial/parallel comparison can fail too: compute it before writing anything
+    n_top = config.n_range[-1]
+    serial = (costmodel.t_serial_solid if config.model == "solid"
+              else costmodel.t_serial_liquid)(n_top, params)
+    ratio = serial.coupling_term / costmodel.t_parallel(n_top, params).coupling_term
     text = (costmodel.sweep_to_json(rows) if config.fmt == "json"
             else costmodel.sweep_to_csv(rows))
     _emit([text], config.out)
-    n_top = config.n_range[-1]
-    if config.model == "solid":
-        serial = costmodel.t_serial_solid(n_top, params)
-    else:
-        serial = costmodel.t_serial_liquid(
-            n_top, costmodel.LiquidParams(delta=config.delta, J=config.J))
-    parallel = costmodel.t_parallel(n_top, params)
-    ratio = serial.coupling_term / parallel.coupling_term
     print(f"serial/parallel coupling-term ratio at n={n_top}: {ratio:.6f} (limit 2)",
           file=sys.stderr)
     return 0

@@ -58,9 +58,6 @@ class StateVector:
             raise ValueError(f"expected {2 ** self.n} amplitudes, got {amps.shape}")
         object.__setattr__(self, "amps", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.n, np.outer(self.amps, self.amps.conj()))
 
@@ -216,13 +213,6 @@ def dft_oracle(n: int) -> UnitaryMatrix:
     return UnitaryMatrix(n, m)
 
 
-def apply(u: UnitaryMatrix, v: StateVector) -> StateVector:
-    """Matrix-vector product U|v>."""
-    if u.n != v.n:
-        raise ValueError(f"dimension mismatch: operator on {u.n} qubits, state on {v.n}")
-    return StateVector(v.n, u.entries @ v.amps)
-
-
 def conjugate(u: UnitaryMatrix, rho: DensityMatrix) -> DensityMatrix:
     """Unitary conjugation U rho U^dagger; preserves trace and Hermiticity."""
     if u.n != rho.n:
@@ -247,31 +237,6 @@ def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:
     return ok, gamma
 
 
-def tensor(*objects):
-    """Kronecker product with qubit 1 as the most significant factor.
-
-    Accepts a mix of StateVector (returning StateVector) or matrix-like
-    operands (returning UnitaryMatrix when the result is unitary-sized
-    square, else a bare array).
-    """
-    if not objects:
-        raise ValueError("tensor() needs at least one operand")
-    if all(isinstance(o, StateVector) for o in objects):
-        n = sum(o.n for o in objects)
-        _check_qubit_count(n)
-        amps = objects[0].amps
-        for o in objects[1:]:
-            amps = np.kron(amps, o.amps)
-        return StateVector(n, amps)
-    mats = [entries_of(o) for o in objects]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    if out.shape[0] > 2 ** MAX_QUBITS:
-        raise ValueError(f"tensor product exceeds {MAX_QUBITS}-qubit cap")
-    return out
-
-
 def bit_reversal_permutation(n: int) -> UnitaryMatrix:
     """Permutation P with P|b_{n-1}...b_0> = |b_0...b_{n-1}>."""
     _check_qubit_count(n)
@@ -282,28 +247,3 @@ def bit_reversal_permutation(n: int) -> UnitaryMatrix:
         p[rev, a] = 1.0
     return UnitaryMatrix(n, p)
 
-
-# -- JSON interchange: {"n": int, "re": [[...]], "im": [[...]]}, row-major --
-
-def matrix_to_json(obj) -> dict:
-    m = entries_of(obj)
-    n = int(np.log2(m.shape[0]))
-    return {"n": n, "re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    dim = 2 ** int(doc["n"])
-    if m.shape != (dim, dim):
-        raise ValueError(f"JSON matrix shape {m.shape} inconsistent with n={doc['n']}")
-    return m
-
-
-def density_matrix_from_json(doc: dict) -> DensityMatrix:
-    m = matrix_from_json(doc)
-    traceless = abs(complex(np.trace(m))) < 1e-9 * max(1.0, float(np.max(np.abs(m))))
-    return DensityMatrix(int(doc["n"]), m, traceless=traceless)
-
-
-def unitary_from_json(doc: dict) -> UnitaryMatrix:
-    return UnitaryMatrix(int(doc["n"]), matrix_from_json(doc))

@@ -72,7 +72,6 @@ COMPOSITE_Z_MINUS_XY = "minus_xy"       # {90_-x}{theta_y}{90_x}  -> Rz(+theta)
 class Conventions:
     """Global sign calibration for the pulse-level simulator.
 
-    pulse_sign:    +1 gives exp(-i*theta*(Ix cos phi + Iy sin phi)).
     coupling_sign: sign s in exp(-i*s*2*pi*J*t*IzIz); the calibrated
                    default -1 (exponent +i) is what makes the bundled
                    sequences exact.
@@ -80,13 +79,12 @@ class Conventions:
                    default realizes Rz(+theta).
     """
 
-    pulse_sign: int = 1
     coupling_sign: int = -1
     composite_z: str = COMPOSITE_Z_MINUS_XY
 
     def __post_init__(self):
-        if self.pulse_sign not in (1, -1) or self.coupling_sign not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
+        if self.coupling_sign not in (1, -1):
+            raise ValueError("coupling sign must be +1 or -1")
         if self.composite_z not in (COMPOSITE_Z_LITERAL, COMPOSITE_Z_XY_MINUS,
                                     COMPOSITE_Z_MINUS_XY):
             raise ValueError(f"unknown composite-z convention {self.composite_z!r}")
@@ -242,11 +240,11 @@ class PulseSequence:
 
 # -- element evaluation --------------------------------------------------
 
-def _rotation_2x2(angle: float, phase: float, sign: int) -> np.ndarray:
+def _rotation_2x2(angle: float, phase: float) -> np.ndarray:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     axis = np.array([[0.0, math.cos(phase) - 1j * math.sin(phase)],
                      [math.cos(phase) + 1j * math.sin(phase), 0.0]])
-    return c * np.eye(2, dtype=complex) - 1j * sign * s * axis
+    return c * np.eye(2, dtype=complex) - 1j * s * axis
 
 
 def expand_composite_z(e: CompositeZ, conventions: Conventions = DEFAULT_CONVENTIONS) -> list[SpinPulse]:
@@ -283,11 +281,11 @@ def element_unitary(e: PulseElement, system: SpinSystem,
     n = system.n
     dim = 2 ** n
     if isinstance(e, SpinPulse):
-        r = _rotation_2x2(e.angle, e.phase, conventions.pulse_sign)
+        r = _rotation_2x2(e.angle, e.phase)
         return UnitaryMatrix(n, embed(n, dict.fromkeys(e.spins, r)))
     if isinstance(e, TransitionPulse):
         a, b = transition_states(e.from_label, e.to_label, n)
-        r = _rotation_2x2(e.angle, e.phase, conventions.pulse_sign)
+        r = _rotation_2x2(e.angle, e.phase)
         m = np.eye(dim, dtype=complex)
         m[a, a], m[a, b] = r[0, 0], r[0, 1]
         m[b, a], m[b, b] = r[1, 0], r[1, 1]
@@ -313,9 +311,9 @@ def sequence_unitary(seq: PulseSequence, system: SpinSystem,
     return UnitaryMatrix(system.n, out)
 
 
-def _checked_rotation(angle: float, phase: float, conventions: Conventions) -> np.ndarray:
+def _checked_rotation(angle: float, phase: float) -> np.ndarray:
     """One spin's pulse rotation, checked unitary as a 1-qubit matrix."""
-    return UnitaryMatrix(1, _rotation_2x2(angle, phase, conventions.pulse_sign)).entries
+    return UnitaryMatrix(1, _rotation_2x2(angle, phase)).entries
 
 
 def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
@@ -335,12 +333,12 @@ def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
     """
     n = system.n
     if isinstance(e, SpinPulse):
-        f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase, conventions))
+        f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase))
         # one copy of the transposed view, and the result is C-ordered
         return apply_local(apply_local(rho, n, f).conj().T, n, f)
     if isinstance(e, TransitionPulse):
         a, b = transition_states(e.from_label, e.to_label, n)
-        r = _checked_rotation(e.angle, e.phase, conventions)
+        r = _checked_rotation(e.angle, e.phase)
         out = np.array(rho, dtype=complex)
         out[[a, b]] = r @ out[[a, b]]
         out[:, [a, b]] = out[:, [a, b]] @ r.conj().T
@@ -431,34 +429,6 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
             damping[t] = noise.damping_matrix(system.n, t)
         state = state * damping[t]  # Schur-product dephasing channel
     return DensityMatrix(system.n, state, traceless=rho.traceless)
-
-
-def simultaneous_transition_check(pulses, system: SpinSystem,
-                                  conventions: Conventions = DEFAULT_CONVENTIONS) -> bool:
-    """True iff the transition pulses touch pairwise disjoint subspaces.
-
-    Disjoint ("unconnected") transitions can be driven simultaneously;
-    when the check passes, order independence of the set is also asserted
-    numerically.
-    """
-    subspaces = []
-    for p in pulses:
-        subspaces.append(set(transition_states(p.from_label, p.to_label, system.n)))
-    pulses = list(pulses)
-    for i in range(len(subspaces)):
-        for j in range(i + 1, len(subspaces)):
-            if subspaces[i] & subspaces[j]:
-                return False
-    dim = 2 ** system.n
-    forward = np.eye(dim, dtype=complex)
-    backward = np.eye(dim, dtype=complex)
-    for p in pulses:
-        forward = element_unitary(p, system, conventions).entries @ forward
-    for p in reversed(pulses):
-        backward = element_unitary(p, system, conventions).entries @ backward
-    if np.max(np.abs(forward - backward)) >= 1e-12:
-        raise ArithmeticError("disjoint transition pulses failed to commute numerically")
-    return True
 
 
 # -- thermal state and temporally averaged pseudopure preparation ---------

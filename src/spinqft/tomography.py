@@ -31,7 +31,7 @@ from .core import (
     embed,
     entries_of,
 )
-from .nmr import DEFAULT_CONVENTIONS, PHASE_X, PHASE_Y, SpinPulse, SpinSystem, element_unitary
+from .nmr import PHASE_X, PHASE_Y, SpinPulse, SpinSystem, element_unitary
 
 READOUT_CHOICES = ("i", "x", "y")
 
@@ -66,7 +66,7 @@ def all_experiments(n: int) -> list[ReadoutExperiment]:
     return [ReadoutExperiment(p) for p in itertools.product(READOUT_CHOICES, repeat=n)]
 
 
-def readout_unitary(e: ReadoutExperiment, conventions=DEFAULT_CONVENTIONS) -> np.ndarray:
+def readout_unitary(e: ReadoutExperiment) -> np.ndarray:
     """Product of the per-qubit 90-degree readout pulses."""
     n = e.n
     system = SpinSystem(n, ())
@@ -76,7 +76,7 @@ def readout_unitary(e: ReadoutExperiment, conventions=DEFAULT_CONVENTIONS) -> np
             continue
         phase = PHASE_X if p == "x" else PHASE_Y
         pulse = SpinPulse((j,), math.pi / 2.0, phase)
-        out = element_unitary(pulse, system, conventions).entries @ out
+        out = element_unitary(pulse, system).entries @ out
     return out
 
 
@@ -108,8 +108,7 @@ def observables(n: int) -> tuple:
 
 
 def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
-            rng: np.random.Generator | None = None,
-            conventions=DEFAULT_CONVENTIONS) -> np.ndarray:
+            rng: np.random.Generator | None = None) -> np.ndarray:
     """Expectation values Tr(rho' O) after the readout pulses, one per
     observable of ``observables(n)``.
 
@@ -122,7 +121,7 @@ def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
     n = experiment.n
     if m.ndim not in (2, 3) or m.shape[-2:] != (2 ** n, 2 ** n):
         raise ValueError(f"state dimension {m.shape} does not match {n}-qubit readout")
-    u = readout_unitary(experiment, conventions)
+    u = readout_unitary(experiment)
     rotated = u @ m @ u.conj().T
     obs = np.array([o for _, o in observables(n)])
     values = np.tensordot(rotated, obs, axes=([-1, -2], [1, 2])).real  # Tr(rotated @ o)
@@ -134,8 +133,7 @@ def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
 
 
 def measure_all(rho, noise_sigma: float = 0.0,
-                rng: np.random.Generator | None = None,
-                conventions=DEFAULT_CONVENTIONS) -> np.ndarray:
+                rng: np.random.Generator | None = None) -> np.ndarray:
     """Stacked measurement vector over all 3**n experiments.
 
     A stack of k states, shape (k, 2**n, 2**n), gives a (k, n * 2**n * 3**n)
@@ -143,7 +141,7 @@ def measure_all(rho, noise_sigma: float = 0.0,
     """
     m = entries_of(rho)
     n = int(np.log2(m.shape[-1]))
-    return np.concatenate([measure(rho, e, noise_sigma, rng, conventions)
+    return np.concatenate([measure(rho, e, noise_sigma, rng)
                            for e in all_experiments(n)], axis=-1)
 
 

@@ -29,7 +29,6 @@ class TestBuilders:
         counts = circuits.gate_counts(circuits.build_serial(n))
         assert counts.hadamards == n
         assert counts.controlled_phases == n * (n - 1) // 2
-        assert counts.swaps == 0
 
     def test_parallel_n1(self):
         c = circuits.build_parallel(1)
@@ -68,11 +67,6 @@ class TestBuilders:
         with pytest.raises(ValueError):
             circuits.build_approximate(3, 4)
 
-    def test_swap_wrapper_appends_floor_half(self):
-        for n in (2, 3, 4, 5):
-            wrapped = circuits.with_bit_reversal_swaps(circuits.build_serial(n))
-            assert circuits.gate_counts(wrapped).swaps == n // 2
-
 
 class TestGateUnitaries:
     def test_controlled_phase_matrix(self):
@@ -95,11 +89,6 @@ class TestGateUnitaries:
     def test_total_hadamard(self):
         u = circuits.gate_unitary(circuits.total_hadamard(), 2).entries
         np.testing.assert_allclose(u, np.kron(core.HADAMARD, core.HADAMARD), atol=1e-15)
-
-    def test_swap_unitary(self):
-        u = circuits.gate_unitary(circuits.swap(1, 2), 2).entries
-        v = core.basis_state(2, 1).amps
-        np.testing.assert_allclose(u @ v, core.basis_state(2, 2).amps)
 
     def test_invalid_labels(self):
         with pytest.raises(ValueError):
@@ -200,17 +189,3 @@ class TestProductState:
         with pytest.raises(ValueError):
             circuits.qft_product_state(4, 2)
 
-
-class TestJsonInterchange:
-    def test_roundtrip(self):
-        for build in (circuits.build_serial, circuits.build_parallel):
-            c = build(3)
-            back = circuits.circuit_from_json(circuits.circuit_to_json(c))
-            assert back.gates == c.gates
-            assert back.n == c.n and back.decomposition == c.decomposition
-
-    def test_unitary_survives_roundtrip(self):
-        c = circuits.build_approximate(3, 2)
-        back = circuits.circuit_from_json(circuits.circuit_to_json(c))
-        np.testing.assert_allclose(circuits.circuit_unitary(back).entries,
-                                   circuits.circuit_unitary(c).entries, atol=1e-15)

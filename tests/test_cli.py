@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, outputs, schema, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinqft import cli
+from spinqft import cli, nmr
 
 
 SCHEMA = json.loads(
@@ -261,6 +264,9 @@ class TestNonFiniteInput:
         ["cost", "--model", "liquid", "--delta", "1e308", "--n-range", "1..3", "--format", "json"],
         ["cost", "--model", "solid", "--d", "2e7", "--Delta", "1e308", "--delta", "1e-8",
          "--n-range", "1..3"],
+        # the parallel sweep is finite, the serial time it is compared with is not
+        ["cost", "--model", "parallel", "--J", "1", "--delta", "1.7976931348623157e308",
+         "--n-range", "1..2"],
     ])
     def test_rejected_as_usage_error(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -448,3 +454,110 @@ class TestStdoutFailure:
                                   timeout=60)
         assert done.returncode == 2
         assert done.stderr == "spinqft: error: cannot write stdout: No space left on device\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("args", [["verify", "--n", "2"],
+                                      ["cost", "--model", "liquid", "--n-range", "1..3"]],
+                             ids=["verify", "cost"])
+    def test_exits_2_with_one_line(self, args, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "spinqft.cli", *args], cwd=tmp_path,
+                              env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+                              preexec_fn=lambda: os.close(1))  # as the shell's `>&-`
+        assert done.returncode == 2
+        assert done.stderr == "spinqft: error: cannot write stdout: Bad file descriptor\n"
+
+
+SEEDS = st.integers(0, 2 ** 32)
+
+
+def verify_argv(n, decomp, m):
+    return ["verify", "--n", str(n), "--decomp", decomp, "--m", str(m)]
+
+
+def cost_argv(model, j, delta, d, big_delta, lo, hi, fmt):
+    argv = ["cost", "--model", model, f"--J={j!r}", f"--delta={delta!r}",
+            "--n-range", f"{lo}..{hi}", "--format", fmt]
+    if d is not None:
+        argv.append(f"--d={d!r}")
+    if big_delta is not None:
+        argv.append(f"--Delta={big_delta!r}")
+    return argv
+
+
+def simulate_argv(sequence, t2, tomography, reverse, seed):
+    return (["simulate", "--sequence", sequence, f"--t2={t2!r}", f"--seed={seed}",
+             "--reverse-readout" if reverse else "--no-reverse-readout"]
+            + ["--tomography"] * tomography)
+
+
+def tomo_argv(n, samples, seed):
+    return ["tomo-roundtrip", "--n", str(n), "--samples", str(samples), f"--seed={seed}"]
+
+
+# inputs the CLI accepts, n <= 4, every command that writes JSON
+VALID_JSON_ARGV = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.builds(
+        verify_argv, st.just(n), st.sampled_from(["serial", "parallel", "approximate"]),
+        st.integers(0, n))),
+    st.integers(1, 50).flatmap(lambda hi: st.builds(
+        cost_argv, st.sampled_from(["liquid", "parallel", "solid"]),
+        st.floats(1.0, 1e4), st.floats(0.0, 1e-3), st.floats(1e3, 1e12), st.floats(0.0, 1e-3),
+        st.integers(1, hi), st.just(hi), st.just("json"))),
+    st.builds(simulate_argv, st.sampled_from(nmr.SEQUENCE_LIBRARY), st.just(0.0) | st.floats(1e-3, 10.0),
+              st.booleans(), st.booleans(), SEEDS),
+    st.builds(tomo_argv, st.sampled_from([2, 3]), st.integers(1, 3), SEEDS),
+)
+
+ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1.7976931348623157e308])
+# the same commands over out-of-range, non-finite and extreme values too
+FUZZED_ARGV = st.one_of(
+    st.builds(verify_argv, st.integers(-1, 4), st.sampled_from(["serial", "parallel",
+                                                                "approximate"]),
+              st.integers(-1, 5)),
+    st.builds(cost_argv, st.sampled_from(["liquid", "parallel", "solid"]), ANY_FLOAT, ANY_FLOAT,
+              st.none() | ANY_FLOAT, st.none() | ANY_FLOAT, st.integers(-1, 50),
+              st.integers(-1, 50), st.sampled_from(["csv", "json"])),
+    st.builds(simulate_argv, st.sampled_from(nmr.SEQUENCE_LIBRARY + ("no-such-sequence",)), ANY_FLOAT,
+              st.booleans(), st.booleans(), st.integers(-2, 2 ** 64)),
+    st.builds(tomo_argv, st.integers(1, 4), st.integers(-1, 3), st.integers(-2, 2 ** 64)),
+)
+
+NON_FINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+USAGE_ERROR = re.compile(r"spinqft( [a-z0-9-]+)?: error: ")  # a subcommand's parser names it
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``; a ``SystemExit``
+    gives its code, any other exception propagates.  Each hypothesis
+    example needs its own capture, which the per-test ``capsys`` is not."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(VALID_JSON_ARGV)
+    def test_json_outputs_match_the_schema(self, argv):
+        code, out, _ = run_main(argv)
+        assert code in (0, 1)
+        validate(json.loads(out))
+
+    @settings(max_examples=50, deadline=None)
+    @given(FUZZED_ARGV)
+    def test_fuzzed_main_returns_0_1_or_exits_2(self, argv):
+        code, out, err = run_main(argv)
+        assert code in (0, 1, 2)
+        assert NON_FINITE_TEXT.search(out) is None
+        if code == 2:
+            assert out == ""
+            assert USAGE_ERROR.match(err.splitlines()[-1])
+        elif argv[0] != "cost" or "json" in argv:
+            validate(json.loads(out))

@@ -292,22 +292,6 @@ class TestNoisyRun:
                 nmr.run(seq, system, rho, noise)
 
 
-class TestSimultaneity:
-    def test_three_qubit_unconnected_example(self):
-        # spin-3 flips on 100->101, 110->111, 010->011 share no basis state
-        system = nmr.default_system(3)
-        pulses = [nmr.TransitionPulse(5, 6, math.pi / 2, 0.0),
-                  nmr.TransitionPulse(7, 8, math.pi / 2, 0.0),
-                  nmr.TransitionPulse(3, 4, math.pi / 2, 0.0)]
-        assert nmr.simultaneous_transition_check(pulses, system)
-
-    def test_shared_endpoint_rejected(self):
-        system = nmr.default_system(3)
-        pulses = [nmr.TransitionPulse(1, 2, math.pi / 2, 0.0),
-                  nmr.TransitionPulse(2, 4, math.pi / 2, 0.0)]
-        assert not nmr.simultaneous_transition_check(pulses, system)
-
-
 class TestPseudopurePreparation:
     def test_unit_weights(self):
         rho = nmr.prepare_pseudopure_temporal_avg()

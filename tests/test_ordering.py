@@ -44,7 +44,6 @@ def reference_product(n, factors):
 
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-SWAP4 = np.eye(4)[[0, 2, 1, 3]]
 
 
 def gate_cases():
@@ -65,8 +64,6 @@ def gate_cases():
                                    reference_local(n, (j, k), cphase), id=f"cphase-n{n}-{j}{k}")
                 yield pytest.param(circuits.root_cnot(j, k, alpha), n,
                                    reference_local(n, (j, k), root), id=f"root-cnot-n{n}-{j}{k}")
-                yield pytest.param(circuits.swap(j, k), n,
-                                   reference_local(n, (j, k), SWAP4), id=f"swap-n{n}-{j}{k}")
 
 
 @pytest.mark.parametrize("gate,n,expected", list(gate_cases()))
