@@ -4,18 +4,23 @@ Three builders produce symbolic gate lists: the serial form (qubit-wise
 Hadamards plus two-qubit controlled-phase gates, O(n^2) gates), the
 parallel form (one non-selective Hadamard plus root-of-controlled-NOT
 gates, O(n) pulses), and the approximate form (serial with long-range
-phase gates dropped).  Circuits store gates first-in-time-first-in-list;
-evaluation multiplies unitaries right-to-left over the list.
+phase gates dropped).  Circuits store gates first-in-time-first-in-list.
+``circuit_unitary`` starts from the identity and applies each gate in
+time order where it acts: the gate's own 2x2 or 4x4 unitary, checked
+unitary, goes onto its qubits' axes of the running 2**n x 2**n product
+through ``core.apply_local``; only the finished product is checked as a
+2**n-dimensional unitary.  ``gate_unitary`` still embeds one gate into
+the full space, as a reference.
 
 Both exact builders produce the transform with the output bits in
 reversed order: ``bit_reversal @ circuit_unitary(...)`` equals the
 Fourier oracle up to a global phase.  No SWAP gates are emitted:
-verification applies the reversal as a comparison-time permutation.
+verification applies the reversal as a row permutation of the product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .core import (
     StateVector,
     UnitaryMatrix,
     _check_qubit_count,
+    apply_local,
     bit_reversal_permutation,
     dft_oracle,
     embed,
@@ -34,6 +40,7 @@ HADAMARD_KIND = "hadamard"
 TOTAL_HADAMARD_KIND = "total_hadamard"
 CONTROLLED_PHASE_KIND = "controlled_phase"
 ROOT_CNOT_KIND = "root_cnot"
+GATE_KINDS = (HADAMARD_KIND, TOTAL_HADAMARD_KIND, CONTROLLED_PHASE_KIND, ROOT_CNOT_KIND)
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,8 @@ class Gate:
     alpha: float = 0.0  # root-of-CNOT exponent in (0, 1]
 
     def __post_init__(self):
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}; expected one of {GATE_KINDS}")
         if self.kind in (CONTROLLED_PHASE_KIND, ROOT_CNOT_KIND):
             if not self.j < self.k:
                 raise ValueError(f"two-qubit gate needs j < k, got j={self.j}, k={self.k}")
@@ -102,8 +111,7 @@ class GateCounts:
 
 def gate_counts(circuit: Circuit) -> GateCounts:
     """Tally gates by kind with a linear scan."""
-    tally = {k: 0 for k in (HADAMARD_KIND, CONTROLLED_PHASE_KIND,
-                            TOTAL_HADAMARD_KIND, ROOT_CNOT_KIND)}
+    tally = dict.fromkeys(GATE_KINDS, 0)
     for g in circuit.gates:
         tally[g.kind] += 1
     return GateCounts(
@@ -180,25 +188,38 @@ def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
     control, target = qubit_bits(g.j, n), qubit_bits(g.k, n)
     if g.kind == CONTROLLED_PHASE_KIND:
         return UnitaryMatrix(n, np.diag(np.where(control & target, np.exp(1j * g.theta), 1.0)))
-    if g.kind == ROOT_CNOT_KIND:
-        xa = x_power(g.alpha)
-        # control-set indices with target 0 (lo) and 1 (hi); lo[i], hi[i] is one pair
-        lo = np.flatnonzero(control > target)
-        hi = np.flatnonzero(control & target)
-        m = np.eye(2 ** n, dtype=complex)
-        m[lo, lo], m[lo, hi] = xa[0, 0], xa[0, 1]
-        m[hi, lo], m[hi, hi] = xa[1, 0], xa[1, 1]
-        return UnitaryMatrix(n, m)
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    xa = x_power(g.alpha)  # root of CNOT
+    # control-set indices with target 0 (lo) and 1 (hi); lo[i], hi[i] is one pair
+    lo = np.flatnonzero(control > target)
+    hi = np.flatnonzero(control & target)
+    m = np.eye(2 ** n, dtype=complex)
+    m[lo, lo], m[lo, hi] = xa[0, 0], xa[0, 1]
+    m[hi, lo], m[hi, hi] = xa[1, 0], xa[1, 1]
+    return UnitaryMatrix(n, m)
+
+
+def _local_factors(g: Gate, n: int) -> dict:
+    """``g`` as ``apply_local`` factors: ``gate_unitary`` of the gate moved
+    onto qubits 1 (and 2), so checked unitary as a 2x2 or 4x4 matrix."""
+    if g.kind == HADAMARD_KIND:
+        return {g.j: gate_unitary(hadamard(1), 1).entries}
+    if g.kind == TOTAL_HADAMARD_KIND:
+        return dict.fromkeys(range(1, n + 1), gate_unitary(hadamard(1), 1).entries)
+    return {(g.j, g.k): gate_unitary(replace(g, j=1, k=2), 2).entries}
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
-    """Ordered product of gate unitaries, first-in-time rightmost."""
-    dim = 2 ** circuit.n
-    out = np.eye(dim, dtype=complex)
+    """Ordered product of the gate unitaries, first-in-time rightmost.
+
+    Starts from the identity and applies each gate's local unitary to the
+    running product on the gate's qubit axes only; no 2**n x 2**n gate
+    matrix is built, and the product is checked unitary once, at the end.
+    """
+    n = circuit.n
+    out = np.eye(2 ** n, dtype=complex)
     for g in circuit.gates:
-        out = gate_unitary(g, circuit.n).entries @ out
-    return UnitaryMatrix(circuit.n, out)
+        out = apply_local(out, n, _local_factors(g, n))
+    return UnitaryMatrix(n, out)
 
 
 def qft_product_state(a: int, n: int) -> StateVector:
@@ -225,14 +246,17 @@ def qft_product_state(a: int, n: int) -> StateVector:
 def verify_against_oracle(circuit: Circuit, tol: float = 1e-10) -> tuple[bool, float]:
     """Compare bit_reversal @ circuit against the Fourier oracle.
 
-    Returns (passed, max entrywise deviation after removing the global
-    phase).  The serial and parallel builders satisfy this for all n.
+    The reversal is applied as a row permutation of the circuit unitary:
+    row r of ``bit_reversal_permutation`` has its one 1 in the column that
+    moves to row r.  Returns (passed, max entrywise deviation after
+    removing the global phase).  The serial and parallel builders satisfy
+    this for all n.
     """
     from .core import equal_up_to_global_phase
 
     u = circuit_unitary(circuit).entries
     target = dft_oracle(circuit.n).entries
-    lhs = bit_reversal_permutation(circuit.n).entries @ u
+    lhs = u[np.nonzero(bit_reversal_permutation(circuit.n).entries)[1]]
     ok, gamma = equal_up_to_global_phase(lhs, target, tol)
     dev = float(np.max(np.abs(lhs - np.exp(1j * gamma) * target)))
     return ok, dev

@@ -44,7 +44,8 @@ if TYPE_CHECKING:
 VERIFY_TOL = 1e-10
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
-VERIFY_MAX_QUBITS = 8
+# a verify child at the cap takes about 1.5 s (2-CPU container), half of it the oracle loop
+VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000
 

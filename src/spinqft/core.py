@@ -4,11 +4,12 @@ States, density matrices and unitaries are thin immutable wrappers around
 complex numpy arrays, indexed in the computational basis with qubit 1 as
 the most significant bit (basis integer ``a`` has the bit of qubit ``j``
 at position ``n - j``).  ``embed`` (local operators as Kronecker
-products, qubit 1 leftmost), ``apply_local`` (the same operators applied
-to an array without building them) and ``qubit_bits`` (one qubit's bit
-across all basis indices) are the only places outside the oracle that
-apply this ordering; every gate, pulse, observable and noise channel in
-the package is built on them.  The Fourier matrix built here by a direct
+products, qubit 1 leftmost), ``apply_local`` (one- and multi-qubit
+operators applied to an array on their qubits' axes, without building
+the 2**n x 2**n matrix) and ``qubit_bits`` (one qubit's bit across all
+basis indices) are the only places outside the oracle that apply this
+ordering; every gate, pulse, observable and noise channel in the package
+is built on them.  The Fourier matrix built here by a direct
 double loop is the independent oracle that every circuit- and
 pulse-level construction in the package is checked against.
 """
@@ -132,9 +133,9 @@ def qubit_bits(j: int, n: int) -> np.ndarray:
     return (np.arange(2 ** n) >> (n - j)) & 1
 
 
-def _check_labels(n: int, factors: dict) -> None:
-    if not set(factors) <= set(range(1, n + 1)):
-        raise ValueError(f"qubit labels {sorted(factors)} outside 1..{n}")
+def _check_labels(n: int, labels) -> None:
+    if not set(labels) <= set(range(1, n + 1)):
+        raise ValueError(f"qubit labels {sorted(labels)} outside 1..{n}")
 
 
 def embed(n: int, factors: dict) -> np.ndarray:
@@ -147,21 +148,55 @@ def embed(n: int, factors: dict) -> np.ndarray:
     return out
 
 
+def _local_qubits(n: int, factors: dict) -> list[tuple]:
+    """Qubits of each key of ``factors`` (an int or an ascending tuple),
+    checked to lie in 1..n, with no qubit under two keys and each operator
+    of the matching 2**k x 2**k shape."""
+    keys = [(key,) if isinstance(key, (int, np.integer)) else tuple(key) for key in factors]
+    flat = [j for qubits in keys for j in qubits]
+    _check_labels(n, flat)
+    if len(set(flat)) != len(flat) or any(list(q) != sorted(q) for q in keys):
+        raise ValueError(f"qubit keys {list(factors)} must be ascending and disjoint")
+    for qubits, f in zip(keys, factors.values()):
+        if np.shape(f) != (2 ** len(qubits),) * 2:
+            raise ValueError(f"operator on qubits {qubits} must be {2 ** len(qubits)}x"
+                             f"{2 ** len(qubits)}, got shape {np.shape(f)}")
+    return keys
+
+
 def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
     """``embed(n, factors) @ a`` without building the 2**n x 2**n matrix.
 
-    Axis 0 of ``a`` (length 2**n) is split as (higher qubits, qubit j,
-    lower qubits and the other axes), qubit 1 most significant, and each
-    2x2 factor is one broadcast matrix product on its qubit's axis.
-    Returns a new complex array of the shape of ``a``.
+    A key of ``factors`` is a 1-based qubit ``j`` with a 2x2 operator, or
+    an ascending tuple of k qubits with a 2**k x 2**k operator whose first
+    listed qubit is the most significant: ``{(j, k): u4}`` applies a
+    two-qubit gate.  No qubit may appear under two keys, so the operators
+    commute.  Axis 0 of ``a`` (length 2**n) is split into the keyed
+    qubits' axes and the blocks of qubits between them, qubit 1 most
+    significant, with the other axes of ``a`` folded into the last block;
+    a 2x2 is one broadcast matrix product on its qubit's axis and a larger
+    operator one contraction over its qubits' axes.  Returns a new complex
+    array of the shape of ``a``.
     """
-    _check_labels(n, factors)
+    keys = _local_qubits(n, factors)
     out = np.asarray(a, dtype=complex)
     shape = out.shape
     if shape[:1] != (2 ** n,):
         raise ValueError(f"expected axis 0 of length {2 ** n}, got shape {shape}")
-    for j, f in factors.items():
-        out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
+    for qubits, f in zip(keys, factors.values()):
+        if len(qubits) == 1:
+            j = qubits[0]
+            out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
+            continue
+        dims, prev = [], 0
+        for j in qubits:
+            dims += [2 ** (j - prev - 1), 2]
+            prev = j
+        k = len(qubits)
+        axes = list(range(1, 2 * k, 2))
+        out = np.tensordot(np.reshape(f, (2,) * (2 * k)), out.reshape(dims + [out.size >> prev]),
+                           axes=(list(range(k, 2 * k)), axes))
+        out = np.moveaxis(out, range(k), axes)
     return out.reshape(shape) if factors else out.copy()
 
 

@@ -96,6 +96,10 @@ class TestGateUnitaries:
         with pytest.raises(ValueError):
             circuits.controlled_phase(2, 2, 1.0)
 
+    def test_unknown_kind_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
+            circuits.Gate("swap", j=1, k=2)
+
 
 class TestCircuitUnitary:
     def test_empty_circuit_is_identity(self):
@@ -132,6 +136,36 @@ class TestCircuitUnitary:
             assert dev <= prev + 1e-12
             prev = dev
         assert prev < 1e-10
+
+
+def dense_product(circuit):
+    """The product of the gates embedded in the full space, first-in-time
+    rightmost: the reference for the local application in circuit_unitary."""
+    out = np.eye(2 ** circuit.n, dtype=complex)
+    for g in circuit.gates:
+        out = circuits.gate_unitary(g, circuit.n).entries @ out
+    return out
+
+
+def all_builds():
+    for n in range(1, 9):
+        yield pytest.param(circuits.build_serial(n), id=f"serial-n{n}")
+        yield pytest.param(circuits.build_parallel(n), id=f"parallel-n{n}")
+        for m in range(1, n + 1):
+            yield pytest.param(circuits.build_approximate(n, m), id=f"approximate{m}-n{n}")
+
+
+class TestLocalApplication:
+    @pytest.mark.parametrize("circuit", list(all_builds()))
+    def test_equals_dense_product(self, circuit):
+        got = circuits.circuit_unitary(circuit).entries
+        np.testing.assert_allclose(got, dense_product(circuit), rtol=0, atol=1e-13)
+
+    def test_each_gate_is_still_validated(self):
+        circuit = circuits.Circuit(2, (circuits.hadamard(1),
+                                       circuits.controlled_phase(1, 2, float("nan"))))
+        with pytest.raises(ValueError, match="not unitary"):
+            circuits.circuit_unitary(circuit)
 
 
 class TestAlgebraicIdentities:

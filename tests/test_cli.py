@@ -51,6 +51,23 @@ class TestVerify:
             cli.main(["verify", "--n", "99"])
         assert exc.value.code == 2
 
+    def test_n9_is_within_the_cap(self, capsys):
+        code, out, _ = run_cli(["verify", "--n", "9", "--decomp", "parallel"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc)
+        assert doc["n"] == 9 and doc["passed"]
+
+    def test_n11_exits_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "11"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "spinqft: error: --n must lie in [1, 10] for full-matrix verification")
+
     def test_approximate_with_cutoff_fails_verification(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "4", "--decomp", "approximate",
                                 "--m", "1"], capsys)

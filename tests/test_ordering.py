@@ -3,7 +3,8 @@
 Every gate, pulse and noise matrix is compared with a reference built
 entry by entry from the rule alone: qubit j (1-based) is bit n - j of
 the basis index, so qubit 1 is the most significant bit.  The
-matrix-free ``core.apply_local`` is compared with ``core.embed``.
+matrix-free ``core.apply_local`` is compared with ``core.embed``, and
+its multi-qubit keys with the per-basis-state reference.
 """
 
 import math
@@ -135,6 +136,43 @@ def test_apply_local_equals_embedded_product(n, qubits):
         assert got.shape == operand.shape
         np.testing.assert_allclose(got, np.tensordot(core.embed(n, factors), operand, axes=1),
                                    rtol=0, atol=1e-14)
+
+
+def pair_cases():
+    for n in range(2, 6):
+        for j, k in combinations(range(1, n + 1), 2):
+            yield pytest.param(n, j, k, id=f"n{n}-{j}{k}")
+
+
+@pytest.mark.parametrize("n,j,k", list(pair_cases()))
+def test_apply_local_pair_key_matches_per_basis_reference(n, j, k):
+    rng = np.random.default_rng(n * 100 + 10 * j + k)
+    dim = 2 ** n
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    expected = reference_local(n, (j, k), op)
+    a = rng.normal(size=(dim, 3, 2)) + 1j * rng.normal(size=(dim, 3, 2))
+    for operand in (a[:, 0, 0], a):
+        got = core.apply_local(operand, n, {(j, k): op})
+        assert got.shape == operand.shape
+        np.testing.assert_allclose(got, np.tensordot(expected, operand, axes=1),
+                                   rtol=0, atol=1e-13)
+
+
+def test_apply_local_mixes_pair_and_single_keys():
+    rng = np.random.default_rng(7)
+    op, f = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))
+    a = rng.normal(size=(16, 16))
+    got = core.apply_local(a, 4, {(1, 3): op, 4: f})
+    expected = reference_local(4, (1, 3, 4), np.kron(op, f))
+    np.testing.assert_allclose(got, expected @ a, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("factors", [{(2, 1): np.eye(4)}, {(1, 2): np.eye(4), 2: H},
+                                     {(1, 2): np.eye(2)}, {1: np.eye(4)}],
+                         ids=["descending", "overlapping", "too-small", "single-too-big"])
+def test_apply_local_rejects_bad_keys(factors):
+    with pytest.raises(ValueError):
+        core.apply_local(np.eye(8), 3, factors)
 
 
 @pytest.mark.parametrize("n,labels", [(3, (0,)), (3, (4,)), (2, (1, 3)), (1, (-1,))])
