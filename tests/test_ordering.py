@@ -84,6 +84,59 @@ def test_spin_pulse_matches_per_basis_reference(n, spins):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
+def rotation(angle, phase):
+    """exp(-i*angle*(Ix*cos(phase) + Iy*sin(phase))), written from the Pauli matrices."""
+    x, y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+    return (math.cos(angle / 2) * np.eye(2)
+            - 1j * math.sin(angle / 2) * (math.cos(phase) * x + math.sin(phase) * y))
+
+
+def single_quantum_transitions(n):
+    """Every (from, to) basis pair that differs in one qubit's bit, both ways."""
+    for a in range(2 ** n):
+        for j in range(1, n + 1):
+            if bit(a, j, n) == 0:
+                b = a + (1 << (n - j))
+                yield a, b
+                yield b, a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transition_pulse_matches_per_basis_reference(n):
+    r = rotation(0.9, 2.2)
+    system = nmr.SpinSystem(n, ())
+    for a, b in single_quantum_transitions(n):
+        expected = np.eye(2 ** n, dtype=complex)
+        for row, c in enumerate((a, b)):
+            for col, d in enumerate((a, b)):
+                expected[c, d] = r[row, col]
+        got = nmr.element_unitary(nmr.TransitionPulse(a + 1, b + 1, 0.9, 2.2), system).entries
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14, err_msg=f"t{a + 1}-{b + 1}")
+
+
+# composite-z templates in time order: (first pulse phase, last pulse phase)
+COMPOSITE_Z_TEMPLATES = {
+    nmr.COMPOSITE_Z_LITERAL: (0.0, 0.0),
+    nmr.COMPOSITE_Z_XY_MINUS: (0.0, math.pi),
+    nmr.COMPOSITE_Z_MINUS_XY: (math.pi, 0.0),
+}
+
+
+@pytest.mark.parametrize("template", sorted(COMPOSITE_Z_TEMPLATES))
+@pytest.mark.parametrize("angle", [0.7, -0.7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_composite_z_matches_per_basis_reference(n, angle, template):
+    first, last = COMPOSITE_Z_TEMPLATES[template]
+    mid = rotation(abs(angle), math.pi / 2 if angle >= 0 else 3 * math.pi / 2)
+    sandwich = rotation(math.pi / 2, last) @ mid @ rotation(math.pi / 2, first)
+    conventions = nmr.Conventions(composite_z=template)
+    for spin in range(1, n + 1):
+        got = nmr.element_unitary(nmr.CompositeZ(spin, angle), nmr.SpinSystem(n, ()),
+                                  conventions).entries
+        np.testing.assert_allclose(got, reference_product(n, {spin: sandwich}),
+                                   rtol=0, atol=1e-14, err_msg=f"spin {spin}")
+
+
 @pytest.mark.parametrize("coupling_sign", [1, -1])
 def test_coupling_delay_matches_per_basis_reference(coupling_sign):
     n = 4
