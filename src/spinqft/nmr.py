@@ -199,6 +199,8 @@ class CouplingDelay:
             raise ValueError("delay must list at least one coupling pair")
         norm = []
         for j, k, dur in self.durations:
+            if j == k:
+                raise ValueError("coupling endpoints must differ")
             j, k = (j, k) if j < k else (k, j)
             norm.append((int(j), int(k), dur))
         object.__setattr__(self, "durations", tuple(norm))
@@ -505,9 +507,11 @@ def _parse_token(token: str, line: int, column: int) -> PulseElement:
             pm = _DELAY_PART_RE.match(part)
             if not pm:
                 raise SequenceParseError(f"bad delay spec {part!r}", line, column)
-            durations.append((int(pm.group("j")), int(pm.group("k")),
-                              SymbolicDuration(int(pm.group("m")))))
-        return CouplingDelay(tuple(durations))
+            durations.append((int(pm.group("j")), int(pm.group("k")), int(pm.group("m"))))
+        try:
+            return CouplingDelay(tuple((j, k, SymbolicDuration(m)) for j, k, m in durations))
+        except ValueError as exc:
+            raise SequenceParseError(str(exc), line, column) from None
     m = _Z_RE.match(token)
     if m:
         return CompositeZ(int(m.group("spin")), math.radians(float(m.group("angle"))))

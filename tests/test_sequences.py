@@ -95,6 +95,22 @@ class TestSpinCountDirective:
         assert str(exc.value).startswith(f"line {line}, column {column}: ")
 
 
+class TestDelayTokenErrors:
+    @pytest.mark.parametrize("text,column,message", [
+        ("n: 2\n90y@s1 delay:1/(0*J12)\n", 8, "denominator"),
+        ("n: 2\n  delay:1/(2*J11)\n", 3, "differ"),
+        ("n: 3\ndelay:{1/(4*J12),1/(8*J33)}\n", 1, "differ"),
+    ], ids=["zero-denominator", "one-spin", "one-spin-in-list"])
+    def test_bad_delay_reports_position(self, text, column, message):
+        with pytest.raises(nmr.SequenceParseError, match=message) as exc:
+            nmr.parse_sequence(text)
+        assert (exc.value.line, exc.value.column) == (2, column)
+
+    def test_delay_on_one_spin_is_refused(self):
+        with pytest.raises(ValueError, match="differ"):
+            nmr.CouplingDelay(((2, 2, 0.001),))
+
+
 class TestCouplingValueIndependence:
     def test_symbolic_delays_make_unitary_j_independent(self):
         seq = nmr.library_sequence("serial-n3")
