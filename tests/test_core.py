@@ -156,7 +156,8 @@ class TestValidation:
         lambda m: core.DensityMatrix(1, m),
         lambda m: core.DensityMatrix(1, m, traceless=True),
     ], ids=["unitary", "density", "deviation"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, pytest.param(
+        np.inf, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
     def test_non_finite_entry_rejected(self, make, bad):
         with pytest.raises(ValueError):
             make(np.array([[bad, 0], [0, 1]], dtype=complex))
