@@ -6,12 +6,11 @@ pseudopure input with fidelity report and optional tomography
 cross-check), ``tomo-roundtrip`` (reconstruction identity check), and
 ``export-fig2`` (density-matrix bar-chart CSV).
 
-Every invocation is normalized into an immutable ``RunConfig`` before
-dispatch, so identical inputs produce byte-identical outputs.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.  The
-environment variable ``SPINQFT_SEED`` overrides ``--seed``: it draws the
-random states of ``tomo-roundtrip``, and ``simulate`` only records it in
-its report.
+Each handler reads the argparse namespace directly; identical inputs
+produce byte-identical outputs.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  The environment variable ``SPINQFT_SEED``
+overrides ``--seed``: it draws the random states of ``tomo-roundtrip``,
+and ``simulate`` only records it in its report.
 
 A JSON report is encoded in full before anything is written, so a
 report that cannot be encoded writes nothing; it is then written row by
@@ -33,7 +32,6 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import costmodel
@@ -48,31 +46,8 @@ DEFAULT_SEED = 20260810
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized arguments of one CLI invocation."""
-
-    command: str
-    n: int = 0
-    decomposition: str = ""
-    m: int = 0
-    model: str = ""
-    J: float = costmodel.CHLOROFORM_J_HZ
-    delta: float = costmodel.DEFAULT_PULSE_SECONDS
-    d: float | None = None
-    Delta: float | None = None
-    n_range: tuple = ()
-    sequence: str = ""
-    t2: float = 0.0
-    tomography: bool = False
-    reverse_readout: bool = True
-    what: str = "output"
-    samples: int = 0
-    out: str = ""
-    fmt: str = "csv"
-    seed: int = DEFAULT_SEED
+# a tomo-roundtrip --n 3 child at the cap takes about 8.5 s and 136 MiB (2-CPU container)
+TOMO_MAX_SAMPLES = 5_000
 
 
 def _atomic_write(path: str, chunks: list[str]) -> None:
@@ -179,44 +154,44 @@ def _parse_range(text: str) -> tuple:
     return tuple(range(lo, hi + 1))
 
 
-def cmd_verify(config: RunConfig, parser) -> int:
+def cmd_verify(args: argparse.Namespace, parser) -> int:
     from . import circuits
 
-    if config.decomposition == "approximate":
-        circuit = circuits.build_approximate(config.n, config.m or config.n)
-    elif config.decomposition == "serial":
-        circuit = circuits.build_serial(config.n)
+    if args.decomp == "approximate":
+        circuit = circuits.build_approximate(args.n, args.m or args.n)
+    elif args.decomp == "serial":
+        circuit = circuits.build_serial(args.n)
     else:
-        circuit = circuits.build_parallel(config.n)
+        circuit = circuits.build_parallel(args.n)
     passed, deviation = circuits.verify_against_oracle(circuit, VERIFY_TOL)
     doc = {
         "command": "verify",
-        "n": config.n,
+        "n": args.n,
         "decomposition": circuit.decomposition,
         "max_deviation": deviation,
         "tolerance": VERIFY_TOL,
         "passed": passed,
     }
-    _emit(_json_text(doc), config.out)
+    _emit(_json_text(doc), args.out)
     return 0 if passed else 1
 
 
-def cmd_cost(config: RunConfig, parser) -> int:
-    if config.model in ("liquid", "parallel"):
-        params = costmodel.LiquidParams(delta=config.delta, J=config.J)
+def cmd_cost(args: argparse.Namespace, parser) -> int:
+    if args.model in ("liquid", "parallel"):
+        params = costmodel.LiquidParams(delta=args.delta, J=args.J)
     else:
-        if config.d is None or config.Delta is None:
+        if args.d is None or args.Delta is None:
             parser.error("solid model requires --d and --Delta")
-        params = costmodel.SolidParams(delta=config.delta, d=config.d, Delta=config.Delta)
-    rows = costmodel.sweep(config.model, params, config.n_range)
+        params = costmodel.SolidParams(delta=args.delta, d=args.d, Delta=args.Delta)
+    rows = costmodel.sweep(args.model, params, args.n_range)
     # the serial/parallel comparison can fail too: compute it before writing anything
-    n_top = config.n_range[-1]
-    serial = (costmodel.t_serial_solid if config.model == "solid"
+    n_top = args.n_range[-1]
+    serial = (costmodel.t_serial_solid if args.model == "solid"
               else costmodel.t_serial_liquid)(n_top, params)
     ratio = serial.coupling_term / costmodel.t_parallel(n_top, params).coupling_term
-    text = (costmodel.sweep_to_json(rows) if config.fmt == "json"
+    text = (costmodel.sweep_to_json(rows) if args.fmt == "json"
             else costmodel.sweep_to_csv(rows))
-    _emit([text], config.out)
+    _emit([text], args.out)
     print(f"serial/parallel coupling-term ratio at n={n_top}: {ratio:.6f} (limit 2)",
           file=sys.stderr)
     return 0
@@ -256,36 +231,36 @@ def _ideal_target_unitary(n: int, reverse_readout: bool) -> core.UnitaryMatrix:
     return core.UnitaryMatrix(n, f)
 
 
-def cmd_simulate(config: RunConfig, parser) -> int:
+def cmd_simulate(args: argparse.Namespace, parser) -> int:
     import numpy as np
 
     from . import core, nmr, tomography
 
-    seq = _resolve_sequence(config.sequence, parser)
+    seq = _resolve_sequence(args.sequence, parser)
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
     noise = None
-    if config.t2:
-        if config.t2 < 0:
+    if args.t2:
+        if args.t2 < 0:
             parser.error("--t2 must be positive (seconds)")
-        noise = nmr.NoiseModel.uniform(system.n, 1.0 / config.t2)
+        noise = nmr.NoiseModel.uniform(system.n, 1.0 / args.t2)
     rho_exp = nmr.run(seq, system, rho_init, noise)
-    target_u = _ideal_target_unitary(system.n, config.reverse_readout)
+    target_u = _ideal_target_unitary(system.n, args.reverse_readout)
     rho_th = core.conjugate(target_u, rho_init)
     report = tomography.fidelity(rho_th, rho_exp, rho_init)
     doc = {
         "command": "simulate",
         "sequence": seq.name,
         "n": system.n,
-        "t2_seconds": config.t2,
-        "reverse_readout": config.reverse_readout,
-        "seed": config.seed,
+        "t2_seconds": args.t2,
+        "reverse_readout": args.reverse_readout,
+        "seed": args.seed,
         "fidelity_report": report.as_dict(),
         "rho_exp": {"n": system.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
         "rho_target": {"n": system.n, "re": rho_th.entries.real, "im": rho_th.entries.imag},
     }
     status = 0
-    if config.tomography:
+    if args.tomography:
         values = tomography.measure_all(rho_exp)
         recon = tomography.reconstruct(values, system.n)
         err = float(np.max(np.abs(recon.entries - rho_exp.entries)))
@@ -293,55 +268,55 @@ def cmd_simulate(config: RunConfig, parser) -> int:
         doc["tomography_tolerance"] = TOMO_TOL
         if err > TOMO_TOL:
             status = 1
-    _emit(_json_text(doc), config.out)
+    _emit(_json_text(doc), args.out)
     return status
 
 
-def cmd_tomo_roundtrip(config: RunConfig, parser) -> int:
+def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
     import numpy as np
 
     from . import core, tomography
 
-    rng = np.random.default_rng(config.seed)
-    dim = 2 ** config.n
+    rng = np.random.default_rng(args.seed)
+    dim = 2 ** args.n
     states = []
-    for _ in range(config.samples):
+    for _ in range(args.samples):
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (h + h.conj().T) / 2.0
         h -= np.trace(h) / dim * np.eye(dim)
-        states.append(core.DensityMatrix(config.n, h, traceless=True).entries)
+        states.append(core.DensityMatrix(args.n, h, traceless=True).entries)
     readouts = tomography.measure_all(np.array(states))  # one readout of the whole stack
     worst = 0.0
     for rho, values in zip(states, readouts):
-        recon = tomography.reconstruct(values, config.n)
+        recon = tomography.reconstruct(values, args.n)
         worst = max(worst, float(np.max(np.abs(recon.entries - rho))))
     passed = worst <= TOMO_TOL
     doc = {
         "command": "tomo-roundtrip",
-        "n": config.n,
-        "samples": config.samples,
+        "n": args.n,
+        "samples": args.samples,
         "max_error": worst,
         "tolerance": TOMO_TOL,
-        "seed": config.seed,
+        "seed": args.seed,
         "passed": passed,
     }
-    _emit(_json_text(doc), config.out)
+    _emit(_json_text(doc), args.out)
     return 0 if passed else 1
 
 
-def cmd_export_fig2(config: RunConfig, parser) -> int:
+def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
     from . import core, nmr, tomography
 
-    seq = _resolve_sequence(config.sequence, parser)
+    seq = _resolve_sequence(args.sequence, parser)
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
-    if config.what == "pseudopure":
+    if args.what == "pseudopure":
         rho = rho_init
-    elif config.what == "target":
+    elif args.what == "target":
         rho = core.conjugate(_ideal_target_unitary(system.n, True), rho_init)
     else:
         rho = nmr.run(seq, system, rho_init)
-    _emit([tomography.bar_chart_csv(rho)], config.out)
+    _emit([tomography.bar_chart_csv(rho)], args.out)
     return 0
 
 
@@ -404,18 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    seed = os.environ.get("SPINQFT_SEED", fields.get("seed", DEFAULT_SEED))
-    try:
-        fields["seed"] = int(seed)
-    except ValueError:
-        raise ValueError(f"SPINQFT_SEED must be an integer, got {seed!r}") from None
-    if "decomp" in vars(args):
-        fields["decomposition"] = args.decomp
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -424,15 +387,22 @@ def main(argv=None) -> int:
             parser.error(f"--n must lie in [1, {VERIFY_MAX_QUBITS}] for full-matrix verification")
         if args.decomp == "approximate" and args.m and not 1 <= args.m <= args.n:
             parser.error("--m must lie in [1, n]")
-    if args.command == "tomo-roundtrip" and args.samples < 1:
-        parser.error("--samples must be >= 1")
+    if args.command == "tomo-roundtrip":
+        if args.samples < 1:
+            parser.error("--samples must be >= 1")
+        if args.samples > TOMO_MAX_SAMPLES:
+            parser.error(f"--samples must be <= {TOMO_MAX_SAMPLES}")
     if args.out:
         out = os.path.realpath(args.out)
         if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
             parser.error(f"--out {args.out}: not a file in an existing directory")
+    seed = os.environ.get("SPINQFT_SEED", getattr(args, "seed", DEFAULT_SEED))
     try:
-        config = config_from_args(args)
-        return _HANDLERS[config.command](config, parser)
+        args.seed = int(seed)
+    except ValueError:
+        parser.error(f"SPINQFT_SEED must be an integer, got {seed!r}")
+    try:
+        return _HANDLERS[args.command](args, parser)
     except KeyError as exc:  # str() of a KeyError quotes its message
         parser.error(str(exc.args[0]) if exc.args else str(exc))
     except ValueError as exc:

@@ -252,6 +252,30 @@ class TestTomoRoundtrip:
         assert captured.err.splitlines()[-1] == "spinqft: error: --samples must be >= 1"
 
 
+    def test_sample_cap_is_accepted(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "tomo-roundtrip",
+                            lambda args, parser: seen.append(args.samples) or 0)
+        assert cli.main(["tomo-roundtrip", "--n", "3",
+                         "--samples", str(cli.TOMO_MAX_SAMPLES)]) == 0
+        assert seen == [cli.TOMO_MAX_SAMPLES]
+        assert SCHEMA["$defs"]["tomoRoundtrip"]["properties"]["samples"]["maximum"] == (
+            cli.TOMO_MAX_SAMPLES)
+
+    def test_samples_above_the_cap_exit_2_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setitem(cli._HANDLERS, "tomo-roundtrip", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tomo-roundtrip", "--n", "3", "--samples", str(cli.TOMO_MAX_SAMPLES + 1)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"spinqft: error: --samples must be <= {cli.TOMO_MAX_SAMPLES}")
+
+
 class TestExportFig2:
     def test_output_csv(self, capsys, tmp_path):
         out_file = tmp_path / "bars.csv"
