@@ -5,12 +5,13 @@ Hadamards plus two-qubit controlled-phase gates, O(n^2) gates), the
 parallel form (one non-selective Hadamard plus root-of-controlled-NOT
 gates, O(n) pulses), and the approximate form (serial with long-range
 phase gates dropped).  Circuits store gates first-in-time-first-in-list.
+Each gate kind is defined once, by its own 2x2 or 4x4 matrix keyed on
+its qubits (``_operator``).  ``gate_unitary`` applies it to the identity
+through ``core.apply_local``, giving the gate on the full space.
 ``circuit_unitary`` starts from the identity and applies each gate in
-time order where it acts: the gate's own 2x2 or 4x4 unitary, checked
-unitary, goes onto its qubits' axes of the running 2**n x 2**n product
-through ``core.apply_local``; only the finished product is checked as a
-2**n-dimensional unitary.  ``gate_unitary`` still embeds one gate into
-the full space, as a reference.
+time order where it acts: the gate's matrix, checked unitary, goes onto
+its qubits' axes of the running 2**n x 2**n product; only the finished
+product is checked as a 2**n-dimensional unitary.
 
 Both exact builders produce the transform with the output bits in
 reversed order: ``bit_reversal @ circuit_unitary(...)`` equals the
@@ -32,8 +33,6 @@ from .core import (
     apply_local,
     bit_reversal_permutation,
     dft_oracle,
-    embed,
-    qubit_bits,
 )
 
 HADAMARD_KIND = "hadamard"
@@ -176,36 +175,37 @@ def x_power(alpha: float) -> np.ndarray:
     return HADAMARD @ np.diag([1.0, np.exp(1j * np.pi * alpha)]) @ HADAMARD
 
 
-def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
-    """Embed a gate into the full 2**n-dimensional unitary."""
-    _check_qubit_count(n)
+def _operator(g: Gate, n: int) -> dict:
+    """The gate's own matrix keyed on its qubits, as ``apply_local`` takes
+    it: the Hadamard on qubit ``j`` (on every qubit for the total
+    Hadamard), or a 4x4 on ``(j, k)`` with the control ``j`` most
+    significant."""
     if g.kind == HADAMARD_KIND:
-        return UnitaryMatrix(n, embed(n, {g.j: HADAMARD}))
+        return {g.j: HADAMARD}
     if g.kind == TOTAL_HADAMARD_KIND:
-        return UnitaryMatrix(n, embed(n, dict.fromkeys(range(1, n + 1), HADAMARD)))
-    if not (1 <= g.j < g.k <= n):
-        raise ValueError(f"invalid qubit pair ({g.j}, {g.k}) for n={n}")
-    control, target = qubit_bits(g.j, n), qubit_bits(g.k, n)
+        return dict.fromkeys(range(1, n + 1), HADAMARD)
     if g.kind == CONTROLLED_PHASE_KIND:
-        return UnitaryMatrix(n, np.diag(np.where(control & target, np.exp(1j * g.theta), 1.0)))
-    xa = x_power(g.alpha)  # root of CNOT
-    # control-set indices with target 0 (lo) and 1 (hi); lo[i], hi[i] is one pair
-    lo = np.flatnonzero(control > target)
-    hi = np.flatnonzero(control & target)
-    m = np.eye(2 ** n, dtype=complex)
-    m[lo, lo], m[lo, hi] = xa[0, 0], xa[0, 1]
-    m[hi, lo], m[hi, hi] = xa[1, 0], xa[1, 1]
-    return UnitaryMatrix(n, m)
+        return {(g.j, g.k): np.diag([1.0, 1.0, 1.0, np.exp(1j * g.theta)])}
+    m = np.eye(4, dtype=complex)  # root of CNOT: X**alpha on the target when the control is set
+    m[2:, 2:] = x_power(g.alpha)
+    return {(g.j, g.k): m}
+
+
+def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
+    """The gate on the full 2**n-dimensional space: its own matrix applied
+    to the identity on its qubits' axes."""
+    _check_qubit_count(n)
+    return UnitaryMatrix(n, apply_local(np.eye(2 ** n, dtype=complex), n, _operator(g, n)))
 
 
 def _local_factors(g: Gate, n: int) -> dict:
     """``g`` as ``apply_local`` factors: ``gate_unitary`` of the gate moved
     onto qubits 1 (and 2), so checked unitary as a 2x2 or 4x4 matrix."""
-    if g.kind == HADAMARD_KIND:
-        return {g.j: gate_unitary(hadamard(1), 1).entries}
-    if g.kind == TOTAL_HADAMARD_KIND:
-        return dict.fromkeys(range(1, n + 1), gate_unitary(hadamard(1), 1).entries)
-    return {(g.j, g.k): gate_unitary(replace(g, j=1, k=2), 2).entries}
+    if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
+        u = gate_unitary(hadamard(1), 1).entries
+    else:
+        u = gate_unitary(replace(g, j=1, k=2), 2).entries
+    return dict.fromkeys(_operator(g, n), u)
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:

@@ -3,15 +3,15 @@
 States, density matrices and unitaries are thin immutable wrappers around
 complex numpy arrays, indexed in the computational basis with qubit 1 as
 the most significant bit (basis integer ``a`` has the bit of qubit ``j``
-at position ``n - j``).  ``embed`` (local operators as Kronecker
-products, qubit 1 leftmost), ``apply_local`` (one- and multi-qubit
+at position ``n - j``).  ``apply_local`` (one- and multi-qubit
 operators applied to an array on their qubits' axes, without building
 the 2**n x 2**n matrix) and ``qubit_bits`` (one qubit's bit across all
 basis indices) are the only places outside the oracle that apply this
-ordering; every gate, pulse, observable and noise channel in the package
-is built on them.  The Fourier matrix built here by a direct
-double loop is the independent oracle that every circuit- and
-pulse-level construction in the package is checked against.
+ordering; ``embed``, the dense matrix of local operators, is
+``apply_local`` applied to the identity.  Every gate, pulse, observable
+and noise channel in the package is built on them.  The Fourier matrix
+built here by a direct double loop is the independent oracle that every
+circuit- and pulse-level construction in the package is checked against.
 """
 
 from __future__ import annotations
@@ -139,13 +139,11 @@ def _check_labels(n: int, labels) -> None:
 
 
 def embed(n: int, factors: dict) -> np.ndarray:
-    """Kronecker product of the 2x2 ``factors``, keyed by 1-based qubit,
-    with the identity on every other qubit; qubit 1 is the leftmost factor."""
-    _check_labels(n, factors)
-    out = np.eye(1, dtype=complex)
-    for j in range(1, n + 1):
-        out = np.kron(out, factors.get(j, PAULI_I))
-    return out
+    """The 2**n x 2**n matrix of ``factors``, keyed as in ``apply_local``,
+    with the identity on every other qubit: ``apply_local`` applied to the
+    identity."""
+    _check_qubit_count(n)
+    return apply_local(np.eye(2 ** n, dtype=complex), n, factors)
 
 
 def _local_qubits(n: int, factors: dict) -> list[tuple]:

@@ -21,18 +21,21 @@ Delays act pair-by-pair as written (an idealization of the refocusing
 tricks that isolate one coupling on hardware), and pulses are
 instantaneous; durations matter only to the dephasing noise model.
 
-A noiseless ``run`` conjugates by the dense ``sequence_unitary``.  A noisy
-``run`` never builds a 2**n x 2**n element unitary: it applies each
-element to the density matrix where the element acts (2x2 rotations on
-the pulsed spins' qubit axes through ``core.apply_local``, two rows and
-columns for a transition pulse, an elementwise phase for a delay), then
-the element's dephasing channel.
+Each element kind is defined once, by its action ``a -> u @ a`` where
+the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
+axes through ``core.apply_local``, two rows for a transition pulse, one
+phase per row for a delay).  ``element_unitary`` is that action applied
+to the identity.  A noiseless ``run`` conjugates by the dense
+``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
+element unitary: it applies each element's action to the density
+matrix twice, as ``u (u rho)^H``, then the element's dephasing channel.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
@@ -46,7 +49,6 @@ from .core import (
     UnitaryMatrix,
     _check_qubit_count,
     apply_local,
-    embed,
     qubit_bits,
     transition_states,
 )
@@ -242,13 +244,6 @@ class PulseSequence:
 
 # -- element evaluation --------------------------------------------------
 
-def _rotation_2x2(angle: float, phase: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    axis = np.array([[0.0, math.cos(phase) - 1j * math.sin(phase)],
-                     [math.cos(phase) + 1j * math.sin(phase), 0.0]])
-    return c * np.eye(2, dtype=complex) - 1j * s * axis
-
-
 def expand_composite_z(e: CompositeZ, conventions: Conventions = DEFAULT_CONVENTIONS) -> list[SpinPulse]:
     """Expand a z-pulse into its three-pulse rf sandwich."""
     half = math.pi / 2.0
@@ -277,29 +272,61 @@ def _delay_phases(e: CouplingDelay, system: SpinSystem, conventions: Conventions
     return np.exp(1j * phase)
 
 
+def _checked_rotation(angle: float, phase: float) -> np.ndarray:
+    """One spin's pulse rotation, checked unitary as a 1-qubit matrix."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    axis = np.array([[0.0, math.cos(phase) - 1j * math.sin(phase)],
+                     [math.cos(phase) + 1j * math.sin(phase), 0.0]])
+    return UnitaryMatrix(1, c * np.eye(2, dtype=complex) - 1j * s * axis).entries
+
+
+def _action(e: PulseElement, system: SpinSystem,
+            conventions: Conventions) -> Callable[[np.ndarray], np.ndarray]:
+    """``a -> u @ a`` for the unitary ``u`` of one element, applied where
+    the element acts, for any ``a`` with 2**n rows.
+
+    A spin pulse is its 2x2 rotation on the pulsed spins' qubit axes
+    (``core.apply_local``); a transition pulse rewrites the two rows of its
+    basis pair; a coupling delay scales each row by its phase factor; a
+    composite z applies its three rf pulses in time order.  Each 2x2
+    rotation is checked unitary, and each delay phase vector unit-modulus,
+    to 1e-10, once, when the action is built.
+    """
+    n = system.n
+    if isinstance(e, SpinPulse):
+        f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase))
+        return lambda a: apply_local(a, n, f)
+    if isinstance(e, TransitionPulse):
+        pair = list(transition_states(e.from_label, e.to_label, n))
+        r = _checked_rotation(e.angle, e.phase)
+
+        def rotate_pair(a):
+            out = np.array(a, dtype=complex)
+            out[pair] = r @ out[pair]
+            return out
+        return rotate_pair
+    if isinstance(e, CouplingDelay):
+        p = _delay_phases(e, system, conventions)
+        if not np.max(np.abs(np.abs(p) - 1.0)) <= UNITARITY_TOL:  # NaN fails
+            raise ValueError("delay phase factors are not unit-modulus within 1e-10")
+        return lambda a: p[:, None] * a
+    if isinstance(e, CompositeZ):
+        pulses = [_action(p, system, conventions) for p in expand_composite_z(e, conventions)]
+
+        def sandwich(a):
+            for act in pulses:
+                a = act(a)
+            return a
+        return sandwich
+    raise TypeError(f"unknown pulse element {e!r}")
+
+
 def element_unitary(e: PulseElement, system: SpinSystem,
                     conventions: Conventions = DEFAULT_CONVENTIONS) -> UnitaryMatrix:
-    """Exact unitary of one pulse element on the full Hilbert space."""
-    n = system.n
-    dim = 2 ** n
-    if isinstance(e, SpinPulse):
-        r = _rotation_2x2(e.angle, e.phase)
-        return UnitaryMatrix(n, embed(n, dict.fromkeys(e.spins, r)))
-    if isinstance(e, TransitionPulse):
-        a, b = transition_states(e.from_label, e.to_label, n)
-        r = _rotation_2x2(e.angle, e.phase)
-        m = np.eye(dim, dtype=complex)
-        m[a, a], m[a, b] = r[0, 0], r[0, 1]
-        m[b, a], m[b, b] = r[1, 0], r[1, 1]
-        return UnitaryMatrix(n, m)
-    if isinstance(e, CouplingDelay):
-        return UnitaryMatrix(n, np.diag(_delay_phases(e, system, conventions)))
-    if isinstance(e, CompositeZ):
-        out = np.eye(dim, dtype=complex)
-        for pulse in expand_composite_z(e, conventions):
-            out = element_unitary(pulse, system, conventions).entries @ out
-        return UnitaryMatrix(n, out)
-    raise TypeError(f"unknown pulse element {e!r}")
+    """Exact unitary of one pulse element on the full Hilbert space: the
+    element's action applied to the identity."""
+    act = _action(e, system, conventions)
+    return UnitaryMatrix(system.n, act(np.eye(2 ** system.n, dtype=complex)))
 
 
 def sequence_unitary(seq: PulseSequence, system: SpinSystem,
@@ -313,48 +340,15 @@ def sequence_unitary(seq: PulseSequence, system: SpinSystem,
     return UnitaryMatrix(system.n, out)
 
 
-def _checked_rotation(angle: float, phase: float) -> np.ndarray:
-    """One spin's pulse rotation, checked unitary as a 1-qubit matrix."""
-    return UnitaryMatrix(1, _rotation_2x2(angle, phase)).entries
-
-
 def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
                        conventions: Conventions) -> np.ndarray:
     """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
-    ``rho``, applied where the element acts instead of through the
-    2**n x 2**n unitary.
-
-    A spin pulse mixes the rows of its spins' qubit axes
-    (``core.apply_local``) twice, in ``rho`` and then in ``(u rho)^H``,
-    since ``u (u rho)^H = u rho u^H``; a transition pulse rewrites two
-    rows and two columns; a coupling delay multiplies by the outer
-    product of its phase vector with its conjugate; a composite z
-    applies its three rf pulses.  Each applied 2x2 rotation is checked
-    unitary, and each delay phase vector unit-modulus, to the same 1e-10
-    as the dense path.
-    """
-    n = system.n
-    if isinstance(e, SpinPulse):
-        f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase))
-        # one copy of the transposed view, and the result is C-ordered
-        return apply_local(apply_local(rho, n, f).conj().T, n, f)
-    if isinstance(e, TransitionPulse):
-        a, b = transition_states(e.from_label, e.to_label, n)
-        r = _checked_rotation(e.angle, e.phase)
-        out = np.array(rho, dtype=complex)
-        out[[a, b]] = r @ out[[a, b]]
-        out[:, [a, b]] = out[:, [a, b]] @ r.conj().T
-        return out
-    if isinstance(e, CouplingDelay):
-        p = _delay_phases(e, system, conventions)
-        if not np.max(np.abs(np.abs(p) - 1.0)) <= UNITARITY_TOL:  # NaN fails
-            raise ValueError("delay phase factors are not unit-modulus within 1e-10")
-        return rho * np.outer(p, p.conj())
-    if isinstance(e, CompositeZ):
-        for pulse in expand_composite_z(e, conventions):
-            rho = _conjugate_element(rho, pulse, system, conventions)
-        return rho
-    raise TypeError(f"unknown pulse element {e!r}")
+    ``rho``, without the 2**n x 2**n unitary: the element's action applied
+    twice, to ``rho`` and then to ``(u rho)^H``, since
+    ``u (u rho)^H = u rho u^H``."""
+    act = _action(e, system, conventions)
+    # one expression, so that u rho is freed before the second pass allocates
+    return act(act(rho).conj().T)
 
 
 # -- dephasing noise ------------------------------------------------------
