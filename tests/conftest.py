@@ -1,5 +1,7 @@
 """Shared helpers for the pulse-level end-to-end checks."""
 
+import math
+
 import numpy as np
 
 from spinqft import core, nmr, tomography
@@ -30,6 +32,28 @@ def sequence_fidelity(seq: nmr.PulseSequence,
     rho_init = pseudopure_input(system)
     rho_out = nmr.run(seq, system, rho_init, noise, conventions)
     return tomography.fidelity(ideal_output(rho_init), rho_out, rho_init).fidelity
+
+
+def refocused(delay: nmr.CouplingDelay, spins: tuple) -> tuple:
+    """``delay`` between two 180x pulses on ``spins``: every leg with one end
+    among ``spins`` evolves under the opposite coupling sign."""
+    flip = nmr.SpinPulse(spins, math.pi, nmr.PHASE_X)
+    return (flip, delay, flip)
+
+
+def z_template(spin: int, angle: float, template: str) -> tuple:
+    """The elements that equal a z pulse of ``angle`` expanded by one rf
+    sandwich template, in time order.  ``minus_xy``, {90_-x}{theta_y}{90_x},
+    is the z element itself; ``xy_minus``, {90_x}{theta_y}{90_-x}, turns the
+    other way; ``literal_xx``, {90_x}{theta_y}{90_x}, is no z rotation and
+    stays three spin pulses."""
+    if template == "minus_xy":
+        return (nmr.CompositeZ(spin, angle),)
+    if template == "xy_minus":
+        return (nmr.CompositeZ(spin, -angle),)
+    x90 = nmr.SpinPulse((spin,), math.pi / 2, nmr.PHASE_X)
+    mid = nmr.SpinPulse((spin,), abs(angle), nmr.PHASE_Y if angle >= 0 else nmr.PHASE_MINUS_Y)
+    return (x90, mid, x90)
 
 
 def random_traceless_hermitian(n: int, rng: np.random.Generator) -> core.DensityMatrix:

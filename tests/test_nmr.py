@@ -71,20 +71,26 @@ class TestTransitionPulse:
 
 class TestCouplingDelay:
     def test_half_j_matrix_under_uncalibrated_sign(self):
-        # with the exponent exp(-i 2 pi J t IzIz), a 1/(2J) delay gives
-        # diag(e^{-i pi/4}, e^{+i pi/4}, e^{+i pi/4}, e^{-i pi/4})
-        conv = nmr.Conventions(coupling_sign=+1)
-        delay = nmr.CouplingDelay(((1, 2, nmr.SymbolicDuration(2)),))
-        u = nmr.element_unitary(delay, nmr.chloroform(), conv).entries
+        # 180x pulses on spin 1 around a 1/(2J) delay run it under the
+        # exponent exp(-i 2 pi J t IzIz): diag(q, q*, q*, q) for
+        # q = e^{-i pi/4}, times the -1 of (-i sigma_x)**2
+        seq = nmr.parse_sequence("n: 2\n180x@s1 delay:1/(2*J12) 180x@s1\n")
+        u = nmr.sequence_unitary(seq, nmr.chloroform()).entries
         q = np.exp(-1j * np.pi / 4)
-        np.testing.assert_allclose(u, np.diag([q, q.conjugate(), q.conjugate(), q]), atol=1e-15)
+        np.testing.assert_allclose(u, -np.diag([q, q.conjugate(), q.conjugate(), q]), atol=1e-15)
 
     def test_calibrated_sign_is_conjugate(self):
-        delay = nmr.CouplingDelay(((1, 2, nmr.SymbolicDuration(2)),))
-        u_cal = nmr.element_unitary(delay, nmr.chloroform()).entries
-        u_raw = nmr.element_unitary(delay, nmr.chloroform(),
-                                    nmr.Conventions(coupling_sign=+1)).entries
-        np.testing.assert_allclose(u_cal, u_raw.conj(), atol=1e-15)
+        # the refocused delay is the plain one under the opposite sign: its
+        # conjugate, up to a global phase, whichever spin is refocused
+        system = nmr.chloroform()
+        for m in (1, 2, 4, 8):
+            plain = nmr.element_unitary(nmr.CouplingDelay(((1, 2, nmr.SymbolicDuration(m)),)),
+                                        system).entries
+            for spin in (1, 2):
+                seq = nmr.parse_sequence(f"n: 2\n180x@s{spin} delay:1/({m}*J12) 180x@s{spin}\n")
+                ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(seq, system),
+                                                      plain.conj(), 1e-14)
+                assert ok, (m, spin)
 
     def test_zero_duration_exact_identity(self):
         delay = nmr.CouplingDelay(((1, 2, 0.0),))

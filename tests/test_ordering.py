@@ -13,6 +13,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from conftest import refocused, z_template
+
 from spinqft import circuits, core, nmr
 
 
@@ -114,48 +116,52 @@ def test_transition_pulse_matches_per_basis_reference(n):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14, err_msg=f"t{a + 1}-{b + 1}")
 
 
-# composite-z templates in time order: (first pulse phase, last pulse phase)
+# composite-z sandwich templates in time order: (first pulse phase, last pulse phase)
 COMPOSITE_Z_TEMPLATES = {
-    nmr.COMPOSITE_Z_LITERAL: (0.0, 0.0),
-    nmr.COMPOSITE_Z_XY_MINUS: (0.0, math.pi),
-    nmr.COMPOSITE_Z_MINUS_XY: (math.pi, 0.0),
+    "literal_xx": (0.0, 0.0),
+    "xy_minus": (0.0, math.pi),
+    "minus_xy": (math.pi, 0.0),
 }
 
 
 @pytest.mark.parametrize("template", sorted(COMPOSITE_Z_TEMPLATES))
-@pytest.mark.parametrize("angle", [0.7, -0.7])
+@pytest.mark.parametrize("angle", [0.7, -0.7, 0.0, math.pi, -2.5, 6.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_composite_z_matches_per_basis_reference(n, angle, template):
     first, last = COMPOSITE_Z_TEMPLATES[template]
     mid = rotation(abs(angle), math.pi / 2 if angle >= 0 else 3 * math.pi / 2)
     sandwich = rotation(math.pi / 2, last) @ mid @ rotation(math.pi / 2, first)
-    conventions = nmr.Conventions(composite_z=template)
+    system = nmr.SpinSystem(n, ())
     for spin in range(1, n + 1):
-        got = nmr.element_unitary(nmr.CompositeZ(spin, angle), nmr.SpinSystem(n, ()),
-                                  conventions).entries
-        np.testing.assert_allclose(got, reference_product(n, {spin: sandwich}),
+        program = nmr.PulseSequence("z", n, z_template(spin, angle, template))
+        np.testing.assert_allclose(nmr.sequence_unitary(program, system).entries,
+                                   reference_product(n, {spin: sandwich}),
                                    rtol=0, atol=1e-14, err_msg=f"spin {spin}")
 
 
 @pytest.mark.parametrize("coupling_sign", [1, -1])
 def test_coupling_delay_matches_per_basis_reference(coupling_sign):
+    # the calibrated sign is -1 (exponent +i); +1 is the delay refocused on
+    # a set of spins that every leg has exactly one end in, which also
+    # multiplies it by (-i sigma_x)**2 = -1 per refocused spin
     n = 4
-    system = nmr.SpinSystem(n, ((1, 2, 215.0), (1, 4, 37.5), (2, 3, 120.0), (3, 4, 80.0)),
-                            offsets=(10.0, -25.0, 0.0, 3.5))
-    delay = nmr.CouplingDelay(((1, 2, nmr.SymbolicDuration(4)), (1, 4, 0.003), (3, 4, 0.001)))
-    legs = delay.resolved(system)
-    t_max = max(t for _, _, t in legs)
+    system = nmr.SpinSystem(n, ((1, 2, 215.0), (1, 4, 37.5), (2, 3, 120.0), (3, 4, 80.0)))
+    for legs, spins in ((((1, 2, nmr.SymbolicDuration(4)), (1, 4, 0.003), (3, 4, 0.001)), (1, 3)),
+                        (((2, 3, nmr.SymbolicDuration(8)), (1, 2, 0.0021)), (2,))):
+        delay = nmr.CouplingDelay(legs)
 
-    def iz(a, j):
-        return 0.5 if bit(a, j, n) == 0 else -0.5
+        def iz(a, j):
+            return 0.5 if bit(a, j, n) == 0 else -0.5
 
-    phases = [-sum(coupling_sign * 2 * math.pi * system.coupling(j, k) * t * iz(a, j) * iz(a, k)
-                   for j, k, t in legs)
-              - sum(2 * math.pi * off * t_max * iz(a, j) for j, off in enumerate(system.offsets, 1))
-              for a in range(2 ** n)]
-    conventions = nmr.Conventions(coupling_sign=coupling_sign)
-    got = nmr.element_unitary(delay, system, conventions).entries
-    np.testing.assert_allclose(got, np.diag(np.exp(1j * np.array(phases))), rtol=0, atol=1e-12)
+        phases = [-sum(coupling_sign * 2 * math.pi * system.coupling(j, k) * t * iz(a, j) * iz(a, k)
+                       for j, k, t in delay.resolved(system))
+                  for a in range(2 ** n)]
+        program, sign = (delay,), 1
+        if coupling_sign == 1:
+            program, sign = refocused(delay, spins), (-1) ** len(spins)
+        got = nmr.sequence_unitary(nmr.PulseSequence("delay", n, program), system).entries
+        np.testing.assert_allclose(got, sign * np.diag(np.exp(1j * np.array(phases))),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -3,8 +3,8 @@
 This is the central verification of the pulse-level simulator: every
 bundled sequence, run noiselessly from the pseudopure input, must
 reproduce the relabeled-transform output.  The sensitivity tests pin the
-calibration: they show the convention toggles and the derived correction
-angles are load-bearing, not decorative.
+calibration: programs that mirror a wrong convention, and wrong
+correction angles, fail it, so neither is decorative.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from conftest import sequence_fidelity
 
-from spinqft import nmr
+from spinqft import core, nmr
 
 
 class TestEndToEnd:
@@ -26,25 +26,40 @@ class TestEndToEnd:
         assert sequence_fidelity(nmr.library_sequence(name)) == pytest.approx(1.0, abs=1e-10)
 
 
+def with_replaced(name: str, old: str, new: str) -> nmr.PulseSequence:
+    """Library sequence ``name`` with its one run of tokens ``old`` replaced by ``new``."""
+    text = nmr.format_sequence(nmr.library_sequence(name))
+    assert text.count(old) == 1
+    return nmr.parse_sequence(text.replace(old, new))
+
+
 class TestCalibrationIsLoadBearing:
-    """Flipping any calibrated convention, or the derived correction
-    angles, must break the end-to-end check; otherwise the calibration
-    would be untestable."""
+    """The simulator has one calibration.  A program that physically
+    mirrors another convention, or a wrong correction angle, must break
+    the end-to-end check; otherwise the calibration would be untestable."""
 
     def test_coupling_sign_matters(self):
-        conv = nmr.Conventions(coupling_sign=+1)
-        fid = sequence_fidelity(nmr.library_sequence("serial-n2"), conventions=conv)
-        assert fid < 0.999
+        # 180x pulses on either side of the delay refocus it, so serial-n2
+        # runs as under the opposite coupling sign: each delay conjugated
+        mirror = with_replaced("serial-n2", "delay:1/(4*J12)", "180x@s1 delay:1/(4*J12) 180x@s1")
+        assert sequence_fidelity(mirror) == pytest.approx(1 / 3, abs=1e-9)
+        system = nmr.chloroform()
+        flipped = np.eye(4)
+        for e in nmr.library_sequence("serial-n2").elements:
+            u = nmr.element_unitary(e, system).entries
+            flipped = (u.conj() if isinstance(e, nmr.CouplingDelay) else u) @ flipped
+        ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(mirror, system), flipped, 1e-12)
+        assert ok
 
     def test_composite_z_sense_matters(self):
-        conv = nmr.Conventions(composite_z=nmr.COMPOSITE_Z_XY_MINUS)
-        fid = sequence_fidelity(nmr.library_sequence("selective-n2"), conventions=conv)
-        assert fid < 0.999
+        # the z-correction turned the other way, as an {90_x}{theta_y}{90_-x} sandwich turns
+        mirror = with_replaced("selective-n2", "z45@s1", "z-45@s1")
+        assert sequence_fidelity(mirror) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_literal_sandwich_fails(self):
-        conv = nmr.Conventions(composite_z=nmr.COMPOSITE_Z_LITERAL)
-        fid = sequence_fidelity(nmr.library_sequence("selective-n2"), conventions=conv)
-        assert fid < 0.999
+        # {90_x}{45_y}{90_x} read literally is no z rotation
+        mirror = with_replaced("selective-n2", "z45@s1", "90x@s1 45y@s1 90x@s1")
+        assert sequence_fidelity(mirror) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_selective_n3_z_correction_angle(self):
         # the 90-degree z-correction on spin 1 is required; the 67.5-degree
