@@ -13,13 +13,17 @@ Rotation and coupling conventions
 A pulse of flip angle theta and rf phase phi (0 = x, pi/2 = y, pi = -x,
 3*pi/2 = -y) applies exp(-i*theta*(Ix*cos(phi) + Iy*sin(phi))) on each
 addressed spin, with I = sigma/2.  A coupling delay applies
-exp(+i * 2*pi * sum_jk J_jk t_jk Iz_j Iz_k): the sign of the coupling
-exponent, and the composite-z expansion {90_-x}{theta_y}{90_x}, are the
-one calibration that makes every bundled sequence reproduce the
-transform exactly; both toggles remain configurable via ``Conventions``.
-Delays act pair-by-pair as written (an idealization of the refocusing
-tricks that isolate one coupling on hardware), and pulses are
-instantaneous; durations matter only to the dephasing noise model.
+exp(+i * 2*pi * sum_jk J_jk t_jk Iz_j Iz_k), and a z pulse of angle theta
+expands to {90_-x}{theta_y}{90_x}, which is Rz(+theta).  This sign and
+this expansion are the one calibration that makes every bundled sequence
+reproduce the transform exactly; it is fixed, not configurable (the test
+suite pins it with programs that mirror each other convention, such as a
+delay refocused by 180-degree pulses).  Spins are on resonance.  Delays
+act pair-by-pair as written (an idealization of the refocusing tricks
+that isolate one coupling on hardware), and pulses are instantaneous;
+durations matter only to the dephasing noise model, which times a spin
+pulse at ``SPIN_PULSE_SECONDS`` and a transition pulse at
+``TRANSITION_PULSE_SECONDS``.
 
 Each element kind is defined once, by its action ``a -> u @ a`` where
 the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
@@ -65,44 +69,12 @@ SPIN_PULSE_SECONDS = 10e-6
 TRANSITION_PULSE_SECONDS = 6.5e-3
 GAMMA_RATIO_H_TO_C = 3.976  # 1H/13C gyromagnetic ratio, thermal-weighting preset
 
-COMPOSITE_Z_LITERAL = "literal_xx"      # {90_x}{theta_y}{90_x}
-COMPOSITE_Z_XY_MINUS = "xy_minus"       # {90_x}{theta_y}{90_-x}  -> Rz(-theta)
-COMPOSITE_Z_MINUS_XY = "minus_xy"       # {90_-x}{theta_y}{90_x}  -> Rz(+theta)
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Global sign calibration for the pulse-level simulator.
-
-    coupling_sign: sign s in exp(-i*s*2*pi*J*t*IzIz); the calibrated
-                   default -1 (exponent +i) is what makes the bundled
-                   sequences exact.
-    composite_z:   expansion template for z-pulses; the calibrated
-                   default realizes Rz(+theta).
-    """
-
-    coupling_sign: int = -1
-    composite_z: str = COMPOSITE_Z_MINUS_XY
-
-    def __post_init__(self):
-        if self.coupling_sign not in (1, -1):
-            raise ValueError("coupling sign must be +1 or -1")
-        if self.composite_z not in (COMPOSITE_Z_LITERAL, COMPOSITE_Z_XY_MINUS,
-                                    COMPOSITE_Z_MINUS_XY):
-            raise ValueError(f"unknown composite-z convention {self.composite_z!r}")
-
-
-DEFAULT_CONVENTIONS = Conventions()
-
-
 @dataclass(frozen=True)
 class SpinSystem:
-    """Weak-coupling spin system: pairwise scalar couplings in Hz plus
-    optional rotating-frame offsets (Hz, default on-resonance)."""
+    """Weak-coupling spin system on resonance: pairwise scalar couplings in Hz."""
 
     n: int
     couplings: tuple  # ((j, k, J_hz), ...) with j < k
-    offsets: tuple = ()
 
     def __post_init__(self):
         _check_qubit_count(self.n)
@@ -119,10 +91,6 @@ class SpinSystem:
             seen.add((j, k))
             normalized.append((j, k, float(jhz)))
         object.__setattr__(self, "couplings", tuple(sorted(normalized)))
-        offs = tuple(float(v) for v in self.offsets) or (0.0,) * self.n
-        if len(offs) != self.n:
-            raise ValueError(f"expected {self.n} offsets, got {len(offs)}")
-        object.__setattr__(self, "offsets", offs)
 
     def coupling(self, j: int, k: int) -> float:
         j, k = (j, k) if j < k else (k, j)
@@ -190,8 +158,7 @@ class CouplingDelay:
     """Free evolution under the named pairwise couplings.
 
     ``durations`` maps (j, k) to seconds or to a SymbolicDuration; several
-    pairs evolve simultaneously (the multiqubit-gate idealization), and
-    offsets, when nonzero, act for the longest listed duration.
+    pairs evolve simultaneously (the multiqubit-gate idealization).
     """
 
     durations: tuple  # ((j, k, SymbolicDuration | float), ...)
@@ -244,31 +211,21 @@ class PulseSequence:
 
 # -- element evaluation --------------------------------------------------
 
-def expand_composite_z(e: CompositeZ, conventions: Conventions = DEFAULT_CONVENTIONS) -> list[SpinPulse]:
-    """Expand a z-pulse into its three-pulse rf sandwich."""
+def expand_composite_z(e: CompositeZ) -> list[SpinPulse]:
+    """Expand a z-pulse into its rf sandwich {90_-x}{theta_y}{90_x}, which is Rz(+theta)."""
     half = math.pi / 2.0
     mid_phase = PHASE_Y if e.angle >= 0 else PHASE_MINUS_Y
     mid = SpinPulse((e.spin,), abs(e.angle), mid_phase)
-    if conventions.composite_z == COMPOSITE_Z_MINUS_XY:
-        return [SpinPulse((e.spin,), half, PHASE_MINUS_X), mid, SpinPulse((e.spin,), half, PHASE_X)]
-    if conventions.composite_z == COMPOSITE_Z_XY_MINUS:
-        return [SpinPulse((e.spin,), half, PHASE_X), mid, SpinPulse((e.spin,), half, PHASE_MINUS_X)]
-    return [SpinPulse((e.spin,), half, PHASE_X), mid, SpinPulse((e.spin,), half, PHASE_X)]
+    return [SpinPulse((e.spin,), half, PHASE_MINUS_X), mid, SpinPulse((e.spin,), half, PHASE_X)]
 
 
-def _delay_phases(e: CouplingDelay, system: SpinSystem, conventions: Conventions) -> np.ndarray:
+def _delay_phases(e: CouplingDelay, system: SpinSystem) -> np.ndarray:
     """Diagonal of a coupling delay's unitary, one phase factor per basis state."""
     n = system.n
-    legs = e.resolved(system)
-    t_max = max(t for _, _, t in legs)
     iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
     phase = np.zeros(2 ** n)
-    for j, k, t in legs:
-        j_hz = system.coupling(j, k)
-        phase -= conventions.coupling_sign * 2.0 * math.pi * j_hz * t * iz[j] * iz[k]
-    for j, off in enumerate(system.offsets, start=1):
-        if off:
-            phase -= 2.0 * math.pi * off * t_max * iz[j]
+    for j, k, t in e.resolved(system):
+        phase += 2.0 * math.pi * system.coupling(j, k) * t * iz[j] * iz[k]
     return np.exp(1j * phase)
 
 
@@ -280,8 +237,7 @@ def _checked_rotation(angle: float, phase: float) -> np.ndarray:
     return UnitaryMatrix(1, c * np.eye(2, dtype=complex) - 1j * s * axis).entries
 
 
-def _action(e: PulseElement, system: SpinSystem,
-            conventions: Conventions) -> Callable[[np.ndarray], np.ndarray]:
+def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.ndarray]:
     """``a -> u @ a`` for the unitary ``u`` of one element, applied where
     the element acts, for any ``a`` with 2**n rows.
 
@@ -306,12 +262,12 @@ def _action(e: PulseElement, system: SpinSystem,
             return out
         return rotate_pair
     if isinstance(e, CouplingDelay):
-        p = _delay_phases(e, system, conventions)
+        p = _delay_phases(e, system)
         if not np.max(np.abs(np.abs(p) - 1.0)) <= UNITARITY_TOL:  # NaN fails
             raise ValueError("delay phase factors are not unit-modulus within 1e-10")
         return lambda a: p[:, None] * a
     if isinstance(e, CompositeZ):
-        pulses = [_action(p, system, conventions) for p in expand_composite_z(e, conventions)]
+        pulses = [_action(p, system) for p in expand_composite_z(e)]
 
         def sandwich(a):
             for act in pulses:
@@ -321,32 +277,29 @@ def _action(e: PulseElement, system: SpinSystem,
     raise TypeError(f"unknown pulse element {e!r}")
 
 
-def element_unitary(e: PulseElement, system: SpinSystem,
-                    conventions: Conventions = DEFAULT_CONVENTIONS) -> UnitaryMatrix:
+def element_unitary(e: PulseElement, system: SpinSystem) -> UnitaryMatrix:
     """Exact unitary of one pulse element on the full Hilbert space: the
     element's action applied to the identity."""
-    act = _action(e, system, conventions)
+    act = _action(e, system)
     return UnitaryMatrix(system.n, act(np.eye(2 ** system.n, dtype=complex)))
 
 
-def sequence_unitary(seq: PulseSequence, system: SpinSystem,
-                     conventions: Conventions = DEFAULT_CONVENTIONS) -> UnitaryMatrix:
+def sequence_unitary(seq: PulseSequence, system: SpinSystem) -> UnitaryMatrix:
     """Ordered product of element unitaries, leftmost element first in time."""
     if seq.n != system.n:
         raise ValueError(f"sequence is for {seq.n} spins, system has {system.n}")
     out = np.eye(2 ** system.n, dtype=complex)
     for e in seq.elements:
-        out = element_unitary(e, system, conventions).entries @ out
+        out = element_unitary(e, system).entries @ out
     return UnitaryMatrix(system.n, out)
 
 
-def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
-                       conventions: Conventions) -> np.ndarray:
+def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem) -> np.ndarray:
     """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
     ``rho``, without the 2**n x 2**n unitary: the element's action applied
     twice, to ``rho`` and then to ``(u rho)^H``, since
     ``u (u rho)^H = u rho u^H``."""
-    act = _action(e, system, conventions)
+    act = _action(e, system)
     # one expression, so that u rho is freed before the second pass allocates
     return act(act(rho).conj().T)
 
@@ -357,20 +310,18 @@ def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem,
 class NoiseModel:
     """Per-spin pure dephasing (rate 1/T2 in Hz) during timed elements.
 
-    Instantaneous-pulse elements are assigned the configured wall times so
-    that every element damps single-spin coherence by exp(-rate * time).
-    Zero rates reproduce the exact unitary channel.
+    Instantaneous-pulse elements are assigned the wall times
+    ``SPIN_PULSE_SECONDS`` and ``TRANSITION_PULSE_SECONDS`` so that every
+    element damps single-spin coherence by exp(-rate * time).  Zero rates
+    reproduce the exact unitary channel.
     """
 
     rates: tuple
-    spin_pulse_seconds: float = SPIN_PULSE_SECONDS
-    transition_pulse_seconds: float = TRANSITION_PULSE_SECONDS
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
-        times = (self.spin_pulse_seconds, self.transition_pulse_seconds)
-        if not all(0 <= v < math.inf for v in rates + times):
-            raise ValueError("dephasing rates and element times must be finite and >= 0")
+        if not all(0 <= v < math.inf for v in rates):
+            raise ValueError("dephasing rates must be finite and >= 0")
         object.__setattr__(self, "rates", rates)
 
     @classmethod
@@ -379,11 +330,11 @@ class NoiseModel:
 
     def element_seconds(self, e: PulseElement, system: SpinSystem) -> float:
         if isinstance(e, SpinPulse):
-            return self.spin_pulse_seconds
+            return SPIN_PULSE_SECONDS
         if isinstance(e, TransitionPulse):
-            return self.transition_pulse_seconds
+            return TRANSITION_PULSE_SECONDS
         if isinstance(e, CompositeZ):
-            return 3.0 * self.spin_pulse_seconds
+            return 3.0 * SPIN_PULSE_SECONDS
         if isinstance(e, CouplingDelay):
             return max(t for _, _, t in e.resolved(system))
         raise TypeError(f"unknown pulse element {e!r}")
@@ -401,8 +352,7 @@ class NoiseModel:
 
 
 def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
-        noise: NoiseModel | None = None,
-        conventions: Conventions = DEFAULT_CONVENTIONS) -> DensityMatrix:
+        noise: NoiseModel | None = None) -> DensityMatrix:
     """Propagate a density matrix through a sequence.
 
     Without noise this equals conjugation by ``sequence_unitary`` exactly.
@@ -414,12 +364,12 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
     if seq.n != system.n or rho.n != system.n:
         raise ValueError("sequence, system and state must share the spin count")
     if noise is None or not any(noise.rates):
-        u = sequence_unitary(seq, system, conventions).entries
+        u = sequence_unitary(seq, system).entries
         return DensityMatrix(system.n, u @ rho.entries @ u.conj().T, traceless=rho.traceless)
     damping = {}  # element seconds -> damping matrix, for this run only
     state = np.array(rho.entries)
     for e in seq.elements:
-        state = _conjugate_element(state, e, system, conventions)
+        state = _conjugate_element(state, e, system)
         t = noise.element_seconds(e, system)
         if t not in damping:
             damping[t] = noise.damping_matrix(system.n, t)
@@ -436,8 +386,7 @@ def thermal_deviation(a: float = 1.0, b: float = 1.0) -> DensityMatrix:
 
 
 def prepare_pseudopure_temporal_avg(system: SpinSystem | None = None,
-                                    a: float = 1.0, b: float = 1.0,
-                                    conventions: Conventions = DEFAULT_CONVENTIONS) -> DensityMatrix:
+                                    a: float = 1.0, b: float = 1.0) -> DensityMatrix:
     """Average of three experiments mapping a*Iz1 + b*Iz2 to pseudopure |00>.
 
     The two bundled permutation sequences cycle the three non-|00>
@@ -453,7 +402,7 @@ def prepare_pseudopure_temporal_avg(system: SpinSystem | None = None,
     seq_a, seq_b = pseudopure_cycle_sequences()
     total = np.array(rho_eq.entries)
     for seq in (seq_a, seq_b):
-        total = total + run(seq, system, rho_eq, conventions=conventions).entries
+        total = total + run(seq, system, rho_eq).entries
     return DensityMatrix(2, total / 3.0, traceless=True)
 
 

@@ -8,9 +8,8 @@ expectation values of the single-quantum observables of every spin
 that readout applied to the stack of non-identity Pauli strings.
 Reconstruction is plain linear inversion of the design matrix, which is
 informationally complete on the traceless Hermitian space (full column
-rank, checked by the test suite).  Expectations are exact (infinite
-ensemble) by default, with an optional seeded Gaussian perturbation for
-robustness studies.
+rank, checked by the test suite).  Expectations are exact: the readout
+models an infinite ensemble.
 """
 
 from __future__ import annotations
@@ -107,15 +106,13 @@ def observables(n: int) -> tuple:
     return tuple(out)
 
 
-def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Expectation values Tr(rho' O) after the readout pulses, one per
-    observable of ``observables(n)``.
+def measure(rho, experiment: ReadoutExperiment) -> np.ndarray:
+    """Exact expectation values Tr(rho' O) after the readout pulses, one
+    per observable of ``observables(n)``.
 
     ``rho`` is one 2**n x 2**n matrix, read as n * 2**n values, or a stack
     of k of them with shape (k, 2**n, 2**n), read as a (k, n * 2**n)
-    array.  Exact by default; ``noise_sigma`` adds i.i.d. Gaussian
-    perturbation from ``rng`` for robustness tests.
+    array.
     """
     m = entries_of(rho)
     n = experiment.n
@@ -124,16 +121,10 @@ def measure(rho, experiment: ReadoutExperiment, noise_sigma: float = 0.0,
     u = readout_unitary(experiment)
     rotated = u @ m @ u.conj().T
     obs = np.array([o for _, o in observables(n)])
-    values = np.tensordot(rotated, obs, axes=([-1, -2], [1, 2])).real  # Tr(rotated @ o)
-    if noise_sigma:
-        if rng is None:
-            rng = np.random.default_rng()
-        values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    return values
+    return np.tensordot(rotated, obs, axes=([-1, -2], [1, 2])).real  # Tr(rotated @ o)
 
 
-def measure_all(rho, noise_sigma: float = 0.0,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+def measure_all(rho) -> np.ndarray:
     """Stacked measurement vector over all 3**n experiments.
 
     A stack of k states, shape (k, 2**n, 2**n), gives a (k, n * 2**n * 3**n)
@@ -141,8 +132,7 @@ def measure_all(rho, noise_sigma: float = 0.0,
     """
     m = entries_of(rho)
     n = int(np.log2(m.shape[-1]))
-    return np.concatenate([measure(rho, e, noise_sigma, rng)
-                           for e in all_experiments(n)], axis=-1)
+    return np.concatenate([measure(rho, e) for e in all_experiments(n)], axis=-1)
 
 
 @lru_cache(maxsize=None)

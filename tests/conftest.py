@@ -23,14 +23,12 @@ def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
     return core.conjugate(u, rho_init)
 
 
-def sequence_fidelity(seq: nmr.PulseSequence,
-                      noise: nmr.NoiseModel | None = None,
-                      conventions: nmr.Conventions = nmr.DEFAULT_CONVENTIONS) -> float:
+def sequence_fidelity(seq: nmr.PulseSequence, noise: nmr.NoiseModel | None = None) -> float:
     """Fidelity of a sequence run from the pseudopure input against the
     relabeled transform target."""
     system = nmr.system_for_sequence(seq)
     rho_init = pseudopure_input(system)
-    rho_out = nmr.run(seq, system, rho_init, noise, conventions)
+    rho_out = nmr.run(seq, system, rho_init, noise)
     return tomography.fidelity(ideal_output(rho_init), rho_out, rho_init).fidelity
 
 

@@ -1,4 +1,4 @@
-"""Pulse elements, conventions, the sequence DSL, preparation and noise."""
+"""Pulse elements, the fixed calibration, the sequence DSL, preparation and noise."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_traceless_hermitian
+from conftest import random_traceless_hermitian, refocused, z_template
 
 from spinqft import core, nmr
 
@@ -103,15 +103,6 @@ class TestCouplingDelay:
         with pytest.raises(KeyError):
             nmr.element_unitary(delay, system)
 
-    def test_offsets_advance_during_longest_leg(self):
-        system = nmr.SpinSystem(2, ((1, 2, 215.0),), offsets=(100.0, 0.0))
-        delay = nmr.CouplingDelay(((1, 2, 1e-3),))
-        u = nmr.element_unitary(delay, system).entries
-        on_res = nmr.element_unitary(delay, nmr.chloroform()).entries
-        z_phase = np.exp(-1j * 2 * np.pi * 100.0 * 1e-3 * 0.5)
-        expected = np.diag([z_phase, z_phase, z_phase.conjugate(), z_phase.conjugate()]) @ on_res
-        np.testing.assert_allclose(u, expected, atol=1e-14)
-
 
 class TestCompositeZ:
     def test_default_expansion_is_plus_z_rotation(self):
@@ -123,17 +114,6 @@ class TestCompositeZ:
         plus = nmr.element_unitary(nmr.CompositeZ(1, 0.9), one_spin()).entries
         minus = nmr.element_unitary(nmr.CompositeZ(1, -0.9), one_spin()).entries
         np.testing.assert_allclose(plus @ minus, np.eye(2), atol=1e-14)
-
-    def test_xy_minus_convention_flips_sense(self):
-        conv = nmr.Conventions(composite_z=nmr.COMPOSITE_Z_XY_MINUS)
-        u = nmr.element_unitary(nmr.CompositeZ(1, math.pi / 4), one_spin(), conv).entries
-        np.testing.assert_allclose(u, np.diag([np.exp(1j * np.pi / 8),
-                                               np.exp(-1j * np.pi / 8)]), atol=1e-15)
-
-    def test_literal_expansion_is_not_a_z_rotation(self):
-        conv = nmr.Conventions(composite_z=nmr.COMPOSITE_Z_LITERAL)
-        u = nmr.element_unitary(nmr.CompositeZ(1, math.pi / 4), one_spin(), conv).entries
-        assert np.max(np.abs(u - np.diag(np.diag(u)))) > 0.5  # large off-diagonal part
 
     def test_expansion_element_count(self):
         assert len(nmr.expand_composite_z(nmr.CompositeZ(2, 1.0))) == 3
@@ -190,43 +170,49 @@ class TestSequenceEvaluation:
 
 
 def local_conjugation_cases():
-    default = nmr.DEFAULT_CONVENTIONS
     for n in range(1, 6):
         pairs = tuple((j, k, 40.0 * j + 7.0 * k)
                       for j in range(1, n + 1) for k in range(j + 1, n + 1))
-        system = nmr.SpinSystem(n, pairs, offsets=(12.0, 0.0, -30.0, 4.5, 0.0)[:n])
-        yield pytest.param(system, nmr.SpinPulse(tuple(range(1, n + 1)), 1.3, 0.7), default,
+        system = nmr.SpinSystem(n, pairs)
+        yield pytest.param(system, (nmr.SpinPulse(tuple(range(1, n + 1)), 1.3, 0.7),),
                            id=f"n{n}-all-spins")
-        yield pytest.param(system, nmr.SpinPulse((n,), 2.2, nmr.PHASE_MINUS_Y), default,
+        yield pytest.param(system, (nmr.SpinPulse((n,), 2.2, nmr.PHASE_MINUS_Y),),
                            id=f"n{n}-last-spin")
         if n >= 3:
-            yield pytest.param(system, nmr.SpinPulse((1, 3), 0.4, nmr.PHASE_Y), default,
+            yield pytest.param(system, (nmr.SpinPulse((1, 3), 0.4, nmr.PHASE_Y),),
                                id=f"n{n}-spins-1-3")
         for a in range(2 ** n):
             b = a ^ (1 << (a % n))  # flip one bit: a single-quantum transition
             pulse = nmr.TransitionPulse(a + 1, b + 1, 0.9 + a,
                                         nmr.PHASE_X if a % 2 else nmr.PHASE_MINUS_Y)
-            yield pytest.param(system, pulse, default, id=f"n{n}-t{a + 1}-{b + 1}")
+            yield pytest.param(system, (pulse,), id=f"n{n}-t{a + 1}-{b + 1}")
         if n >= 2:
             legs = [(1, n, nmr.SymbolicDuration(4)), (1, 2, 1.3e-3)]
             if n >= 3:
                 legs.append((2, 3, nmr.SymbolicDuration(8)))
-            for sign in (1, -1):
-                yield pytest.param(system, nmr.CouplingDelay(tuple(legs)),
-                                   nmr.Conventions(coupling_sign=sign),
-                                   id=f"n{n}-delay-sign{sign:+d}")
-        for conv in (nmr.COMPOSITE_Z_LITERAL, nmr.COMPOSITE_Z_XY_MINUS, nmr.COMPOSITE_Z_MINUS_XY):
+            yield pytest.param(system, (nmr.CouplingDelay(tuple(legs)),), id=f"n{n}-delay-sign-1")
+            # every leg ends on spin 1, so refocusing spin 1 flips every leg's sign
+            star = nmr.CouplingDelay(tuple((1, k, nmr.SymbolicDuration(2 ** k))
+                                           for k in range(2, n + 1)))
+            yield pytest.param(system, (star,), id=f"n{n}-delay-star")
+            yield pytest.param(system, refocused(star, (1,)), id=f"n{n}-delay-sign+1")
+        for template in ("literal_xx", "xy_minus", "minus_xy"):
             for angle in (0.8, -2.1):
-                yield pytest.param(system, nmr.CompositeZ(n, angle),
-                                   nmr.Conventions(composite_z=conv), id=f"n{n}-z{angle:+}-{conv}")
+                yield pytest.param(system, z_template(n, angle, template),
+                                   id=f"n{n}-z{angle:+}-{template}")
+        for angle in (0.0, -0.3, math.pi, 5.9):
+            yield pytest.param(system, (nmr.CompositeZ(n, angle),), id=f"n{n}-z{angle:+.4g}")
 
 
-@pytest.mark.parametrize("system,e,conv", list(local_conjugation_cases()))
-def test_local_conjugation_equals_dense_conjugation(system, e, conv):
+@pytest.mark.parametrize("system,program", list(local_conjugation_cases()))
+def test_local_conjugation_equals_dense_conjugation(system, program):
     rho = random_traceless_hermitian(system.n, np.random.default_rng(system.n)).entries
-    u = nmr.element_unitary(e, system, conv).entries
-    got = nmr._conjugate_element(rho, e, system, conv)
-    np.testing.assert_allclose(got, u @ rho @ u.conj().T, rtol=0, atol=1e-14)
+    got = want = rho
+    for e in program:
+        u = nmr.element_unitary(e, system).entries
+        got = nmr._conjugate_element(got, e, system)
+        want = u @ want @ u.conj().T
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def serial_program(n):
@@ -361,11 +347,9 @@ class TestNoise:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, bad):
-        for make in (lambda: nmr.NoiseModel((bad, 0.0)),
-                     lambda: nmr.NoiseModel((1.0, 0.0), spin_pulse_seconds=bad),
-                     lambda: nmr.NoiseModel((1.0, 0.0), transition_pulse_seconds=bad)):
+        for rates in ((bad, 0.0), (1.0, bad)):
             with pytest.raises(ValueError, match="finite"):
-                make()
+                nmr.NoiseModel(rates)
 
 
 DEGREES = st.integers(0, 12).flatmap(

@@ -45,12 +45,6 @@ class TestReadout:
         with pytest.raises(ValueError):
             tomography.measure(np.eye(4) / 4, tomography.ReadoutExperiment(("i",)))
 
-    def test_gaussian_perturbation_is_seeded(self):
-        rho = nmr.pseudopure_projector_deviation(2)
-        a = tomography.measure_all(rho, noise_sigma=0.01, rng=np.random.default_rng(9))
-        b = tomography.measure_all(rho, noise_sigma=0.01, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(a, b)
-
     def test_stack_reads_each_state(self):
         rng = np.random.default_rng(11)
         states = [random_traceless_hermitian(3, rng).entries for _ in range(4)]
@@ -58,13 +52,6 @@ class TestReadout:
         assert stacked.shape == (4, 3 * 2 ** 3 * 3 ** 3)
         np.testing.assert_allclose(stacked, [tomography.measure_all(m) for m in states],
                                    rtol=0, atol=1e-14)
-
-    def test_perturbation_is_drawn_in_readout_order(self):
-        n = 2
-        rho = nmr.pseudopure_projector_deviation(n)
-        noisy = tomography.measure_all(rho, 0.01, np.random.default_rng(9))
-        draws = np.random.default_rng(9).normal(0.0, 0.01, size=n * 2 ** n * 3 ** n)
-        np.testing.assert_array_equal(noisy, tomography.measure_all(rho) + draws)
 
 
 def _design_reference(n):
