@@ -13,17 +13,13 @@ Rotation and coupling conventions
 A pulse of flip angle theta and rf phase phi (0 = x, pi/2 = y, pi = -x,
 3*pi/2 = -y) applies exp(-i*theta*(Ix*cos(phi) + Iy*sin(phi))) on each
 addressed spin, with I = sigma/2.  A coupling delay applies
-exp(+i * 2*pi * sum_jk J_jk t_jk Iz_j Iz_k), and a z pulse of angle theta
-expands to {90_-x}{theta_y}{90_x}, which is Rz(+theta).  This sign and
-this expansion are the one calibration that makes every bundled sequence
-reproduce the transform exactly; it is fixed, not configurable (the test
-suite pins it with programs that mirror each other convention, such as a
-delay refocused by 180-degree pulses).  Spins are on resonance.  Delays
-act pair-by-pair as written (an idealization of the refocusing tricks
-that isolate one coupling on hardware), and pulses are instantaneous;
-durations matter only to the dephasing noise model, which times a spin
-pulse at ``SPIN_PULSE_SECONDS`` and a transition pulse at
-``TRANSITION_PULSE_SECONDS``.
+exp(+i * 2*pi * sum_jk J_jk t_jk Iz_j Iz_k), and a z pulse expands to
+{90_-x}{theta_y}{90_x} = Rz(+theta): the one fixed calibration that makes
+every bundled sequence reproduce the transform exactly (the tests pin it
+with programs that mirror each other convention).  Spins are on
+resonance.  Delays act pair-by-pair as written (an idealization of the
+refocusing tricks that isolate one coupling on hardware), and pulses are
+instantaneous; durations matter only to the dephasing noise model.
 
 Each element kind is defined once, by its action ``a -> u @ a`` where
 the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
@@ -428,7 +424,8 @@ class SequenceParseError(ValueError):
 _PULSE_RE = re.compile(r"^(?P<angle>\d+(?:\.\d+)?)(?P<sign>-?)(?P<axis>[xy])@(?P<targets>\S+)$")
 _Z_RE = re.compile(r"^z(?P<angle>-?\d+(?:\.\d+)?)@s(?P<spin>\d+)$")
 _DELAY_RE = re.compile(r"^delay:(?P<spec>\S+)$")
-_DELAY_PART_RE = re.compile(r"^1/\((?P<m>\d+)\*J(?P<j>\d)(?P<k>\d)\)$")
+_DELAY_PART_RE = re.compile(r"^1/\((?P<m>\d+)\*J(?P<pair>\d\d|\(\d+,\d+\))\)$")  # J12, J(10,11)
+_LEG_COMMA_RE = re.compile(r",(?![^(]*\))")  # a comma outside J(j,k)
 _SPIN_LIST_RE = re.compile(r"^s\d+(,s\d+)*$")
 _TRANSITION_RE = re.compile(r"^t(?P<from>\d+)-(?P<to>\d+)$")
 
@@ -440,27 +437,35 @@ _PHASES = {
 }
 
 
-def _parse_token(token: str, line: int, column: int) -> PulseElement:
+def _radians(degrees: str) -> float:
+    angle = math.radians(float(degrees))
+    if not math.isfinite(angle):
+        raise ValueError("angle is not a finite number of degrees")
+    return angle
+
+
+def _parse_token(token: str) -> PulseElement:
+    """One DSL token as its element; ``ValueError`` for what it cannot be."""
     m = _DELAY_RE.match(token)
     if m:
         spec = m.group("spec")
-        parts = spec[1:-1].split(",") if spec.startswith("{") and spec.endswith("}") else [spec]
+        braced = spec.startswith("{") and spec.endswith("}")
         durations = []
-        for part in parts:
+        for part in _LEG_COMMA_RE.split(spec[1:-1]) if braced else [spec]:
             pm = _DELAY_PART_RE.match(part)
             if not pm:
-                raise SequenceParseError(f"bad delay spec {part!r}", line, column)
-            durations.append((int(pm.group("j")), int(pm.group("k")), int(pm.group("m"))))
-        try:
-            return CouplingDelay(tuple((j, k, SymbolicDuration(m)) for j, k, m in durations))
-        except ValueError as exc:
-            raise SequenceParseError(str(exc), line, column) from None
+                raise ValueError(f"bad delay spec {part!r}")
+            if not math.isfinite(float(pm.group("m"))):
+                raise ValueError("delay denominator is too large for a float")
+            j, k = pm.group("pair")[1:-1].split(",") if "," in part else pm.group("pair")
+            durations.append((int(j), int(k), SymbolicDuration(int(pm.group("m")))))
+        return CouplingDelay(tuple(durations))
     m = _Z_RE.match(token)
     if m:
-        return CompositeZ(int(m.group("spin")), math.radians(float(m.group("angle"))))
+        return CompositeZ(int(m.group("spin")), _radians(m.group("angle")))
     m = _PULSE_RE.match(token)
     if m:
-        angle = math.radians(float(m.group("angle")))
+        angle = _radians(m.group("angle"))
         phase = _PHASES[(m.group("sign"), m.group("axis"))]
         targets = m.group("targets")
         if _SPIN_LIST_RE.match(targets):
@@ -469,8 +474,8 @@ def _parse_token(token: str, line: int, column: int) -> PulseElement:
         tm = _TRANSITION_RE.match(targets)
         if tm:
             return TransitionPulse(int(tm.group("from")), int(tm.group("to")), angle, phase)
-        raise SequenceParseError(f"bad pulse target {targets!r}", line, column)
-    raise SequenceParseError(f"unrecognized token {token!r}", line, column)
+        raise ValueError(f"bad pulse target {targets!r}")
+    raise ValueError(f"unrecognized token {token!r}")
 
 
 def parse_sequence(text: str, name: str = "") -> PulseSequence:
@@ -503,7 +508,10 @@ def parse_sequence(text: str, name: str = "") -> PulseSequence:
         col = 0
         for token in stripped.split():
             col = line.index(token, col) + 1
-            elements.append(_parse_token(token, lineno, col))
+            try:
+                elements.append(_parse_token(token))
+            except ValueError as exc:
+                raise SequenceParseError(str(exc), lineno, col) from None
             col += len(token) - 1
     if n is None:
         raise SequenceParseError("missing 'n: <spins>' directive", 1, 1)
@@ -539,8 +547,8 @@ def format_element(e: PulseElement) -> str:
     back as the same element.
 
     Raises ``ValueError`` for what the DSL cannot write: an rf phase other
-    than x, y, -x, -y, a negative or non-finite pulse angle, a numeric
-    delay, or a delay on a spin above 9.
+    than x, y, -x, -y, a negative or non-finite pulse angle, or a numeric
+    delay.  A delay pair with a spin above 9 is written ``J(j,k)``.
     """
     if isinstance(e, SpinPulse) or isinstance(e, TransitionPulse):
         phase_txt = _PHASE_TEXT.get(e.phase % (2 * math.pi))
@@ -559,10 +567,8 @@ def format_element(e: PulseElement) -> str:
         for j, k, dur in e.durations:  # j < k
             if not isinstance(dur, SymbolicDuration):
                 raise ValueError("only symbolic delays have a DSL form")
-            if k > 9:  # parse_sequence reads one digit per spin: J110 is not (1, 10)
-                raise ValueError(f"delay on spins ({j}, {k}): the DSL names single-digit "
-                                 "spins only")
-            parts.append(f"1/({dur.m}*J{j}{k})")
+            pair = f"{j}{k}" if k <= 9 else f"({j},{k})"  # J110 would not read as (1, 10)
+            parts.append(f"1/({dur.m}*J{pair})")
         body = parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}"
         return f"delay:{body}"
     raise TypeError(f"unknown pulse element {e!r}")

@@ -181,6 +181,19 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["delay:1/(%s*J12)" % ("9" * 400), "9" * 400 + "x@s1"],
+                             ids=["delay", "pulse"])
+    def test_number_too_large_for_a_float_is_usage_error(self, capsys, tmp_path, token):
+        path = tmp_path / "huge.seq"
+        path.write_text(f"n: 2\n90y@s1  {token}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            f"spinqft: error: cannot parse {path}: line 2, column 9: ")
+
     def test_unreadable_sequence_is_usage_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "locked.seq"
         path.write_text("n: 2\n90y@s1\n")
@@ -553,6 +566,31 @@ VALID_JSON_ARGV = st.one_of(
 )
 
 ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1.7976931348623157e308])
+
+
+class SeqText(str):
+    """DSL text in a fuzzed argv: the test writes it to a .seq file and passes its path."""
+
+
+# mostly well-formed tokens on spins 1..3, with digit strings too large for a
+# float, unknown pairs, spins past 9 and past n, and zero denominators mixed in
+HUGE = st.sampled_from(["9" * 309, "9" * 400, "1" + "0" * 308])
+ANGLE = (HUGE | st.sampled_from(["9" * 400 + ".5", "22.5", "0.000001"])
+         | st.integers(0, 720).map(str))
+COUNT = HUGE | st.integers(0, 64).map(str)
+SPIN = st.sampled_from("123") | st.integers(0, 13).map(str)
+PAIR = st.sampled_from(["12", "13", "23"]) | st.builds("{}{}".format, st.integers(0, 9),
+                                                       st.integers(0, 9))
+SIGN = st.sampled_from(["", "-"])
+FUZZED_TOKENS = st.one_of(
+    st.builds("{}{}{}@s{}".format, ANGLE, SIGN, st.sampled_from("xy"), SPIN),
+    st.builds("{}{}x@t{}-{}".format, ANGLE, SIGN, COUNT, COUNT),
+    st.builds("z{}{}@s{}".format, SIGN, ANGLE, SPIN),
+    st.builds("delay:1/({}*J{})".format, COUNT, PAIR),
+    st.builds("delay:{{1/({}*J({},{})),1/({}*J{})}}".format, COUNT, SPIN, SPIN, COUNT, PAIR),
+)
+FUZZED_SEQUENCES = st.builds(lambda n, tokens: SeqText(f"n: {n}\n" + " ".join(tokens) + "\n"),
+                             st.integers(1, 3), st.lists(FUZZED_TOKENS, min_size=1, max_size=4))
 # the same commands over out-of-range, non-finite and extreme values too
 FUZZED_ARGV = st.one_of(
     st.builds(verify_argv, st.integers(-1, 4), st.sampled_from(["serial", "parallel",
@@ -564,10 +602,15 @@ FUZZED_ARGV = st.one_of(
     st.builds(simulate_argv, st.sampled_from(nmr.SEQUENCE_LIBRARY + ("no-such-sequence",)), ANY_FLOAT,
               st.booleans(), st.booleans(), st.integers(-2, 2 ** 64)),
     st.builds(tomo_argv, st.integers(1, 4), st.integers(-1, 3), st.integers(-2, 2 ** 64)),
+    st.builds(simulate_argv, FUZZED_SEQUENCES, st.just(0.0) | st.floats(1e-3, 10.0),
+              st.booleans(), st.booleans(), SEEDS),
 )
 
 NON_FINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 USAGE_ERROR = re.compile(r"spinqft( [a-z0-9-]+)?: error: ")  # a subcommand's parser names it
+# a bad .seq file is refused at its token, or for the spin, transition or pair it names
+SEQUENCE_ERROR = re.compile(r"spinqft: error: (cannot parse .*: line \d+, column \d+: "
+                            r"|qubit labels |transition |no coupling )")
 
 
 def run_main(argv):
@@ -591,14 +634,19 @@ class TestProperties:
         assert code in (0, 1)
         validate(json.loads(out))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(FUZZED_ARGV)
-    def test_fuzzed_main_returns_0_1_or_exits_2(self, argv):
+    def test_fuzzed_main_returns_0_1_or_exits_2(self, tmp_path_factory, argv):
+        seq = tmp_path_factory.getbasetemp() / "fuzzed.seq"
+        from_file = isinstance(argv[2], SeqText)
+        if from_file:
+            seq.write_text(argv[2])
+            argv[2] = str(seq)
         code, out, err = run_main(argv)
         assert code in (0, 1, 2)
         assert NON_FINITE_TEXT.search(out) is None
         if code == 2:
             assert out == ""
-            assert USAGE_ERROR.match(err.splitlines()[-1])
+            assert (SEQUENCE_ERROR if from_file else USAGE_ERROR).match(err.splitlines()[-1])
         elif argv[0] != "cost" or "json" in argv:
             validate(json.loads(out))

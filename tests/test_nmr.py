@@ -355,6 +355,7 @@ class TestNoise:
 DEGREES = st.integers(0, 12).flatmap(
     lambda places: st.decimals(0, 720, places=places)).map(lambda d: format(d, "f"))
 SPIN = st.integers(1, 9)
+PAIR_OF_12 = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda p: p[0] != p[1])
 DSL_TOKENS = st.one_of(
     st.builds("{}{}{}@s{}".format, DEGREES, st.sampled_from(["", "-"]),
               st.sampled_from("xy"), st.lists(SPIN, min_size=1, max_size=3).map(
@@ -363,7 +364,9 @@ DSL_TOKENS = st.one_of(
               st.sampled_from("xy"), st.integers(1, 512), st.integers(1, 512)),
     st.builds("z{}{}@s{}".format, st.sampled_from(["", "-"]), DEGREES, SPIN),
     st.builds("delay:1/({}*J{}{})".format, st.integers(1, 64), SPIN, SPIN)
-    .filter(lambda t: t[-3] != t[-2]))
+    .filter(lambda t: t[-3] != t[-2]),
+    st.builds(lambda m, pair: "delay:1/({}*J({},{}))".format(m, *pair), st.integers(1, 64),
+              PAIR_OF_12))
 
 
 class TestDsl:
@@ -419,11 +422,34 @@ class TestDsl:
             np.testing.assert_allclose(nmr.sequence_unitary(back, system).entries,
                                        nmr.sequence_unitary(seq, system).entries, atol=1e-12)
 
-    def test_format_refuses_delay_spins_it_cannot_parse(self):
+    def test_format_writes_spins_above_9_in_pair_form(self):
+        # J110 would read as spins (1, 1) and a stray 0, so a spin above 9
+        # is written J(j,k); single digits keep the Jjk form
         short = nmr.CouplingDelay(((1, 9, nmr.SymbolicDuration(2)),))
-        assert nmr.parse_sequence("n: 9\n" + nmr.format_element(short)).elements == (short,)
-        with pytest.raises(ValueError):
-            nmr.format_element(nmr.CouplingDelay(((1, 10, nmr.SymbolicDuration(2)),)))
+        assert nmr.format_element(short) == "delay:1/(2*J19)"
+        long = nmr.CouplingDelay(((1, 10, nmr.SymbolicDuration(2)),))
+        assert nmr.format_element(long) == "delay:1/(2*J(1,10))"
+        assert nmr.parse_sequence("n: 12\n" + nmr.format_element(long)).elements == (long,)
+        with pytest.raises(nmr.SequenceParseError):
+            nmr.parse_sequence("n: 12\ndelay:1/(2*J110)\n")
+
+    def test_pair_form_round_trips_at_twelve_spins(self):
+        text = ("n: 12\ndelay:1/(4*J(10,11)) delay:{1/(8*J(1,12)),1/(2*J34),1/(16*J(9,10))} "
+                "delay:1/(4*J(3,4))\n")
+        seq = nmr.parse_sequence(text)
+        assert [e.durations for e in seq.elements] == [
+            ((10, 11, nmr.SymbolicDuration(4)),),
+            ((1, 12, nmr.SymbolicDuration(8)), (3, 4, nmr.SymbolicDuration(2)),
+             (9, 10, nmr.SymbolicDuration(16))),
+            ((3, 4, nmr.SymbolicDuration(4)),)]
+        written = nmr.format_sequence(seq)
+        assert written.splitlines()[2:] == [
+            "delay:1/(4*J(10,11))", "delay:{1/(8*J(1,12)),1/(2*J34),1/(16*J(9,10))}",
+            "delay:1/(4*J34)"]
+        assert nmr.parse_sequence(written).elements == seq.elements
+        system = nmr.default_system(12)
+        for e in seq.elements:
+            assert nmr.NoiseModel.uniform(12, 1.0).element_seconds(e, system) > 0
 
     def test_format_keeps_every_digit_of_an_angle(self):
         # 90/2**8 degrees: the 1-9 pulse of the generated n = 9 serial program
@@ -454,7 +480,7 @@ class TestDsl:
     @settings(deadline=None)
     @given(st.lists(DSL_TOKENS, min_size=1, max_size=8))
     def test_parse_format_parse_gives_equal_elements(self, tokens):
-        seq = nmr.parse_sequence("n: 9\n" + " ".join(tokens))
+        seq = nmr.parse_sequence("n: 12\n" + " ".join(tokens))
         back = nmr.parse_sequence(nmr.format_sequence(seq))
         assert (back.n, back.elements) == (seq.n, seq.elements)
 

@@ -153,8 +153,8 @@ def test_coupling_delay_matches_per_basis_reference(coupling_sign):
         def iz(a, j):
             return 0.5 if bit(a, j, n) == 0 else -0.5
 
-        phases = [-sum(coupling_sign * 2 * math.pi * system.coupling(j, k) * t * iz(a, j) * iz(a, k)
-                       for j, k, t in delay.resolved(system))
+        phases = [-sum(coupling_sign * 2 * math.pi * system.coupling(j, k) * t
+                       * iz(a, j) * iz(a, k) for j, k, t in delay.resolved(system))
                   for a in range(2 ** n)]
         program, sign = (delay,), 1
         if coupling_sign == 1:

@@ -110,6 +110,9 @@ class TestSpinCountDirective:
         assert str(exc.value).startswith(f"line {line}, column {column}: ")
 
 
+NINES = "9" * 400  # parses as an int, but as a float only to inf
+
+
 class TestDelayTokenErrors:
     @pytest.mark.parametrize("text,column,message", [
         ("n: 2\n90y@s1 delay:1/(0*J12)\n", 8, "denominator"),
@@ -120,6 +123,24 @@ class TestDelayTokenErrors:
         with pytest.raises(nmr.SequenceParseError, match=message) as exc:
             nmr.parse_sequence(text)
         assert (exc.value.line, exc.value.column) == (2, column)
+
+    @pytest.mark.parametrize("token,message", [
+        (f"delay:1/({NINES}*J12)", "denominator"),
+        (f"delay:{{1/(4*J12),1/({NINES}*J(1,2))}}", "denominator"),
+        (f"{NINES}x@s1", "finite"),
+        (f"{NINES}.5-y@t3-4", "finite"),
+        (f"z{NINES}@s1", "finite"),
+        (f"z-{NINES}@s2", "finite"),
+    ], ids=["delay", "delay-in-list", "pulse", "transition", "z", "negative-z"])
+    def test_number_too_large_for_a_float_reports_position(self, token, message):
+        with pytest.raises(nmr.SequenceParseError, match=message) as exc:
+            nmr.parse_sequence(f"n: 2\n90y@s1 {token}\n")
+        assert (exc.value.line, exc.value.column) == (2, 8)
+
+    def test_largest_float_denominator_is_a_zero_delay(self):
+        m = int(1.7976931348623157e308)
+        (e,) = nmr.parse_sequence(f"n: 2\ndelay:1/({m}*J12)\n").elements
+        assert e.resolved(nmr.chloroform()) == [(1, 2, 0.0)]
 
     def test_delay_on_one_spin_is_refused(self):
         with pytest.raises(ValueError, match="differ"):
