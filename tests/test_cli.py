@@ -181,7 +181,7 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["delay:1/(%s*J12)" % ("9" * 400), "9" * 400 + "x@s1"],
+    @pytest.mark.parametrize("token", [f"delay:1/({'9' * 400}*J12)", f"{'9' * 400}x@s1"],
                              ids=["delay", "pulse"])
     def test_number_too_large_for_a_float_is_usage_error(self, capsys, tmp_path, token):
         path = tmp_path / "huge.seq"
@@ -637,9 +637,9 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(FUZZED_ARGV)
     def test_fuzzed_main_returns_0_1_or_exits_2(self, tmp_path_factory, argv):
-        seq = tmp_path_factory.getbasetemp() / "fuzzed.seq"
         from_file = isinstance(argv[2], SeqText)
         if from_file:
+            seq = tmp_path_factory.getbasetemp() / "fuzzed.seq"
             seq.write_text(argv[2])
             argv[2] = str(seq)
         code, out, err = run_main(argv)

@@ -52,7 +52,7 @@ class TestCalibrationIsLoadBearing:
         assert ok
 
     def test_composite_z_sense_matters(self):
-        # the z-correction turned the other way, as an {90_x}{theta_y}{90_-x} sandwich turns
+        # the z-correction turned the other way, as {90_x}{theta_y}{90_-x} would turn it
         mirror = with_replaced("selective-n2", "z45@s1", "z-45@s1")
         assert sequence_fidelity(mirror) == pytest.approx(1 / 3, abs=1e-9)
 
@@ -110,9 +110,6 @@ class TestSpinCountDirective:
         assert str(exc.value).startswith(f"line {line}, column {column}: ")
 
 
-NINES = "9" * 400  # parses as an int, but as a float only to inf
-
-
 class TestDelayTokenErrors:
     @pytest.mark.parametrize("text,column,message", [
         ("n: 2\n90y@s1 delay:1/(0*J12)\n", 8, "denominator"),
@@ -124,6 +121,15 @@ class TestDelayTokenErrors:
             nmr.parse_sequence(text)
         assert (exc.value.line, exc.value.column) == (2, column)
 
+    def test_delay_on_one_spin_is_refused(self):
+        with pytest.raises(ValueError, match="differ"):
+            nmr.CouplingDelay(((2, 2, 0.001),))
+
+
+NINES = "9" * 400  # parses as an int, but as a float only to inf
+
+
+class TestNumbersTooLargeForAFloat:
     @pytest.mark.parametrize("token,message", [
         (f"delay:1/({NINES}*J12)", "denominator"),
         (f"delay:{{1/(4*J12),1/({NINES}*J(1,2))}}", "denominator"),
@@ -141,10 +147,6 @@ class TestDelayTokenErrors:
         m = int(1.7976931348623157e308)
         (e,) = nmr.parse_sequence(f"n: 2\ndelay:1/({m}*J12)\n").elements
         assert e.resolved(nmr.chloroform()) == [(1, 2, 0.0)]
-
-    def test_delay_on_one_spin_is_refused(self):
-        with pytest.raises(ValueError, match="differ"):
-            nmr.CouplingDelay(((2, 2, 0.001),))
 
 
 class TestCouplingValueIndependence:
