@@ -16,7 +16,7 @@ from spinqft import core, nmr, tomography
 rho_eq = nmr.thermal_deviation(1.0, 1.0)
 print("thermal populations:     ", np.diag(rho_eq.entries).real)
 
-system = nmr.chloroform()
+system = nmr.SpinSystem(2)
 seq_a, seq_b = nmr.pseudopure_cycle_sequences()
 for seq in (seq_a, seq_b):
     out = nmr.run(seq, system, rho_eq)

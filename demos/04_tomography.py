@@ -41,7 +41,7 @@ print(f"random-matrix round trip: max error "
 
 # ── 3) Tomography of a simulated transform output ───────────────────────
 
-system = nmr.chloroform()
+system = nmr.SpinSystem(2)
 seq = nmr.library_sequence("parallel-n2")
 rho_in = nmr.prepare_pseudopure_temporal_avg(system)
 rho_out = nmr.run(seq, system, rho_in, nmr.NoiseModel.uniform(2, 10.0))

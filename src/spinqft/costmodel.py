@@ -159,7 +159,7 @@ def t_serial_liquid(n: int, p: LiquidParams) -> CostBreakdown:
 def t_parallel(n: int, p) -> CostBreakdown:
     """Parallel-transform wall time: kappa*n/2, no pulse or SWAP terms.
 
-    Multiqubit gates evolve several couplings simultaneously, so only the
+    Multiqubit gates evolve several coupled pairs at once, so only the
     slowest (largest 2**(j-k), i.e. 1/2) counts per block.
     """
     if n < 1:

@@ -12,14 +12,18 @@ Rotation and coupling conventions
 ---------------------------------
 A pulse of flip angle theta and rf phase phi (0 = x, pi/2 = y, pi = -x,
 3*pi/2 = -y) applies exp(-i*theta*(Ix*cos(phi) + Iy*sin(phi))) on each
-addressed spin, with I = sigma/2.  A coupling delay applies
-exp(+i * 2*pi * sum_jk J_jk t_jk Iz_j Iz_k), and a z pulse expands to
-{90_-x}{theta_y}{90_x} = Rz(+theta): the one fixed calibration that makes
-every bundled sequence reproduce the transform exactly (the tests pin it
-with programs that mirror each other convention).  Spins are on
-resonance.  Delays act pair-by-pair as written (an idealization of the
-refocusing tricks that isolate one coupling on hardware), and pulses are
-instantaneous; durations matter only to the dephasing noise model.
+addressed spin, with I = sigma/2.  Every pair of spins is coupled at the
+one ``DEFAULT_J_HZ``, and a delay leg written 1/(m*J_jk) evolves its pair
+for 1/(m*J): it applies exp(+i * 2*pi/m * Iz_j Iz_k), whatever J is (the
+way NMR writes delays as fractions of 1/J; Vandersypen & Chuang, Rev.
+Mod. Phys. 76, 1037 (2005)).  A z pulse expands to {90_-x}{theta_y}{90_x}
+= Rz(+theta): the one fixed calibration that makes every bundled sequence
+reproduce the transform exactly (the tests pin it with programs that
+mirror each other convention).  Spins are on resonance.  Delays act
+pair-by-pair as written (an idealization of the refocusing tricks that
+isolate one coupling on hardware), and pulses are instantaneous.
+``element_seconds`` gives each element its wall time, which matters only
+to the dephasing noise model; it is the only place J enters.
 
 Each element kind is defined once, by its action ``a -> u @ a`` where
 the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
@@ -34,6 +38,7 @@ matrix twice, as ``u (u rho)^H``, then the element's dephasing channel.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -44,7 +49,6 @@ import numpy as np
 
 from .core import (
     MAX_QUBITS,
-    UNITARITY_TOL,
     DensityMatrix,
     UnitaryMatrix,
     _check_qubit_count,
@@ -59,7 +63,7 @@ PHASE_Y = math.pi / 2.0
 PHASE_MINUS_X = math.pi
 PHASE_MINUS_Y = 3.0 * math.pi / 2.0
 
-# chloroform-style defaults
+# the one scalar coupling, on every pair of spins, and the element times
 DEFAULT_J_HZ = 215.0
 SPIN_PULSE_SECONDS = 10e-6
 TRANSITION_PULSE_SECONDS = 6.5e-3
@@ -67,45 +71,12 @@ GAMMA_RATIO_H_TO_C = 3.976  # 1H/13C gyromagnetic ratio, thermal-weighting prese
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Weak-coupling spin system on resonance: pairwise scalar couplings in Hz."""
+    """``n`` weakly coupled spins on resonance, every pair coupled at ``DEFAULT_J_HZ``."""
 
     n: int
-    couplings: tuple  # ((j, k, J_hz), ...) with j < k
 
     def __post_init__(self):
         _check_qubit_count(self.n)
-        normalized = []
-        seen = set()
-        for j, k, jhz in self.couplings:
-            if j == k:
-                raise ValueError("coupling endpoints must differ")
-            j, k = (j, k) if j < k else (k, j)
-            if not (1 <= j < k <= self.n):
-                raise ValueError(f"coupling pair ({j}, {k}) outside 1..{self.n}")
-            if (j, k) in seen:
-                raise ValueError(f"duplicate coupling for pair ({j}, {k})")
-            seen.add((j, k))
-            normalized.append((j, k, float(jhz)))
-        object.__setattr__(self, "couplings", tuple(sorted(normalized)))
-
-    def coupling(self, j: int, k: int) -> float:
-        j, k = (j, k) if j < k else (k, j)
-        for a, b, jhz in self.couplings:
-            if (a, b) == (j, k):
-                return jhz
-        raise KeyError(f"no coupling defined for spin pair ({j}, {k})")
-
-
-def chloroform() -> SpinSystem:
-    """Two-spin 13C/1H system with the 215 Hz scalar coupling."""
-    return SpinSystem(2, ((1, 2, DEFAULT_J_HZ),))
-
-
-def default_system(n: int, j_hz: float = DEFAULT_J_HZ) -> SpinSystem:
-    """All-pairs equal-coupling system; symbolic delays make the evolved
-    unitaries independent of the actual J value."""
-    pairs = tuple((j, k, j_hz) for j in range(1, n + 1) for k in range(j + 1, n + 1))
-    return SpinSystem(n, pairs)
 
 
 # -- pulse elements ------------------------------------------------------
@@ -136,49 +107,27 @@ class TransitionPulse:
 
 
 @dataclass(frozen=True)
-class SymbolicDuration:
-    """Delay written as the fraction 1/(m * J_jk) of the pair's coupling."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("symbolic duration denominator must be >= 1")
-
-    def seconds(self, j_hz: float) -> float:
-        return 1.0 / (self.m * j_hz)
-
-
-@dataclass(frozen=True)
 class CouplingDelay:
-    """Free evolution under the named pairwise couplings.
+    """Free evolution of the named spin pairs under their coupling.
 
-    ``durations`` maps (j, k) to seconds or to a SymbolicDuration; several
-    pairs evolve simultaneously (the multiqubit-gate idealization).
+    ``legs`` is ((j, k, m), ...): the pair (j, k), j < k, evolves for
+    1/(m * J) with m a whole number >= 1; several pairs evolve
+    simultaneously (the multiqubit-gate idealization).
     """
 
-    durations: tuple  # ((j, k, SymbolicDuration | float), ...)
+    legs: tuple  # ((j, k, m), ...)
 
     def __post_init__(self):
-        if not self.durations:
+        if not self.legs:
             raise ValueError("delay must list at least one coupling pair")
         norm = []
-        for j, k, dur in self.durations:
+        for j, k, m in self.legs:
             if j == k:
                 raise ValueError("coupling endpoints must differ")
-            j, k = (j, k) if j < k else (k, j)
-            norm.append((int(j), int(k), dur))
-        object.__setattr__(self, "durations", tuple(norm))
-
-    def resolved(self, system: SpinSystem) -> list[tuple[int, int, float]]:
-        out = []
-        for j, k, dur in self.durations:
-            j_hz = system.coupling(j, k)  # raises for unknown pairs
-            t = dur.seconds(j_hz) if isinstance(dur, SymbolicDuration) else float(dur)
-            if t < 0:
-                raise ValueError("delay durations must be >= 0")
-            out.append((j, k, t))
-        return out
+            if not isinstance(m, numbers.Integral) or m < 1:
+                raise ValueError("delay denominator must be an integer >= 1")
+            norm.append((int(min(j, k)), int(max(j, k)), int(m)))
+        object.__setattr__(self, "legs", tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -215,13 +164,16 @@ def expand_composite_z(e: CompositeZ) -> list[SpinPulse]:
     return [SpinPulse((e.spin,), half, PHASE_MINUS_X), mid, SpinPulse((e.spin,), half, PHASE_X)]
 
 
-def _delay_phases(e: CouplingDelay, system: SpinSystem) -> np.ndarray:
-    """Diagonal of a coupling delay's unitary, one phase factor per basis state."""
-    n = system.n
+def _delay_phases(e: CouplingDelay, n: int) -> np.ndarray:
+    """Diagonal of a coupling delay's unitary, one phase factor per basis
+    state: a leg of 1/(m * J) adds 2*pi * J/(m * J) = 2*pi/m times
+    Iz_j * Iz_k, so J never enters."""
     iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
     phase = np.zeros(2 ** n)
-    for j, k, t in e.resolved(system):
-        phase += 2.0 * math.pi * system.coupling(j, k) * t * iz[j] * iz[k]
+    for j, k, m in e.legs:
+        if not 1 <= j < k <= n:
+            raise KeyError(f"no coupling defined for spin pair ({j}, {k})")
+        phase += 2.0 * math.pi / m * iz[j] * iz[k]
     return np.exp(1j * phase)
 
 
@@ -241,8 +193,9 @@ def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.nd
     (``core.apply_local``); a transition pulse rewrites the two rows of its
     basis pair; a coupling delay scales each row by its phase factor; a
     composite z applies its three rf pulses in time order.  Each 2x2
-    rotation is checked unitary, and each delay phase vector unit-modulus,
-    to 1e-10, once, when the action is built.
+    rotation is checked unitary to 1e-10, once, when the action is built;
+    a delay's phases 2*pi/m * (+-1/4) are finite, so its factors are
+    unit-modulus by construction.
     """
     n = system.n
     if isinstance(e, SpinPulse):
@@ -258,9 +211,7 @@ def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.nd
             return out
         return rotate_pair
     if isinstance(e, CouplingDelay):
-        p = _delay_phases(e, system)
-        if not np.max(np.abs(np.abs(p) - 1.0)) <= UNITARITY_TOL:  # NaN fails
-            raise ValueError("delay phase factors are not unit-modulus within 1e-10")
+        p = _delay_phases(e, n)
         return lambda a: p[:, None] * a
     if isinstance(e, CompositeZ):
         pulses = [_action(p, system) for p in expand_composite_z(e)]
@@ -300,16 +251,28 @@ def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem) -> 
     return act(act(rho).conj().T)
 
 
-# -- dephasing noise ------------------------------------------------------
+# -- element time and dephasing noise ---------------------------------------
+
+def element_seconds(e: PulseElement) -> float:
+    """Wall time of one element: ``SPIN_PULSE_SECONDS`` per spin pulse (three
+    for a composite z), ``TRANSITION_PULSE_SECONDS``, or the longest leg
+    1/(m * J) of a delay.  The only place J enters the pulse model."""
+    if isinstance(e, SpinPulse):
+        return SPIN_PULSE_SECONDS
+    if isinstance(e, TransitionPulse):
+        return TRANSITION_PULSE_SECONDS
+    if isinstance(e, CompositeZ):
+        return 3.0 * SPIN_PULSE_SECONDS
+    if isinstance(e, CouplingDelay):
+        return max(1.0 / (m * DEFAULT_J_HZ) for _, _, m in e.legs)
+    raise TypeError(f"unknown pulse element {e!r}")
+
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-spin pure dephasing (rate 1/T2 in Hz) during timed elements.
-
-    Instantaneous-pulse elements are assigned the wall times
-    ``SPIN_PULSE_SECONDS`` and ``TRANSITION_PULSE_SECONDS`` so that every
-    element damps single-spin coherence by exp(-rate * time).  Zero rates
-    reproduce the exact unitary channel.
+    """Per-spin pure dephasing (rate 1/T2 in Hz) during each element's
+    ``element_seconds``: every element damps single-spin coherence by
+    exp(-rate * time).  Zero rates reproduce the exact unitary channel.
     """
 
     rates: tuple
@@ -323,17 +286,6 @@ class NoiseModel:
     @classmethod
     def uniform(cls, n: int, rate_hz: float) -> "NoiseModel":
         return cls((float(rate_hz),) * n)
-
-    def element_seconds(self, e: PulseElement, system: SpinSystem) -> float:
-        if isinstance(e, SpinPulse):
-            return SPIN_PULSE_SECONDS
-        if isinstance(e, TransitionPulse):
-            return TRANSITION_PULSE_SECONDS
-        if isinstance(e, CompositeZ):
-            return 3.0 * SPIN_PULSE_SECONDS
-        if isinstance(e, CouplingDelay):
-            return max(t for _, _, t in e.resolved(system))
-        raise TypeError(f"unknown pulse element {e!r}")
 
     def damping_matrix(self, n: int, seconds: float) -> np.ndarray:
         if len(self.rates) != n:
@@ -366,7 +318,7 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
     state = np.array(rho.entries)
     for e in seq.elements:
         state = _conjugate_element(state, e, system)
-        t = noise.element_seconds(e, system)
+        t = element_seconds(e)
         if t not in damping:
             damping[t] = noise.damping_matrix(system.n, t)
         state = state * damping[t]  # Schur-product dephasing channel
@@ -381,7 +333,7 @@ def thermal_deviation(a: float = 1.0, b: float = 1.0) -> DensityMatrix:
     return DensityMatrix(2, np.diag(diag.astype(complex)), traceless=True)
 
 
-def prepare_pseudopure_temporal_avg(system: SpinSystem | None = None,
+def prepare_pseudopure_temporal_avg(system: SpinSystem = SpinSystem(2),
                                     a: float = 1.0, b: float = 1.0) -> DensityMatrix:
     """Average of three experiments mapping a*Iz1 + b*Iz2 to pseudopure |00>.
 
@@ -390,8 +342,6 @@ def prepare_pseudopure_temporal_avg(system: SpinSystem | None = None,
     sequence A, sequence B) is proportional to |00><00| - I/4 for any
     non-negative weights: 2*(a+b)/3 times that projector deviation.
     """
-    if system is None:
-        system = chloroform()
     if system.n != 2:
         raise ValueError("temporal-averaging preparation is defined for two spins")
     rho_eq = thermal_deviation(a, b)
@@ -444,36 +394,48 @@ def _radians(degrees: str) -> float:
     return angle
 
 
+def _label(digits: str, top: int, what: str) -> int:
+    """A spin or transition label; ``ValueError`` above ``top``.  The digit
+    count decides first, so ``int()`` never reads a long digit string."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(top)) or int(digits) > top:
+        raise ValueError(f"{what} label above {top}")
+    return int(digits)
+
+
 def _parse_token(token: str) -> PulseElement:
     """One DSL token as its element; ``ValueError`` for what it cannot be."""
     m = _DELAY_RE.match(token)
     if m:
         spec = m.group("spec")
         braced = spec.startswith("{") and spec.endswith("}")
-        durations = []
+        legs = []
         for part in _LEG_COMMA_RE.split(spec[1:-1]) if braced else [spec]:
             pm = _DELAY_PART_RE.match(part)
             if not pm:
                 raise ValueError(f"bad delay spec {part!r}")
-            if not math.isfinite(float(pm.group("m"))):
+            count = pm.group("m").lstrip("0") or "0"
+            if not math.isfinite(float(count)):
                 raise ValueError("delay denominator is too large for a float")
             j, k = pm.group("pair")[1:-1].split(",") if "," in part else pm.group("pair")
-            durations.append((int(j), int(k), SymbolicDuration(int(pm.group("m")))))
-        return CouplingDelay(tuple(durations))
+            legs.append((_label(j, MAX_QUBITS, "spin"), _label(k, MAX_QUBITS, "spin"), int(count)))
+        return CouplingDelay(tuple(legs))
     m = _Z_RE.match(token)
     if m:
-        return CompositeZ(int(m.group("spin")), _radians(m.group("angle")))
+        return CompositeZ(_label(m.group("spin"), MAX_QUBITS, "spin"), _radians(m.group("angle")))
     m = _PULSE_RE.match(token)
     if m:
         angle = _radians(m.group("angle"))
         phase = _PHASES[(m.group("sign"), m.group("axis"))]
         targets = m.group("targets")
         if _SPIN_LIST_RE.match(targets):
-            spins = tuple(int(s[1:]) for s in targets.split(","))
+            spins = tuple(_label(s[1:], MAX_QUBITS, "spin") for s in targets.split(","))
             return SpinPulse(spins, angle, phase)
         tm = _TRANSITION_RE.match(targets)
         if tm:
-            return TransitionPulse(int(tm.group("from")), int(tm.group("to")), angle, phase)
+            top = 2 ** MAX_QUBITS
+            return TransitionPulse(_label(tm.group("from"), top, "transition"),
+                                   _label(tm.group("to"), top, "transition"), angle, phase)
         raise ValueError(f"bad pulse target {targets!r}")
     raise ValueError(f"unrecognized token {token!r}")
 
@@ -547,8 +509,8 @@ def format_element(e: PulseElement) -> str:
     back as the same element.
 
     Raises ``ValueError`` for what the DSL cannot write: an rf phase other
-    than x, y, -x, -y, a negative or non-finite pulse angle, or a numeric
-    delay.  A delay pair with a spin above 9 is written ``J(j,k)``.
+    than x, y, -x, -y, or a negative or non-finite pulse angle.  A delay
+    pair with a spin above 9 is written ``J(j,k)``.
     """
     if isinstance(e, SpinPulse) or isinstance(e, TransitionPulse):
         phase_txt = _PHASE_TEXT.get(e.phase % (2 * math.pi))
@@ -563,12 +525,8 @@ def format_element(e: PulseElement) -> str:
     if isinstance(e, CompositeZ):
         return f"z{_degrees_text(e.angle)}@s{e.spin}"
     if isinstance(e, CouplingDelay):
-        parts = []
-        for j, k, dur in e.durations:  # j < k
-            if not isinstance(dur, SymbolicDuration):
-                raise ValueError("only symbolic delays have a DSL form")
-            pair = f"{j}{k}" if k <= 9 else f"({j},{k})"  # J110 would not read as (1, 10)
-            parts.append(f"1/({dur.m}*J{pair})")
+        # J110 would not read as (1, 10): a spin above 9 needs the J(j,k) form
+        parts = [f"1/({m}*J{j}{k})" if k <= 9 else f"1/({m}*J({j},{k}))" for j, k, m in e.legs]
         body = parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}"
         return f"delay:{body}"
     raise TypeError(f"unknown pulse element {e!r}")
@@ -609,5 +567,5 @@ def pseudopure_cycle_sequences() -> tuple[PulseSequence, PulseSequence]:
 
 
 def system_for_sequence(seq: PulseSequence) -> SpinSystem:
-    """Convenience: the default equal-coupling system matching a sequence."""
-    return chloroform() if seq.n == 2 else default_system(seq.n)
+    """The spin system a sequence runs on: its spin count."""
+    return SpinSystem(seq.n)

@@ -68,7 +68,7 @@ def all_experiments(n: int) -> list[ReadoutExperiment]:
 def readout_unitary(e: ReadoutExperiment) -> np.ndarray:
     """Product of the per-qubit 90-degree readout pulses."""
     n = e.n
-    system = SpinSystem(n, ())
+    system = SpinSystem(n)
     out = np.eye(2 ** n, dtype=complex)
     for j, p in enumerate(e.pulses, start=1):
         if p == "i":

@@ -54,6 +54,20 @@ def z_template(spin: int, angle: float, template: str) -> tuple:
     return (x90, mid, x90)
 
 
+def serial_program_text(n: int) -> str:
+    """The serial transform on ``n`` spins (at most 9) as DSL text: per spin
+    m, a coupling interval and z-correction sandwich for each later spin k,
+    then the composite Hadamard on m."""
+    tokens = []
+    for m in range(n, 0, -1):
+        for k in range(n, m, -1):
+            d = k - m
+            tokens += [f"delay:1/({2 ** (d + 1)}*J{m}{k})", f"90y@s{m},s{k}",
+                       f"{90.0 / 2 ** d:g}x@s{m},s{k}", f"90-y@s{m},s{k}"]
+        tokens += [f"45y@s{m}", f"180x@s{m}", f"45-y@s{m}"]
+    return f"name: serial-{n}\nn: {n}\n" + " ".join(tokens) + "\n"
+
+
 def random_traceless_hermitian(n: int, rng: np.random.Generator) -> core.DensityMatrix:
     dim = 2 ** n
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from importlib import resources
 
@@ -20,11 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import serial_program_text
+
 from spinqft import cli, nmr
 
 
 SCHEMA = json.loads(
     resources.files("spinqft.schema").joinpath("cli-output.schema.json").read_text())
+
+
+TOMO_CAP_LINE = ("spinqft: error: --tomography reads out at most 4 spins, "
+                 "the sequence has {n}")
 
 
 def run_cli(args, capsys):
@@ -210,6 +217,37 @@ class TestSimulate:
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1] == (
             f"spinqft: error: cannot read {path}: Permission denied")
+
+    def test_label_above_the_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "long-label.seq"
+        path.write_text(f"n: 2\n90y@s1  90x@s{'1' * 400}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"spinqft: error: cannot parse {path}: line 2, column 9: spin label above 12")
+
+    def test_tomography_above_the_cap_exits_2_before_any_work(self, capsys, tmp_path,
+                                                               monkeypatch):
+        n = cli.TOMO_MAX_QUBITS + 1
+        path = tmp_path / f"serial-{n}.seq"
+        path.write_text(serial_program_text(n))
+
+        def no_work(*args):
+            raise AssertionError("simulated past the size cap")
+
+        monkeypatch.setattr(nmr, "run", no_work)
+        monkeypatch.setattr(nmr, "system_for_sequence", no_work)
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path), "--tomography"])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1:] == [TOMO_CAP_LINE.format(n=n)]
 
     def test_unknown_coupling_message_has_no_quotes(self, capsys, tmp_path):
         path = tmp_path / "spin0.seq"
@@ -524,6 +562,25 @@ class TestClosedStdout:
         assert done.stderr == "spinqft: error: cannot write stdout: Bad file descriptor\n"
 
 
+class TestBlasThreads:
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # each command runs in a child at one BLAS thread and at the default count
+        (tmp_path / "serial-7.seq").write_text(serial_program_text(7))
+        commands = [["verify", "--n", "9", "--decomp", "serial"],
+                    ["verify", "--n", "9", "--decomp", "parallel"],
+                    ["simulate", "--sequence", "serial-7.seq"],
+                    ["simulate", "--sequence", "serial-7.seq", "--t2", "0.05"]]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        default = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        default["PYTHONPATH"] = src
+        for args in commands:
+            outs = [subprocess.run([sys.executable, "-m", "spinqft.cli", *args], cwd=tmp_path,
+                                   env=env, capture_output=True, timeout=120, check=True).stdout
+                    for env in (dict(default, OPENBLAS_NUM_THREADS="1"), default)]
+            assert outs[0] and outs[0] == outs[1], args
+
+
 SEEDS = st.integers(0, 2 ** 32)
 
 
@@ -573,12 +630,14 @@ class SeqText(str):
 
 
 # mostly well-formed tokens on spins 1..3, with digit strings too large for a
-# float, unknown pairs, spins past 9 and past n, and zero denominators mixed in
+# float, labels of thousands of digits, unknown pairs, spins past 9 and past
+# n, and zero denominators mixed in
 HUGE = st.sampled_from(["9" * 309, "9" * 400, "1" + "0" * 308])
+LONG_LABEL = st.sampled_from(["1" * 5000, "0" * 4999 + "1", "9" * 400, "0" * 5000 + "13"])
 ANGLE = (HUGE | st.sampled_from(["9" * 400 + ".5", "22.5", "0.000001"])
          | st.integers(0, 720).map(str))
-COUNT = HUGE | st.integers(0, 64).map(str)
-SPIN = st.sampled_from("123") | st.integers(0, 13).map(str)
+COUNT = HUGE | LONG_LABEL | st.integers(0, 64).map(str)
+SPIN = st.sampled_from("123") | LONG_LABEL | st.integers(0, 13).map(str)
 PAIR = st.sampled_from(["12", "13", "23"]) | st.builds("{}{}".format, st.integers(0, 9),
                                                        st.integers(0, 9))
 SIGN = st.sampled_from(["", "-"])
@@ -591,6 +650,17 @@ FUZZED_TOKENS = st.one_of(
 )
 FUZZED_SEQUENCES = st.builds(lambda n, tokens: SeqText(f"n: {n}\n" + " ".join(tokens) + "\n"),
                              st.integers(1, 3), st.lists(FUZZED_TOKENS, min_size=1, max_size=4))
+# tokens that parse at any n, so that a large n reaches the tomography size cap
+PARSING_TOKENS = st.one_of(
+    st.builds("{}{}@s{}".format, st.integers(0, 720), st.sampled_from(["x", "-y"]),
+              st.integers(1, 12)),
+    st.builds("z{}@s{}".format, st.integers(-720, 720), st.integers(1, 12)),
+    st.builds("delay:1/({}*J({},{}))".format, st.integers(1, 64), st.integers(1, 6),
+              st.integers(7, 12)),
+)
+LARGE_SEQUENCES = st.builds(lambda n, tokens: SeqText(f"n: {n}\n" + " ".join(tokens) + "\n"),
+                            st.integers(cli.TOMO_MAX_QUBITS + 1, nmr.MAX_QUBITS),
+                            st.lists(PARSING_TOKENS, min_size=1, max_size=4))
 # the same commands over out-of-range, non-finite and extreme values too
 FUZZED_ARGV = st.one_of(
     st.builds(verify_argv, st.integers(-1, 4), st.sampled_from(["serial", "parallel",
@@ -604,6 +674,9 @@ FUZZED_ARGV = st.one_of(
     st.builds(tomo_argv, st.integers(1, 4), st.integers(-1, 3), st.integers(-2, 2 ** 64)),
     st.builds(simulate_argv, FUZZED_SEQUENCES, st.just(0.0) | st.floats(1e-3, 10.0),
               st.booleans(), st.booleans(), SEEDS),
+    # a large n only ever with --tomography, which must refuse it
+    st.builds(simulate_argv, LARGE_SEQUENCES, st.just(0.0) | st.floats(1e-3, 10.0),
+              st.just(True), st.booleans(), SEEDS),
 )
 
 NON_FINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -638,6 +711,7 @@ class TestProperties:
     @given(FUZZED_ARGV)
     def test_fuzzed_main_returns_0_1_or_exits_2(self, tmp_path_factory, argv):
         from_file = isinstance(argv[2], SeqText)
+        n = int(argv[2].split("\n", 1)[0][3:]) if from_file else 0
         if from_file:
             seq = tmp_path_factory.getbasetemp() / "fuzzed.seq"
             seq.write_text(argv[2])
@@ -645,8 +719,11 @@ class TestProperties:
         code, out, err = run_main(argv)
         assert code in (0, 1, 2)
         assert NON_FINITE_TEXT.search(out) is None
-        if code == 2:
+        if n > cli.TOMO_MAX_QUBITS:  # drawn only with --tomography
+            assert (code, out, err.splitlines()[-1:]) == (2, "", [TOMO_CAP_LINE.format(n=n)])
+        elif code == 2:
             assert out == ""
             assert (SEQUENCE_ERROR if from_file else USAGE_ERROR).match(err.splitlines()[-1])
+            assert len(err.splitlines()[-1]) < 300  # no label of hundreds of digits echoed
         elif argv[0] != "cost" or "json" in argv:
             validate(json.loads(out))

@@ -75,14 +75,14 @@ def test_gate_unitary_matches_per_basis_reference(gate, n, expected):
 
 
 def one_spin_rotation(angle, phase):
-    return nmr.element_unitary(nmr.SpinPulse((1,), angle, phase), nmr.SpinSystem(1, ())).entries
+    return nmr.element_unitary(nmr.SpinPulse((1,), angle, phase), nmr.SpinSystem(1)).entries
 
 
 @pytest.mark.parametrize("n,spins", [(2, (2,)), (3, (1, 3)), (4, (2, 3, 4)), (4, (1, 2, 3, 4))])
 def test_spin_pulse_matches_per_basis_reference(n, spins):
     pulse = nmr.SpinPulse(spins, 1.1, 0.4)
     expected = reference_product(n, dict.fromkeys(spins, one_spin_rotation(1.1, 0.4)))
-    got = nmr.element_unitary(pulse, nmr.SpinSystem(n, ())).entries
+    got = nmr.element_unitary(pulse, nmr.SpinSystem(n)).entries
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
@@ -106,7 +106,7 @@ def single_quantum_transitions(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transition_pulse_matches_per_basis_reference(n):
     r = rotation(0.9, 2.2)
-    system = nmr.SpinSystem(n, ())
+    system = nmr.SpinSystem(n)
     for a, b in single_quantum_transitions(n):
         expected = np.eye(2 ** n, dtype=complex)
         for row, c in enumerate((a, b)):
@@ -131,7 +131,7 @@ def test_composite_z_matches_per_basis_reference(n, angle, template):
     first, last = COMPOSITE_Z_TEMPLATES[template]
     mid = rotation(abs(angle), math.pi / 2 if angle >= 0 else 3 * math.pi / 2)
     sandwich = rotation(math.pi / 2, last) @ mid @ rotation(math.pi / 2, first)
-    system = nmr.SpinSystem(n, ())
+    system = nmr.SpinSystem(n)
     for spin in range(1, n + 1):
         program = nmr.PulseSequence("z", n, z_template(spin, angle, template))
         np.testing.assert_allclose(nmr.sequence_unitary(program, system).entries,
@@ -141,27 +141,29 @@ def test_composite_z_matches_per_basis_reference(n, angle, template):
 
 @pytest.mark.parametrize("coupling_sign", [1, -1])
 def test_coupling_delay_matches_per_basis_reference(coupling_sign):
+    # a leg (j, k, m) evolves for 1/(m*J), a phase 2*pi*J*t = 2*pi/m on Iz_j*Iz_k;
     # the calibrated sign is -1 (exponent +i); +1 is the delay refocused on
     # a set of spins that every leg has exactly one end in, which also
     # multiplies it by (-i sigma_x)**2 = -1 per refocused spin
     n = 4
-    system = nmr.SpinSystem(n, ((1, 2, 215.0), (1, 4, 37.5), (2, 3, 120.0), (3, 4, 80.0)))
-    for legs, spins in ((((1, 2, nmr.SymbolicDuration(4)), (1, 4, 0.003), (3, 4, 0.001)), (1, 3)),
-                        (((2, 3, nmr.SymbolicDuration(8)), (1, 2, 0.0021)), (2,))):
-        delay = nmr.CouplingDelay(legs)
+    system = nmr.SpinSystem(n)
+    for legs, spins in ((((1, 2, 4), (1, 4, 3), (3, 4, 12)), (1, 3)),
+                        (((2, 3, 8), (1, 2, 1)), (2,)),
+                        (((1, 2, 1), (1, 3, 5), (1, 4, 12), (1, 3, 2)), (1,)),
+                        (((2, 4, 7), (1, 2, 1000)), (2,))):
 
         def iz(a, j):
             return 0.5 if bit(a, j, n) == 0 else -0.5
 
-        phases = [-sum(coupling_sign * 2 * math.pi * system.coupling(j, k) * t
-                       * iz(a, j) * iz(a, k) for j, k, t in delay.resolved(system))
-                  for a in range(2 ** n)]
+        phases = [-sum(coupling_sign * 2 * math.pi / m * iz(a, j) * iz(a, k)
+                       for j, k, m in legs) for a in range(2 ** n)]
+        delay = nmr.CouplingDelay(legs)
         program, sign = (delay,), 1
         if coupling_sign == 1:
             program, sign = refocused(delay, spins), (-1) ** len(spins)
         got = nmr.sequence_unitary(nmr.PulseSequence("delay", n, program), system).entries
         np.testing.assert_allclose(got, sign * np.diag(np.exp(1j * np.array(phases))),
-                                   rtol=0, atol=1e-12)
+                                   rtol=0, atol=1e-12, err_msg=str(legs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -43,7 +43,7 @@ class TestCalibrationIsLoadBearing:
         # runs as under the opposite coupling sign: each delay conjugated
         mirror = with_replaced("serial-n2", "delay:1/(4*J12)", "180x@s1 delay:1/(4*J12) 180x@s1")
         assert sequence_fidelity(mirror) == pytest.approx(1 / 3, abs=1e-9)
-        system = nmr.chloroform()
+        system = nmr.SpinSystem(2)
         flipped = np.eye(4)
         for e in nmr.library_sequence("serial-n2").elements:
             u = nmr.element_unitary(e, system).entries
@@ -123,7 +123,7 @@ class TestDelayTokenErrors:
 
     def test_delay_on_one_spin_is_refused(self):
         with pytest.raises(ValueError, match="differ"):
-            nmr.CouplingDelay(((2, 2, 0.001),))
+            nmr.CouplingDelay(((2, 2, 4),))
 
 
 NINES = "9" * 400  # parses as an int, but as a float only to inf
@@ -146,15 +146,41 @@ class TestNumbersTooLargeForAFloat:
     def test_largest_float_denominator_is_a_zero_delay(self):
         m = int(1.7976931348623157e308)
         (e,) = nmr.parse_sequence(f"n: 2\ndelay:1/({m}*J12)\n").elements
-        assert e.resolved(nmr.chloroform()) == [(1, 2, 0.0)]
+        assert e.legs == ((1, 2, m),)
+        assert nmr.element_seconds(e) == 0.0
 
 
-class TestCouplingValueIndependence:
-    def test_symbolic_delays_make_unitary_j_independent(self):
-        seq = nmr.library_sequence("serial-n3")
-        u_a = nmr.sequence_unitary(seq, nmr.default_system(3, 215.0)).entries
-        u_b = nmr.sequence_unitary(seq, nmr.default_system(3, 50.0)).entries
-        np.testing.assert_allclose(u_a, u_b, atol=1e-12)
+LONG = "1" * 5000  # more digits than int() converts
+
+
+class TestLabelsAboveTheCap:
+    # a spin or pair label above MAX_QUBITS (12), or a transition label
+    # above 2**12, is refused at its token, before int() reads its digits
+    @pytest.mark.parametrize("token,message", [
+        (f"90x@s{LONG}", "spin label above 12"),
+        (f"90x@s1,s{'1' * 400}", "spin label above 12"),
+        ("90x@s13", "spin label above 12"),
+        (f"z45@s{'9' * 400}", "spin label above 12"),
+        (f"delay:1/(4*J(1,{LONG}))", "spin label above 12"),
+        (f"delay:{{1/(4*J12),1/(2*J({'7' * 400},2))}}", "spin label above 12"),
+        (f"90x@t{LONG}-2", "transition label above 4096"),
+        ("90-y@t1-4097", "transition label above 4096"),
+    ], ids=["spin-5000-digits", "spin-400-digits", "spin-13", "z-spin", "pair-5000-digits",
+            "pair-in-list", "transition-5000-digits", "transition-4097"])
+    def test_label_above_the_cap_reports_position(self, token, message):
+        with pytest.raises(nmr.SequenceParseError, match=message) as exc:
+            nmr.parse_sequence(f"n: 2\n90y@s1 {token}\n")
+        assert (exc.value.line, exc.value.column) == (2, 8)
+        assert len(str(exc.value)) < 80
+
+    def test_leading_zeros_are_not_digits(self):
+        zeros = "0" * 5000
+        text = (f"n: 12\n90x@s{zeros}12 z45@s{zeros}1 90x@t{zeros}4096-{zeros}4095 "
+                f"delay:1/({zeros}4*J({zeros}1,{zeros}12))\n")
+        pulse, z, transition, delay = nmr.parse_sequence(text).elements
+        assert pulse.spins == (12,) and z.spin == 1
+        assert (transition.from_label, transition.to_label) == (4096, 4095)
+        assert delay.legs == ((1, 12, 4),)
 
 
 class TestNoiseDegradation:

@@ -166,7 +166,7 @@ class TestFidelity:
 
     def test_retention_monotone_under_dephasing(self):
         seq = nmr.library_sequence("selective-n2")
-        system = nmr.chloroform()
+        system = nmr.SpinSystem(2)
         rho0 = nmr.prepare_pseudopure_temporal_avg(system)
         target = core.conjugate(core.UnitaryMatrix(
             2, core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries), rho0)
