@@ -42,11 +42,11 @@ if TYPE_CHECKING:
 VERIFY_TOL = 1e-10
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
-# a verify child at the cap takes about 1.5 s (2-CPU container), half of it the oracle loop
+# a verify child at the cap takes about 1.1 s (2-CPU container), 0.25-0.5 s of it the oracle loop
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000
-# a tomo-roundtrip --n 3 child at the cap takes about 8.5 s and 136 MiB (2-CPU container)
+# a tomo-roundtrip --n 3 child at the cap takes about 1 s and 136 MiB (2-CPU container)
 TOMO_MAX_SAMPLES = 5_000
 # a simulate --tomography child took 1.45 s at n = 4 and 17.5 s, 998 MiB at n = 5 (2-CPU container)
 TOMO_MAX_QUBITS = 4
@@ -291,10 +291,8 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
         h -= np.trace(h) / dim * np.eye(dim)
         states.append(core.DensityMatrix(args.n, h, traceless=True).entries)
     readouts = tomography.measure_all(np.array(states))  # one readout of the whole stack
-    worst = 0.0
-    for rho, values in zip(states, readouts):
-        recon = tomography.reconstruct(values, args.n)
-        worst = max(worst, float(np.max(np.abs(recon.entries - rho))))
+    recons = tomography.reconstruct(readouts, args.n)  # and one solve
+    worst = max(float(np.max(np.abs(r.entries - rho))) for r, rho in zip(recons, states))
     passed = worst <= TOMO_TOL
     doc = {
         "command": "tomo-roundtrip",

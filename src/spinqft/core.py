@@ -9,9 +9,17 @@ the 2**n x 2**n matrix) and ``qubit_bits`` (one qubit's bit across all
 basis indices) are the only places outside the oracle that apply this
 ordering; ``embed``, the dense matrix of local operators, is
 ``apply_local`` applied to the identity.  Every gate, pulse, observable
-and noise channel in the package is built on them.  The Fourier matrix
-built here by a direct double loop is the independent oracle that every
-circuit- and pulse-level construction in the package is checked against.
+and noise channel in the package is built on them.  A one-qubit operator
+is one broadcast matrix product; a multi-qubit one is applied row by
+row with elementwise products only, so a controlled phase scales a
+quarter of the array and a root-CNOT rewrites only its control = 1 half.
+
+The Fourier matrix built here by a direct scalar double loop is the
+independent oracle that every circuit- and pulse-level construction in
+the package is checked against.  Entry (c, a) is read from a table of
+the 2**n roots exp(2*pi*i*t/2**n)/sqrt(2**n) at the exactly reduced
+integer index t = a*c mod 2**n, so no entry carries the roundoff of a
+large exp argument.
 """
 
 from __future__ import annotations
@@ -162,6 +170,42 @@ def _local_qubits(n: int, factors: dict) -> list[tuple]:
     return keys
 
 
+def _apply_rows(src: np.ndarray, f: np.ndarray, axes: list) -> np.ndarray:
+    """``f`` applied to the keyed qubit ``axes`` of ``src``, row by row.
+
+    For each output pattern r of the keyed qubits (the first axis most
+    significant), the slice of the result at r is the sum over the
+    nonzero entries f[r, s] of f[r, s] times the slice of ``src`` at s: an
+    identity row is a plain copy, so a diagonal gate is one multiply per
+    non-identity row and a controlled gate touches only its control = 1
+    rows.  Elementwise ufuncs only, no BLAS call; ``src`` is not written.
+    """
+    k = len(axes)
+
+    def part(arr, r):
+        index = [slice(None)] * arr.ndim
+        for i, ax in enumerate(axes):
+            index[ax] = (r >> (k - 1 - i)) & 1
+        return arr[tuple(index)]
+
+    out = np.empty_like(src)
+    scratch = None
+    for r, row in enumerate(f):
+        dst = part(out, r)
+        cols = np.flatnonzero(row).tolist()
+        if cols == [r] and row[r] == 1:
+            dst[...] = part(src, r)
+            continue
+        if not cols:
+            dst[...] = 0
+            continue
+        np.multiply(part(src, cols[0]), row[cols[0]], out=dst)
+        for s in cols[1:]:
+            scratch = np.multiply(part(src, s), row[s], out=scratch)
+            dst += scratch
+    return out
+
+
 def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
     """``embed(n, factors) @ a`` without building the 2**n x 2**n matrix.
 
@@ -172,9 +216,11 @@ def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
     commute.  Axis 0 of ``a`` (length 2**n) is split into the keyed
     qubits' axes and the blocks of qubits between them, qubit 1 most
     significant, with the other axes of ``a`` folded into the last block;
-    a 2x2 is one broadcast matrix product on its qubit's axis and a larger
-    operator one contraction over its qubits' axes.  Returns a new complex
-    array of the shape of ``a``.
+    a 2x2 is one broadcast matrix product on its qubit's axis, and a
+    larger operator is applied row by row to a C-ordered view of its
+    qubits' axes (``_apply_rows``: elementwise, skipping zero entries).
+    Returns a new complex array of the shape of ``a``; ``a`` is not
+    written.
     """
     keys = _local_qubits(n, factors)
     out = np.asarray(a, dtype=complex)
@@ -190,11 +236,8 @@ def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
         for j in qubits:
             dims += [2 ** (j - prev - 1), 2]
             prev = j
-        k = len(qubits)
-        axes = list(range(1, 2 * k, 2))
-        out = np.tensordot(np.reshape(f, (2,) * (2 * k)), out.reshape(dims + [out.size >> prev]),
-                           axes=(list(range(k, 2 * k)), axes))
-        out = np.moveaxis(out, range(k), axes)
+        out = _apply_rows(out.reshape(dims + [out.size >> prev]), np.asarray(f),
+                          list(range(1, 2 * len(qubits), 2)))
     return out.reshape(shape) if factors else out.copy()
 
 
@@ -233,16 +276,20 @@ def transition_states(r: int, s: int, n: int) -> tuple[int, int]:
 def dft_oracle(n: int) -> UnitaryMatrix:
     """Discrete-Fourier matrix with entry (c, a) = exp(2*pi*i*a*c/q)/sqrt(q).
 
-    Built with a literal scalar double loop: this function is the
+    Built with a literal per-entry scalar double loop: this function is the
     independent brute-force oracle for all circuit verification, so it
-    deliberately avoids any shared machinery.
+    deliberately avoids any shared machinery.  Entry (c, a) is read from a
+    table of the q roots ``w[t] = exp(2*pi*i*t/q)/sqrt(q)`` at the exactly
+    reduced integer index ``t = a*c % q``, so each entry is one ``cmath.exp``
+    of an argument below 2*pi and carries no roundoff from a large a*c.
     """
     _check_qubit_count(n)
     q = 2 ** n
+    w = [cmath.exp(2j * cmath.pi * t / q) / cmath.sqrt(q) for t in range(q)]
     m = np.empty((q, q), dtype=complex)
     for c in range(q):
         for a in range(q):
-            m[c, a] = cmath.exp(2j * cmath.pi * a * c / q) / cmath.sqrt(q)
+            m[c, a] = w[a * c % q]
     return UnitaryMatrix(n, m)
 
 

@@ -32,7 +32,8 @@ phase per row for a delay).  ``element_unitary`` is that action applied
 to the identity.  A noiseless ``run`` conjugates by the dense
 ``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
 element unitary: it applies each element's action to the density
-matrix twice, as ``u (u rho)^H``, then the element's dephasing channel.
+matrix twice, as ``u (u rho)^H`` (a delay as one Schur product with
+``outer(p, conj(p))``), then the element's dephasing channel.
 """
 
 from __future__ import annotations
@@ -245,7 +246,11 @@ def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem) -> 
     """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
     ``rho``, without the 2**n x 2**n unitary: the element's action applied
     twice, to ``rho`` and then to ``(u rho)^H``, since
-    ``u (u rho)^H = u rho u^H``."""
+    ``u (u rho)^H = u rho u^H``.  A coupling delay, ``u = diag(p)``, is
+    one Schur product with ``outer(p, conj(p))`` instead."""
+    if isinstance(e, CouplingDelay):
+        p = _delay_phases(e, system.n)
+        return rho * np.outer(p, p.conj())
     act = _action(e, system)
     # one expression, so that u rho is freed before the second pass allocates
     return act(act(rho).conj().T)
@@ -394,6 +399,15 @@ def _radians(degrees: str) -> float:
     return angle
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message: whole up to 40 characters, else
+    its first 40 and its length, so one bad token of any size gives a
+    short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _label(digits: str, top: int, what: str) -> int:
     """A spin or transition label; ``ValueError`` above ``top``.  The digit
     count decides first, so ``int()`` never reads a long digit string."""
@@ -413,7 +427,7 @@ def _parse_token(token: str) -> PulseElement:
         for part in _LEG_COMMA_RE.split(spec[1:-1]) if braced else [spec]:
             pm = _DELAY_PART_RE.match(part)
             if not pm:
-                raise ValueError(f"bad delay spec {part!r}")
+                raise ValueError(f"bad delay spec {_shown(part)}")
             count = pm.group("m").lstrip("0") or "0"
             if not math.isfinite(float(count)):
                 raise ValueError("delay denominator is too large for a float")
@@ -436,8 +450,8 @@ def _parse_token(token: str) -> PulseElement:
             top = 2 ** MAX_QUBITS
             return TransitionPulse(_label(tm.group("from"), top, "transition"),
                                    _label(tm.group("to"), top, "transition"), angle, phase)
-        raise ValueError(f"bad pulse target {targets!r}")
-    raise ValueError(f"unrecognized token {token!r}")
+        raise ValueError(f"bad pulse target {_shown(targets)}")
+    raise ValueError(f"unrecognized token {_shown(token)}")
 
 
 def parse_sequence(text: str, name: str = "") -> PulseSequence:
@@ -461,7 +475,7 @@ def parse_sequence(text: str, name: str = "") -> PulseSequence:
                 n = 0
             if not 1 <= n <= MAX_QUBITS:
                 raise SequenceParseError(
-                    f"spin count must be an integer in [1, {MAX_QUBITS}], got {value!r}",
+                    f"spin count must be an integer in [1, {MAX_QUBITS}], got {_shown(value)}",
                     lineno, line.index("n:") + 1)
             continue
         if stripped.startswith("name:"):

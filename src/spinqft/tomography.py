@@ -6,7 +6,8 @@ expectation values of the single-quantum observables of every spin
 (I_x^j and I_y^j dressed by every z-product over the other spins).
 ``measure`` reads one state or a stack of states; the design matrix is
 that readout applied to the stack of non-identity Pauli strings.
-Reconstruction is plain linear inversion of the design matrix, which is
+Reconstruction is plain linear inversion of the design matrix, one
+``lstsq`` for a whole stack of readouts; the design matrix is
 informationally complete on the traceless Hermitian space (full column
 rank, checked by the test suite).  Expectations are exact: the readout
 models an infinite ensemble.
@@ -157,21 +158,27 @@ def design_matrix(n: int) -> np.ndarray:
                                       for e in all_experiments(n)]))
 
 
-def reconstruct(values: np.ndarray, n: int) -> DensityMatrix:
+def reconstruct(values: np.ndarray, n: int) -> DensityMatrix | list[DensityMatrix]:
     """Least-squares linear inversion of the full readout vector.
 
     Recovers every non-identity Pauli coefficient; the identity component
     is unobservable in ensemble readout, so the result is the deviation
-    (traceless) matrix.
+    (traceless) matrix.  A (k, m) stack of k readout vectors is solved
+    with one ``lstsq`` and gives a list of k deviation matrices, each
+    validated on its own.
     """
     a = design_matrix(n)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != a.shape[0]:
-        raise ValueError(f"expected {a.shape[0]} readout values, got {values.shape[0]}")
-    coeffs, *_ = np.linalg.lstsq(a, values, rcond=None)
-    m = np.tensordot(coeffs, _pauli_basis(n), axes=1)
-    m = (m + m.conj().T) / 2.0  # scrub roundoff asymmetry
-    return DensityMatrix(n, m, traceless=True)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        values = values.reshape(-1)
+    if values.shape[-1] != a.shape[0]:
+        raise ValueError(f"expected {a.shape[0]} readout values, got {values.shape[-1]}")
+    coeffs, *_ = np.linalg.lstsq(a, values.T, rcond=None)
+    m = np.tensordot(coeffs.T, _pauli_basis(n), axes=1)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0  # scrub roundoff asymmetry
+    if m.ndim == 2:
+        return DensityMatrix(n, m, traceless=True)
+    return [DensityMatrix(n, one, traceless=True) for one in m]
 
 
 @dataclass(frozen=True)

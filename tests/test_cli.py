@@ -53,6 +53,12 @@ class TestVerify:
         validate(doc)
         assert doc["passed"] and doc["max_deviation"] < 1e-10
 
+    @pytest.mark.parametrize("decomp", ["serial", "parallel"])
+    def test_n8_deviation_is_roundoff(self, decomp, capsys):
+        code, out, _ = run_cli(["verify", "--n", "8", "--decomp", decomp], capsys)
+        assert code == 0
+        assert json.loads(out)["max_deviation"] <= 1e-15
+
     def test_n_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--n", "99"])
@@ -200,6 +206,24 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(
             f"spinqft: error: cannot parse {path}: line 2, column 9: ")
+
+    @pytest.mark.parametrize("text", [f"n: 2\ndelay:1/(4*J{'1' * 5000})\n",
+                                      f"n: {'1' * 5000}\n",
+                                      f"n: 2\n90{'q' * 5000}@s1\n"],
+                             ids=["delay", "spin-count", "token"])
+    def test_long_bad_text_gives_a_short_line(self, capsys, tmp_path, text):
+        path = tmp_path / "long.seq"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"spinqft: error: cannot parse {path}: line ")
+        assert len(errors[0]) < 300
+        assert all(len(line) < 300 for line in captured.err.splitlines())
 
     def test_unreadable_sequence_is_usage_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "locked.seq"

@@ -38,6 +38,13 @@ class TestDftOracle:
             col = np.array([cmath.exp(2j * cmath.pi * a * c / q) for c in range(q)])
             np.testing.assert_allclose(u[:, a], col / np.sqrt(q), atol=1e-13)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_fft_reference_to_roundoff(self, n):
+        # each entry is one exp of an exactly reduced argument below 2*pi
+        q = 2 ** n
+        reference = np.fft.ifft(np.eye(q), axis=0) * np.sqrt(q)
+        assert np.max(np.abs(core.dft_oracle(n).entries - reference)) <= 1e-15
+
     @pytest.mark.parametrize("n", [0, -1, 13])
     def test_size_errors(self, n):
         with pytest.raises(ValueError):

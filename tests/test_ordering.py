@@ -219,6 +219,36 @@ def test_apply_local_pair_key_matches_per_basis_reference(n, j, k):
                                    rtol=0, atol=1e-13)
 
 
+def pair_operators():
+    root = np.eye(4, dtype=complex)
+    root[2:, 2:] = circuits.x_power(0.25)
+    random = np.random.default_rng(3).normal(size=(4, 4, 2)) @ [1, 1j]
+    return {"cphase": np.diag([1, 1, 1, np.exp(0.7j)]), "root-cnot": root, "random": random}
+
+
+@pytest.mark.parametrize("name", list(pair_operators()))
+@pytest.mark.parametrize("n,j,k", [(2, 1, 2), (4, 1, 3), (4, 2, 4), (5, 3, 4), (5, 1, 5)])
+def test_apply_local_pair_kernel_on_every_operand_layout(name, n, j, k):
+    op = pair_operators()[name]
+    rng = np.random.default_rng(n * 100 + 10 * j + k)
+    dim = 2 ** n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    locked = a.copy()
+    locked.flags.writeable = False
+    expected = reference_local(n, (j, k), op)
+    # rows whose (j, k) pattern is an identity row of op pass through untouched
+    pattern = np.array([2 * bit(b, j, n) + bit(b, k, n) for b in range(dim)])
+    identity = np.array([np.array_equal(op[r], np.eye(4)[r]) for r in range(4)])[pattern]
+    for operand in (a, a.conj().T, a[:, 0], locked):
+        before = operand.copy()
+        got = core.apply_local(operand, n, {(j, k): op})
+        assert got.shape == operand.shape
+        np.testing.assert_allclose(got, np.tensordot(expected, operand, axes=1),
+                                   rtol=0, atol=1e-13)
+        assert np.array_equal(got[identity], operand[identity])
+        assert np.array_equal(operand, before)
+
+
 def test_apply_local_mixes_pair_and_single_keys():
     rng = np.random.default_rng(7)
     op, f = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))

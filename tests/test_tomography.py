@@ -119,6 +119,29 @@ class TestReconstruction:
     def test_incomplete_readout_rejected(self):
         with pytest.raises(ValueError):
             tomography.reconstruct(np.zeros(10), 2)
+        with pytest.raises(ValueError):
+            tomography.reconstruct(np.zeros((3, 10)), 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matches_one_vector_at_a_time(self, n):
+        rng = np.random.default_rng(5 + n)
+        states = [random_traceless_hermitian(n, rng) for _ in range(4)]
+        readouts = tomography.measure_all(np.array([r.entries for r in states]))
+        stacked = tomography.reconstruct(readouts, n)
+        assert len(stacked) == len(states)
+        for rec, values, rho in zip(stacked, readouts, states):
+            assert isinstance(rec, core.DensityMatrix) and rec.traceless
+            single = tomography.reconstruct(values, n)
+            np.testing.assert_allclose(rec.entries, single.entries, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rec.entries, rho.entries, rtol=0, atol=1e-12)
+
+    def test_one_vector_gives_one_matrix_and_a_stack_a_list(self):
+        rho = nmr.pseudopure_projector_deviation(2)
+        values = tomography.measure_all(rho)
+        single = tomography.reconstruct(values, 2)
+        assert isinstance(single, core.DensityMatrix)
+        (stacked,) = tomography.reconstruct(values[None, :], 2)
+        np.testing.assert_allclose(stacked.entries, single.entries, rtol=0, atol=1e-14)
 
 
 class TestFidelity:
