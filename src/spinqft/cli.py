@@ -12,11 +12,15 @@ failure, 2 usage error.  The environment variable ``SPINQFT_SEED``
 overrides ``--seed``: it draws the random states of ``tomo-roundtrip``,
 and ``simulate`` only records it in its report.
 
-A JSON report is encoded in full before anything is written, so a
-report that cannot be encoded writes nothing; it is then written row by
-row (``_json_text``), with the bytes ``json.dumps(..., sort_keys=True,
-indent=2)`` would give, without ever holding the report as one string.
-A failed write to stdout, or a closed stdout, exits 2 with one line.
+A JSON report has the bytes ``json.dumps(..., sort_keys=True, indent=2)``
+would give, written row by row without ever holding the report as one
+string (``_json_text``).  For stdout, or an ``--out`` that is not a
+regular file, it is encoded in full before anything is written, so a
+report that cannot be encoded writes nothing.  For a regular ``--out``
+file it is encoded straight into a temporary file beside the target
+(``_atomic_write``), which replaces the target only when complete and is
+removed if encoding fails.  A failed write to stdout, or a closed
+stdout, exits 2 with one line.
 
 Only ``costmodel`` is imported at module level.  The matrix layers
 (``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
@@ -50,14 +54,23 @@ N_RANGE_MAX = 10_000
 TOMO_MAX_SAMPLES = 5_000
 # a simulate --tomography child took 1.45 s at n = 4 and 17.5 s, 998 MiB at n = 5 (2-CPU container)
 TOMO_MAX_QUBITS = 4
+# an export-fig2 --what output child on a serial program took 1.6 s, 60 MiB for a 3.7 MB CSV
+# at n = 8 and 8.2 s, 144 MiB for 15 MB at n = 9 (2-CPU container)
+FIG2_MAX_QUBITS = 8
 
 
-def _atomic_write(path: str, chunks: list[str]) -> None:
-    """Write where and with the mode ``open(path, "w")`` would (symlinks
-    followed, FIFOs and devices written in place), but replace a regular
-    file atomically."""
+def _atomic_write(path: str, report) -> None:
+    """Write ``report`` (see ``_write_report``) where and with the mode
+    ``open(path, "w")`` would (symlinks followed, FIFOs and devices written
+    in place), but replace a regular file atomically.
+
+    A regular file is encoded straight into a temporary file beside it, which
+    is removed if encoding fails; anything else is encoded in full first.
+    """
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
+        chunks = []
+        _write_report(chunks.append, report)
         with open(path, "w") as fh:
             fh.writelines(chunks)
         return
@@ -68,7 +81,7 @@ def _atomic_write(path: str, chunks: list[str]) -> None:
     try:
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+            _write_report(fh.write, report)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,9 +89,12 @@ def _atomic_write(path: str, chunks: list[str]) -> None:
         raise
 
 
-def _emit(chunks: list[str], out: str) -> None:
-    """Write encoded text chunks to ``out``, or to stdout when it is empty."""
+def _emit(report, out: str) -> None:
+    """Write ``report`` (see ``_write_report``) to ``out``, or to stdout when
+    it is empty."""
     if not out:
+        chunks = []
+        _write_report(chunks.append, report)
         try:
             if sys.stdout is None:  # the process started with file descriptor 1 closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -92,9 +108,19 @@ def _emit(chunks: list[str], out: str) -> None:
             raise SystemExit(2) from None
         return
     try:
-        _atomic_write(out, chunks)
+        _atomic_write(out, report)
     except OSError as exc:
         raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+
+
+def _write_report(write, report) -> None:
+    """Pass ``report`` to ``write`` in chunks: a ``str`` as it is, anything
+    else as the chunks of its ``_json_text``."""
+    if isinstance(report, str):
+        write(report)
+    else:
+        _encode_into(write, report, "\n")
+        write("\n")
 
 
 _encode = json.JSONEncoder(allow_nan=False).encode
@@ -108,40 +134,71 @@ def _json_text(doc: dict) -> list[str]:
     one call of the C encoder, re-indented by replacing its ``", "``
     separators, which a float's repr never contains.  An array (anything
     with ``tolist``) is written one row at a time, so no nested list of
-    Python floats is built.  NaN or infinity raises ``ValueError`` before
-    anything is written.  Keys must be strings, as in every report.
+    Python floats is built; a 2-D float array formats each value that
+    occurs more than once a single time (``_encode_matrix``).  NaN or
+    infinity raises ``ValueError``.  Keys must be strings, as in every
+    report.
     """
     chunks = []
-    _encode_into(chunks, doc, "\n")
+    _encode_into(chunks.append, doc, "\n")
     chunks.append("\n")
     return chunks
 
 
-def _encode_into(chunks: list[str], value, newline: str) -> None:
+def _encode_into(write, value, newline: str) -> None:
     # ``newline`` is a line break plus the indent of the line that opens ``value``
     if hasattr(value, "tolist"):
+        if value.ndim == 2 and value.size and value.dtype == float:
+            _encode_matrix(write, value, newline)
+            return
         value = list(value) if value.ndim > 1 else value.tolist()
     inner = newline + "  "
     if isinstance(value, dict) and value:
         opener = "{"
         for key, item in sorted(value.items()):
-            chunks.append(f"{opener}{inner}{_encode(key)}: ")
-            _encode_into(chunks, item, inner)
+            write(f"{opener}{inner}{_encode(key)}: ")
+            _encode_into(write, item, inner)
             opener = ","
-        chunks.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {float}:
             body = _encode(value)[1:-1].replace(", ", "," + inner)
-            chunks.append(f"[{inner}{body}{newline}]")
+            write(f"[{inner}{body}{newline}]")
             return
         opener = "["
         for item in value:
-            chunks.append(opener + inner)
-            _encode_into(chunks, item, inner)
+            write(opener + inner)
+            _encode_into(write, item, inner)
             opener = ","
-        chunks.append(newline + "]")
+        write(newline + "]")
     else:
-        chunks.append(_encode(value))
+        write(_encode(value))
+
+
+def _encode_matrix(write, a, newline: str) -> None:
+    """Write a non-empty 2-D float64 array as ``_encode_into`` writes its
+    rows, formatting each value that occurs more than once a single time
+    and the rest row by row, so no string is held for every entry."""
+    import numpy as np
+
+    bad = ~np.isfinite(a)
+    if bad.any():
+        _encode(a[bad][0].item())  # raises the encoder's own ValueError
+    # keyed on the bit pattern: a float key would merge 0.0 and -0.0
+    keys, index, counts = np.unique(a.view(np.int64), return_inverse=True, return_counts=True)
+    repeated = counts > 1
+    shown = np.empty(len(keys), dtype=object)
+    shown[repeated] = [repr(x) for x in keys[repeated].view(np.float64).tolist()]
+    inner = newline + "  "
+    sep = "," + inner + "  "
+    opener = "["
+    for row, row_index in zip(a, index.reshape(a.shape)):
+        text = shown[row_index]
+        alone = ~repeated[row_index]
+        text[alone] = [repr(x) for x in row[alone].tolist()]
+        write(f"{opener}{inner}[{inner}  {sep.join(text.tolist())}{inner}]")
+        opener = ","
+    write(newline + "]")
 
 
 def _parse_range(text: str) -> tuple:
@@ -174,7 +231,7 @@ def cmd_verify(args: argparse.Namespace, parser) -> int:
         "tolerance": VERIFY_TOL,
         "passed": passed,
     }
-    _emit(_json_text(doc), args.out)
+    _emit(doc, args.out)
     return 0 if passed else 1
 
 
@@ -193,7 +250,7 @@ def cmd_cost(args: argparse.Namespace, parser) -> int:
     ratio = serial.coupling_term / costmodel.t_parallel(n_top, params).coupling_term
     text = (costmodel.sweep_to_json(rows) if args.fmt == "json"
             else costmodel.sweep_to_csv(rows))
-    _emit([text], args.out)
+    _emit(text, args.out)
     print(f"serial/parallel coupling-term ratio at n={n_top}: {ratio:.6f} (limit 2)",
           file=sys.stderr)
     return 0
@@ -212,7 +269,7 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
             parser.error(f"cannot read {name}: {exc.strerror or exc}")
         except nmr.SequenceParseError as exc:
             parser.error(f"cannot parse {name}: {exc}")
-    parser.error(f"unknown sequence {name!r}: not a library name "
+    parser.error(f"unknown sequence {nmr._shown(name)}: not a library name "
                  f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
 
 
@@ -225,11 +282,13 @@ def _pseudopure_input(system: nmr.SpinSystem) -> core.DensityMatrix:
 
 
 def _ideal_target_unitary(n: int, reverse_readout: bool) -> core.UnitaryMatrix:
+    import numpy as np
+
     from . import core
 
     f = core.dft_oracle(n).entries
-    if reverse_readout:
-        f = core.bit_reversal_permutation(n).entries @ f
+    if reverse_readout:  # a row permutation, as in circuits.verify_against_oracle
+        f = f[np.nonzero(core.bit_reversal_permutation(n).entries)[1]]
     return core.UnitaryMatrix(n, f)
 
 
@@ -273,7 +332,7 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
         doc["tomography_tolerance"] = TOMO_TOL
         if err > TOMO_TOL:
             status = 1
-    _emit(_json_text(doc), args.out)
+    _emit(doc, args.out)
     return status
 
 
@@ -303,7 +362,7 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
         "seed": args.seed,
         "passed": passed,
     }
-    _emit(_json_text(doc), args.out)
+    _emit(doc, args.out)
     return 0 if passed else 1
 
 
@@ -311,6 +370,9 @@ def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
     from . import core, nmr, tomography
 
     seq = _resolve_sequence(args.sequence, parser)
+    if seq.n > FIG2_MAX_QUBITS:
+        parser.error(f"export-fig2 charts at most {FIG2_MAX_QUBITS} spins, "
+                     f"the sequence has {seq.n}")
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
     if args.what == "pseudopure":
@@ -319,7 +381,7 @@ def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
         rho = core.conjugate(_ideal_target_unitary(system.n, True), rho_init)
     else:
         rho = nmr.run(seq, system, rho_init)
-    _emit([tomography.bar_chart_csv(rho)], args.out)
+    _emit(tomography.bar_chart_csv(rho), args.out)
     return 0
 
 

@@ -135,6 +135,8 @@ class TestCost:
                 "from spinqft import cli\n"
                 "assert cli.main(['cost', '--model', 'solid', '--d', '2e7', '--Delta', '1e-7',\n"
                 "                 '--n-range', '1..5', '--format', 'json']) == 0\n"
+                "assert cli.main(['cost', '--model', 'liquid', '--n-range', '1..5',\n"
+                "                 '--out', 'sweep.csv']) == 0\n"
                 "heavy = {'numpy', 'spinqft.core', 'spinqft.circuits', 'spinqft.nmr',\n"
                 "         'spinqft.tomography'}\n"
                 "print(sorted(heavy & set(sys.modules)))\n")
@@ -143,6 +145,7 @@ class TestCost:
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True, timeout=60)
         assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "sweep.csv").read_text().startswith("n,")
 
 
 class TestSimulate:
@@ -173,6 +176,26 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--sequence", "nonsense"])
         assert exc.value.code == 2
+
+    def test_long_unknown_name_gives_a_short_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", "x" * 5000])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("spinqft: error: unknown sequence 'xxx")
+        assert "(5000 characters)" in errors[0]
+        assert all(len(line) < 300 for line in captured.err.splitlines())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reversed_target_is_the_permutation_product_bit_for_bit(self, n):
+        from spinqft import core
+
+        dense = core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries
+        rows = cli._ideal_target_unitary(n, True).entries
+        assert np.array_equal(rows.view(np.int64), dense.view(np.int64))
 
     def test_directory_as_sequence_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -368,6 +391,36 @@ class TestExportFig2:
         first = out.strip().splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(1.0, abs=1e-9)  # |00> population
 
+    def test_at_the_cap_is_accepted(self, capsys, tmp_path):
+        n = cli.FIG2_MAX_QUBITS
+        path = tmp_path / f"serial-{n}.seq"
+        path.write_text(serial_program_text(n))
+        code, out, _ = run_cli(["export-fig2", "--sequence", str(path),
+                                "--what", "pseudopure"], capsys)
+        assert code == 0
+        assert out.count("\n") == 4 ** n + 1
+
+    @pytest.mark.parametrize("what", ["output", "pseudopure", "target"])
+    def test_above_the_cap_exits_2_before_any_work(self, what, capsys, tmp_path, monkeypatch):
+        n = cli.FIG2_MAX_QUBITS + 1
+        path = tmp_path / f"serial-{n}.seq"
+        path.write_text(serial_program_text(n))
+
+        def no_work(*args):
+            raise AssertionError("simulated past the size cap")
+
+        monkeypatch.setattr(nmr, "run", no_work)
+        monkeypatch.setattr(nmr, "system_for_sequence", no_work)
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["export-fig2", "--sequence", str(path), "--what", what])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1:] == [
+            f"spinqft: error: export-fig2 charts at most {n - 1} spins, the sequence has {n}"]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("args", [
@@ -468,6 +521,31 @@ class TestOutPath:
         assert captured.err.splitlines()[-1] == (
             f"spinqft: error: cannot write --out {out}: Permission denied")
 
+    def test_failed_encoding_leaves_the_file_and_no_temporary(self, tmp_path, capsys):
+        # t2_seconds = inf is the last key, written after both density matrices
+        out = tmp_path / "r.json"
+        out.write_text("old report\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", "serial-n3", "--t2", "inf", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("spinqft: error: Out of range float")
+        assert out.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+    @pytest.mark.parametrize("t2", [[], ["--t2", "0.05"]], ids=["noiseless", "t2"])
+    def test_streamed_report_equals_the_one_on_stdout(self, t2, tmp_path, capsys):
+        path = tmp_path / "serial-6.seq"
+        path.write_text(serial_program_text(6))
+        args = ["simulate", "--sequence", str(path), *t2]
+        _, text, _ = run_cli(args, capsys)
+        out = tmp_path / "r.json"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_text() == text
+        assert text == dumps(json.loads(text))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "serial-6.seq"]
+
     def test_existing_file_keeps_its_mode(self, tmp_path):
         out = tmp_path / "old.json"
         out.write_text("stale\n")
@@ -508,6 +586,11 @@ DOCS = st.dictionaries(st.text(), st.recursive(
     max_leaves=30))
 
 
+# a small pool, so that drawn matrices repeat values; both zeros and the extremes included
+REPEATS_POOL = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, -0.1, 1 / 3, 0.0625]
+
+
 def report_shaped_doc(as_arrays):
     """A doc shaped like an n = 8 ``simulate`` report."""
     rng = np.random.default_rng(8)
@@ -531,6 +614,18 @@ class TestJsonText:
     def test_array_is_written_as_its_tolist(self, a):
         doc = {"m": a, "rows": [a, a.T]}
         expected = {"m": a.tolist(), "rows": [a.tolist(), a.T.tolist()]}
+        assert "".join(cli._json_text(doc)) == dumps(expected)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                   max_side=9),
+                      elements=st.sampled_from(REPEATS_POOL)))
+    def test_repeated_values_are_written_as_dumps(self, a):
+        a.flat[0], a.flat[-1] = 0.0, -0.0  # both zeros in one array whenever it has two entries
+        z = a + 1j * a[::-1]
+        doc = {"m": a, "t": a.T, "z": {"re": z.real, "im": z.imag}}
+        expected = {"m": a.tolist(), "t": a.T.tolist(),
+                    "z": {"re": z.real.tolist(), "im": z.imag.tolist()}}
         assert "".join(cli._json_text(doc)) == dumps(expected)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
