@@ -105,7 +105,8 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
+        """Tr(rho^2); ``rho`` is Hermitian by construction."""
+        return _trace_product(self.entries, self.entries)
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,16 @@ class UnitaryMatrix:
         if not np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= UNITARITY_TOL:  # NaN fails
             raise ValueError("matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr(a b), where ``b`` must be Hermitian: then Tr(a b) =
+    sum a_ij conj(b_ij), taken here as one real dot product of the
+    interleaved real and imaginary parts.  O(4**n) with no matrix product,
+    and summed by ``einsum``, not BLAS (``np.vdot`` is ``zdotc``), so the
+    result does not depend on the BLAS thread count."""
+    x, y = (np.ascontiguousarray(m, dtype=complex).view(np.float64).ravel() for m in (a, b))
+    return float(np.einsum("i,i->", x, y))
 
 
 def entries_of(obj) -> np.ndarray:

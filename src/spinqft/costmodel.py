@@ -9,8 +9,8 @@ Closed forms:
 with kappa = pi/J (liquid scalar coupling) or pi/d (solid dipolar
 coupling).  Every closed-form coupling term is cross-checked against the
 direct double sum kappa * sum_{j=0}^{n-1} sum_{k=j+1}^{n} 2**(j-k) at
-evaluation time; the identity itself holds exactly in rational
-arithmetic (see ``coupling_sum_exact``).
+evaluation time; the test suite checks that the identity holds exactly in
+rational arithmetic.
 
 The direct sums are summed term by term, one column k at a time:
 S(k) = S(k-1) + sum_{j<k} 2**(j-k).  The process keeps every S(n)
@@ -19,6 +19,10 @@ instead of ~N**3/6 terms from scratch, and later calls reuse them.  The
 output values come from the closed forms; every n is still compared.
 Costs that overflow to infinity are rejected, never checked against an
 infinite sum.
+
+The value types are checked namedtuples, not dataclasses: ``dataclasses``
+alone pulls ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI
+child, and ``cost`` is almost all start-up.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 CHLOROFORM_J_HZ = 215.0         # two-spin scalar coupling used throughout
@@ -38,14 +41,29 @@ CSV_HEADER = "n,pulse_term,coupling_term,swap_term,total"
 _SUM_CHECK_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LiquidParams:
+class _Checked:
+    """Base of a namedtuple value type whose ``_check`` runs however an
+    instance is built: the constructor, ``_make``, ``_replace``, copy, pickle."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class LiquidParams(_Checked, namedtuple("LiquidParams", "delta J",
+                                        defaults=(DEFAULT_PULSE_SECONDS, CHLOROFORM_J_HZ))):
     """Liquid-state timing constants: pulse cost delta and coupling J."""
 
-    delta: float = DEFAULT_PULSE_SECONDS
-    J: float = CHLOROFORM_J_HZ
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.delta < math.inf:
             raise ValueError("delta must be finite and >= 0")
         if not 0 < self.J < math.inf:
@@ -58,15 +76,12 @@ class LiquidParams:
         return math.pi / self.J
 
 
-@dataclass(frozen=True)
-class SolidParams:
+class SolidParams(_Checked, namedtuple("SolidParams", "delta d Delta")):
     """Solid-state timing constants: pulse cost, dipolar coupling, SWAP unit."""
 
-    delta: float
-    d: float
-    Delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (0 <= self.delta < math.inf and 0 <= self.Delta < math.inf):
             raise ValueError("time costs must be finite and >= 0")
         # sanity band generously bracketing the 10-50 MHz dipolar strength
@@ -78,16 +93,11 @@ class SolidParams:
         return math.pi / self.d
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    n: int
-    model: str
-    pulse_term: float
-    coupling_term: float
-    swap_term: float
-    total: float
+class CostBreakdown(_Checked, namedtuple(
+        "CostBreakdown", "n model pulse_term coupling_term swap_term total")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         terms = (self.pulse_term, self.coupling_term, self.swap_term, self.total)
         if not all(map(math.isfinite, terms)):
             raise ValueError(f"{self.model} cost at n={self.n} is not finite: "
@@ -98,27 +108,7 @@ class CostBreakdown:
             raise ValueError("total does not equal the sum of its terms")
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "model": self.model,
-            "pulse_term": self.pulse_term,
-            "coupling_term": self.coupling_term,
-            "swap_term": self.swap_term,
-            "total": self.total,
-        }
-
-
-def coupling_sum_exact(n: int) -> Fraction:
-    """sum_{j=0}^{n-1} sum_{k=j+1}^{n} 2**(j-k) in exact rational arithmetic.
-
-    Equals n - 1 + 2**-n; the equality is exercised by the test suite for
-    n up to 20.
-    """
-    total = Fraction(0)
-    for j in range(n):
-        for k in range(j + 1, n + 1):
-            total += Fraction(2) ** (j - k)
-    return total
+        return self._asdict()
 
 
 # entry n is sum_{j<k<=n} 2**(j-k), summed term by term; grows on demand

@@ -43,7 +43,6 @@ import numbers
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import Decimal
 from importlib import resources
 
 import numpy as np
@@ -326,7 +325,7 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
         t = element_seconds(e)
         if t not in damping:
             damping[t] = noise.damping_matrix(system.n, t)
-        state = state * damping[t]  # Schur-product dephasing channel
+        state *= damping[t]  # Schur-product dephasing channel, in place
     return DensityMatrix(system.n, state, traceless=rho.traceless)
 
 
@@ -515,6 +514,7 @@ def _degrees_text(angle: float) -> str:
     exact = [d for d in near if math.radians(d) == angle]
     best = (min(exact, key=lambda d: len(repr(d))) if exact
             else min(near, key=lambda d: abs(math.radians(d) - angle)))
+    from decimal import Decimal  # only here: simulate and export-fig2 never load decimal
     return format(Decimal(repr(best)), "f").removesuffix(".0")
 
 

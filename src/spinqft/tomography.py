@@ -28,6 +28,7 @@ from .core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _trace_product,
     embed,
     entries_of,
 )
@@ -198,23 +199,26 @@ class FidelityReport:
 
 
 def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:
-    """Mixed-state fidelity of deviation matrices.
+    """Mixed-state fidelity of deviation matrices, which must be Hermitian.
 
     correlation      = Tr(rho_th rho_exp) / sqrt(Tr(rho_th^2) Tr(rho_exp^2))
     signal_retention = Tr(rho_exp^2) / Tr(rho_init^2)
     fidelity         = correlation * sqrt(signal_retention)
+
+    Each trace is taken as sum_ij A_ij conj(B_ij) (``core._trace_product``),
+    which equals Tr(A B) because B is Hermitian: O(4**n), no matrix product.
     """
     th, ex, init = (entries_of(m) for m in (rho_th, rho_exp, rho_init))
     if not th.shape == ex.shape == init.shape:
         raise ValueError("fidelity inputs must share dimensions")
-    t2 = float(np.real(np.trace(th @ th)))
-    e2 = float(np.real(np.trace(ex @ ex)))
-    i2 = float(np.real(np.trace(init @ init)))
+    t2 = _trace_product(th, th)
+    e2 = _trace_product(ex, ex)
+    i2 = _trace_product(init, init)
     if t2 <= 0.0 or i2 <= 0.0:
         raise ValueError("fidelity is undefined for zero-norm reference matrices")
     if e2 <= 0.0:
         return FidelityReport(0.0, 0.0, 0.0)
-    corr = float(np.real(np.trace(th @ ex))) / math.sqrt(t2 * e2)
+    corr = _trace_product(th, ex) / math.sqrt(t2 * e2)
     retention = e2 / i2
     return FidelityReport(corr, retention, corr * math.sqrt(retention))
 

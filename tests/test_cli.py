@@ -90,6 +90,16 @@ class TestVerify:
         assert not doc["passed"]
 
 
+def loaded_in_child(code: str, cwd) -> str:
+    """Last stdout line of ``code`` run in a fresh interpreter on this
+    package: the test process itself has imported everything."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.splitlines()[-1]
+
+
 class TestCost:
     def test_csv_output(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -130,7 +140,6 @@ class TestCost:
             cli._parse_range(f"1..{top + 1}")
 
     def test_cost_loads_no_matrix_layer(self, tmp_path):
-        # a fresh interpreter: this test process has imported everything
         code = ("import sys\n"
                 "from spinqft import cli\n"
                 "assert cli.main(['cost', '--model', 'solid', '--d', '2e7', '--Delta', '1e-7',\n"
@@ -138,14 +147,22 @@ class TestCost:
                 "assert cli.main(['cost', '--model', 'liquid', '--n-range', '1..5',\n"
                 "                 '--out', 'sweep.csv']) == 0\n"
                 "heavy = {'numpy', 'spinqft.core', 'spinqft.circuits', 'spinqft.nmr',\n"
-                "         'spinqft.tomography'}\n"
+                "         'spinqft.tomography', 'dataclasses', 'inspect', 'fractions',\n"
+                "         'decimal'}\n"
                 "print(sorted(heavy & set(sys.modules)))\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, check=True, timeout=60)
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert loaded_in_child(code, tmp_path) == "[]"
         assert (tmp_path / "sweep.csv").read_text().startswith("n,")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "3"],
+        ["simulate", "--sequence", "serial-n3", "--tomography"],
+    ])
+    def test_matrix_commands_load_no_exact_arithmetic(self, argv, tmp_path):
+        code = ("import sys\n"
+                "from spinqft import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+        assert loaded_in_child(code, tmp_path) == "[]"
 
 
 class TestSimulate:

@@ -1,6 +1,8 @@
 """Time-cost models: closed forms, double-sum agreement, scaling claims."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -10,11 +12,20 @@ import pytest
 from spinqft import costmodel
 
 
+def coupling_sum_exact(n):
+    """sum_{j=0}^{n-1} sum_{k=j+1}^{n} 2**(j-k) in exact rational arithmetic."""
+    total = Fraction(0)
+    for j in range(n):
+        for k in range(j + 1, n + 1):
+            total += Fraction(2) ** (j - k)
+    return total
+
+
 class TestCouplingIdentity:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_exact_rational_identity(self, n):
         # sum_{j=0}^{n-1} sum_{k=j+1}^{n} 2^{j-k} = n - 1 + 2^{-n}, exactly
-        assert costmodel.coupling_sum_exact(n) == Fraction(n - 1) + Fraction(1, 2 ** n)
+        assert coupling_sum_exact(n) == Fraction(n - 1) + Fraction(1, 2 ** n)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_closed_form_vs_double_sum(self, n):
@@ -241,3 +252,45 @@ class TestSweep:
     def test_breakdown_rejects_non_finite_terms(self, terms):
         with pytest.raises(ValueError, match="not finite"):
             costmodel.CostBreakdown(1, "x", *terms)
+
+
+class TestValueTypes:
+    """The checks run however a value is built, not only through the constructor."""
+
+    def test_make_replace_copy_and_pickle_are_checked(self):
+        liquid = costmodel.LiquidParams()
+        solid = costmodel.SolidParams(delta=1e-8, d=2e7, Delta=1e-7)
+        row = costmodel.t_serial_liquid(3, liquid)
+        for good in (liquid, solid, row):
+            assert type(good)._make(good) == good
+            assert good._replace() == good
+            assert copy.copy(good) == good
+            assert pickle.loads(pickle.dumps(good)) == good
+        for build, match in (
+                (lambda: costmodel.LiquidParams._make([-1e-6, 215.0]), "delta must be finite"),
+                (lambda: liquid._replace(J=0.0), "J must be finite"),
+                (lambda: liquid._replace(J=1e-320), "not finite"),
+                (lambda: solid._replace(d=1.0), "outside sane range"),
+                (lambda: costmodel.SolidParams._make([1e-8, 2e7, math.inf]), "finite"),
+                (lambda: row._replace(total=1.0), "sum of its terms"),
+                (lambda: costmodel.CostBreakdown._make([1, "x", 1.0, math.nan, 0.0, 1.0]),
+                 "not finite")):
+            with pytest.raises(ValueError, match=match):
+                build()
+
+    def test_fields_are_read_only(self):
+        p = costmodel.LiquidParams()
+        with pytest.raises(AttributeError):
+            p.J = 0.0
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_defaults_repr_and_dict(self):
+        assert costmodel.LiquidParams() == costmodel.LiquidParams(
+            costmodel.DEFAULT_PULSE_SECONDS, costmodel.CHLOROFORM_J_HZ)
+        assert repr(costmodel.LiquidParams(delta=1e-5, J=100.0)) == \
+            "LiquidParams(delta=1e-05, J=100.0)"
+        row = costmodel.t_parallel(2, costmodel.LiquidParams())
+        assert row.as_dict() == {"n": 2, "model": "parallel", "pulse_term": 0.0,
+                                 "coupling_term": row.total, "swap_term": 0.0,
+                                 "total": row.total}

@@ -1,5 +1,7 @@
 """Simulated tomography: readout, linear inversion, fidelity measure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,24 @@ class TestFidelity:
                                   core.conjugate(u, c))
         assert rot.fidelity == pytest.approx(base.fidelity, abs=1e-10)
         assert rot.correlation == pytest.approx(base.correlation, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_traces_match_dense_products(self, n):
+        # fidelity and purity take Tr(AB) as sum A_ij conj(B_ij); the
+        # reference is the dense product they replace
+        def tr(a, b):
+            return float(np.real(np.trace(a.entries @ b.entries)))
+
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            a, b, c = (random_traceless_hermitian(n, rng) for _ in range(3))
+            corr = tr(a, b) / math.sqrt(tr(a, a) * tr(b, b))
+            retention = tr(b, b) / tr(c, c)
+            rep = tomography.fidelity(a, b, c)
+            np.testing.assert_allclose(
+                [rep.correlation, rep.signal_retention, rep.fidelity],
+                [corr, retention, corr * math.sqrt(retention)], rtol=1e-12, atol=1e-14)
+            assert a.purity() == pytest.approx(tr(a, a), rel=1e-13)
 
     def test_zero_norm_reference_rejected(self):
         zero = core.DensityMatrix(1, np.zeros((2, 2), dtype=complex), traceless=True)
