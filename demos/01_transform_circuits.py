@@ -55,7 +55,7 @@ n, a = 3, 5
 v = circuits.qft_product_state(a, n)
 col = (core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries)[:, a]
 print(f"\nproduct state for a={a}, n={n}: max deviation from oracle column "
-      f"{np.max(np.abs(v.amps - col)):.2e}")
+      f"{np.max(np.abs(v - col)):.2e}")
 print("per-qubit phases (turns):")
 bits = [(a >> k) & 1 for k in range(n)]
 for m in range(1, n + 1):

@@ -4,6 +4,8 @@ sequences, and dephasing-induced fidelity loss.
 Run:  python3 demos/03_pulse_sequences.py
 """
 
+from importlib import resources
+
 import numpy as np
 
 from spinqft import core, nmr, tomography
@@ -48,8 +50,8 @@ for name in nmr.SEQUENCE_LIBRARY:
 
 # ── 3) One sequence in DSL form ─────────────────────────────────────────
 
-print("\nselective-n2 in DSL form:")
-print(nmr.format_sequence(nmr.library_sequence("selective-n2")))
+print("\nselective-n2 in DSL form, as bundled:")
+print(resources.files("spinqft.sequences").joinpath("selective-n2.seq").read_text())
 
 # ── 4) Dephasing degrades fidelity monotonically ────────────────────────
 

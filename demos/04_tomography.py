@@ -34,7 +34,7 @@ rng = np.random.default_rng(8)
 h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 h = (h + h.conj().T) / 2
 h -= np.trace(h) / 4 * np.eye(4)
-rho = core.DensityMatrix(2, h, traceless=True)
+rho = core.DensityMatrix(2, h)
 recon = tomography.reconstruct(tomography.measure_all(rho), 2)
 print(f"random-matrix round trip: max error "
       f"{np.max(np.abs(recon.entries - rho.entries)):.2e}")

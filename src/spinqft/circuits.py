@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     HADAMARD,
-    StateVector,
     UnitaryMatrix,
     _check_qubit_count,
     apply_local,
@@ -222,8 +221,9 @@ def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
     return UnitaryMatrix(n, out)
 
 
-def qft_product_state(a: int, n: int) -> StateVector:
-    """Closed-form product state equal to the bit-reversed transform of |a>.
+def qft_product_state(a: int, n: int) -> np.ndarray:
+    """Amplitudes of the closed-form product state equal to the bit-reversed
+    transform of |a>.
 
     Qubit m carries the factor (|0> + exp(2*pi*i*phi_{m-1})|1>)/sqrt(2)
     with phi_j = sum_{k=0}^{n-1-j} a_k 2^{j+k-n} over the bits a_k of
@@ -240,7 +240,7 @@ def qft_product_state(a: int, n: int) -> StateVector:
         phi = sum(bits[k] * 2.0 ** (j + k - n) for k in range(n - j))
         factor = np.array([1.0, np.exp(2j * np.pi * phi)], dtype=complex) / np.sqrt(2.0)
         amps = np.kron(amps, factor)
-    return StateVector(n, amps)
+    return amps
 
 
 def verify_against_oracle(circuit: Circuit, tol: float = 1e-10) -> tuple[bool, float]:

@@ -8,19 +8,24 @@ cross-check), ``tomo-roundtrip`` (reconstruction identity check), and
 
 Each handler reads the argparse namespace directly; identical inputs
 produce byte-identical outputs.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  The environment variable ``SPINQFT_SEED``
-overrides ``--seed``: it draws the random states of ``tomo-roundtrip``,
-and ``simulate`` only records it in its report.
+failure, 2 usage error.  Only the two commands with a ``--seed`` read
+the environment variable ``SPINQFT_SEED``, which overrides it: it draws
+the random states of ``tomo-roundtrip``, and ``simulate`` only records
+it in its report.  A seed below 0 is refused.  ``simulate`` always
+compares with the transform followed by the reversal of the output bits
+(the order the bundled programs read out in).
 
 A JSON report has the bytes ``json.dumps(..., sort_keys=True, indent=2)``
 would give, written row by row without ever holding the report as one
-string (``_json_text``).  For stdout, or an ``--out`` that is not a
-regular file, it is encoded in full before anything is written, so a
-report that cannot be encoded writes nothing.  For a regular ``--out``
-file it is encoded straight into a temporary file beside the target
-(``_atomic_write``), which replaces the target only when complete and is
-removed if encoding fails.  A failed write to stdout, or a closed
-stdout, exits 2 with one line.
+string (``_write_report``).  It holds only str-keyed dicts, scalars and
+non-empty 2-D float64 arrays; any other value is a ``TypeError``.  For
+stdout, or an ``--out`` that is not a regular file, it is encoded in
+full before anything is written, so a report that cannot be encoded
+writes nothing.  For a regular ``--out`` file it is encoded straight
+into a temporary file beside the target (``_atomic_write``), which
+replaces the target only when complete and is removed if encoding
+fails.  A failed write to stdout, or a closed stdout, exits 2 with one
+line.
 
 Only ``costmodel`` is imported at module level.  The matrix layers
 (``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import stat
 import sys
@@ -114,8 +120,15 @@ def _emit(report, out: str) -> None:
 
 
 def _write_report(write, report) -> None:
-    """Pass ``report`` to ``write`` in chunks: a ``str`` as it is, anything
-    else as the chunks of its ``_json_text``."""
+    """Pass ``report`` to ``write`` in chunks: a ``str`` as it is, a dict
+    as the chunks of ``json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``.
+
+    Dicts are walked here, and a matrix is written one row at a time
+    (``_encode_matrix``), so no nested list of Python floats is built.  NaN
+    or infinity raises ``ValueError``.  Keys must be strings, as in every
+    report.
+    """
     if isinstance(report, str):
         write(report)
     else:
@@ -126,53 +139,22 @@ def _write_report(write, report) -> None:
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def _json_text(doc: dict) -> list[str]:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
-    as chunks to write one after the other.
-
-    Dicts and lists are walked here; each list of floats (a matrix row) is
-    one call of the C encoder, re-indented by replacing its ``", "``
-    separators, which a float's repr never contains.  An array (anything
-    with ``tolist``) is written one row at a time, so no nested list of
-    Python floats is built; a 2-D float array formats each value that
-    occurs more than once a single time (``_encode_matrix``).  NaN or
-    infinity raises ``ValueError``.  Keys must be strings, as in every
-    report.
-    """
-    chunks = []
-    _encode_into(chunks.append, doc, "\n")
-    chunks.append("\n")
-    return chunks
-
-
 def _encode_into(write, value, newline: str) -> None:
     # ``newline`` is a line break plus the indent of the line that opens ``value``
-    if hasattr(value, "tolist"):
-        if value.ndim == 2 and value.size and value.dtype == float:
-            _encode_matrix(write, value, newline)
-            return
-        value = list(value) if value.ndim > 1 else value.tolist()
-    inner = newline + "  "
     if isinstance(value, dict) and value:
+        inner = newline + "  "
         opener = "{"
         for key, item in sorted(value.items()):
             write(f"{opener}{inner}{_encode(key)}: ")
             _encode_into(write, item, inner)
             opener = ","
         write(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {float}:
-            body = _encode(value)[1:-1].replace(", ", "," + inner)
-            write(f"[{inner}{body}{newline}]")
-            return
-        opener = "["
-        for item in value:
-            write(opener + inner)
-            _encode_into(write, item, inner)
-            opener = ","
-        write(newline + "]")
-    else:
+    elif isinstance(value, (dict, str, int, float)) or value is None:
         write(_encode(value))
+    elif getattr(value, "ndim", 0) == 2 and value.size and value.dtype == float:
+        _encode_matrix(write, value, newline)
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}{getattr(value, 'shape', '')}")
 
 
 def _encode_matrix(write, a, newline: str) -> None:
@@ -281,15 +263,15 @@ def _pseudopure_input(system: nmr.SpinSystem) -> core.DensityMatrix:
     return nmr.pseudopure_projector_deviation(system.n)
 
 
-def _ideal_target_unitary(n: int, reverse_readout: bool) -> core.UnitaryMatrix:
+def _ideal_target_unitary(n: int) -> core.UnitaryMatrix:
+    """The transform followed by the reversal of the output bits, applied
+    as a row permutation, as in ``circuits.verify_against_oracle``."""
     import numpy as np
 
     from . import core
 
     f = core.dft_oracle(n).entries
-    if reverse_readout:  # a row permutation, as in circuits.verify_against_oracle
-        f = f[np.nonzero(core.bit_reversal_permutation(n).entries)[1]]
-    return core.UnitaryMatrix(n, f)
+    return core.UnitaryMatrix(n, f[np.nonzero(core.bit_reversal_permutation(n).entries)[1]])
 
 
 def cmd_simulate(args: argparse.Namespace, parser) -> int:
@@ -303,13 +285,9 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
                      f"the sequence has {seq.n}")
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
-    noise = None
-    if args.t2:
-        if args.t2 < 0:
-            parser.error("--t2 must be positive (seconds)")
-        noise = nmr.NoiseModel.uniform(system.n, 1.0 / args.t2)
+    noise = nmr.NoiseModel.uniform(system.n, 1.0 / args.t2) if args.t2 else None
     rho_exp = nmr.run(seq, system, rho_init, noise)
-    target_u = _ideal_target_unitary(system.n, args.reverse_readout)
+    target_u = _ideal_target_unitary(system.n)
     rho_th = core.conjugate(target_u, rho_init)
     report = tomography.fidelity(rho_th, rho_exp, rho_init)
     doc = {
@@ -317,7 +295,6 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
         "sequence": seq.name,
         "n": system.n,
         "t2_seconds": args.t2,
-        "reverse_readout": args.reverse_readout,
         "seed": args.seed,
         "fidelity_report": report.as_dict(),
         "rho_exp": {"n": system.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
@@ -348,7 +325,7 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (h + h.conj().T) / 2.0
         h -= np.trace(h) / dim * np.eye(dim)
-        states.append(core.DensityMatrix(args.n, h, traceless=True).entries)
+        states.append(core.DensityMatrix(args.n, h).entries)
     readouts = tomography.measure_all(np.array(states))  # one readout of the whole stack
     recons = tomography.reconstruct(readouts, args.n)  # and one solve
     worst = max(float(np.max(np.abs(r.entries - rho))) for r, rho in zip(recons, states))
@@ -378,7 +355,7 @@ def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
     if args.what == "pseudopure":
         rho = rho_init
     elif args.what == "target":
-        rho = core.conjugate(_ideal_target_unitary(system.n, True), rho_init)
+        rho = core.conjugate(_ideal_target_unitary(system.n), rho_init)
     else:
         rho = nmr.run(seq, system, rho_init)
     _emit(tomography.bar_chart_csv(rho), args.out)
@@ -425,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=float, default=0.0, help="dephasing time constant, seconds")
     p.add_argument("--tomography", action="store_true",
                    help="also reconstruct the output by simulated tomography")
-    p.add_argument("--reverse-readout", dest="reverse_readout", action="store_true", default=True)
-    p.add_argument("--no-reverse-readout", dest="reverse_readout", action="store_false")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="")
 
@@ -444,6 +419,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(flag: int, parser) -> int:
+    """``SPINQFT_SEED`` if it is set, else ``--seed``; a usage error if it
+    is not an integer or is below 0."""
+    from .nmr import _shown  # both commands with a seed load nmr anyway
+
+    text = os.environ.get("SPINQFT_SEED")
+    if text is None:
+        name, seed = "--seed", flag
+    else:
+        name = "SPINQFT_SEED"
+        try:
+            seed = int(text)
+        except ValueError:  # also digit strings too long to convert
+            parser.error(f"SPINQFT_SEED must be an integer, got {_shown(text)}")
+    if seed < 0:
+        parser.error(f"{name} must be >= 0, got {_shown(str(seed))}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -452,6 +446,10 @@ def main(argv=None) -> int:
             parser.error(f"--n must lie in [1, {VERIFY_MAX_QUBITS}] for full-matrix verification")
         if args.decomp == "approximate" and args.m and not 1 <= args.m <= args.n:
             parser.error("--m must lie in [1, n]")
+    # 0 is no noise; any other t2 must give a finite dephasing rate 1/t2
+    if args.command == "simulate" and args.t2 and not 0 < 1.0 / args.t2 < math.inf:
+        parser.error(f"--t2 must be 0 or a time in seconds with a finite rate 1/t2, "
+                     f"got {args.t2!r}")
     if args.command == "tomo-roundtrip":
         if args.samples < 1:
             parser.error("--samples must be >= 1")
@@ -461,15 +459,10 @@ def main(argv=None) -> int:
         out = os.path.realpath(args.out)
         if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
             parser.error(f"--out {args.out}: not a file in an existing directory")
-    seed = os.environ.get("SPINQFT_SEED", getattr(args, "seed", DEFAULT_SEED))
-    try:
-        args.seed = int(seed)
-    except ValueError:
-        parser.error(f"SPINQFT_SEED must be an integer, got {seed!r}")
+    if args.command in ("simulate", "tomo-roundtrip"):
+        args.seed = _seed(args.seed, parser)
     try:
         return _HANDLERS[args.command](args, parser)
-    except KeyError as exc:  # str() of a KeyError quotes its message
-        parser.error(str(exc.args[0]) if exc.args else str(exc))
     except ValueError as exc:
         parser.error(str(exc))
 

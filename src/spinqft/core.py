@@ -1,8 +1,9 @@
 """Dense linear algebra over small multi-qubit Hilbert spaces.
 
-States, density matrices and unitaries are thin immutable wrappers around
-complex numpy arrays, indexed in the computational basis with qubit 1 as
-the most significant bit (basis integer ``a`` has the bit of qubit ``j``
+Density matrices (always the traceless deviation part of an ensemble
+state) and unitaries are thin immutable wrappers around complex numpy
+arrays, indexed in the computational basis with qubit 1 as the most
+significant bit (basis integer ``a`` has the bit of qubit ``j``
 at position ``n - j``).  ``apply_local`` (one- and multi-qubit
 operators applied to an array on their qubits' axes, without building
 the 2**n x 2**n matrix) and ``qubit_bits`` (one qubit's bit across all
@@ -54,34 +55,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Pure state of ``n`` qubits: 2**n complex amplitudes."""
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-        amps = _frozen(np.asarray(self.amps).reshape(-1))
-        if amps.shape != (2 ** self.n,):
-            raise ValueError(f"expected {2 ** self.n} amplitudes, got {amps.shape}")
-        object.__setattr__(self, "amps", amps)
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, np.outer(self.amps, self.amps.conj()))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
-    """Physical (trace 1) or deviation (trace 0) density matrix.
+    """Deviation density matrix: Hermitian and traceless.
 
-    Deviation matrices carry ``traceless=True``; they are the working
-    representation for ensemble NMR observables and the fidelity measure.
+    An ensemble NMR state is I/2**n plus a small deviation, and only the
+    deviation is observable (Vandersypen & Chuang, Rev. Mod. Phys. 76,
+    1037 (2005)); it is the one state representation of the package and
+    the input of the fidelity measure.
     """
 
     n: int
     entries: np.ndarray
-    traceless: bool = False
 
     def __post_init__(self):
         _check_qubit_count(self.n)
@@ -94,14 +78,8 @@ class DensityMatrix:
         if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * scale:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if self.traceless:
-            if not abs(tr) <= 1e-9 * scale:
-                raise ValueError(f"deviation matrix must be traceless, trace = {tr}")
-        else:
-            if not abs(tr - 1.0) <= 1e-9:
-                raise ValueError(f"physical density matrix must have trace 1, trace = {tr}")
-            if not float(np.min(np.linalg.eigvalsh(m))) >= -1e-10:
-                raise ValueError("physical density matrix has a negative eigenvalue")
+        if not abs(tr) <= 1e-9 * scale:
+            raise ValueError(f"deviation matrix must be traceless, trace = {tr}")
         object.__setattr__(self, "entries", m)
 
     def purity(self) -> float:
@@ -141,8 +119,6 @@ def entries_of(obj) -> np.ndarray:
     """Underlying array of a wrapper type, or the array itself."""
     if isinstance(obj, (UnitaryMatrix, DensityMatrix)):
         return obj.entries
-    if isinstance(obj, StateVector):
-        return obj.amps
     return np.asarray(obj, dtype=complex)
 
 
@@ -252,16 +228,6 @@ def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
     return out.reshape(shape) if factors else out.copy()
 
 
-def basis_state(n: int, a: int) -> StateVector:
-    """Computational basis state |a> on ``n`` qubits."""
-    _check_qubit_count(n)
-    if not 0 <= a < 2 ** n:
-        raise ValueError(f"basis index {a} out of range for n={n}")
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[a] = 1.0
-    return StateVector(n, amps)
-
-
 def transition_states(r: int, s: int, n: int) -> tuple[int, int]:
     """Map 1-based transition labels ``r -> s`` to the basis pair (r-1, s-1).
 
@@ -308,7 +274,7 @@ def conjugate(u: UnitaryMatrix, rho: DensityMatrix) -> DensityMatrix:
     """Unitary conjugation U rho U^dagger; preserves trace and Hermiticity."""
     if u.n != rho.n:
         raise ValueError(f"dimension mismatch: operator on {u.n} qubits, state on {rho.n}")
-    return DensityMatrix(rho.n, u.entries @ rho.entries @ u.entries.conj().T, traceless=rho.traceless)
+    return DensityMatrix(rho.n, u.entries @ rho.entries @ u.entries.conj().T)
 
 
 def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:

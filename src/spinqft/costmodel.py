@@ -174,10 +174,8 @@ def t_serial_solid(n: int, p: SolidParams) -> CostBreakdown:
 
 _MODELS = {
     "liquid": t_serial_liquid,
-    "serial-liquid": t_serial_liquid,
     "parallel": t_parallel,
     "solid": t_serial_solid,
-    "serial-solid": t_serial_solid,
 }
 
 

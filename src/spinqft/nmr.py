@@ -6,7 +6,8 @@ under an explicit, globally fixed rotation convention; pulse sequences
 are ordered left-to-right in time.  A small text DSL describes sequences
 (``90y@s1,s2  180x@t3-4  delay:1/(4*J12)  z45@s1``) and the bundled
 two- and three-spin transform sequences ship as ``.seq`` files in that
-format.
+format.  The package only reads the DSL (``parse_sequence``); it has no
+writer, so a program is edited as text.
 
 Rotation and coupling conventions
 ---------------------------------
@@ -51,6 +52,7 @@ from .core import (
     MAX_QUBITS,
     DensityMatrix,
     UnitaryMatrix,
+    _check_labels,
     _check_qubit_count,
     apply_local,
     qubit_bits,
@@ -167,12 +169,12 @@ def expand_composite_z(e: CompositeZ) -> list[SpinPulse]:
 def _delay_phases(e: CouplingDelay, n: int) -> np.ndarray:
     """Diagonal of a coupling delay's unitary, one phase factor per basis
     state: a leg of 1/(m * J) adds 2*pi * J/(m * J) = 2*pi/m times
-    Iz_j * Iz_k, so J never enters."""
+    Iz_j * Iz_k, so J never enters.  A leg on a spin outside 1..n is a
+    ``ValueError``, as a pulse on one is."""
     iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
     phase = np.zeros(2 ** n)
     for j, k, m in e.legs:
-        if not 1 <= j < k <= n:
-            raise KeyError(f"no coupling defined for spin pair ({j}, {k})")
+        _check_labels(n, (j, k))
         phase += 2.0 * math.pi / m * iz[j] * iz[k]
     return np.exp(1j * phase)
 
@@ -317,7 +319,7 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
         raise ValueError("sequence, system and state must share the spin count")
     if noise is None or not any(noise.rates):
         u = sequence_unitary(seq, system).entries
-        return DensityMatrix(system.n, u @ rho.entries @ u.conj().T, traceless=rho.traceless)
+        return DensityMatrix(system.n, u @ rho.entries @ u.conj().T)
     damping = {}  # element seconds -> damping matrix, for this run only
     state = np.array(rho.entries)
     for e in seq.elements:
@@ -326,7 +328,7 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
         if t not in damping:
             damping[t] = noise.damping_matrix(system.n, t)
         state *= damping[t]  # Schur-product dephasing channel, in place
-    return DensityMatrix(system.n, state, traceless=rho.traceless)
+    return DensityMatrix(system.n, state)
 
 
 # -- thermal state and temporally averaged pseudopure preparation ---------
@@ -334,7 +336,7 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
 def thermal_deviation(a: float = 1.0, b: float = 1.0) -> DensityMatrix:
     """Two-spin thermal deviation a*Iz1 + b*Iz2 (diagonal, traceless)."""
     diag = np.array([(a + b) / 2.0, (a - b) / 2.0, (-a + b) / 2.0, -(a + b) / 2.0])
-    return DensityMatrix(2, np.diag(diag.astype(complex)), traceless=True)
+    return DensityMatrix(2, np.diag(diag.astype(complex)))
 
 
 def prepare_pseudopure_temporal_avg(system: SpinSystem = SpinSystem(2),
@@ -353,7 +355,7 @@ def prepare_pseudopure_temporal_avg(system: SpinSystem = SpinSystem(2),
     total = np.array(rho_eq.entries)
     for seq in (seq_a, seq_b):
         total = total + run(seq, system, rho_eq).entries
-    return DensityMatrix(2, total / 3.0, traceless=True)
+    return DensityMatrix(2, total / 3.0)
 
 
 def pseudopure_projector_deviation(n: int) -> DensityMatrix:
@@ -361,7 +363,7 @@ def pseudopure_projector_deviation(n: int) -> DensityMatrix:
     dim = 2 ** n
     m = -np.eye(dim, dtype=complex) / dim
     m[0, 0] += 1.0
-    return DensityMatrix(n, m, traceless=True)
+    return DensityMatrix(n, m)
 
 
 # -- sequence DSL ----------------------------------------------------------
@@ -491,65 +493,6 @@ def parse_sequence(text: str, name: str = "") -> PulseSequence:
     if n is None:
         raise SequenceParseError("missing 'n: <spins>' directive", 1, 1)
     return PulseSequence(name, n, tuple(elements))
-
-
-_PHASE_TEXT = {PHASE_X: "x", PHASE_Y: "y", PHASE_MINUS_X: "-x", PHASE_MINUS_Y: "-y"}
-
-
-def _degrees_text(angle: float) -> str:
-    """``angle`` (radians) in degrees, as decimal text without an exponent
-    that ``math.radians`` maps back to ``angle`` exactly.
-
-    The repr of ``math.degrees(angle)`` is tried first, then its float
-    neighbours, and the shortest exact one is written; an angle that no
-    decimal maps back to exactly is written as the nearest one.
-    """
-    if not math.isfinite(angle):
-        raise ValueError(f"angle {angle!r} has no DSL form")
-    up = down = math.degrees(angle) + 0.0  # + 0.0 turns -0.0 into 0.0
-    near = [up]
-    for _ in range(4):
-        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
-        near += [up, down]
-    exact = [d for d in near if math.radians(d) == angle]
-    best = (min(exact, key=lambda d: len(repr(d))) if exact
-            else min(near, key=lambda d: abs(math.radians(d) - angle)))
-    from decimal import Decimal  # only here: simulate and export-fig2 never load decimal
-    return format(Decimal(repr(best)), "f").removesuffix(".0")
-
-
-def format_element(e: PulseElement) -> str:
-    """Render one element back into DSL text that ``parse_sequence`` reads
-    back as the same element.
-
-    Raises ``ValueError`` for what the DSL cannot write: an rf phase other
-    than x, y, -x, -y, or a negative or non-finite pulse angle.  A delay
-    pair with a spin above 9 is written ``J(j,k)``.
-    """
-    if isinstance(e, SpinPulse) or isinstance(e, TransitionPulse):
-        phase_txt = _PHASE_TEXT.get(e.phase % (2 * math.pi))
-        if phase_txt is None:
-            raise ValueError(f"rf phase {e.phase!r} is not one of x, y, -x, -y")
-        if not e.angle >= 0:
-            raise ValueError(f"pulse angle {e.angle!r} must be >= 0")
-        head = _degrees_text(e.angle) + phase_txt
-        if isinstance(e, SpinPulse):
-            return f"{head}@" + ",".join(f"s{s}" for s in e.spins)
-        return f"{head}@t{e.from_label}-{e.to_label}"
-    if isinstance(e, CompositeZ):
-        return f"z{_degrees_text(e.angle)}@s{e.spin}"
-    if isinstance(e, CouplingDelay):
-        # J110 would not read as (1, 10): a spin above 9 needs the J(j,k) form
-        parts = [f"1/({m}*J{j}{k})" if k <= 9 else f"1/({m}*J({j},{k}))" for j, k, m in e.legs]
-        body = parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}"
-        return f"delay:{body}"
-    raise TypeError(f"unknown pulse element {e!r}")
-
-
-def format_sequence(seq: PulseSequence) -> str:
-    lines = [f"name: {seq.name}", f"n: {seq.n}"]
-    lines.extend(format_element(e) for e in seq.elements)
-    return "\n".join(lines) + "\n"
 
 
 # -- bundled sequence library ----------------------------------------------

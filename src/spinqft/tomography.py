@@ -178,8 +178,8 @@ def reconstruct(values: np.ndarray, n: int) -> DensityMatrix | list[DensityMatri
     m = np.tensordot(coeffs.T, _pauli_basis(n), axes=1)
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0  # scrub roundoff asymmetry
     if m.ndim == 2:
-        return DensityMatrix(n, m, traceless=True)
-    return [DensityMatrix(n, one, traceless=True) for one in m]
+        return DensityMatrix(n, m)
+    return [DensityMatrix(n, one) for one in m]
 
 
 @dataclass(frozen=True)

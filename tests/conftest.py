@@ -73,4 +73,4 @@ def random_traceless_hermitian(n: int, rng: np.random.Generator) -> core.Density
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (h + h.conj().T) / 2.0
     h -= np.trace(h) / dim * np.eye(dim)
-    return core.DensityMatrix(n, h, traceless=True)
+    return core.DensityMatrix(n, h)

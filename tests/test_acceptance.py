@@ -36,7 +36,7 @@ def test_criterion_2_product_form():
     for n in range(1, 7):
         target = core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries
         for a in range(2 ** n):
-            vec = circuits.qft_product_state(a, n).amps
+            vec = circuits.qft_product_state(a, n)
             worst = max(worst, float(np.max(np.abs(vec - target[:, a]))))
     assert worst < 1e-12
     print(f"\n[PASS] criterion 2: product form matches oracle columns "

@@ -200,24 +200,24 @@ class TestProductState:
     def test_zero_index_uniform(self):
         for n in (1, 2, 3):
             v = circuits.qft_product_state(0, n)
-            np.testing.assert_allclose(v.amps, np.full(2 ** n, 2 ** (-n / 2)), atol=1e-15)
+            np.testing.assert_allclose(v, np.full(2 ** n, 2 ** (-n / 2)), atol=1e-15)
 
     def test_n1_a1(self):
         v = circuits.qft_product_state(1, 1)
-        np.testing.assert_allclose(v.amps, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(v, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
     def test_n2_a1_phases(self):
         # phi_0 = 1/4 on qubit 1, phi_1 = 1/2 on qubit 2
         v = circuits.qft_product_state(1, 2)
         expected = np.kron([1, np.exp(2j * np.pi / 4)], [1, np.exp(1j * np.pi)]) / 2
-        np.testing.assert_allclose(v.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(v, expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_reversed_oracle_columns(self, n):
         target = oracle_target(n)
         for a in range(2 ** n):
             v = circuits.qft_product_state(a, n)
-            np.testing.assert_allclose(v.amps, target[:, a], atol=1e-12)
+            np.testing.assert_allclose(v, target[:, a], atol=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):

@@ -211,7 +211,7 @@ class TestSimulate:
         from spinqft import core
 
         dense = core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries
-        rows = cli._ideal_target_unitary(n, True).entries
+        rows = cli._ideal_target_unitary(n).entries
         assert np.array_equal(rows.view(np.int64), dense.view(np.int64))
 
     def test_directory_as_sequence_is_usage_error(self, tmp_path):
@@ -314,22 +314,47 @@ class TestSimulate:
         assert captured.err.splitlines()[-1:] == [TOMO_CAP_LINE.format(n=n)]
 
     def test_unknown_coupling_message_has_no_quotes(self, capsys, tmp_path):
+        # a delay on a spin outside the program is worded as a pulse on one
         path = tmp_path / "spin0.seq"
         path.write_text("n: 2\ndelay:1/(2*J01)\n")
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--sequence", str(path)])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "spinqft: error: no coupling defined for spin pair (0, 1)")
+            "spinqft: error: qubit labels [0, 1] outside 1..2")
 
-    def test_no_reverse_readout_changes_nothing_on_flat_target(self, capsys):
-        # the transform of |0...0> is reversal-invariant, so both readouts agree
-        _, a, _ = run_cli(["simulate", "--sequence", "serial-n2"], capsys)
-        _, b, _ = run_cli(["simulate", "--sequence", "serial-n2",
-                           "--no-reverse-readout"], capsys)
-        fa = json.loads(a)["fidelity_report"]["fidelity"]
-        fb = json.loads(b)["fidelity_report"]["fidelity"]
-        assert fa == pytest.approx(fb, abs=1e-12)
+    @pytest.mark.parametrize("flag", ["--reverse-readout", "--no-reverse-readout"])
+    def test_readout_order_is_not_an_option(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", "serial-n2", flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        _, out, _ = run_cli(["simulate", "--sequence", "serial-n2"], capsys)
+        assert "reverse_readout" not in json.loads(out)
+
+    @pytest.mark.parametrize("t2", ["inf", "-inf", "nan", "-1", "1e-320"])
+    def test_t2_without_a_finite_rate_exits_2_before_the_sequence_is_read(
+            self, t2, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("read the sequence")
+
+        monkeypatch.setattr(cli, "_resolve_sequence", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", "serial-n3", f"--t2={t2}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "spinqft: error: --t2 must be 0 or a time in seconds with a finite rate 1/t2, "
+            f"got {float(t2)!r}")
+
+    @pytest.mark.parametrize("t2", ["0", "-0", "1e-300", "0.05"])
+    def test_t2_of_zero_or_with_a_finite_rate_is_accepted(self, t2, capsys):
+        code, out, _ = run_cli(["simulate", "--sequence", "serial-n2", f"--t2={t2}"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc)
+        assert doc["t2_seconds"] == float(t2)
 
 
 class TestTomoRoundtrip:
@@ -345,7 +370,7 @@ class TestTomoRoundtrip:
         _, out, _ = run_cli(["tomo-roundtrip", "--n", "2", "--samples", "2"], capsys)
         assert json.loads(out)["seed"] == 123
 
-    @pytest.mark.parametrize("args", [["verify", "--n", "2"],
+    @pytest.mark.parametrize("args", [["simulate", "--sequence", "serial-n2"],
                                       ["tomo-roundtrip", "--n", "2", "--samples", "1"]])
     def test_bad_seed_env_is_usage_error(self, args, capsys, monkeypatch):
         monkeypatch.setenv("SPINQFT_SEED", "abc")
@@ -356,6 +381,49 @@ class TestTomoRoundtrip:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
             "spinqft: error: SPINQFT_SEED must be an integer, got 'abc'")
+
+    @pytest.mark.parametrize("args", [
+        ["cost", "--model", "liquid", "--n-range", "1..2"],
+        ["verify", "--n", "2"],
+        ["export-fig2", "--sequence", "serial-n2"],
+    ], ids=["cost", "verify", "export-fig2"])
+    def test_seed_env_is_not_read_without_a_seed(self, args, capsys, monkeypatch):
+        monkeypatch.setenv("SPINQFT_SEED", "abc")
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out
+
+    def test_long_seed_env_gives_a_short_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINQFT_SEED", "1" * 5000)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tomo-roundtrip", "--n", "2", "--samples", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "spinqft: error: SPINQFT_SEED must be an integer, got "
+            f"{'1' * 40!r}... (5000 characters)")
+
+    @pytest.mark.parametrize("command", [["simulate", "--sequence", "serial-n2"],
+                                         ["tomo-roundtrip", "--n", "2", "--samples", "1"]],
+                             ids=["simulate", "tomo-roundtrip"])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_negative_seed_exits_2_before_any_work(self, command, from_env, capsys,
+                                                   monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setitem(cli._HANDLERS, command[0], no_work)
+        if from_env:
+            monkeypatch.setenv("SPINQFT_SEED", "-5")
+        else:
+            monkeypatch.delenv("SPINQFT_SEED", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--seed", "7" if from_env else "-5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "SPINQFT_SEED" if from_env else "--seed"
+        assert captured.err.splitlines()[-1] == f"spinqft: error: {name} must be >= 0, got '-5'"
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_is_usage_error(self, samples, capsys):
@@ -538,16 +606,13 @@ class TestOutPath:
         assert captured.err.splitlines()[-1] == (
             f"spinqft: error: cannot write --out {out}: Permission denied")
 
-    def test_failed_encoding_leaves_the_file_and_no_temporary(self, tmp_path, capsys):
-        # t2_seconds = inf is the last key, written after both density matrices
+    def test_failed_encoding_leaves_the_file_and_no_temporary(self, tmp_path):
+        # the NaN is the last key, written after a whole matrix
         out = tmp_path / "r.json"
         out.write_text("old report\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", "serial-n3", "--t2", "inf", "--out", str(out)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("spinqft: error: Out of range float")
+        report = {"a": np.ones((64, 64)), "z": float("nan")}
+        with pytest.raises(ValueError, match="^Out of range float"):
+            cli._atomic_write(str(out), report)
         assert out.read_text() == "old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
@@ -593,14 +658,20 @@ def dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def json_text(doc):
+    """The report ``doc`` as ``cli._write_report`` writes it, as one string."""
+    chunks = []
+    cli._write_report(chunks.append, doc)
+    return "".join(chunks)
+
+
 FINITE = (st.floats(allow_nan=False, allow_infinity=False)
           | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
 SCALARS = st.none() | st.booleans() | st.integers() | FINITE | st.text()
 DOCS = st.dictionaries(st.text(), st.recursive(
-    SCALARS | st.lists(FINITE),  # float lists take the one-call row path
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
-                  | st.dictionaries(st.text(), kids, max_size=4)),
-    max_leaves=30))
+    SCALARS, lambda kids: st.dictionaries(st.text(), kids, max_size=4), max_leaves=30))
+MATRICES = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1),
+                      elements=FINITE)
 
 
 # a small pool, so that drawn matrices repeat values; both zeros and the extremes included
@@ -608,14 +679,13 @@ REPEATS_POOL = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.797693134
                 0.1, -0.1, 1 / 3, 0.0625]
 
 
-def report_shaped_doc(as_arrays):
+def report_shaped_doc():
     """A doc shaped like an n = 8 ``simulate`` report."""
     rng = np.random.default_rng(8)
     doc = {"command": "simulate", "n": 8, "fidelity_report": {"fidelity": 0.5}}
     for key in ("rho_exp", "rho_target"):
         m = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-        re, im = (m.real, m.imag) if as_arrays else (m.real.tolist(), m.imag.tolist())
-        doc[key] = {"n": 8, "re": re, "im": im}
+        doc[key] = {"n": 8, "re": m.real, "im": m.imag}
     return doc
 
 
@@ -623,15 +693,24 @@ class TestJsonText:
     @settings(deadline=None)
     @given(DOCS)
     def test_equals_indented_dumps(self, doc):
-        assert "".join(cli._json_text(doc)) == dumps(doc)
+        assert json_text(doc) == dumps(doc)
 
     @settings(deadline=None)
-    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
-                      elements=FINITE))
+    @given(MATRICES)
     def test_array_is_written_as_its_tolist(self, a):
-        doc = {"m": a, "rows": [a, a.T]}
-        expected = {"m": a.tolist(), "rows": [a.tolist(), a.T.tolist()]}
-        assert "".join(cli._json_text(doc)) == dumps(expected)
+        doc = {"m": a, "t": {"x": a.T, "n": 1}}
+        expected = {"m": a.tolist(), "t": {"x": a.T.tolist(), "n": 1}}
+        assert json_text(doc) == dumps(expected)
+
+    @pytest.mark.parametrize("value", [
+        [0.5], (0.5,), [], np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 2)),
+        np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=np.float32),
+        np.zeros((2, 2), dtype=complex), np.array(0.5),
+    ], ids=["list", "tuple", "empty-list", "1-d", "3-d", "empty-2-d", "int", "float32",
+            "complex", "0-d"])
+    def test_what_no_report_holds_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="a report holds no"):
+            json_text({"ok": 1.0, "bad": {"value": value}})
 
     @settings(deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
@@ -643,22 +722,22 @@ class TestJsonText:
         doc = {"m": a, "t": a.T, "z": {"re": z.real, "im": z.imag}}
         expected = {"m": a.tolist(), "t": a.T.tolist(),
                     "z": {"re": z.real.tolist(), "im": z.imag.tolist()}}
-        assert "".join(cli._json_text(doc)) == dumps(expected)
+        assert json_text(doc) == dumps(expected)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_raises_before_any_chunk(self, bad):
-        docs = [{"x": bad}, {"row": [0.5, bad]}, {"a": {"b": [[1.0], [bad, 2.0]]}},
-                {"m": np.array([[0.0, 1.0], [bad, 0.0]])}, {"v": np.array([bad])}]
+        docs = [{"x": bad}, {"a": {"b": bad}}, {"m": np.array([[0.0, 1.0], [bad, 0.0]])},
+                {"v": np.array([[bad]])}]
         for doc in docs:
             with pytest.raises(ValueError):
-                cli._json_text(doc)
+                json_text(doc)
 
-    @pytest.mark.parametrize("as_arrays", [False, True], ids=["lists", "arrays"])
-    def test_report_peak_memory_is_about_its_length(self, as_arrays):
-        doc = report_shaped_doc(as_arrays)
+    def test_report_peak_memory_is_about_its_length(self):
+        doc = report_shaped_doc()
         tracemalloc.start()
         try:
-            chunks = cli._json_text(doc)
+            chunks = []
+            cli._write_report(chunks.append, doc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -734,9 +813,8 @@ def cost_argv(model, j, delta, d, big_delta, lo, hi, fmt):
     return argv
 
 
-def simulate_argv(sequence, t2, tomography, reverse, seed):
-    return (["simulate", "--sequence", sequence, f"--t2={t2!r}", f"--seed={seed}",
-             "--reverse-readout" if reverse else "--no-reverse-readout"]
+def simulate_argv(sequence, t2, tomography, seed):
+    return (["simulate", "--sequence", sequence, f"--t2={t2!r}", f"--seed={seed}"]
             + ["--tomography"] * tomography)
 
 
@@ -754,7 +832,7 @@ VALID_JSON_ARGV = st.one_of(
         st.floats(1.0, 1e4), st.floats(0.0, 1e-3), st.floats(1e3, 1e12), st.floats(0.0, 1e-3),
         st.integers(1, hi), st.just(hi), st.just("json"))),
     st.builds(simulate_argv, st.sampled_from(nmr.SEQUENCE_LIBRARY), st.just(0.0) | st.floats(1e-3, 10.0),
-              st.booleans(), st.booleans(), SEEDS),
+              st.booleans(), SEEDS),
     st.builds(tomo_argv, st.sampled_from([2, 3]), st.integers(1, 3), SEEDS),
 )
 
@@ -806,20 +884,20 @@ FUZZED_ARGV = st.one_of(
               st.none() | ANY_FLOAT, st.none() | ANY_FLOAT, st.integers(-1, 50),
               st.integers(-1, 50), st.sampled_from(["csv", "json"])),
     st.builds(simulate_argv, st.sampled_from(nmr.SEQUENCE_LIBRARY + ("no-such-sequence",)), ANY_FLOAT,
-              st.booleans(), st.booleans(), st.integers(-2, 2 ** 64)),
+              st.booleans(), st.integers(-2, 2 ** 64)),
     st.builds(tomo_argv, st.integers(1, 4), st.integers(-1, 3), st.integers(-2, 2 ** 64)),
     st.builds(simulate_argv, FUZZED_SEQUENCES, st.just(0.0) | st.floats(1e-3, 10.0),
-              st.booleans(), st.booleans(), SEEDS),
+              st.booleans(), SEEDS),
     # a large n only ever with --tomography, which must refuse it
     st.builds(simulate_argv, LARGE_SEQUENCES, st.just(0.0) | st.floats(1e-3, 10.0),
-              st.just(True), st.booleans(), SEEDS),
+              st.just(True), SEEDS),
 )
 
 NON_FINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 USAGE_ERROR = re.compile(r"spinqft( [a-z0-9-]+)?: error: ")  # a subcommand's parser names it
 # a bad .seq file is refused at its token, or for the spin, transition or pair it names
 SEQUENCE_ERROR = re.compile(r"spinqft: error: (cannot parse .*: line \d+, column \d+: "
-                            r"|qubit labels |transition |no coupling )")
+                            r"|qubit labels |transition )")
 
 
 def run_main(argv):

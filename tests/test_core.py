@@ -53,22 +53,25 @@ class TestDftOracle:
 
 class TestApplyConjugate:
     def test_conjugate_uniform_projector(self):
-        rho = core.basis_state(2, 0).density_matrix()
+        # the deviation |00><00| - I/4 goes to the uniform projector minus I/4
+        rho = core.DensityMatrix(2, np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
         out = core.conjugate(core.dft_oracle(2), rho)
-        np.testing.assert_allclose(out.entries, np.full((4, 4), 0.25), atol=1e-15)
+        np.testing.assert_allclose(out.entries, np.full((4, 4), 0.25) - np.eye(4) / 4,
+                                   atol=1e-15)
 
     def test_conjugate_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
+        rho = m + m.conj().T
+        rho -= np.trace(rho) / 8 * np.eye(8)
         out = core.conjugate(core.dft_oracle(3), core.DensityMatrix(3, rho))
-        assert abs(np.trace(out.entries) - 1) < 1e-12
+        assert abs(np.trace(out.entries)) < 1e-12
         np.testing.assert_allclose(out.entries, out.entries.conj().T, atol=1e-12)
 
     def test_dimension_mismatch(self):
+        rho = core.DensityMatrix(2, np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
         with pytest.raises(ValueError):
-            core.conjugate(core.dft_oracle(1), core.basis_state(2, 0).density_matrix())
+            core.conjugate(core.dft_oracle(1), rho)
 
 
 class TestGlobalPhase:
@@ -140,19 +143,17 @@ class TestTransitionLabels:
 
 class TestValidation:
     def test_non_hermitian_rejected(self):
-        m = np.eye(2, dtype=complex)
+        m = np.diag([0.5, -0.5]).astype(complex)
         m[0, 1] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Hermitian"):
             core.DensityMatrix(1, m)
 
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            core.DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
-
-    def test_traceless_flag(self):
-        core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex), traceless=True)
-        with pytest.raises(ValueError):
-            core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
+    def test_nonzero_trace_rejected(self):
+        # every density matrix is a deviation matrix, so a trace-1 state is refused
+        core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
+        for diag in ([1.0, 0.0], [1.5, -0.5 + 1e-6]):
+            with pytest.raises(ValueError, match="traceless"):
+                core.DensityMatrix(1, np.diag(diag).astype(complex))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +162,7 @@ class TestValidation:
     @pytest.mark.parametrize("make", [
         lambda m: core.UnitaryMatrix(1, m),
         lambda m: core.DensityMatrix(1, m),
-        lambda m: core.DensityMatrix(1, m, traceless=True),
-    ], ids=["unitary", "density", "deviation"])
+    ], ids=["unitary", "density"])
     @pytest.mark.parametrize("bad", [np.nan, pytest.param(
         np.inf, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
     def test_non_finite_entry_rejected(self, make, bad):

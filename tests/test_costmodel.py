@@ -240,6 +240,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             costmodel.sweep("quantum", costmodel.LiquidParams(), [1])
 
+    @pytest.mark.parametrize("model", ["serial-liquid", "serial-solid"])
+    def test_models_are_the_cli_choices(self, model):
+        # a row's model label is not a model name
+        with pytest.raises(ValueError, match=r"choose from \['liquid', 'parallel', 'solid'\]"):
+            costmodel.sweep(model, costmodel.LiquidParams(), [1])
+
     def test_breakdown_total_consistency(self):
         with pytest.raises(ValueError):
             costmodel.CostBreakdown(1, "x", 1.0, 1.0, 0.0, 3.0)

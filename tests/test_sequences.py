@@ -7,6 +7,8 @@ calibration: programs that mirror a wrong convention, and wrong
 correction angles, fail it, so neither is decorative.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,13 @@ class TestEndToEnd:
         assert sequence_fidelity(nmr.library_sequence(name)) == pytest.approx(1.0, abs=1e-10)
 
 
+def bundled_text(name: str) -> str:
+    return resources.files("spinqft.sequences").joinpath(f"{name}.seq").read_text()
+
+
 def with_replaced(name: str, old: str, new: str) -> nmr.PulseSequence:
     """Library sequence ``name`` with its one run of tokens ``old`` replaced by ``new``."""
-    text = nmr.format_sequence(nmr.library_sequence(name))
+    text = bundled_text(name)
     assert text.count(old) == 1
     return nmr.parse_sequence(text.replace(old, new))
 
@@ -64,9 +70,7 @@ class TestCalibrationIsLoadBearing:
     def test_selective_n3_z_correction_angle(self):
         # the 90-degree z-correction on spin 1 is required; the 67.5-degree
         # variant (the angle a per-gate bookkeeping would suggest) falls short
-        text = nmr.format_sequence(nmr.library_sequence("selective-n3"))
-        degraded = text.replace("z90@s1", "z67.5@s1")
-        fid = sequence_fidelity(nmr.parse_sequence(degraded))
+        fid = sequence_fidelity(with_replaced("selective-n3", "z90@s1", "z67.5@s1"))
         assert 0.94 < fid < 0.999
 
     def test_parallel_n2_needs_post_delay_elements(self):

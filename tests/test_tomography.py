@@ -132,7 +132,7 @@ class TestReconstruction:
         stacked = tomography.reconstruct(readouts, n)
         assert len(stacked) == len(states)
         for rec, values, rho in zip(stacked, readouts, states):
-            assert isinstance(rec, core.DensityMatrix) and rec.traceless
+            assert isinstance(rec, core.DensityMatrix)
             single = tomography.reconstruct(values, n)
             np.testing.assert_allclose(rec.entries, single.entries, rtol=0, atol=1e-14)
             np.testing.assert_allclose(rec.entries, rho.entries, rtol=0, atol=1e-12)
@@ -155,8 +155,8 @@ class TestFidelity:
         assert rep.signal_retention == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_gives_zero(self):
-        z = core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex), traceless=True)
-        x = core.DensityMatrix(1, np.array([[0, 0.5], [0.5, 0]], dtype=complex), traceless=True)
+        z = core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
+        x = core.DensityMatrix(1, np.array([[0, 0.5], [0.5, 0]], dtype=complex))
         rep = tomography.fidelity(z, x, z)
         assert rep.correlation == pytest.approx(0.0, abs=1e-12)
         assert rep.fidelity == pytest.approx(0.0, abs=1e-12)
@@ -200,8 +200,8 @@ class TestFidelity:
             assert a.purity() == pytest.approx(tr(a, a), rel=1e-13)
 
     def test_zero_norm_reference_rejected(self):
-        zero = core.DensityMatrix(1, np.zeros((2, 2), dtype=complex), traceless=True)
-        z = core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex), traceless=True)
+        zero = core.DensityMatrix(1, np.zeros((2, 2), dtype=complex))
+        z = core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
         with pytest.raises(ValueError):
             tomography.fidelity(zero, z, z)
         with pytest.raises(ValueError):
