@@ -61,7 +61,7 @@ print(f"fidelity report: correlation={rep.correlation:.6f} "
 print("\nideal transform output as bar-chart rows: the deviation matrix of")
 print("the uniform superposition has zero diagonal and constant positive")
 print("off-diagonal real parts:")
-rows = tomography.bar_chart_rows(rho_th)
-for row, col, re_v, im_v in rows[:4]:
-    print(f"  <{row}|rho|{col}> = {re_v:+.4f} {im_v:+.4f}j")
+for line in tomography.bar_chart_csv(rho_th).splitlines()[1:5]:
+    row, col, re_v, im_v = line.split(",")
+    print(f"  <{row}|rho|{col}> = {float(re_v):+.4f} {float(im_v):+.4f}j")
 print("full CSV via: spinqft export-fig2 --sequence parallel-n2 --out bars.csv")

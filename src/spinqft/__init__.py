@@ -15,3 +15,10 @@ def __getattr__(name):
     if name in __all__:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message: at most 40 characters, then its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"

@@ -39,12 +39,13 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
 from typing import TYPE_CHECKING
 
-from . import costmodel
+from . import _shown, costmodel
 
 if TYPE_CHECKING:
     from . import core, nmr
@@ -56,8 +57,10 @@ DEFAULT_SEED = 20260810
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000
-# a tomo-roundtrip --n 3 child at the cap takes about 1 s and 136 MiB (2-CPU container)
+# a tomo-roundtrip --n 3 child at the cap takes about 0.9 s and 140 MiB (2-CPU container)
 TOMO_MAX_SAMPLES = 5_000
+# simulate --out took 7.8 s on the n = 9 serial program, and wrote 91 MB for one n = 10 pulse
+SIMULATE_MAX_QUBITS = 9
 # a simulate --tomography child took 1.45 s at n = 4 and 17.5 s, 998 MiB at n = 5 (2-CPU container)
 TOMO_MAX_QUBITS = 4
 # an export-fig2 --what output child on a serial program took 1.6 s, 60 MiB for a 3.7 MB CSV
@@ -251,7 +254,7 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
             parser.error(f"cannot read {name}: {exc.strerror or exc}")
         except nmr.SequenceParseError as exc:
             parser.error(f"cannot parse {name}: {exc}")
-    parser.error(f"unknown sequence {nmr._shown(name)}: not a library name "
+    parser.error(f"unknown sequence {_shown(name)}: not a library name "
                  f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
 
 
@@ -280,9 +283,10 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
     from . import core, nmr, tomography
 
     seq = _resolve_sequence(args.sequence, parser)
-    if args.tomography and seq.n > TOMO_MAX_QUBITS:
-        parser.error(f"--tomography reads out at most {TOMO_MAX_QUBITS} spins, "
-                     f"the sequence has {seq.n}")
+    cap, verb = ((TOMO_MAX_QUBITS, "--tomography reads out") if args.tomography
+                 else (SIMULATE_MAX_QUBITS, "simulate runs"))
+    if seq.n > cap:
+        parser.error(f"{verb} at most {cap} spins, the sequence has {seq.n}")
     system = nmr.system_for_sequence(seq)
     rho_init = _pseudopure_input(system)
     noise = nmr.NoiseModel.uniform(system.n, 1.0 / args.t2) if args.t2 else None
@@ -316,17 +320,14 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
 def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
     import numpy as np
 
-    from . import core, tomography
+    from . import tomography
 
-    rng = np.random.default_rng(args.seed)
     dim = 2 ** args.n
-    states = []
-    for _ in range(args.samples):
-        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (h + h.conj().T) / 2.0
-        h -= np.trace(h) / dim * np.eye(dim)
-        states.append(core.DensityMatrix(args.n, h).entries)
-    readouts = tomography.measure_all(np.array(states))  # one readout of the whole stack
+    g = np.random.default_rng(args.seed).normal(size=(args.samples, 2, dim, dim))
+    h = g[:, 0] + 1j * g[:, 1]  # each sample's real, then imaginary draw
+    states = (h + h.conj().swapaxes(1, 2)) / 2.0  # Hermitian and, below, traceless
+    states -= np.trace(states, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
+    readouts = tomography.measure_all(states)  # one readout of the whole stack
     recons = tomography.reconstruct(readouts, args.n)  # and one solve
     worst = max(float(np.max(np.abs(r.entries - rho))) for r, rho in zip(recons, states))
     passed = worst <= TOMO_TOL
@@ -371,8 +372,16 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too, show a long echoed input as ``_shown`` does."""
+
+    def error(self, message):
+        echoed = r"'([^']{41,})'|\"([^\"]{41,})\"|(?<=unrecognized arguments: )(.{41,})"
+        super().error(re.sub(echoed, lambda m: _shown(next(filter(None, m.groups()))), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinqft",
         description="Fourier-transform circuit verification, gate time costs, "
                     "and pulse-level spin simulation.",
@@ -422,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _seed(flag: int, parser) -> int:
     """``SPINQFT_SEED`` if it is set, else ``--seed``; a usage error if it
     is not an integer or is below 0."""
-    from .nmr import _shown  # both commands with a seed load nmr anyway
-
     text = os.environ.get("SPINQFT_SEED")
     if text is None:
         name, seed = "--seed", flag
@@ -458,7 +465,7 @@ def main(argv=None) -> int:
     if args.out:
         out = os.path.realpath(args.out)
         if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
-            parser.error(f"--out {args.out}: not a file in an existing directory")
+            parser.error(f"--out {_shown(args.out)}: not a file in an existing directory")
     if args.command in ("simulate", "tomo-roundtrip"):
         args.seed = _seed(args.seed, parser)
     try:

@@ -17,10 +17,10 @@ addressed spin, with I = sigma/2.  Every pair of spins is coupled at the
 one ``DEFAULT_J_HZ``, and a delay leg written 1/(m*J_jk) evolves its pair
 for 1/(m*J): it applies exp(+i * 2*pi/m * Iz_j Iz_k), whatever J is (the
 way NMR writes delays as fractions of 1/J; Vandersypen & Chuang, Rev.
-Mod. Phys. 76, 1037 (2005)).  A z pulse expands to {90_-x}{theta_y}{90_x}
-= Rz(+theta): the one fixed calibration that makes every bundled sequence
-reproduce the transform exactly (the tests pin it with programs that
-mirror each other convention).  Spins are on resonance.  Delays act
+Mod. Phys. 76, 1037 (2005)).  A z pulse is {90_-x}{theta_y}{90_x} =
+Rz(+theta), diagonal: the one fixed calibration that makes every bundled
+sequence reproduce the transform exactly (the tests pin it with programs
+that mirror each other convention).  Spins are on resonance.  Delays act
 pair-by-pair as written (an idealization of the refocusing tricks that
 isolate one coupling on hardware), and pulses are instantaneous.
 ``element_seconds`` gives each element its wall time, which matters only
@@ -29,11 +29,11 @@ to the dephasing noise model; it is the only place J enters.
 Each element kind is defined once, by its action ``a -> u @ a`` where
 the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
 axes through ``core.apply_local``, two rows for a transition pulse, one
-phase per row for a delay).  ``element_unitary`` is that action applied
-to the identity.  A noiseless ``run`` conjugates by the dense
-``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
-element unitary: it applies each element's action to the density
-matrix twice, as ``u (u rho)^H`` (a delay as one Schur product with
+phase per row for a delay or a z pulse).  ``element_unitary`` is that
+action applied to the identity.  A noiseless ``run`` conjugates by the
+dense ``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
+element unitary: it applies each element's action to the density matrix
+twice, as ``u (u rho)^H`` (a diagonal one as one Schur product with
 ``outer(p, conj(p))``), then the element's dephasing channel.
 """
 
@@ -48,6 +48,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import _shown
 from .core import (
     MAX_QUBITS,
     DensityMatrix,
@@ -134,7 +135,7 @@ class CouplingDelay:
 
 @dataclass(frozen=True)
 class CompositeZ:
-    """z-rotation by a signed angle, expanded into an rf pulse sandwich."""
+    """z-rotation Rz(+angle) by a signed angle: diagonal, one phase per state."""
 
     spin: int
     angle: float
@@ -158,24 +159,20 @@ class PulseSequence:
 
 # -- element evaluation --------------------------------------------------
 
-def expand_composite_z(e: CompositeZ) -> list[SpinPulse]:
-    """Expand a z-pulse into its rf sandwich {90_-x}{theta_y}{90_x}, which is Rz(+theta)."""
-    half = math.pi / 2.0
-    mid_phase = PHASE_Y if e.angle >= 0 else PHASE_MINUS_Y
-    mid = SpinPulse((e.spin,), abs(e.angle), mid_phase)
-    return [SpinPulse((e.spin,), half, PHASE_MINUS_X), mid, SpinPulse((e.spin,), half, PHASE_X)]
-
-
-def _delay_phases(e: CouplingDelay, n: int) -> np.ndarray:
-    """Diagonal of a coupling delay's unitary, one phase factor per basis
-    state: a leg of 1/(m * J) adds 2*pi * J/(m * J) = 2*pi/m times
-    Iz_j * Iz_k, so J never enters.  A leg on a spin outside 1..n is a
-    ``ValueError``, as a pulse on one is."""
+def _phases(e: CouplingDelay | CompositeZ, n: int) -> np.ndarray:
+    """Diagonal of a delay's or a z pulse's unitary, one phase factor per
+    basis state: -theta * Iz_j for Rz(theta) on spin j, or the sum of
+    2*pi/m * Iz_j * Iz_k over delay legs of 1/(m * J), so J never enters.
+    A spin outside 1..n, or a non-finite z angle, is a ``ValueError``."""
     iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
+    terms = ([(-e.angle, e.spin)] if isinstance(e, CompositeZ)
+             else [(2.0 * math.pi / m, j, k) for j, k, m in e.legs])
     phase = np.zeros(2 ** n)
-    for j, k, m in e.legs:
-        _check_labels(n, (j, k))
-        phase += 2.0 * math.pi / m * iz[j] * iz[k]
+    for w, *spins in terms:
+        _check_labels(n, spins)
+        if not math.isfinite(w):
+            raise ValueError("a z angle that is not finite gives no unitary")
+        phase += math.prod((iz[j] for j in spins), start=w)
     return np.exp(1j * phase)
 
 
@@ -193,11 +190,10 @@ def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.nd
 
     A spin pulse is its 2x2 rotation on the pulsed spins' qubit axes
     (``core.apply_local``); a transition pulse rewrites the two rows of its
-    basis pair; a coupling delay scales each row by its phase factor; a
-    composite z applies its three rf pulses in time order.  Each 2x2
-    rotation is checked unitary to 1e-10, once, when the action is built;
-    a delay's phases 2*pi/m * (+-1/4) are finite, so its factors are
-    unit-modulus by construction.
+    basis pair; a coupling delay or a z pulse scales each row by its phase
+    factor (``_phases``).  Each 2x2 rotation is checked unitary to 1e-10,
+    once, when the action is built; finite phases give unit-modulus
+    factors by construction.
     """
     n = system.n
     if isinstance(e, SpinPulse):
@@ -212,17 +208,9 @@ def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.nd
             out[pair] = r @ out[pair]
             return out
         return rotate_pair
-    if isinstance(e, CouplingDelay):
-        p = _delay_phases(e, n)
+    if isinstance(e, (CouplingDelay, CompositeZ)):
+        p = _phases(e, n)
         return lambda a: p[:, None] * a
-    if isinstance(e, CompositeZ):
-        pulses = [_action(p, system) for p in expand_composite_z(e)]
-
-        def sandwich(a):
-            for act in pulses:
-                a = act(a)
-            return a
-        return sandwich
     raise TypeError(f"unknown pulse element {e!r}")
 
 
@@ -247,10 +235,10 @@ def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem) -> 
     """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
     ``rho``, without the 2**n x 2**n unitary: the element's action applied
     twice, to ``rho`` and then to ``(u rho)^H``, since
-    ``u (u rho)^H = u rho u^H``.  A coupling delay, ``u = diag(p)``, is
-    one Schur product with ``outer(p, conj(p))`` instead."""
-    if isinstance(e, CouplingDelay):
-        p = _delay_phases(e, system.n)
+    ``u (u rho)^H = u rho u^H``.  A delay or a z pulse, ``u = diag(p)``,
+    is one Schur product with ``outer(p, conj(p))`` instead."""
+    if isinstance(e, (CouplingDelay, CompositeZ)):
+        p = _phases(e, system.n)
         return rho * np.outer(p, p.conj())
     act = _action(e, system)
     # one expression, so that u rho is freed before the second pass allocates
@@ -398,15 +386,6 @@ def _radians(degrees: str) -> float:
     if not math.isfinite(angle):
         raise ValueError("angle is not a finite number of degrees")
     return angle
-
-
-def _shown(text: str) -> str:
-    """``text`` quoted for an error message: whole up to 40 characters, else
-    its first 40 and its length, so one bad token of any size gives a
-    short line."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _label(digits: str, top: int, what: str) -> int:

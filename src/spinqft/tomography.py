@@ -223,20 +223,12 @@ def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:
     return FidelityReport(corr, retention, corr * math.sqrt(retention))
 
 
-def bar_chart_rows(rho) -> list[tuple[str, str, float, float]]:
-    """Flatten a matrix into (row_state, col_state, re, im) bar-chart rows."""
-    m = entries_of(rho)
-    n = int(np.log2(m.shape[0]))
-    rows = []
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            rows.append((format(r, f"0{n}b"), format(c, f"0{n}b"),
-                         float(np.real(m[r, c])), float(np.imag(m[r, c]))))
-    return rows
-
-
 def bar_chart_csv(rho) -> str:
+    """One ``row,col,re,im`` line per entry, row by row; states as n-bit labels."""
+    m = entries_of(rho)
+    labels = [format(i, f"0{int(np.log2(m.shape[0]))}b") for i in range(m.shape[0])]
     lines = ["row,col,re,im"]
-    for row, col, re_v, im_v in bar_chart_rows(rho):
-        lines.append(f"{row},{col},{re_v:.12e},{im_v:.12e}")
+    for row, re_row, im_row in zip(labels, m.real.tolist(), m.imag.tolist()):
+        lines += [f"{row},{col},{re_v:.12e},{im_v:.12e}"
+                  for col, re_v, im_v in zip(labels, re_row, im_row)]
     return "\n".join(lines) + "\n"

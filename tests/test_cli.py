@@ -44,6 +44,23 @@ def validate(doc):
     jsonschema.validate(doc, SCHEMA)
 
 
+def test_every_schema_maximum_is_its_cli_cap():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    tomo_n = next(a for a in subcommands["tomo-roundtrip"]._actions if a.dest == "n")
+    props = {name: d.get("properties") or d["items"]["properties"]
+             for name, d in SCHEMA["$defs"].items()}
+    assert {(name, key): props[name][key]["maximum"] for name, key in [
+        ("verify", "n"), ("simulate", "n"), ("matrix", "n"), ("tomoRoundtrip", "n"),
+        ("tomoRoundtrip", "samples"), ("costRows", "n")]} == {
+        ("verify", "n"): cli.VERIFY_MAX_QUBITS,
+        ("simulate", "n"): cli.SIMULATE_MAX_QUBITS,
+        ("matrix", "n"): cli.SIMULATE_MAX_QUBITS,  # the matrices of a simulate report
+        ("tomoRoundtrip", "n"): max(tomo_n.choices),
+        ("tomoRoundtrip", "samples"): cli.TOMO_MAX_SAMPLES,
+        ("costRows", "n"): cli.N_RANGE_MAX}
+
+
 class TestVerify:
     @pytest.mark.parametrize("decomp", ["serial", "parallel"])
     def test_exit_zero_and_schema(self, decomp, capsys):
@@ -313,6 +330,44 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.splitlines()[-1:] == [TOMO_CAP_LINE.format(n=n)]
 
+    @pytest.mark.parametrize("tomography", [False, True])
+    def test_above_the_spin_cap_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                        tomography):
+        n = cli.SIMULATE_MAX_QUBITS + 1
+        path = tmp_path / f"pulse-{n}.seq"
+        path.write_text(f"n: {n}\n90x@s1\n")
+
+        def no_work(*args):
+            raise AssertionError("simulated past the size cap")
+
+        monkeypatch.setattr(nmr, "run", no_work)
+        monkeypatch.setattr(nmr, "system_for_sequence", no_work)
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--sequence", str(path)] + ["--tomography"] * tomography)
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1:] == [  # the tomography cap speaks first
+            TOMO_CAP_LINE.format(n=n) if tomography else
+            f"spinqft: error: simulate runs at most {n - 1} spins, the sequence has {n}"]
+
+    def test_at_the_spin_cap_is_simulated(self, tmp_path, monkeypatch):
+        n = cli.SIMULATE_MAX_QUBITS
+        path = tmp_path / f"pulse-{n}.seq"
+        path.write_text(f"n: {n}\n90x@s1\n")
+
+        class Reached(Exception):
+            pass
+
+        def reached(seq):
+            raise Reached(seq.n)
+
+        monkeypatch.setattr(nmr, "system_for_sequence", reached)
+        with pytest.raises(Reached):
+            cli.main(["simulate", "--sequence", str(path)])
+
     def test_unknown_coupling_message_has_no_quotes(self, capsys, tmp_path):
         # a delay on a spin outside the program is worded as a pulse on one
         path = tmp_path / "spin0.seq"
@@ -364,6 +419,23 @@ class TestTomoRoundtrip:
         doc = json.loads(out)
         validate(doc)
         assert doc["max_error"] <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_states_are_the_per_sample_draws(self, n, capsys, monkeypatch):
+        from spinqft import tomography
+
+        # the reference loop: two draws per sample, each made Hermitian and traceless alone
+        rng, dim, states = np.random.default_rng(3), 2 ** n, []
+        for _ in range(7):
+            h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = (h + h.conj().T) / 2.0
+            states.append(h - np.trace(h) / dim * np.eye(dim))
+        recons = tomography.reconstruct(tomography.measure_all(np.array(states)), n)
+        worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
+        monkeypatch.delenv("SPINQFT_SEED", raising=False)
+        _, out, _ = run_cli(["tomo-roundtrip", "--n", str(n), "--samples", "7", "--seed", "3"],
+                            capsys)
+        assert json.loads(out)["max_error"] == worst
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINQFT_SEED", "123")
@@ -442,8 +514,6 @@ class TestTomoRoundtrip:
         assert cli.main(["tomo-roundtrip", "--n", "3",
                          "--samples", str(cli.TOMO_MAX_SAMPLES)]) == 0
         assert seen == [cli.TOMO_MAX_SAMPLES]
-        assert SCHEMA["$defs"]["tomoRoundtrip"]["properties"]["samples"]["maximum"] == (
-            cli.TOMO_MAX_SAMPLES)
 
     def test_samples_above_the_cap_exit_2_before_any_work(self, capsys, monkeypatch):
         def no_work(*args):
@@ -875,8 +945,32 @@ PARSING_TOKENS = st.one_of(
 LARGE_SEQUENCES = st.builds(lambda n, tokens: SeqText(f"n: {n}\n" + " ".join(tokens) + "\n"),
                             st.integers(cli.TOMO_MAX_QUBITS + 1, nmr.MAX_QUBITS),
                             st.lists(PARSING_TOKENS, min_size=1, max_size=4))
-# the same commands over out-of-range, non-finite and extreme values too
+# a 5 000-character value for every number option and every choice option,
+# for --n-range, for the subcommand name, as one extra argument and as an
+# --out path in no directory
+NOT_A_NUMBER = "1" * 4999 + "x"
+NOT_A_CHOICE = "x" * 5000
+LONG_ARGVS = [
+    ["verify", "--n", NOT_A_NUMBER], ["verify", "--n", "3", "--m", NOT_A_NUMBER],
+    ["verify", "--n", "3", "--decomp", NOT_A_CHOICE],
+    *(["cost", "--model", "solid", "--n-range", "1..3", f"--{flag}", NOT_A_NUMBER]
+      for flag in ("J", "delta", "d", "Delta")),
+    ["cost", "--model", NOT_A_CHOICE, "--n-range", "1..3"],
+    ["cost", "--model", "liquid", "--n-range", "1..3", "--format", NOT_A_CHOICE],
+    ["cost", "--model", "liquid", "--n-range", "1.." + "9" * 5000],
+    ["simulate", "--sequence", "serial-n2", "--t2", NOT_A_NUMBER],
+    ["simulate", "--sequence", "serial-n2", "--seed", NOT_A_NUMBER],
+    ["tomo-roundtrip", "--n", NOT_A_NUMBER],
+    ["tomo-roundtrip", "--n", "2", "--samples", NOT_A_NUMBER],
+    ["tomo-roundtrip", "--n", "2", "--seed", NOT_A_NUMBER],
+    ["export-fig2", "--sequence", "serial-n2", "--what", NOT_A_CHOICE],
+    [NOT_A_CHOICE, "--n", "3"],
+    ["verify", "--n", "3", NOT_A_CHOICE],
+    ["verify", "--n", "3", "--out", "/" + "x" * 4992 + "/r.json"],
+]
+# the same commands over out-of-range, non-finite, extreme and long values too
 FUZZED_ARGV = st.one_of(
+    st.sampled_from(LONG_ARGVS).map(list),
     st.builds(verify_argv, st.integers(-1, 4), st.sampled_from(["serial", "parallel",
                                                                 "approximate"]),
               st.integers(-1, 5)),
@@ -914,6 +1008,16 @@ def run_main(argv):
 
 
 class TestProperties:
+    @pytest.mark.parametrize("argv", LONG_ARGVS, ids=lambda argv: " ".join(
+        a if len(a) < 40 else "LONG" for a in argv))
+    def test_a_long_value_is_refused_with_one_short_line(self, argv):
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and USAGE_ERROR.match(errors[0])
+        assert re.search(r"'\.\.\. \(500\d characters\)", errors[0])
+        assert all(len(line) < 300 for line in err.splitlines())
+
     @settings(max_examples=50, deadline=None)
     @given(VALID_JSON_ARGV)
     def test_json_outputs_match_the_schema(self, argv):

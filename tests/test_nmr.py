@@ -122,8 +122,46 @@ class TestCompositeZ:
         minus = nmr.element_unitary(nmr.CompositeZ(1, -0.9), one_spin()).entries
         np.testing.assert_allclose(plus @ minus, np.eye(2), atol=1e-14)
 
-    def test_expansion_element_count(self):
-        assert len(nmr.expand_composite_z(nmr.CompositeZ(2, 1.0))) == 3
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diagonal_z_equals_its_rf_sandwich(self, n):
+        system = nmr.SpinSystem(n)
+        angles = [0.0, math.pi, -math.pi, -0.7, *np.random.default_rng(n).uniform(-7, 7, 4)]
+        for spin in range(1, n + 1):
+            for angle in angles:
+                z = nmr.element_unitary(nmr.CompositeZ(spin, angle), system).entries
+                np.testing.assert_allclose(z, rf_sandwich(spin, angle, system),
+                                           rtol=0, atol=1e-14)
+                assert not z[~np.eye(2 ** n, dtype=bool)].any()  # exactly diagonal
+        # a noisy run equals a program that carries the product as one 30 us
+        # element, with a z pulse on every spin between pulses that mix
+        rng = np.random.default_rng(10 + n)
+        elements = []
+        for spin in range(1, n + 1):
+            angle = float(rng.uniform(-7, 7))
+            elements += [nmr.SpinPulse((spin,), 0.9, nmr.PHASE_Y), nmr.CompositeZ(spin, angle),
+                         nmr.SpinPulse(tuple(range(1, n + 1)), 0.4, nmr.PHASE_X)]
+        noise = nmr.NoiseModel.uniform(n, 40.0)
+        rho = random_traceless_hermitian(n, rng)
+        state = rho.entries
+        for e in elements:
+            u = (rf_sandwich(e.spin, e.angle, system) if isinstance(e, nmr.CompositeZ)
+                 else nmr.element_unitary(e, system).entries)
+            state = (u @ state @ u.conj().T) * noise.damping_matrix(n, nmr.element_seconds(e))
+        got = nmr.run(nmr.PulseSequence("z", n, elements), system, rho, noise).entries
+        np.testing.assert_allclose(got, state, rtol=0, atol=1e-14)
+
+
+def rf_sandwich(spin, angle, system):
+    """Product of the rf pulses {90_-x}{theta_y}{90_x} on one spin, in time
+    order; the middle pulse turns about -y by |theta| for a negative theta."""
+    mid = nmr.PHASE_Y if angle >= 0 else nmr.PHASE_MINUS_Y
+    pulses = [nmr.SpinPulse((spin,), math.pi / 2, nmr.PHASE_MINUS_X),
+              nmr.SpinPulse((spin,), abs(angle), mid),
+              nmr.SpinPulse((spin,), math.pi / 2, nmr.PHASE_X)]
+    u = np.eye(2 ** system.n, dtype=complex)
+    for p in pulses:
+        u = nmr.element_unitary(p, system).entries @ u
+    return u
 
 
 class TestElementUnitarity:

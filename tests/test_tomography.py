@@ -230,10 +230,18 @@ class TestFidelity:
 class TestBarChartExport:
     def test_rows_cover_all_pairs(self):
         rho = nmr.pseudopure_projector_deviation(2)
-        rows = tomography.bar_chart_rows(rho)
+        rows = [line.split(",") for line in tomography.bar_chart_csv(rho).splitlines()[1:]]
         assert len(rows) == 16
-        assert rows[0][:2] == ("00", "00")
-        assert rows[0][2] == pytest.approx(0.75)
+        assert tuple(rows[0][:2]) == ("00", "00")
+        assert float(rows[0][2]) == pytest.approx(0.75)
+
+    def test_each_line_formats_its_entry(self):
+        g = np.random.default_rng(5).normal(size=(2, 8, 8))
+        m = g[0] + 1j * g[1]
+        m[0, 1], m[2, 3] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        want = [f"{r:03b},{c:03b},{m[r, c].real:.12e},{m[r, c].imag:.12e}"
+                for r in range(8) for c in range(8)]
+        assert tomography.bar_chart_csv(m).splitlines() == ["row,col,re,im"] + want
 
     def test_csv_header(self):
         text = tomography.bar_chart_csv(nmr.pseudopure_projector_deviation(2))
