@@ -1,4 +1,4 @@
-"""Simulated state tomography: rotating readouts, linear inversion, the
+"""Simulated state tomography: rotating readouts, signed-mean inversion, the
 mixed-state fidelity measure, and bar-chart export.
 
 Run:  python3 demos/04_tomography.py
@@ -20,15 +20,19 @@ for pulses in (("i", "i"), ("y", "i"), ("y", "y")):
     shown = {lbl: round(v, 4) for lbl, v in zip(labels, values) if abs(v) > 1e-9}
     print(f"readout {pulses}: {shown or 'all zero'}")
 
-# ── 2) Reconstruction is exact linear inversion ─────────────────────────
+# ── 2) Reconstruction is a signed mean per Pauli coefficient ────────────
 
-# The 3**n experiments with per-spin z-context observables form a design
-# matrix of full column rank 4**n - 1, so inversion recovers any
-# deviation matrix exactly.
+# The readout pulses are Clifford, so each value is +-Tr(rho P)/2 for one
+# Pauli string P: every row of the design matrix has one nonzero entry,
+# +-2**(n-1).  The 3**n experiments read every non-identity Pauli string
+# (full column rank 4**n - 1), and the least-squares inversion is the
+# signed mean of the values that read each coefficient.
 for n in (2, 3):
     a = tomography.design_matrix(n)
+    reads = np.count_nonzero(a, axis=0)
     print(f"\nn={n}: design matrix {a.shape}, rank {np.linalg.matrix_rank(a)} "
-          f"(need {4 ** n - 1})")
+          f"(need {4 ** n - 1}); entries {np.unique(a).tolist()}; "
+          f"each Pauli read {reads.min()} to {reads.max()} times")
 
 rng = np.random.default_rng(8)
 h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

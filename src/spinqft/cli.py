@@ -57,12 +57,13 @@ DEFAULT_SEED = 20260810
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000
-# a tomo-roundtrip --n 3 child at the cap takes about 0.9 s and 140 MiB (2-CPU container)
+# a tomo-roundtrip --n 3 child at the cap takes about 0.5 s and 107 MiB (2-CPU container)
 TOMO_MAX_SAMPLES = 5_000
 # simulate --out took 7.8 s on the n = 9 serial program, and wrote 91 MB for one n = 10 pulse
 SIMULATE_MAX_QUBITS = 9
-# a simulate --tomography child took 1.45 s at n = 4 and 17.5 s, 998 MiB at n = 5 (2-CPU container)
-TOMO_MAX_QUBITS = 4
+# a simulate --tomography child on the serial program took 0.4 s at n = 4, 0.6 s at n = 5
+# and 3.5 s at n = 6, 31-41 MiB (2-CPU container)
+TOMO_MAX_QUBITS = 5
 # an export-fig2 --what output child on a serial program took 1.6 s, 60 MiB for a 3.7 MB CSV
 # at n = 8 and 8.2 s, 144 MiB for 15 MB at n = 9 (2-CPU container)
 FIG2_MAX_QUBITS = 8
@@ -328,7 +329,7 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
     states = (h + h.conj().swapaxes(1, 2)) / 2.0  # Hermitian and, below, traceless
     states -= np.trace(states, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
     readouts = tomography.measure_all(states)  # one readout of the whole stack
-    recons = tomography.reconstruct(readouts, args.n)  # and one solve
+    recons = tomography.reconstruct(readouts, args.n)  # and one inversion
     worst = max(float(np.max(np.abs(r.entries - rho))) for r, rho in zip(recons, states))
     passed = worst <= TOMO_TOL
     doc = {

@@ -7,13 +7,13 @@ significant bit (basis integer ``a`` has the bit of qubit ``j``
 at position ``n - j``).  ``apply_local`` (one- and multi-qubit
 operators applied to an array on their qubits' axes, without building
 the 2**n x 2**n matrix) and ``qubit_bits`` (one qubit's bit across all
-basis indices) are the only places outside the oracle that apply this
-ordering; ``embed``, the dense matrix of local operators, is
-``apply_local`` applied to the identity.  Every gate, pulse, observable
-and noise channel in the package is built on them.  A one-qubit operator
-is one broadcast matrix product; a multi-qubit one is applied row by
-row with elementwise products only, so a controlled phase scales a
-quarter of the array and a root-CNOT rewrites only its control = 1 half.
+basis indices) apply this ordering to every gate, pulse and noise
+channel in the package; the only other places are the oracle and the
+tomography's Pauli transform, which reshapes a matrix to one axis per
+qubit.  A one-qubit operator is one broadcast matrix product; a
+multi-qubit one is applied row by row with elementwise products only, so
+a controlled phase scales a quarter of the array and a root-CNOT
+rewrites only its control = 1 half.
 
 The Fourier matrix built here by a direct scalar double loop is the
 independent oracle that every circuit- and pulse-level construction in
@@ -133,14 +133,6 @@ def _check_labels(n: int, labels) -> None:
         raise ValueError(f"qubit labels {sorted(labels)} outside 1..{n}")
 
 
-def embed(n: int, factors: dict) -> np.ndarray:
-    """The 2**n x 2**n matrix of ``factors``, keyed as in ``apply_local``,
-    with the identity on every other qubit: ``apply_local`` applied to the
-    identity."""
-    _check_qubit_count(n)
-    return apply_local(np.eye(2 ** n, dtype=complex), n, factors)
-
-
 def _local_qubits(n: int, factors: dict) -> list[tuple]:
     """Qubits of each key of ``factors`` (an int or an ascending tuple),
     checked to lie in 1..n, with no qubit under two keys and each operator
@@ -194,7 +186,8 @@ def _apply_rows(src: np.ndarray, f: np.ndarray, axes: list) -> np.ndarray:
 
 
 def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
-    """``embed(n, factors) @ a`` without building the 2**n x 2**n matrix.
+    """The 2**n x 2**n matrix of ``factors`` (the identity on every other
+    qubit) times ``a``, without building that matrix.
 
     A key of ``factors`` is a 1-based qubit ``j`` with a 2x2 operator, or
     an ascending tuple of k qubits with a 2**k x 2**k operator whose first

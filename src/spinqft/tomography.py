@@ -1,16 +1,15 @@
 """Simulated state tomography and the mixed-state fidelity measure.
 
-Readout follows the ensemble NMR scheme: each of the 3**n experiments
-applies one of {none, 90_x, 90_y} per qubit and then records the exact
-expectation values of the single-quantum observables of every spin
-(I_x^j and I_y^j dressed by every z-product over the other spins).
-``measure`` reads one state or a stack of states; the design matrix is
-that readout applied to the stack of non-identity Pauli strings.
-Reconstruction is plain linear inversion of the design matrix, one
-``lstsq`` for a whole stack of readouts; the design matrix is
-informationally complete on the traceless Hermitian space (full column
-rank, checked by the test suite).  Expectations are exact: the readout
-models an infinite ensemble.
+Readout follows the ensemble NMR scheme (Chuang, Gershenfeld, Kubinec &
+Leung, Proc. R. Soc. A 454, 447 (1998)): each of the 3**n experiments
+applies one of {none, 90_x, 90_y} per qubit and records the exact
+expectation values of the single-quantum observables, each half a Pauli
+string.  The pulses are Clifford, so each value is +-Tr(rho P)/2 for one
+Pauli string P: a readout is the Pauli coefficients of the state (one
+tensorised ``einsum``; Hantzko, Binkowski & Gupta, 2023) read through an
+(index, sign) map, and the least-squares inversion is a signed mean per
+coefficient.  Expectations are exact: the readout models an infinite
+ensemble.
 """
 
 from __future__ import annotations
@@ -18,31 +17,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    _trace_product,
-    embed,
-    entries_of,
-)
+from .core import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _trace_product,
+                   entries_of)
 from .nmr import PHASE_X, PHASE_Y, SpinPulse, SpinSystem, element_unitary
 
 READOUT_CHOICES = ("i", "x", "y")
+_PAULIS = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 # Fidelities reported for the hardware experiments this package models;
 # kept as documentation constants, not reproduction targets.
-REFERENCE_EXPERIMENT_FIDELITIES = {
-    "serial-n2": 0.79,
-    "parallel-n2": 0.80,
-    "selective-n2": 0.85,
-}
+REFERENCE_EXPERIMENT_FIDELITIES = {"serial-n2": 0.79, "parallel-n2": 0.80, "selective-n2": 0.85}
 
 
 @dataclass(frozen=True)
@@ -67,116 +54,134 @@ def all_experiments(n: int) -> list[ReadoutExperiment]:
     return [ReadoutExperiment(p) for p in itertools.product(READOUT_CHOICES, repeat=n)]
 
 
-def readout_unitary(e: ReadoutExperiment) -> np.ndarray:
-    """Product of the per-qubit 90-degree readout pulses."""
-    n = e.n
-    system = SpinSystem(n)
-    out = np.eye(2 ** n, dtype=complex)
-    for j, p in enumerate(e.pulses, start=1):
-        if p == "i":
-            continue
-        phase = PHASE_X if p == "x" else PHASE_Y
-        pulse = SpinPulse((j,), math.pi / 2.0, phase)
-        out = element_unitary(pulse, system).entries @ out
-    return out
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """Lock an array that an ``lru_cache`` hands to every caller."""
-    a.flags.writeable = False
-    return a
-
-
-@lru_cache(maxsize=None)
-def observables(n: int) -> tuple:
+def observables(n: int) -> list[tuple[str, str]]:
     """Detected single-quantum observables: for each spin j, I_x^j and
     I_y^j times every z-product 2I_z^k over subsets of the other spins.
 
-    Returns ((label, matrix), ...) with n * 2**n entries; matrices are
-    Hermitian and traceless.
+    Returns [(label, pauli), ...] with n * 2**n entries: observable
+    ``Ix1Z3`` at n = 3 is half the Pauli string ``"XIZ"`` (one of I, X, Y,
+    Z per qubit, qubit 1 first).
     """
-    half = {"x": PAULI_X / 2.0, "y": PAULI_Y / 2.0}
     out = []
     for j in range(1, n + 1):
         others = [k for k in range(1, n + 1) if k != j]
         for comp in ("x", "y"):
             for r in range(len(others) + 1):
                 for ctx in itertools.combinations(others, r):
-                    m = embed(n, {j: half[comp], **dict.fromkeys(ctx, PAULI_Z)})  # Z = 2*Iz
                     label = f"I{comp}{j}" + "".join(f"Z{k}" for k in ctx)
-                    out.append((label, _read_only(m)))
-    return tuple(out)
+                    pauli = "".join(comp.upper() if k == j else "Z" if k in ctx else "I"
+                                    for k in range(1, n + 1))
+                    out.append((label, pauli))
+    return out
+
+
+def _pauli_einsum(n: int, t: np.ndarray, t_axes: list, pauli_axes: list, out_axes: list):
+    """``t`` contracted with one Pauli stack per qubit j, labelled
+    ``pauli_axes[j]``, in one ``einsum`` whose path meets ``t`` with one
+    stack at a time, so no 4**n-term Pauli basis is ever formed."""
+    stacks = [x for axes in pauli_axes for x in (_PAULIS, axes)]
+    path = ["einsum_path"] + [(i, i + 1) for i in reversed(range(n))]
+    return np.einsum(*stacks, t, [..., *t_axes], [..., *out_axes], optimize=path)
+
+
+def _pauli_coefficients(m: np.ndarray, n: int) -> np.ndarray:
+    """Re Tr(m P) = Re sum m[a, b] P[b, a] for every Pauli string P, over
+    the last two axes of ``m``: shape (..., 4**n), P in lexicographic
+    I < X < Y < Z order, qubit 1 most significant."""
+    rows, cols, paulis = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    c = _pauli_einsum(n, m.reshape(m.shape[:-2] + (2,) * (2 * n)), [*rows, *cols],
+                      [[p, b, a] for a, b, p in zip(rows, cols, paulis)], [*paulis])
+    return c.reshape(m.shape[:-2] + (4 ** n,)).real
+
+
+def _from_coefficients(c: np.ndarray, n: int) -> np.ndarray:
+    """The matrices sum_P c_P P / 2**n of coefficient vectors (..., 4**n)."""
+    rows, cols, paulis = range(n), range(n, 2 * n), range(2 * n, 3 * n)
+    m = _pauli_einsum(n, c.reshape(c.shape[:-1] + (4,) * n), [*paulis],
+                      [[p, a, b] for a, b, p in zip(rows, cols, paulis)], [*rows, *cols])
+    return m.reshape(c.shape[:-1] + (2 ** n, 2 ** n)) / 2 ** n
+
+
+def _pulse_table(phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with R^dag P R = sign[p] * PAULIS[index[p]] for the
+    one-qubit Paulis P = PAULIS[p] and R the pulse model's 90-degree pulse
+    of ``phase``; a pulse that is not Clifford is refused."""
+    r = element_unitary(SpinPulse((1,), math.pi / 2.0, phase), SpinSystem(1)).entries
+    rotated = r.conj().T @ _PAULIS @ r
+    overlap = np.einsum("pab,qba->pq", rotated, _PAULIS).real / 2.0
+    index = np.argmax(np.abs(overlap), axis=1)
+    sign = np.sign(overlap[np.arange(4), index])
+    if not np.max(np.abs(rotated - sign[:, None, None] * _PAULIS[index])) <= 1e-12:
+        raise ValueError(f"the readout pulse of phase {phase} is not Clifford")
+    return index, sign
+
+
+def _readout_map(experiments: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) of every value that ``experiments`` read, in order:
+    the value is sign * Tr(rho P_index) / 2, as the readout U = prod_j R_j
+    turns an observable's Pauli string into prod_j R_j^dag P_j R_j."""
+    digits = np.array([["IXYZ".index(c) for c in p] for _, p in observables(n)]).T
+    maps = []
+    for e in experiments:
+        i, s = 0, np.ones(digits.shape[1])
+        for d, pulse in zip(digits, e.pulses):
+            if pulse != "i":  # one pulse-model check per pulsed qubit and experiment
+                table, signs = _pulse_table(PHASE_X if pulse == "x" else PHASE_Y)
+                d, s = table[d], s * signs[d]
+            i = 4 * i + d
+        maps.append((i, s))
+    return tuple(np.concatenate(x) for x in zip(*maps))
+
+
+def _read(rho, experiments: list, n: int) -> np.ndarray:
+    m = entries_of(rho)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2 ** n, 2 ** n):
+        raise ValueError(f"state dimension {m.shape} does not match {n}-qubit readout")
+    index, sign = _readout_map(experiments, n)
+    return sign * _pauli_coefficients(m, n)[..., index] / 2.0
 
 
 def measure(rho, experiment: ReadoutExperiment) -> np.ndarray:
     """Exact expectation values Tr(rho' O) after the readout pulses, one
-    per observable of ``observables(n)``.
-
-    ``rho`` is one 2**n x 2**n matrix, read as n * 2**n values, or a stack
-    of k of them with shape (k, 2**n, 2**n), read as a (k, n * 2**n)
-    array.
-    """
-    m = entries_of(rho)
-    n = experiment.n
-    if m.ndim not in (2, 3) or m.shape[-2:] != (2 ** n, 2 ** n):
-        raise ValueError(f"state dimension {m.shape} does not match {n}-qubit readout")
-    u = readout_unitary(experiment)
-    rotated = u @ m @ u.conj().T
-    obs = np.array([o for _, o in observables(n)])
-    return np.tensordot(rotated, obs, axes=([-1, -2], [1, 2])).real  # Tr(rotated @ o)
+    per observable of ``observables(n)``: n * 2**n values for one 2**n x 2**n
+    state, or a (k, n * 2**n) array for a stack of shape (k, 2**n, 2**n)."""
+    return _read(rho, [experiment], experiment.n)
 
 
 def measure_all(rho) -> np.ndarray:
-    """Stacked measurement vector over all 3**n experiments.
-
-    A stack of k states, shape (k, 2**n, 2**n), gives a (k, n * 2**n * 3**n)
-    array, one measurement vector per state.
-    """
-    m = entries_of(rho)
-    n = int(np.log2(m.shape[-1]))
-    return np.concatenate([measure(rho, e) for e in all_experiments(n)], axis=-1)
+    """Stacked measurement vector over all 3**n experiments; a stack of k
+    states gives a (k, n * 2**n * 3**n) array, one vector per state."""
+    n = int(np.log2(entries_of(rho).shape[-1]))
+    return _read(rho, all_experiments(n), n)
 
 
-@lru_cache(maxsize=None)
-def _pauli_basis(n: int) -> np.ndarray:
-    """The 4**n - 1 non-identity Pauli strings, the coefficient basis,
-    stacked in lexicographic I < X < Y < Z order."""
-    # [1:] drops the all-identity string, which comes first
-    strings = list(itertools.product((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z), repeat=n))[1:]
-    return _read_only(np.array([embed(n, dict(enumerate(f, start=1))) for f in strings]))
-
-
-@lru_cache(maxsize=None)
 def design_matrix(n: int) -> np.ndarray:
-    """Linear map from Pauli coefficients to the stacked measurement vector:
-    the readout of every non-identity Pauli string.
-
-    Row (experiment, observable), column p: Tr(U_e W_p U_e^dag O_o).
-    Informational completeness of the readout scheme is equivalent to this
-    matrix having full column rank 4**n - 1.
-    """
-    return _read_only(np.concatenate([measure(_pauli_basis(n), e).T
-                                      for e in all_experiments(n)]))
+    """The readout of every non-identity Pauli string W_p: row (experiment,
+    observable), column p is Tr(U_e W_p U_e^dag O_o), exactly 0 or
+    +-2**(n-1).  The readout is informationally complete because this
+    matrix has full column rank 4**n - 1."""
+    return measure_all(_from_coefficients(2.0 ** n * np.eye(4 ** n)[1:], n)).T
 
 
 def reconstruct(values: np.ndarray, n: int) -> DensityMatrix | list[DensityMatrix]:
     """Least-squares linear inversion of the full readout vector.
 
-    Recovers every non-identity Pauli coefficient; the identity component
-    is unobservable in ensemble readout, so the result is the deviation
-    (traceless) matrix.  A (k, m) stack of k readout vectors is solved
-    with one ``lstsq`` and gives a list of k deviation matrices, each
-    validated on its own.
+    Each value reads +-Tr(rho P)/2 for one Pauli string P, so the normal
+    matrix is diagonal and the estimate of Tr(rho P) is twice the signed
+    mean of the values that read it.  The identity is never read, so the
+    result is the deviation (traceless) matrix.  One readout vector gives
+    one matrix; a (k, m) stack gives a list of k, each validated alone.
     """
-    a = design_matrix(n)
+    index, sign = _readout_map(all_experiments(n), n)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         values = values.reshape(-1)
-    if values.shape[-1] != a.shape[0]:
-        raise ValueError(f"expected {a.shape[0]} readout values, got {values.shape[-1]}")
-    coeffs, *_ = np.linalg.lstsq(a, values.T, rcond=None)
-    m = np.tensordot(coeffs.T, _pauli_basis(n), axes=1)
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0  # scrub roundoff asymmetry
+    if values.shape[-1] != len(index):
+        raise ValueError(f"expected {len(index)} readout values, got {values.shape[-1]}")
+    sums = np.zeros((4 ** n,) + values.shape[:-1])
+    np.add.at(sums, index, (sign * values).T)
+    # index 0, the identity, is read by no value: its sum stays 0 over a count of 1
+    m = _from_coefficients(2.0 * sums.T / np.maximum(np.bincount(index, minlength=4 ** n), 1), n)
     if m.ndim == 2:
         return DensityMatrix(n, m)
     return [DensityMatrix(n, one) for one in m]

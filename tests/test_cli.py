@@ -30,7 +30,7 @@ SCHEMA = json.loads(
     resources.files("spinqft.schema").joinpath("cli-output.schema.json").read_text())
 
 
-TOMO_CAP_LINE = ("spinqft: error: --tomography reads out at most 4 spins, "
+TOMO_CAP_LINE = ("spinqft: error: --tomography reads out at most 5 spins, "
                  "the sequence has {n}")
 
 
@@ -329,6 +329,19 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1:] == [TOMO_CAP_LINE.format(n=n)]
+
+    def test_at_the_tomography_cap_is_read_out(self, capsys, tmp_path):
+        n = cli.TOMO_MAX_QUBITS
+        path = tmp_path / f"serial-{n}.seq"
+        path.write_text(serial_program_text(n))
+        started = time.perf_counter()
+        code, out, _ = run_cli(["simulate", "--sequence", str(path), "--tomography"], capsys)
+        assert time.perf_counter() - started < 2.0
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc)
+        assert doc["n"] == 5
+        assert doc["tomography_max_error"] <= 1e-8
 
     @pytest.mark.parametrize("tomography", [False, True])
     def test_above_the_spin_cap_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,

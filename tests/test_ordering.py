@@ -3,11 +3,13 @@
 Every gate, pulse and noise matrix is compared with a reference built
 entry by entry from the rule alone: qubit j (1-based) is bit n - j of
 the basis index, so qubit 1 is the most significant bit.  The
-matrix-free ``core.apply_local`` is compared with ``core.embed``, and
-its multi-qubit keys with the per-basis-state reference.
+matrix-free ``core.apply_local`` is compared with the Kronecker product
+of its factors, and its multi-qubit keys with the per-basis-state
+reference.
 """
 
 import math
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -192,11 +194,11 @@ def test_apply_local_equals_embedded_product(n, qubits):
     dim = 2 ** n
     factors = {j: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for j in qubits}
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dense = reduce(np.kron, [factors.get(j, np.eye(2)) for j in range(1, n + 1)])  # qubit 1 first
     for operand in (a, a.conj().T, a[:, 0], a.reshape(dim, 2, -1)):
         got = core.apply_local(operand, n, factors)
         assert got.shape == operand.shape
-        np.testing.assert_allclose(got, np.tensordot(core.embed(n, factors), operand, axes=1),
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got, np.tensordot(dense, operand, axes=1), rtol=0, atol=1e-14)
 
 
 def pair_cases():
@@ -269,8 +271,8 @@ def test_apply_local_rejects_bad_keys(factors):
 @pytest.mark.parametrize("n,labels", [(3, (0,)), (3, (4,)), (2, (1, 3)), (1, (-1,))])
 def test_apply_local_rejects_labels_embed_rejects(n, labels):
     factors = dict.fromkeys(labels, H)
-    for call in (lambda: core.embed(n, factors),
-                 lambda: core.apply_local(np.eye(2 ** n), n, factors)):
+    for call in (lambda: core.apply_local(np.eye(2 ** n), n, factors),
+                 lambda: core.apply_local(np.ones(2 ** n), n, factors)):
         with pytest.raises(ValueError, match="outside"):
             call()
 

@@ -1,6 +1,12 @@
-"""Simulated tomography: readout, linear inversion, fidelity measure."""
+"""Simulated tomography: readout, linear inversion, fidelity measure.
+
+The readout and inversion are checked against a dense reference built
+here: readout unitaries from the pulse model on all n spins, observables
+as Kronecker products, one trace per value and one ``lstsq`` fit."""
 
 import math
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -56,23 +62,104 @@ class TestReadout:
                                    rtol=0, atol=1e-14)
 
 
-def _design_reference(n):
-    """Row (experiment, observable), column p: Re Tr(U_e W_p U_e^dag O_o),
-    one dense trace per entry."""
-    rows = []
-    for e in tomography.all_experiments(n):
-        u = tomography.readout_unitary(e)
-        rotated = [u @ w @ u.conj().T for w in tomography._pauli_basis(n)]
-        for _, o in tomography.observables(n):
-            rows.append([np.real(np.trace(rw @ o)) for rw in rotated])
-    return np.array(rows)
+# -- the dense readout, as the differential reference --------------------
+
+def _dense_readout_unitary(e):
+    """Product of the per-qubit 90-degree readout pulses on all n spins."""
+    system, u = nmr.SpinSystem(e.n), np.eye(2 ** e.n, dtype=complex)
+    for j, p in enumerate(e.pulses, start=1):
+        if p != "i":
+            pulse = nmr.SpinPulse((j,), math.pi / 2.0, nmr.PHASE_X if p == "x" else nmr.PHASE_Y)
+            u = nmr.element_unitary(pulse, system).entries @ u
+    return u
+
+
+def _dense_observables(n):
+    """Each observable from its label alone: I_x^j or I_y^j (X/2, Y/2 on
+    spin j) times 2I_z^k = Z for each ``Zk`` in the label."""
+    out = []
+    for label, _ in tomography.observables(n):
+        factors = {int(label[2]): {"x": core.PAULI_X, "y": core.PAULI_Y}[label[1]] / 2.0,
+                   **{int(k): core.PAULI_Z for k in label[4::2]}}
+        out.append(reduce(np.kron, [factors.get(q, core.PAULI_I) for q in range(1, n + 1)]))
+    return np.array(out)
+
+
+def _dense_pauli_strings(n):
+    """The 4**n - 1 non-identity Pauli strings, I < X < Y < Z, qubit 1 first."""
+    paulis = (core.PAULI_I, core.PAULI_X, core.PAULI_Y, core.PAULI_Z)
+    return np.array([reduce(np.kron, f) for f in product(paulis, repeat=n)][1:])
+
+
+def _dense_measure(states, e):
+    """Re Tr(U rho U^dag O) for a (k, 2**n, 2**n) stack: one trace per entry."""
+    u = _dense_readout_unitary(e)
+    rotated = u @ states @ u.conj().T
+    return np.tensordot(rotated, _dense_observables(e.n), axes=([1, 2], [2, 1])).real
+
+
+def _dense_measure_all(states, n):
+    return np.concatenate([_dense_measure(states, e) for e in tomography.all_experiments(n)],
+                          axis=1)
+
+
+@lru_cache(maxsize=None)
+def _dense_design(n):
+    return _dense_measure_all(_dense_pauli_strings(n), n).T
+
+
+def _dense_reconstruct(values, n):
+    """Least-squares fit of the Pauli coefficients, one ``lstsq``."""
+    coeffs, *_ = np.linalg.lstsq(_dense_design(n), np.atleast_2d(values).T, rcond=None)
+    return np.tensordot(coeffs.T, _dense_pauli_strings(n), axes=1)
+
+
+def _random_states(n, k, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_traceless_hermitian(n, rng).entries for _ in range(k)])
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_measure_matches(self, n):
+        states = _random_states(n, 3, 600 + n)
+        for e in tomography.all_experiments(n):
+            want = _dense_measure(states, e)
+            np.testing.assert_allclose(tomography.measure(states, e), want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(tomography.measure(states[0], e), want[0],
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_measure_all_matches(self, n):
+        states = _random_states(n, 3, 700 + n)
+        want = _dense_measure_all(states, n)
+        np.testing.assert_allclose(tomography.measure_all(states), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tomography.measure_all(core.DensityMatrix(n, states[0])),
+                                   want[0], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reconstruct_matches_lstsq(self, n):
+        states = _random_states(n, 3, 800 + n)
+        values = tomography.measure_all(states)
+        want = _dense_reconstruct(values, n)
+        got = tomography.reconstruct(values, n)
+        np.testing.assert_allclose([r.entries for r in got], want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tomography.reconstruct(values[0], n).entries, want[0],
+                                   rtol=0, atol=1e-13)
+
+    def test_observable_strings_match_their_labels(self):
+        letters = dict(zip("IXYZ", (core.PAULI_I, core.PAULI_X, core.PAULI_Y, core.PAULI_Z)))
+        for n in (1, 2, 3, 4):
+            from_strings = [reduce(np.kron, [letters[c] for c in pauli]) / 2.0
+                            for _, pauli in tomography.observables(n)]
+            np.testing.assert_array_equal(from_strings, _dense_observables(n))
 
 
 class TestReconstruction:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_design_matrix_matches_per_trace_reference(self, n):
-        np.testing.assert_allclose(tomography.design_matrix(n), _design_reference(n),
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tomography.design_matrix(n), _dense_design(n),
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_design_matrix_rows_hit_one_pauli(self, n):
@@ -82,10 +169,25 @@ class TestReconstruction:
         assert (nonzero.sum(axis=1) == 1).all()
         np.testing.assert_allclose(np.abs(a[nonzero]), 2 ** (n - 1), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_design_matrix_entries_are_exact(self, n):
+        # no roundoff residue: every entry is exactly 0 or +-2**(n-1)
+        a = tomography.design_matrix(n)
+        assert set(np.unique(a).tolist()) == {0.0, 2.0 ** (n - 1), -(2.0 ** (n - 1))}
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_design_matrix_full_rank(self, n):
         a = tomography.design_matrix(n)
         assert np.linalg.matrix_rank(a) == 4 ** n - 1
+
+    def test_a_pulse_that_is_not_clifford_is_refused(self, monkeypatch):
+        def quarter(pulse, system):  # a 45-degree pulse in place of the 90
+            return nmr.element_unitary(nmr.SpinPulse(pulse.spins, pulse.angle / 2.0,
+                                                     pulse.phase), system)
+
+        monkeypatch.setattr(tomography, "element_unitary", quarter)
+        with pytest.raises(ValueError, match="not Clifford"):
+            tomography.measure_all(nmr.pseudopure_projector_deviation(2))
 
     def test_zero_maps_to_zero(self):
         rec = tomography.reconstruct(np.zeros(9 * 8), 2)
@@ -106,17 +208,23 @@ class TestReconstruction:
             worst = max(worst, float(np.max(np.abs(rec.entries - rho.entries))))
         assert worst <= 1e-8
 
-    @pytest.mark.parametrize("cached", [
-        lambda: tomography.design_matrix(2),
-        lambda: tomography._pauli_basis(2),
-        lambda: tomography.observables(2)[0][1],
-    ], ids=["design_matrix", "pauli_basis", "observable"])
-    def test_cached_arrays_are_read_only(self, cached):
-        with pytest.raises(ValueError):
-            cached()[...] *= 2
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_roundtrips_are_exact_to_roundoff(self, n):
+        states = _random_states(n, 50, 900 + n)
+        recons = tomography.reconstruct(tomography.measure_all(states), n)
+        worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
+        assert worst <= 2e-15
+
+    def test_writes_into_returned_values_reach_no_later_call(self):
         rho = nmr.pseudopure_projector_deviation(2)
-        rec = tomography.reconstruct(tomography.measure_all(rho), 2)
-        np.testing.assert_allclose(rec.entries, rho.entries, rtol=0, atol=1e-12)
+        values = tomography.measure_all(rho)
+        before = tomography.reconstruct(values, 2).entries
+        tomography.design_matrix(2)[...] *= 2
+        obs = tomography.observables(2)
+        obs[0] = ("Ix1", "ZZ")
+        obs.reverse()
+        np.testing.assert_array_equal(tomography.reconstruct(values, 2).entries, before)
+        np.testing.assert_array_equal(tomography.measure_all(rho), values)
 
     def test_incomplete_readout_rejected(self):
         with pytest.raises(ValueError):
