@@ -103,8 +103,8 @@ def _from_coefficients(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pulse_table(phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with R^dag P R = sign[p] * PAULIS[index[p]] for the
-    one-qubit Paulis P = PAULIS[p] and R the pulse model's 90-degree pulse
+    """(index, sign) with R^dag P R = sign[p] * _PAULIS[index[p]] for the
+    one-qubit Paulis P = _PAULIS[p] and R the pulse model's 90-degree pulse
     of ``phase``; a pulse that is not Clifford is refused."""
     r = element_unitary(SpinPulse((1,), math.pi / 2.0, phase), SpinSystem(1)).entries
     rotated = r.conj().T @ _PAULIS @ r
@@ -120,11 +120,11 @@ def _readout_map(experiments: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(index, sign) of every value that ``experiments`` read, in order:
     the value is sign * Tr(rho P_index) / 2, as the readout U = prod_j R_j
     turns an observable's Pauli string into prod_j R_j^dag P_j R_j."""
-    digits = np.array([["IXYZ".index(c) for c in p] for _, p in observables(n)]).T
+    digits = np.array([["IXYZ".index(c) for c in p] for _, p in observables(n)])
     maps = []
     for e in experiments:
-        i, s = 0, np.ones(digits.shape[1])
-        for d, pulse in zip(digits, e.pulses):
+        i, s = 0, np.ones(len(digits))
+        for d, pulse in zip(digits.T, e.pulses):
             if pulse != "i":  # one pulse-model check per pulsed qubit and experiment
                 table, signs = _pulse_table(PHASE_X if pulse == "x" else PHASE_Y)
                 d, s = table[d], s * signs[d]
