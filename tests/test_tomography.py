@@ -155,6 +155,16 @@ class TestDenseReference:
             np.testing.assert_array_equal(from_strings, _dense_observables(n))
 
 
+def _scale_design_matrix():
+    tomography.design_matrix(2)[...] *= 2
+
+
+def _rewrite_observables():
+    obs = tomography.observables(2)
+    obs[0] = ("Ix1", "ZZ")
+    obs.reverse()
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_design_matrix_matches_per_trace_reference(self, n):
@@ -215,16 +225,21 @@ class TestReconstruction:
         worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
         assert worst <= 2e-15
 
-    def test_writes_into_returned_values_reach_no_later_call(self):
+    @pytest.mark.parametrize("write", [_scale_design_matrix, _rewrite_observables],
+                             ids=["design_matrix", "observable"])
+    def test_cached_arrays_are_read_only(self, write):
+        """Nothing is cached now (the name is from when these were read-only
+        cached arrays); the property is the same: a write into a returned
+        value reaches no later call."""
         rho = nmr.pseudopure_projector_deviation(2)
         values = tomography.measure_all(rho)
         before = tomography.reconstruct(values, 2).entries
-        tomography.design_matrix(2)[...] *= 2
-        obs = tomography.observables(2)
-        obs[0] = ("Ix1", "ZZ")
-        obs.reverse()
+        design, obs = tomography.design_matrix(2).copy(), tomography.observables(2)
+        write()
         np.testing.assert_array_equal(tomography.reconstruct(values, 2).entries, before)
         np.testing.assert_array_equal(tomography.measure_all(rho), values)
+        np.testing.assert_array_equal(tomography.design_matrix(2), design)
+        assert tomography.observables(2) == obs
 
     def test_incomplete_readout_rejected(self):
         with pytest.raises(ValueError):
