@@ -5,12 +5,15 @@ Hadamards plus two-qubit controlled-phase gates, O(n^2) gates), the
 parallel form (one non-selective Hadamard plus root-of-controlled-NOT
 gates, O(n) pulses), and the approximate form (serial with long-range
 phase gates dropped).  Circuits store gates first-in-time-first-in-list.
-Each gate kind is defined once, by its own 2x2 or 4x4 matrix keyed on
-its qubits (``_operator``).  ``gate_unitary`` applies it to the identity
-through ``core.apply_local``, giving the gate on the full space.
-``circuit_unitary`` starts from the identity and applies each gate in
-time order where it acts: the gate's matrix, checked unitary, goes onto
-its qubits' axes of the running 2**n x 2**n product; only the finished
+Every two-qubit gate is a one-qubit operator on the target qubit k
+applied when the control qubit j is set, so each gate kind is defined
+once, by that 2x2 target operator (``_target_operator``).
+``gate_unitary`` applies it to the identity where the gate acts
+(``_apply``: ``core.apply_local`` for a Hadamard,
+``core.apply_controlled`` for a controlled phase or root of CNOT),
+giving the gate on the full space.  ``circuit_unitary`` starts from the
+identity and applies each gate in time order the same way, with its
+target operator checked unitary on one or two qubits; only the finished
 product is checked as a 2**n-dimensional unitary.
 
 Both exact builders produce the transform with the output bits in
@@ -29,6 +32,7 @@ from .core import (
     HADAMARD,
     UnitaryMatrix,
     _check_qubit_count,
+    apply_controlled,
     apply_local,
     bit_reversal_permutation,
     dft_oracle,
@@ -174,50 +178,49 @@ def x_power(alpha: float) -> np.ndarray:
     return HADAMARD @ np.diag([1.0, np.exp(1j * np.pi * alpha)]) @ HADAMARD
 
 
-def _operator(g: Gate, n: int) -> dict:
-    """The gate's own matrix keyed on its qubits, as ``apply_local`` takes
-    it: the Hadamard on qubit ``j`` (on every qubit for the total
-    Hadamard), or a 4x4 on ``(j, k)`` with the control ``j`` most
-    significant."""
-    if g.kind == HADAMARD_KIND:
-        return {g.j: HADAMARD}
-    if g.kind == TOTAL_HADAMARD_KIND:
-        return dict.fromkeys(range(1, n + 1), HADAMARD)
+def _target_operator(g: Gate) -> np.ndarray:
+    """The 2x2 the gate applies to its target: the Hadamard, or, when the
+    control is set, the phase diag(1, exp(i*theta)) or X**alpha."""
+    if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
+        return HADAMARD
     if g.kind == CONTROLLED_PHASE_KIND:
-        return {(g.j, g.k): np.diag([1.0, 1.0, 1.0, np.exp(1j * g.theta)])}
-    m = np.eye(4, dtype=complex)  # root of CNOT: X**alpha on the target when the control is set
-    m[2:, 2:] = x_power(g.alpha)
-    return {(g.j, g.k): m}
+        return np.diag([1.0, np.exp(1j * g.theta)])
+    return x_power(g.alpha)
+
+
+def _apply(a: np.ndarray, g: Gate, n: int, v: np.ndarray) -> np.ndarray:
+    """``g`` times ``a`` with target operator ``v``: on qubit ``j`` (every
+    qubit for the total Hadamard), or on ``k`` controlled by ``j``."""
+    if g.kind == HADAMARD_KIND:
+        return apply_local(a, n, {g.j: v})
+    if g.kind == TOTAL_HADAMARD_KIND:
+        return apply_local(a, n, dict.fromkeys(range(1, n + 1), v))
+    return apply_controlled(a, n, g.j, g.k, v)
 
 
 def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
-    """The gate on the full 2**n-dimensional space: its own matrix applied
-    to the identity on its qubits' axes."""
+    """The gate on the full 2**n-dimensional space: its target operator
+    applied to the identity where the gate acts."""
     _check_qubit_count(n)
-    return UnitaryMatrix(n, apply_local(np.eye(2 ** n, dtype=complex), n, _operator(g, n)))
-
-
-def _local_factors(g: Gate, n: int) -> dict:
-    """``g`` as ``apply_local`` factors: ``gate_unitary`` of the gate moved
-    onto qubits 1 (and 2), so checked unitary as a 2x2 or 4x4 matrix."""
-    if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
-        u = gate_unitary(hadamard(1), 1).entries
-    else:
-        u = gate_unitary(replace(g, j=1, k=2), 2).entries
-    return dict.fromkeys(_operator(g, n), u)
+    return UnitaryMatrix(n, _apply(np.eye(2 ** n, dtype=complex), g, n, _target_operator(g)))
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
     """Ordered product of the gate unitaries, first-in-time rightmost.
 
-    Starts from the identity and applies each gate's local unitary to the
-    running product on the gate's qubit axes only; no 2**n x 2**n gate
-    matrix is built, and the product is checked unitary once, at the end.
+    Applies each gate to the running product where it acts, starting from
+    the identity.  The target operator is read from ``gate_unitary`` of the
+    gate moved onto qubit 1 or qubits (1, 2), so it is checked unitary as a
+    2x2 or 4x4; the product is checked unitary once, at the end.
     """
     n = circuit.n
     out = np.eye(2 ** n, dtype=complex)
     for g in circuit.gates:
-        out = apply_local(out, n, _local_factors(g, n))
+        if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
+            v = gate_unitary(hadamard(1), 1).entries
+        else:
+            v = gate_unitary(replace(g, j=1, k=2), 2).entries[2:, 2:]
+        out = _apply(out, g, n, v)
     return UnitaryMatrix(n, out)
 
 

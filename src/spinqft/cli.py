@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 VERIFY_TOL = 1e-10
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
-# a verify child at the cap takes about 1.1 s (2-CPU container), 0.25-0.5 s of it the oracle loop
+# a serial or parallel verify child at the cap takes ~0.9 s (2-CPU container), 0.3 s in the oracle
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000

@@ -4,16 +4,16 @@ Density matrices (always the traceless deviation part of an ensemble
 state) and unitaries are thin immutable wrappers around complex numpy
 arrays, indexed in the computational basis with qubit 1 as the most
 significant bit (basis integer ``a`` has the bit of qubit ``j``
-at position ``n - j``).  ``apply_local`` (one- and multi-qubit
-operators applied to an array on their qubits' axes, without building
-the 2**n x 2**n matrix) and ``qubit_bits`` (one qubit's bit across all
-basis indices) apply this ordering to every gate, pulse and noise
+at position ``n - j``).  ``apply_local`` (one-qubit operators applied
+to an array on their qubits' axes, without building the 2**n x 2**n
+matrix), ``apply_controlled`` (a one-qubit operator on a target qubit
+when a control qubit is set) and ``qubit_bits`` (one qubit's bit across
+all basis indices) apply this ordering to every gate, pulse and noise
 channel in the package; the only other places are the oracle and the
 tomography's Pauli transform, which reshapes a matrix to one axis per
-qubit.  A one-qubit operator is one broadcast matrix product; a
-multi-qubit one is applied row by row with elementwise products only, so
-a controlled phase scales a quarter of the array and a root-CNOT
-rewrites only its control = 1 half.
+qubit.  Each is one broadcast matrix product on a reshaped view: a
+controlled gate copies its control = 0 half and rewrites only the
+control = 1 half.
 
 The Fourier matrix built here by a direct scalar double loop is the
 independent oracle that every circuit- and pulse-level construction in
@@ -133,92 +133,49 @@ def _check_labels(n: int, labels) -> None:
         raise ValueError(f"qubit labels {sorted(labels)} outside 1..{n}")
 
 
-def _local_qubits(n: int, factors: dict) -> list[tuple]:
-    """Qubits of each key of ``factors`` (an int or an ascending tuple),
-    checked to lie in 1..n, with no qubit under two keys and each operator
-    of the matching 2**k x 2**k shape."""
-    keys = [(key,) if isinstance(key, (int, np.integer)) else tuple(key) for key in factors]
-    flat = [j for qubits in keys for j in qubits]
-    _check_labels(n, flat)
-    if len(set(flat)) != len(flat) or any(list(q) != sorted(q) for q in keys):
-        raise ValueError(f"qubit keys {list(factors)} must be ascending and disjoint")
-    for qubits, f in zip(keys, factors.values()):
-        if np.shape(f) != (2 ** len(qubits),) * 2:
-            raise ValueError(f"operator on qubits {qubits} must be {2 ** len(qubits)}x"
-                             f"{2 ** len(qubits)}, got shape {np.shape(f)}")
-    return keys
-
-
-def _apply_rows(src: np.ndarray, f: np.ndarray, axes: list) -> np.ndarray:
-    """``f`` applied to the keyed qubit ``axes`` of ``src``, row by row.
-
-    For each output pattern r of the keyed qubits (the first axis most
-    significant), the slice of the result at r is the sum over the
-    nonzero entries f[r, s] of f[r, s] times the slice of ``src`` at s: an
-    identity row is a plain copy, so a diagonal gate is one multiply per
-    non-identity row and a controlled gate touches only its control = 1
-    rows.  Elementwise ufuncs only, no BLAS call; ``src`` is not written.
-    """
-    k = len(axes)
-
-    def part(arr, r):
-        index = [slice(None)] * arr.ndim
-        for i, ax in enumerate(axes):
-            index[ax] = (r >> (k - 1 - i)) & 1
-        return arr[tuple(index)]
-
-    out = np.empty_like(src)
-    scratch = None
-    for r, row in enumerate(f):
-        dst = part(out, r)
-        cols = np.flatnonzero(row).tolist()
-        if cols == [r] and row[r] == 1:
-            dst[...] = part(src, r)
-            continue
-        if not cols:
-            dst[...] = 0
-            continue
-        np.multiply(part(src, cols[0]), row[cols[0]], out=dst)
-        for s in cols[1:]:
-            scratch = np.multiply(part(src, s), row[s], out=scratch)
-            dst += scratch
-    return out
-
-
 def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
     """The 2**n x 2**n matrix of ``factors`` (the identity on every other
     qubit) times ``a``, without building that matrix.
 
-    A key of ``factors`` is a 1-based qubit ``j`` with a 2x2 operator, or
-    an ascending tuple of k qubits with a 2**k x 2**k operator whose first
-    listed qubit is the most significant: ``{(j, k): u4}`` applies a
-    two-qubit gate.  No qubit may appear under two keys, so the operators
-    commute.  Axis 0 of ``a`` (length 2**n) is split into the keyed
-    qubits' axes and the blocks of qubits between them, qubit 1 most
-    significant, with the other axes of ``a`` folded into the last block;
-    a 2x2 is one broadcast matrix product on its qubit's axis, and a
-    larger operator is applied row by row to a C-ordered view of its
-    qubits' axes (``_apply_rows``: elementwise, skipping zero entries).
-    Returns a new complex array of the shape of ``a``; ``a`` is not
-    written.
+    ``factors`` maps 1-based qubits to 2x2 operators, which commute.  Each
+    is one broadcast matrix product on its qubit's axis of ``a`` reshaped
+    to (2**(j-1), 2, rest), the other axes of ``a`` folded into ``rest``.
+    Returns a new complex array of the shape of ``a``; ``a`` is not written.
     """
-    keys = _local_qubits(n, factors)
+    if not all(isinstance(j, (int, np.integer)) and np.shape(f) == (2, 2)
+               for j, f in factors.items()):
+        raise ValueError(f"factors on {list(factors)} must map single qubits to 2x2 operators")
+    _check_labels(n, factors)
     out = np.asarray(a, dtype=complex)
     shape = out.shape
     if shape[:1] != (2 ** n,):
         raise ValueError(f"expected axis 0 of length {2 ** n}, got shape {shape}")
-    for qubits, f in zip(keys, factors.values()):
-        if len(qubits) == 1:
-            j = qubits[0]
-            out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
-            continue
-        dims, prev = [], 0
-        for j in qubits:
-            dims += [2 ** (j - prev - 1), 2]
-            prev = j
-        out = _apply_rows(out.reshape(dims + [out.size >> prev]), np.asarray(f),
-                          list(range(1, 2 * len(qubits), 2)))
+    for j, f in factors.items():
+        out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
     return out.reshape(shape) if factors else out.copy()
+
+
+def apply_controlled(a: np.ndarray, n: int, control: int, target: int,
+                     v: np.ndarray) -> np.ndarray:
+    """The gate applying the 2x2 ``v`` to qubit ``target`` when qubit
+    ``control < target`` is set, times ``a``, without building its matrix.
+
+    Axis 0 of ``a`` is split into (2**(control-1), 2, 2**(target-control-1),
+    2, rest) as in ``apply_local``: the control = 0 half is copied and ``v``
+    goes onto the target axis of the control = 1 half in one strided matrix
+    product.  Returns a new complex array of the shape of ``a``, which is
+    not written.
+    """
+    if not 1 <= control < target <= n:
+        raise ValueError(f"control {control}, target {target} outside 1 <= control < target <= {n}")
+    src = np.asarray(a, dtype=complex)
+    if src.shape[:1] != (2 ** n,):
+        raise ValueError(f"expected axis 0 of length {2 ** n}, got shape {src.shape}")
+    src = src.reshape(2 ** (control - 1), 2, 2 ** (target - control - 1), 2, src.size >> target)
+    out = np.empty_like(src)
+    out[:, 0] = src[:, 0]
+    np.matmul(v, src[:, 1], out=out[:, 1])
+    return out.reshape(np.shape(a))
 
 
 def transition_states(r: int, s: int, n: int) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """Circuit builders: oracle equivalence, gate algebra, counts, identities."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,9 @@ class TestGateUnitaries:
             circuits.gate_unitary(circuits.hadamard(3), 2)
         with pytest.raises(ValueError):
             circuits.controlled_phase(2, 2, 1.0)
+        for gate in (circuits.controlled_phase(1, 3, 0.5), circuits.root_cnot(1, 3, 0.5)):
+            with pytest.raises(ValueError, match="outside"):
+                circuits.gate_unitary(gate, 2)
 
     def test_unknown_kind_is_refused_when_built(self):
         with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
@@ -138,12 +143,42 @@ class TestCircuitUnitary:
         assert prev < 1e-10
 
 
+def embedded(n, factors):
+    """Kronecker product over qubits 1..n (qubit 1 first) of ``factors``,
+    the identity on every qubit not in it."""
+    return reduce(np.kron, [factors.get(j, np.eye(2)) for j in range(1, n + 1)])
+
+
+def target_operator(g):
+    """The 2x2 on the target of a two-qubit gate, from its definition:
+    diag(1, exp(i*theta)), or X**alpha = ((1 + w) I + (1 - w) X) / 2 with
+    w = exp(i*pi*alpha)."""
+    if g.kind == circuits.CONTROLLED_PHASE_KIND:
+        return np.diag([1.0, np.exp(1j * g.theta)])
+    w = np.exp(1j * np.pi * g.alpha)
+    return ((1 + w) * np.eye(2) + (1 - w) * np.array([[0.0, 1.0], [1.0, 0.0]])) / 2
+
+
+def dense_gate(g, n):
+    """The gate on the full space, built by Kronecker products alone:
+    I/H factors for a Hadamard, P0_j (x) I + P1_j (x) V_k for a controlled
+    gate."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    if g.kind == circuits.HADAMARD_KIND:
+        return embedded(n, {g.j: h})
+    if g.kind == circuits.TOTAL_HADAMARD_KIND:
+        return embedded(n, dict.fromkeys(range(1, n + 1), h))
+    return (embedded(n, {g.j: np.diag([1.0, 0.0])})
+            + embedded(n, {g.j: np.diag([0.0, 1.0]), g.k: target_operator(g)}))
+
+
 def dense_product(circuit):
-    """The product of the gates embedded in the full space, first-in-time
-    rightmost: the reference for the local application in circuit_unitary."""
+    """The product of the dense gates, first-in-time rightmost: the
+    reference for the local application in circuit_unitary, sharing no
+    code with it."""
     out = np.eye(2 ** circuit.n, dtype=complex)
     for g in circuit.gates:
-        out = circuits.gate_unitary(g, circuit.n).entries @ out
+        out = dense_gate(g, circuit.n) @ out
     return out
 
 

@@ -4,7 +4,7 @@ Every gate, pulse and noise matrix is compared with a reference built
 entry by entry from the rule alone: qubit j (1-based) is bit n - j of
 the basis index, so qubit 1 is the most significant bit.  The
 matrix-free ``core.apply_local`` is compared with the Kronecker product
-of its factors, and its multi-qubit keys with the per-basis-state
+of its factors, and ``core.apply_controlled`` with the per-basis-state
 reference.
 """
 
@@ -208,56 +208,31 @@ def pair_cases():
 
 
 @pytest.mark.parametrize("n,j,k", list(pair_cases()))
-def test_apply_local_pair_key_matches_per_basis_reference(n, j, k):
+def test_apply_controlled_matches_per_basis_reference(n, j, k):
     rng = np.random.default_rng(n * 100 + 10 * j + k)
     dim = 2 ** n
-    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    op = np.eye(4, dtype=complex)
+    op[2:, 2:] = v
     expected = reference_local(n, (j, k), op)
-    a = rng.normal(size=(dim, 3, 2)) + 1j * rng.normal(size=(dim, 3, 2))
-    for operand in (a[:, 0, 0], a):
-        got = core.apply_local(operand, n, {(j, k): op})
-        assert got.shape == operand.shape
-        np.testing.assert_allclose(got, np.tensordot(expected, operand, axes=1),
-                                   rtol=0, atol=1e-13)
-
-
-def pair_operators():
-    root = np.eye(4, dtype=complex)
-    root[2:, 2:] = circuits.x_power(0.25)
-    random = np.random.default_rng(3).normal(size=(4, 4, 2)) @ [1, 1j]
-    return {"cphase": np.diag([1, 1, 1, np.exp(0.7j)]), "root-cnot": root, "random": random}
-
-
-@pytest.mark.parametrize("name", list(pair_operators()))
-@pytest.mark.parametrize("n,j,k", [(2, 1, 2), (4, 1, 3), (4, 2, 4), (5, 3, 4), (5, 1, 5)])
-def test_apply_local_pair_kernel_on_every_operand_layout(name, n, j, k):
-    op = pair_operators()[name]
-    rng = np.random.default_rng(n * 100 + 10 * j + k)
-    dim = 2 ** n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     locked = a.copy()
     locked.flags.writeable = False
-    expected = reference_local(n, (j, k), op)
-    # rows whose (j, k) pattern is an identity row of op pass through untouched
-    pattern = np.array([2 * bit(b, j, n) + bit(b, k, n) for b in range(dim)])
-    identity = np.array([np.array_equal(op[r], np.eye(4)[r]) for r in range(4)])[pattern]
-    for operand in (a, a.conj().T, a[:, 0], locked):
+    control_clear = np.array([bit(b, j, n) == 0 for b in range(dim)])
+    for operand in (a, a.conj().T, a[:, 0], a.reshape(dim, 2, -1), locked):
         before = operand.copy()
-        got = core.apply_local(operand, n, {(j, k): op})
+        got = core.apply_controlled(operand, n, j, k, v)
         assert got.shape == operand.shape
         np.testing.assert_allclose(got, np.tensordot(expected, operand, axes=1),
                                    rtol=0, atol=1e-13)
-        assert np.array_equal(got[identity], operand[identity])
+        assert np.array_equal(got[control_clear], operand[control_clear])
         assert np.array_equal(operand, before)
 
 
-def test_apply_local_mixes_pair_and_single_keys():
-    rng = np.random.default_rng(7)
-    op, f = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))
-    a = rng.normal(size=(16, 16))
-    got = core.apply_local(a, 4, {(1, 3): op, 4: f})
-    expected = reference_local(4, (1, 3, 4), np.kron(op, f))
-    np.testing.assert_allclose(got, expected @ a, rtol=0, atol=1e-13)
+@pytest.mark.parametrize("n,control,target", [(2, 1, 3), (3, 0, 2), (3, 2, 2), (3, 3, 1)])
+def test_apply_controlled_rejects_bad_labels(n, control, target):
+    with pytest.raises(ValueError):
+        core.apply_controlled(np.eye(2 ** n), n, control, target, H)
 
 
 @pytest.mark.parametrize("factors", [{(2, 1): np.eye(4)}, {(1, 2): np.eye(4), 2: H},
@@ -269,7 +244,7 @@ def test_apply_local_rejects_bad_keys(factors):
 
 
 @pytest.mark.parametrize("n,labels", [(3, (0,)), (3, (4,)), (2, (1, 3)), (1, (-1,))])
-def test_apply_local_rejects_labels_embed_rejects(n, labels):
+def test_apply_local_rejects_labels_outside_1_to_n(n, labels):
     factors = dict.fromkeys(labels, H)
     for call in (lambda: core.apply_local(np.eye(2 ** n), n, factors),
                  lambda: core.apply_local(np.ones(2 ** n), n, factors)):
