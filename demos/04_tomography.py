@@ -4,20 +4,26 @@ mixed-state fidelity measure, and bar-chart export.
 Run:  python3 demos/04_tomography.py
 """
 
+import itertools
+
 import numpy as np
 
 from spinqft import core, nmr, tomography
 
-# ── 1) What one readout experiment sees ─────────────────────────────────
+# ── 1) What one readout setting sees ────────────────────────────────────
 
 # Only transverse single-quantum terms are observable; readout pulses
 # rotate the rest into view.  The pseudopure state is diagonal, so the
-# identity experiment sees nothing and a 90-degree pulse reveals it.
+# setting with no pulses sees nothing and a 90-degree pulse reveals it.
+# measure_all reads every setting, in itertools.product("ixy", repeat=n)
+# order, one block of len(observables(n)) values each.
 rho_pp = nmr.pseudopure_projector_deviation(2)
 labels = [lbl for lbl, _ in tomography.observables(2)]
+values = tomography.measure_all(rho_pp).reshape(-1, len(labels))
+settings = list(itertools.product("ixy", repeat=2))
 for pulses in (("i", "i"), ("y", "i"), ("y", "y")):
-    values = tomography.measure(rho_pp, tomography.ReadoutExperiment(pulses))
-    shown = {lbl: round(v, 4) for lbl, v in zip(labels, values) if abs(v) > 1e-9}
+    block = values[settings.index(pulses)]
+    shown = {lbl: round(v, 4) for lbl, v in zip(labels, block) if abs(v) > 1e-9}
     print(f"readout {pulses}: {shown or 'all zero'}")
 
 # ── 2) Reconstruction is a signed mean per Pauli coefficient ────────────

@@ -36,6 +36,7 @@ from .core import (
     apply_local,
     bit_reversal_permutation,
     dft_oracle,
+    equal_up_to_global_phase,
 )
 
 HADAMARD_KIND = "hadamard"
@@ -94,9 +95,7 @@ class Circuit:
         _check_qubit_count(self.n)
         gates = tuple(self.gates)
         for g in gates:
-            labels = [g.j, g.k] if g.kind not in (HADAMARD_KIND, TOTAL_HADAMARD_KIND) else [g.j]
-            if g.kind == TOTAL_HADAMARD_KIND:
-                labels = []
+            labels = {TOTAL_HADAMARD_KIND: [], HADAMARD_KIND: [g.j]}.get(g.kind, [g.j, g.k])
             for lbl in labels:
                 if not 1 <= lbl <= self.n:
                     raise ValueError(f"gate {g} references qubit {lbl} outside 1..{self.n}")
@@ -255,8 +254,6 @@ def verify_against_oracle(circuit: Circuit, tol: float = 1e-10) -> tuple[bool, f
     removing the global phase).  The serial and parallel builders satisfy
     this for all n.
     """
-    from .core import equal_up_to_global_phase
-
     u = circuit_unitary(circuit).entries
     target = dft_oracle(circuit.n).entries
     lhs = u[np.nonzero(bit_reversal_permutation(circuit.n).entries)[1]]

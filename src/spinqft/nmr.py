@@ -14,7 +14,7 @@ Rotation and coupling conventions
 A pulse of flip angle theta and rf phase phi (0 = x, pi/2 = y, pi = -x,
 3*pi/2 = -y) applies exp(-i*theta*(Ix*cos(phi) + Iy*sin(phi))) on each
 addressed spin, with I = sigma/2.  Every pair of spins is coupled at the
-one ``DEFAULT_J_HZ``, and a delay leg written 1/(m*J_jk) evolves its pair
+one ``CHLOROFORM_J_HZ``, and a delay leg written 1/(m*J_jk) evolves its pair
 for 1/(m*J): it applies exp(+i * 2*pi/m * Iz_j Iz_k), whatever J is (the
 way NMR writes delays as fractions of 1/J; Vandersypen & Chuang, Rev.
 Mod. Phys. 76, 1037 (2005)).  A z pulse is {90_-x}{theta_y}{90_x} =
@@ -59,6 +59,7 @@ from .core import (
     qubit_bits,
     transition_states,
 )
+from .costmodel import CHLOROFORM_J_HZ, DEFAULT_PULSE_SECONDS
 
 # rf phase labels
 PHASE_X = 0.0
@@ -66,15 +67,13 @@ PHASE_Y = math.pi / 2.0
 PHASE_MINUS_X = math.pi
 PHASE_MINUS_Y = 3.0 * math.pi / 2.0
 
-# the one scalar coupling, on every pair of spins, and the element times
-DEFAULT_J_HZ = 215.0
-SPIN_PULSE_SECONDS = 10e-6
+# the spin-pulse time and the one J, on every pair of spins, come from costmodel
 TRANSITION_PULSE_SECONDS = 6.5e-3
 GAMMA_RATIO_H_TO_C = 3.976  # 1H/13C gyromagnetic ratio, thermal-weighting preset
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """``n`` weakly coupled spins on resonance, every pair coupled at ``DEFAULT_J_HZ``."""
+    """``n`` weakly coupled spins on resonance, every pair coupled at ``CHLOROFORM_J_HZ``."""
 
     n: int
 
@@ -248,17 +247,17 @@ def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem) -> 
 # -- element time and dephasing noise ---------------------------------------
 
 def element_seconds(e: PulseElement) -> float:
-    """Wall time of one element: ``SPIN_PULSE_SECONDS`` per spin pulse (three
+    """Wall time of one element: ``DEFAULT_PULSE_SECONDS`` per spin pulse (three
     for a composite z), ``TRANSITION_PULSE_SECONDS``, or the longest leg
     1/(m * J) of a delay.  The only place J enters the pulse model."""
     if isinstance(e, SpinPulse):
-        return SPIN_PULSE_SECONDS
+        return DEFAULT_PULSE_SECONDS
     if isinstance(e, TransitionPulse):
         return TRANSITION_PULSE_SECONDS
     if isinstance(e, CompositeZ):
-        return 3.0 * SPIN_PULSE_SECONDS
+        return 3.0 * DEFAULT_PULSE_SECONDS
     if isinstance(e, CouplingDelay):
-        return max(1.0 / (m * DEFAULT_J_HZ) for _, _, m in e.legs)
+        return max(1.0 / (m * CHLOROFORM_J_HZ) for _, _, m in e.legs)
     raise TypeError(f"unknown pulse element {e!r}")
 
 

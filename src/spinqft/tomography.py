@@ -1,57 +1,35 @@
 """Simulated state tomography and the mixed-state fidelity measure.
 
 Readout follows the ensemble NMR scheme (Chuang, Gershenfeld, Kubinec &
-Leung, Proc. R. Soc. A 454, 447 (1998)): each of the 3**n experiments
-applies one of {none, 90_x, 90_y} per qubit and records the exact
-expectation values of the single-quantum observables, each half a Pauli
-string.  The pulses are Clifford, so each value is +-Tr(rho P)/2 for one
-Pauli string P: a readout is the Pauli coefficients of the state (one
-tensorised ``einsum``; Hantzko, Binkowski & Gupta, 2023) read through an
-(index, sign) map, and the least-squares inversion is a signed mean per
-coefficient.  Expectations are exact: the readout models an infinite
-ensemble.
+Leung, Proc. R. Soc. A 454, 447 (1998)): each of the 3**n settings applies
+one of {none, 90_x, 90_y} per qubit and records the exact expectation
+values (an infinite ensemble) of the single-quantum observables, each half
+a Pauli string.  A setting is its pulse letters p_1 ... p_n in "ixy",
+qubit 1 first; setting e = sum_j 3**(n-j) * "ixy".index(p_j) is the e-th
+of ``itertools.product("ixy", repeat=n)``.  The pulses are Clifford, so
+each value is +-Tr(rho P)/2 for one Pauli string P: a readout is the Pauli
+coefficients of the state (one tensorised ``einsum``; Hantzko, Binkowski &
+Gupta, 2023) read through an (index, sign) map, and the least-squares
+inversion is a signed mean per coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _trace_product,
-                   entries_of)
+from .core import (MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
+                   _trace_product, entries_of)
 from .nmr import PHASE_X, PHASE_Y, SpinPulse, SpinSystem, element_unitary
 
-READOUT_CHOICES = ("i", "x", "y")
 _PAULIS = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 # Fidelities reported for the hardware experiments this package models;
 # kept as documentation constants, not reproduction targets.
 REFERENCE_EXPERIMENT_FIDELITIES = {"serial-n2": 0.79, "parallel-n2": 0.80, "selective-n2": 0.85}
-
-
-@dataclass(frozen=True)
-class ReadoutExperiment:
-    """One readout setting: per-qubit pulse in {'i', 'x', 'y'}."""
-
-    pulses: tuple
-
-    def __post_init__(self):
-        pulses = tuple(self.pulses)
-        if any(p not in READOUT_CHOICES for p in pulses):
-            raise ValueError(f"readout pulses must be in {READOUT_CHOICES}, got {pulses}")
-        object.__setattr__(self, "pulses", pulses)
-
-    @property
-    def n(self) -> int:
-        return len(self.pulses)
-
-
-def all_experiments(n: int) -> list[ReadoutExperiment]:
-    """The full 3**n readout set in deterministic lexicographic order."""
-    return [ReadoutExperiment(p) for p in itertools.product(READOUT_CHOICES, repeat=n)]
 
 
 def observables(n: int) -> list[tuple[str, str]]:
@@ -65,13 +43,12 @@ def observables(n: int) -> list[tuple[str, str]]:
     out = []
     for j in range(1, n + 1):
         others = [k for k in range(1, n + 1) if k != j]
-        for comp in ("x", "y"):
-            for r in range(len(others) + 1):
-                for ctx in itertools.combinations(others, r):
-                    label = f"I{comp}{j}" + "".join(f"Z{k}" for k in ctx)
-                    pauli = "".join(comp.upper() if k == j else "Z" if k in ctx else "I"
-                                    for k in range(1, n + 1))
-                    out.append((label, pauli))
+        for comp, r in itertools.product("xy", range(n)):
+            for ctx in itertools.combinations(others, r):
+                label = f"I{comp}{j}" + "".join(f"Z{k}" for k in ctx)
+                pauli = "".join(comp.upper() if k == j else "Z" if k in ctx else "I"
+                                for k in range(1, n + 1))
+                out.append((label, pauli))
     return out
 
 
@@ -116,16 +93,16 @@ def _pulse_table(phase: float) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
-def _readout_map(experiments: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) of every value that ``experiments`` read, in order:
+def _readout_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) of every value ``measure_all`` reads, setting by setting:
     the value is sign * Tr(rho P_index) / 2, as the readout U = prod_j R_j
     turns an observable's Pauli string into prod_j R_j^dag P_j R_j."""
     digits = np.array([["IXYZ".index(c) for c in p] for _, p in observables(n)])
     maps = []
-    for e in experiments:
+    for setting in itertools.product("ixy", repeat=n):
         i, s = 0, np.ones(len(digits))
-        for d, pulse in zip(digits.T, e.pulses):
-            if pulse != "i":  # one pulse-model check per pulsed qubit and experiment
+        for d, pulse in zip(digits.T, setting):
+            if pulse != "i":  # one pulse-model check per pulsed qubit and setting
                 table, signs = _pulse_table(PHASE_X if pulse == "x" else PHASE_Y)
                 d, s = table[d], s * signs[d]
             i = 4 * i + d
@@ -133,31 +110,28 @@ def _readout_map(experiments: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(x) for x in zip(*maps))
 
 
-def _read(rho, experiments: list, n: int) -> np.ndarray:
-    m = entries_of(rho)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (2 ** n, 2 ** n):
-        raise ValueError(f"state dimension {m.shape} does not match {n}-qubit readout")
-    index, sign = _readout_map(experiments, n)
-    return sign * _pauli_coefficients(m, n)[..., index] / 2.0
-
-
-def measure(rho, experiment: ReadoutExperiment) -> np.ndarray:
-    """Exact expectation values Tr(rho' O) after the readout pulses, one
-    per observable of ``observables(n)``: n * 2**n values for one 2**n x 2**n
-    state, or a (k, n * 2**n) array for a stack of shape (k, 2**n, 2**n)."""
-    return _read(rho, [experiment], experiment.n)
+def _qubit_count(m: np.ndarray, max_ndim: int) -> int:
+    """n of 2**n x 2**n matrices in at most ``max_ndim`` axes, 1 <= n <= MAX_QUBITS."""
+    n = (m.shape[-1] - 1).bit_length() if 2 <= m.ndim <= max_ndim else 0
+    if not 1 <= n <= MAX_QUBITS or m.shape[-2:] != (2 ** n, 2 ** n):
+        raise ValueError(f"expected 2**n x 2**n matrices, 1 <= n <= {MAX_QUBITS}, got {m.shape}")
+    return n
 
 
 def measure_all(rho) -> np.ndarray:
-    """Stacked measurement vector over all 3**n experiments; a stack of k
-    states gives a (k, n * 2**n * 3**n) array, one vector per state."""
-    n = int(np.log2(entries_of(rho).shape[-1]))
-    return _read(rho, all_experiments(n), n)
+    """Exact expectation values Tr(rho' O) of ``observables(n)`` after the
+    pulses of each setting: block e is setting e of ``itertools.product("ixy",
+    repeat=n)``, qubit 1 first.  A stack of k states gives a
+    (k, n * 2**n * 3**n) array, one vector per state."""
+    m = entries_of(rho)
+    n = _qubit_count(m, 3)
+    index, sign = _readout_map(n)
+    return sign * _pauli_coefficients(m, n)[..., index] / 2.0
 
 
 def design_matrix(n: int) -> np.ndarray:
-    """The readout of every non-identity Pauli string W_p: row (experiment,
-    observable), column p is Tr(U_e W_p U_e^dag O_o), exactly 0 or
+    """The readout of every non-identity Pauli string W_p: row (setting e,
+    observable o), column p is Tr(U_e W_p U_e^dag O_o), exactly 0 or
     +-2**(n-1).  The readout is informationally complete because this
     matrix has full column rank 4**n - 1."""
     return measure_all(_from_coefficients(2.0 ** n * np.eye(4 ** n)[1:], n)).T
@@ -172,7 +146,7 @@ def reconstruct(values: np.ndarray, n: int) -> DensityMatrix | list[DensityMatri
     result is the deviation (traceless) matrix.  One readout vector gives
     one matrix; a (k, m) stack gives a list of k, each validated alone.
     """
-    index, sign = _readout_map(all_experiments(n), n)
+    index, sign = _readout_map(n)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         values = values.reshape(-1)
@@ -196,11 +170,7 @@ class FidelityReport:
     fidelity: float
 
     def as_dict(self) -> dict:
-        return {
-            "correlation": self.correlation,
-            "signal_retention": self.signal_retention,
-            "fidelity": self.fidelity,
-        }
+        return asdict(self)
 
 
 def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:
@@ -231,7 +201,8 @@ def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:
 def bar_chart_csv(rho) -> str:
     """One ``row,col,re,im`` line per entry, row by row; states as n-bit labels."""
     m = entries_of(rho)
-    labels = [format(i, f"0{int(np.log2(m.shape[0]))}b") for i in range(m.shape[0])]
+    n = _qubit_count(m, 2)
+    labels = [format(i, f"0{n}b") for i in range(2 ** n)]
     lines = ["row,col,re,im"]
     for row, re_row, im_row in zip(labels, m.real.tolist(), m.imag.tolist()):
         lines += [f"{row},{col},{re_v:.12e},{im_v:.12e}"

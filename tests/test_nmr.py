@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_traceless_hermitian, refocused, serial_program_text, z_template
 
-from spinqft import core, nmr
+from spinqft import core, costmodel, nmr
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -372,7 +372,7 @@ class TestNoise:
 
     def test_a_delay_lasts_its_longest_leg(self):
         delay = nmr.CouplingDelay(((1, 2, 4), (2, 3, 8), (1, 3, 3), (3, 4, 12)))
-        assert nmr.element_seconds(delay) == 1.0 / (3 * nmr.DEFAULT_J_HZ)
+        assert nmr.element_seconds(delay) == 1.0 / (3 * costmodel.CHLOROFORM_J_HZ)
         assert nmr.element_seconds(delay) == pytest.approx(1 / 645)
 
     def test_negative_rate_rejected(self):

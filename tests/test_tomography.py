@@ -5,6 +5,7 @@ here: readout unitaries from the pulse model on all n spins, observables
 as Kronecker products, one trace per value and one ``lstsq`` fit."""
 
 import math
+import re
 from functools import lru_cache, reduce
 from itertools import product
 
@@ -16,23 +17,36 @@ from conftest import random_traceless_hermitian
 from spinqft import core, nmr, tomography
 
 
+def _setting(e, n):
+    """The pulse letters of readout setting e: e = sum_j 3**(n-j) * "ixy".index(p_j)."""
+    return tuple("ixy"[e // 3 ** (n - j) % 3] for j in range(1, n + 1))
+
+
+def _block(values, n, e):
+    """Block e of a readout: the n * 2**n values read after setting e."""
+    width = n * 2 ** n
+    return values[..., e * width:(e + 1) * width]
+
+
 class TestReadout:
     def test_experiment_count(self):
-        assert len(tomography.all_experiments(2)) == 9
-        assert len(tomography.all_experiments(3)) == 27
+        for n in (1, 2, 3):
+            assert tomography.measure_all(np.zeros((2 ** n, 2 ** n))).shape == (
+                3 ** n * n * 2 ** n,)
 
     def test_observable_count(self):
         assert len(tomography.observables(2)) == 8   # 2 spins x (x, y) x 2 contexts
         assert len(tomography.observables(3)) == 24
 
     def test_maximally_mixed_reads_zero(self):
-        rho = np.eye(4) / 4.0
-        for e in tomography.all_experiments(2):
-            np.testing.assert_allclose(tomography.measure(rho, e), 0.0, atol=1e-14)
+        for rho in (np.eye(4) / 4.0, np.zeros((4, 4))):  # the identity is never read
+            values = tomography.measure_all(rho)
+            for e in range(9):
+                np.testing.assert_allclose(_block(values, 2, e), 0.0, atol=1e-14)
 
     def test_rotated_pseudopure_shows_transverse_signal(self):
         rho = nmr.pseudopure_projector_deviation(2)
-        values = tomography.measure(rho, tomography.ReadoutExperiment(("y", "i")))
+        values = _block(tomography.measure_all(rho), 2, 6)  # setting ("y", "i")
         labels = [lbl for lbl, _ in tomography.observables(2)]
         ix1 = values[labels.index("Ix1")]
         assert abs(ix1) > 0.1
@@ -41,17 +55,17 @@ class TestReadout:
         rng = np.random.default_rng(5)
         r1 = random_traceless_hermitian(2, rng)
         r2 = random_traceless_hermitian(2, rng)
-        e = tomography.ReadoutExperiment(("x", "y"))
         combo = 0.3 * r1.entries + 1.7 * r2.entries
-        one, two = tomography.measure(r1, e), tomography.measure(r2, e)
-        np.testing.assert_allclose(tomography.measure(combo, e), 0.3 * one + 1.7 * two,
+        one, two = tomography.measure_all(r1), tomography.measure_all(r2)
+        np.testing.assert_allclose(tomography.measure_all(combo), 0.3 * one + 1.7 * two,
                                    atol=1e-12)
-        stacked = tomography.measure(np.stack([r1.entries, r2.entries]), e)
+        stacked = tomography.measure_all(np.stack([r1.entries, r2.entries]))
         np.testing.assert_allclose(stacked, [one, two], atol=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            tomography.measure(np.eye(4) / 4, tomography.ReadoutExperiment(("i",)))
+        for shape in [(4, 2), (2, 4), (4,), (2, 2, 4, 4)]:
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                tomography.measure_all(np.zeros(shape))
 
     def test_stack_reads_each_state(self):
         rng = np.random.default_rng(11)
@@ -62,12 +76,34 @@ class TestReadout:
                                    rtol=0, atol=1e-14)
 
 
+# Matrix sizes outside 2**n x 2**n with 1 <= n <= MAX_QUBITS; the last is
+# broadcast from one zero, so it allocates nothing.
+BAD_SIZES = [np.zeros((0, 0)), np.zeros((1, 1)), np.zeros((3, 3)), np.zeros((6, 6)),
+             np.broadcast_to(np.zeros((), complex), (2 ** 13, 2 ** 13))]
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("m", BAD_SIZES, ids=lambda m: "x".join(map(str, m.shape)))
+    def test_measure_all_refuses(self, m):
+        with pytest.raises(ValueError, match=re.escape(str(m.shape))):
+            tomography.measure_all(m)
+        with pytest.raises(ValueError, match=re.escape(str((2,) + m.shape))):
+            tomography.measure_all(np.broadcast_to(m, (2,) + m.shape))
+
+    @pytest.mark.parametrize("m", BAD_SIZES + [np.zeros((2, 4, 4))],
+                             ids=lambda m: "x".join(map(str, m.shape)))
+    def test_bar_chart_refuses(self, m):
+        with pytest.raises(ValueError, match=re.escape(str(m.shape))):
+            tomography.bar_chart_csv(m)
+
+
 # -- the dense readout, as the differential reference --------------------
 
-def _dense_readout_unitary(e):
+def _dense_readout_unitary(pulses):
     """Product of the per-qubit 90-degree readout pulses on all n spins."""
-    system, u = nmr.SpinSystem(e.n), np.eye(2 ** e.n, dtype=complex)
-    for j, p in enumerate(e.pulses, start=1):
+    n = len(pulses)
+    system, u = nmr.SpinSystem(n), np.eye(2 ** n, dtype=complex)
+    for j, p in enumerate(pulses, start=1):
         if p != "i":
             pulse = nmr.SpinPulse((j,), math.pi / 2.0, nmr.PHASE_X if p == "x" else nmr.PHASE_Y)
             u = nmr.element_unitary(pulse, system).entries @ u
@@ -91,15 +127,15 @@ def _dense_pauli_strings(n):
     return np.array([reduce(np.kron, f) for f in product(paulis, repeat=n)][1:])
 
 
-def _dense_measure(states, e):
+def _dense_measure(states, pulses):
     """Re Tr(U rho U^dag O) for a (k, 2**n, 2**n) stack: one trace per entry."""
-    u = _dense_readout_unitary(e)
+    u = _dense_readout_unitary(pulses)
     rotated = u @ states @ u.conj().T
-    return np.tensordot(rotated, _dense_observables(e.n), axes=([1, 2], [2, 1])).real
+    return np.tensordot(rotated, _dense_observables(len(pulses)), axes=([1, 2], [2, 1])).real
 
 
 def _dense_measure_all(states, n):
-    return np.concatenate([_dense_measure(states, e) for e in tomography.all_experiments(n)],
+    return np.concatenate([_dense_measure(states, _setting(e, n)) for e in range(3 ** n)],
                           axis=1)
 
 
@@ -122,12 +158,14 @@ def _random_states(n, k, seed):
 class TestDenseReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_measure_matches(self, n):
+        """Block e of ``measure_all`` is the dense readout of setting e."""
         states = _random_states(n, 3, 600 + n)
-        for e in tomography.all_experiments(n):
-            want = _dense_measure(states, e)
-            np.testing.assert_allclose(tomography.measure(states, e), want, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(tomography.measure(states[0], e), want[0],
-                                       rtol=0, atol=1e-13)
+        stacked, single = tomography.measure_all(states), tomography.measure_all(states[0])
+        for e, setting in enumerate(product("ixy", repeat=n)):
+            assert _setting(e, n) == setting
+            want = _dense_measure(states, setting)
+            np.testing.assert_allclose(_block(stacked, n, e), want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(_block(single, n, e), want[0], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_measure_all_matches(self, n):
