@@ -18,17 +18,16 @@ from spinqft import core, nmr, tomography
 rho_eq = nmr.thermal_deviation(1.0, 1.0)
 print("thermal populations:     ", np.diag(rho_eq.entries).real)
 
-system = nmr.SpinSystem(2)
 seq_a, seq_b = nmr.pseudopure_cycle_sequences()
 for seq in (seq_a, seq_b):
-    out = nmr.run(seq, system, rho_eq)
+    out = nmr.run(seq, 2, rho_eq)
     print(f"after {seq.name:<20}", np.round(np.diag(out.entries).real, 6))
 
-rho_pp = nmr.prepare_pseudopure_temporal_avg(system)
+rho_pp = nmr.prepare_pseudopure_temporal_avg()
 print("three-experiment average:", np.round(np.diag(rho_pp.entries).real, 6))
 
 # The gyromagnetic-ratio preset models the actual 1H/13C weighting:
-rho_gamma = nmr.prepare_pseudopure_temporal_avg(system, a=nmr.GAMMA_RATIO_H_TO_C, b=1.0)
+rho_gamma = nmr.prepare_pseudopure_temporal_avg(a=nmr.GAMMA_RATIO_H_TO_C, b=1.0)
 print("with 1H/13C weighting:   ", np.round(np.diag(rho_gamma.entries).real, 6))
 
 # ── 2) The six bundled sequences, end to end ────────────────────────────
@@ -38,12 +37,11 @@ print("with 1H/13C weighting:   ", np.round(np.diag(rho_gamma.entries).real, 6))
 print(f"\n{'sequence':<14} {'elements':>8} {'fidelity':>12}")
 for name in nmr.SEQUENCE_LIBRARY:
     seq = nmr.library_sequence(name)
-    sys_n = nmr.system_for_sequence(seq)
-    rho_in = (nmr.prepare_pseudopure_temporal_avg(sys_n) if seq.n == 2
+    rho_in = (nmr.prepare_pseudopure_temporal_avg() if seq.n == 2
               else nmr.pseudopure_projector_deviation(seq.n))
-    rho_out = nmr.run(seq, sys_n, rho_in)
+    rho_out = nmr.run(seq, seq.n, rho_in)
     target_u = core.UnitaryMatrix(
-        seq.n, core.bit_reversal_permutation(seq.n).entries @ core.dft_oracle(seq.n).entries)
+        core.bit_reversal_permutation(seq.n).entries @ core.dft_oracle(seq.n).entries)
     rho_th = core.conjugate(target_u, rho_in)
     rep = tomography.fidelity(rho_th, rho_out, rho_in)
     print(f"{name:<14} {len(seq.elements):>8} {rep.fidelity:>12.9f}")
@@ -56,15 +54,14 @@ print(resources.files("spinqft.sequences").joinpath("selective-n2.seq").read_tex
 # ── 4) Dephasing degrades fidelity monotonically ────────────────────────
 
 seq = nmr.library_sequence("selective-n2")
-rho_in = nmr.prepare_pseudopure_temporal_avg(system)
-target_u = core.UnitaryMatrix(
-    2, core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries)
+rho_in = nmr.prepare_pseudopure_temporal_avg()
+target_u = core.UnitaryMatrix(core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries)
 rho_th = core.conjugate(target_u, rho_in)
 print("dephasing-rate sweep for selective-n2 (transition pulses are slow,")
 print("so this sequence is the most noise-sensitive):")
 for rate in (0.0, 1.0, 3.0, 10.0, 30.0):
     noise = nmr.NoiseModel.uniform(2, rate) if rate else None
-    out = nmr.run(seq, system, rho_in, noise)
+    out = nmr.run(seq, 2, rho_in, noise)
     rep = tomography.fidelity(rho_th, out, rho_in)
     print(f"  rate {rate:>5.1f} Hz: fidelity {rep.fidelity:.6f} "
           f"(retention {rep.signal_retention:.6f})")

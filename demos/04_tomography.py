@@ -23,7 +23,7 @@ values = tomography.measure_all(rho_pp).reshape(-1, len(labels))
 settings = list(itertools.product("ixy", repeat=2))
 for pulses in (("i", "i"), ("y", "i"), ("y", "y")):
     block = values[settings.index(pulses)]
-    shown = {lbl: round(v, 4) for lbl, v in zip(labels, block) if abs(v) > 1e-9}
+    shown = {lbl: round(float(v), 4) for lbl, v in zip(labels, block) if abs(v) > 1e-9}
     print(f"readout {pulses}: {shown or 'all zero'}")
 
 # ── 2) Reconstruction is a signed mean per Pauli coefficient ────────────
@@ -44,23 +44,21 @@ rng = np.random.default_rng(8)
 h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 h = (h + h.conj().T) / 2
 h -= np.trace(h) / 4 * np.eye(4)
-rho = core.DensityMatrix(2, h)
-recon = tomography.reconstruct(tomography.measure_all(rho), 2)
+rho = core.DensityMatrix(h)
+recon = tomography.reconstruct(tomography.measure_all(rho))
 print(f"random-matrix round trip: max error "
       f"{np.max(np.abs(recon.entries - rho.entries)):.2e}")
 
 # ── 3) Tomography of a simulated transform output ───────────────────────
 
-system = nmr.SpinSystem(2)
 seq = nmr.library_sequence("parallel-n2")
-rho_in = nmr.prepare_pseudopure_temporal_avg(system)
-rho_out = nmr.run(seq, system, rho_in, nmr.NoiseModel.uniform(2, 10.0))
-recon = tomography.reconstruct(tomography.measure_all(rho_out), 2)
+rho_in = nmr.prepare_pseudopure_temporal_avg()
+rho_out = nmr.run(seq, seq.n, rho_in, nmr.NoiseModel.uniform(seq.n, 10.0))
+recon = tomography.reconstruct(tomography.measure_all(rho_out))
 print(f"\nnoisy {seq.name} output reconstructed: max error "
       f"{np.max(np.abs(recon.entries - rho_out.entries)):.2e}")
 
-target_u = core.UnitaryMatrix(
-    2, core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries)
+target_u = core.UnitaryMatrix(core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries)
 rho_th = core.conjugate(target_u, rho_in)
 rep = tomography.fidelity(rho_th, recon, rho_in)
 print(f"fidelity report: correlation={rep.correlation:.6f} "

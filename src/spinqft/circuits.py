@@ -191,17 +191,17 @@ def _apply(a: np.ndarray, g: Gate, n: int, v: np.ndarray) -> np.ndarray:
     """``g`` times ``a`` with target operator ``v``: on qubit ``j`` (every
     qubit for the total Hadamard), or on ``k`` controlled by ``j``."""
     if g.kind == HADAMARD_KIND:
-        return apply_local(a, n, {g.j: v})
+        return apply_local(a, {g.j: v})
     if g.kind == TOTAL_HADAMARD_KIND:
-        return apply_local(a, n, dict.fromkeys(range(1, n + 1), v))
-    return apply_controlled(a, n, g.j, g.k, v)
+        return apply_local(a, dict.fromkeys(range(1, n + 1), v))
+    return apply_controlled(a, g.j, g.k, v)
 
 
 def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
     """The gate on the full 2**n-dimensional space: its target operator
     applied to the identity where the gate acts."""
     _check_qubit_count(n)
-    return UnitaryMatrix(n, _apply(np.eye(2 ** n, dtype=complex), g, n, _target_operator(g)))
+    return UnitaryMatrix(_apply(np.eye(2 ** n, dtype=complex), g, n, _target_operator(g)))
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
@@ -220,7 +220,7 @@ def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
         else:
             v = gate_unitary(replace(g, j=1, k=2), 2).entries[2:, 2:]
         out = _apply(out, g, n, v)
-    return UnitaryMatrix(n, out)
+    return UnitaryMatrix(out)
 
 
 def qft_product_state(a: int, n: int) -> np.ndarray:

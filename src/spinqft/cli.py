@@ -259,12 +259,11 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
                  f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
 
 
-def _pseudopure_input(system: nmr.SpinSystem) -> core.DensityMatrix:
+def _pseudopure_input(n: int) -> core.DensityMatrix:
     from . import nmr
 
-    if system.n == 2:
-        return nmr.prepare_pseudopure_temporal_avg(system)
-    return nmr.pseudopure_projector_deviation(system.n)
+    return (nmr.prepare_pseudopure_temporal_avg() if n == 2
+            else nmr.pseudopure_projector_deviation(n))
 
 
 def _ideal_target_unitary(n: int) -> core.UnitaryMatrix:
@@ -275,7 +274,7 @@ def _ideal_target_unitary(n: int) -> core.UnitaryMatrix:
     from . import core
 
     f = core.dft_oracle(n).entries
-    return core.UnitaryMatrix(n, f[np.nonzero(core.bit_reversal_permutation(n).entries)[1]])
+    return core.UnitaryMatrix(f[np.nonzero(core.bit_reversal_permutation(n).entries)[1]])
 
 
 def cmd_simulate(args: argparse.Namespace, parser) -> int:
@@ -288,27 +287,26 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
                  else (SIMULATE_MAX_QUBITS, "simulate runs"))
     if seq.n > cap:
         parser.error(f"{verb} at most {cap} spins, the sequence has {seq.n}")
-    system = nmr.system_for_sequence(seq)
-    rho_init = _pseudopure_input(system)
-    noise = nmr.NoiseModel.uniform(system.n, 1.0 / args.t2) if args.t2 else None
-    rho_exp = nmr.run(seq, system, rho_init, noise)
-    target_u = _ideal_target_unitary(system.n)
+    rho_init = _pseudopure_input(seq.n)
+    noise = nmr.NoiseModel.uniform(seq.n, 1.0 / args.t2) if args.t2 else None
+    rho_exp = nmr.run(seq, seq.n, rho_init, noise)
+    target_u = _ideal_target_unitary(seq.n)
     rho_th = core.conjugate(target_u, rho_init)
     report = tomography.fidelity(rho_th, rho_exp, rho_init)
     doc = {
         "command": "simulate",
         "sequence": seq.name,
-        "n": system.n,
+        "n": seq.n,
         "t2_seconds": args.t2,
         "seed": args.seed,
         "fidelity_report": report.as_dict(),
-        "rho_exp": {"n": system.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
-        "rho_target": {"n": system.n, "re": rho_th.entries.real, "im": rho_th.entries.imag},
+        "rho_exp": {"n": seq.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
+        "rho_target": {"n": seq.n, "re": rho_th.entries.real, "im": rho_th.entries.imag},
     }
     status = 0
     if args.tomography:
         values = tomography.measure_all(rho_exp)
-        recon = tomography.reconstruct(values, system.n)
+        recon = tomography.reconstruct(values)
         err = float(np.max(np.abs(recon.entries - rho_exp.entries)))
         doc["tomography_max_error"] = err
         doc["tomography_tolerance"] = TOMO_TOL
@@ -329,7 +327,7 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
     states = (h + h.conj().swapaxes(1, 2)) / 2.0  # Hermitian and, below, traceless
     states -= np.trace(states, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
     readouts = tomography.measure_all(states)  # one readout of the whole stack
-    recons = tomography.reconstruct(readouts, args.n)  # and one inversion
+    recons = tomography.reconstruct(readouts)  # and one inversion
     worst = max(float(np.max(np.abs(r.entries - rho))) for r, rho in zip(recons, states))
     passed = worst <= TOMO_TOL
     doc = {
@@ -352,14 +350,13 @@ def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
     if seq.n > FIG2_MAX_QUBITS:
         parser.error(f"export-fig2 charts at most {FIG2_MAX_QUBITS} spins, "
                      f"the sequence has {seq.n}")
-    system = nmr.system_for_sequence(seq)
-    rho_init = _pseudopure_input(system)
+    rho_init = _pseudopure_input(seq.n)
     if args.what == "pseudopure":
         rho = rho_init
     elif args.what == "target":
-        rho = core.conjugate(_ideal_target_unitary(system.n), rho_init)
+        rho = core.conjugate(_ideal_target_unitary(seq.n), rho_init)
     else:
-        rho = nmr.run(seq, system, rho_init)
+        rho = nmr.run(seq, seq.n, rho_init)
     _emit(tomography.bar_chart_csv(rho), args.out)
     return 0
 

@@ -3,12 +3,14 @@
 Density matrices (always the traceless deviation part of an ensemble
 state) and unitaries are thin immutable wrappers around complex numpy
 arrays, indexed in the computational basis with qubit 1 as the most
-significant bit (basis integer ``a`` has the bit of qubit ``j``
-at position ``n - j``).  ``apply_local`` (one-qubit operators applied
-to an array on their qubits' axes, without building the 2**n x 2**n
-matrix), ``apply_controlled`` (a one-qubit operator on a target qubit
-when a control qubit is set) and ``qubit_bits`` (one qubit's bit across
-all basis indices) apply this ordering to every gate, pulse and noise
+significant bit (basis integer ``a`` has the bit of qubit ``j`` at
+position ``n - j``).  An array's n is never passed beside it: one shape
+rule reads it before any copy (``_axis_qubits``, ``_matrix_qubits``).
+``apply_local`` (one-qubit operators applied to an array on their
+qubits' axes, without building the 2**n x 2**n matrix),
+``apply_controlled`` (a one-qubit operator on a target qubit when a
+control qubit is set) and ``qubit_bits`` (one qubit's bit across all
+basis indices) apply this ordering to every gate, pulse and noise
 channel in the package; the only other places are the oracle and the
 tomography's Pauli transform, which reshapes a matrix to one axis per
 qubit.  Each is one broadcast matrix product on a reshaped view: a
@@ -26,7 +28,7 @@ large exp argument.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +50,22 @@ def _check_qubit_count(n: int) -> None:
         raise ValueError(f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}")
 
 
+def _axis_qubits(shape: tuple, axis: int = 0) -> int:
+    """n of axis ``axis`` of ``shape`` when its length is 2**n, 1 <= n <= MAX_QUBITS."""
+    n = (shape[axis] - 1).bit_length() if shape else 0
+    if not 1 <= n <= MAX_QUBITS or shape[axis] != 2 ** n:
+        raise ValueError(f"expected axes of length 2**n, 1 <= n <= {MAX_QUBITS}, got shape {shape}")
+    return n
+
+
+def _matrix_qubits(m, max_ndim: int = 2) -> int:
+    """n of 2**n x 2**n matrices in the last two of at most ``max_ndim`` axes, by shape."""
+    shape = np.shape(m.entries if isinstance(m, (UnitaryMatrix, DensityMatrix)) else m)
+    if not 2 <= len(shape) <= max_ndim or shape[-2] != shape[-1]:
+        raise ValueError(f"expected 2**n x 2**n matrices in at most {max_ndim} axes, got {shape}")
+    return _axis_qubits(shape, -1)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.flags.writeable = False
@@ -64,15 +82,12 @@ class DensityMatrix:
     the input of the fidelity measure.
     """
 
-    n: int
     entries: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
-        _check_qubit_count(self.n)
-        dim = 2 ** self.n
-        m = _frozen(np.asarray(self.entries))
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
+        object.__setattr__(self, "n", _matrix_qubits(self.entries))
+        m = _frozen(self.entries)
         # every check is written `not x <= tol`, so that a NaN fails it
         scale = max(1.0, float(np.max(np.abs(m))))
         if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * scale:
@@ -91,16 +106,13 @@ class DensityMatrix:
 class UnitaryMatrix:
     """Unitary operator on ``n`` qubits, validated to 1e-10 entrywise."""
 
-    n: int
     entries: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
-        _check_qubit_count(self.n)
-        dim = 2 ** self.n
-        m = _frozen(np.asarray(self.entries))
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
-        if not np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= UNITARITY_TOL:  # NaN fails
+        object.__setattr__(self, "n", _matrix_qubits(self.entries))
+        m = _frozen(self.entries)
+        if not np.max(np.abs(m @ m.conj().T - np.eye(2 ** self.n))) <= UNITARITY_TOL:  # NaN fails
             raise ValueError("matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
 
@@ -133,7 +145,7 @@ def _check_labels(n: int, labels) -> None:
         raise ValueError(f"qubit labels {sorted(labels)} outside 1..{n}")
 
 
-def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
+def apply_local(a: np.ndarray, factors: dict) -> np.ndarray:
     """The 2**n x 2**n matrix of ``factors`` (the identity on every other
     qubit) times ``a``, without building that matrix.
 
@@ -145,18 +157,15 @@ def apply_local(a: np.ndarray, n: int, factors: dict) -> np.ndarray:
     if not all(isinstance(j, (int, np.integer)) and np.shape(f) == (2, 2)
                for j, f in factors.items()):
         raise ValueError(f"factors on {list(factors)} must map single qubits to 2x2 operators")
-    _check_labels(n, factors)
+    _check_labels(_axis_qubits(np.shape(a)), factors)
     out = np.asarray(a, dtype=complex)
     shape = out.shape
-    if shape[:1] != (2 ** n,):
-        raise ValueError(f"expected axis 0 of length {2 ** n}, got shape {shape}")
     for j, f in factors.items():
         out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
     return out.reshape(shape) if factors else out.copy()
 
 
-def apply_controlled(a: np.ndarray, n: int, control: int, target: int,
-                     v: np.ndarray) -> np.ndarray:
+def apply_controlled(a: np.ndarray, control: int, target: int, v: np.ndarray) -> np.ndarray:
     """The gate applying the 2x2 ``v`` to qubit ``target`` when qubit
     ``control < target`` is set, times ``a``, without building its matrix.
 
@@ -166,11 +175,10 @@ def apply_controlled(a: np.ndarray, n: int, control: int, target: int,
     product.  Returns a new complex array of the shape of ``a``, which is
     not written.
     """
+    n = _axis_qubits(np.shape(a))
     if not 1 <= control < target <= n:
         raise ValueError(f"control {control}, target {target} outside 1 <= control < target <= {n}")
     src = np.asarray(a, dtype=complex)
-    if src.shape[:1] != (2 ** n,):
-        raise ValueError(f"expected axis 0 of length {2 ** n}, got shape {src.shape}")
     src = src.reshape(2 ** (control - 1), 2, 2 ** (target - control - 1), 2, src.size >> target)
     out = np.empty_like(src)
     out[:, 0] = src[:, 0]
@@ -217,14 +225,14 @@ def dft_oracle(n: int) -> UnitaryMatrix:
     for c in range(q):
         for a in range(q):
             m[c, a] = w[a * c % q]
-    return UnitaryMatrix(n, m)
+    return UnitaryMatrix(m)
 
 
 def conjugate(u: UnitaryMatrix, rho: DensityMatrix) -> DensityMatrix:
     """Unitary conjugation U rho U^dagger; preserves trace and Hermiticity."""
     if u.n != rho.n:
         raise ValueError(f"dimension mismatch: operator on {u.n} qubits, state on {rho.n}")
-    return DensityMatrix(rho.n, u.entries @ rho.entries @ u.entries.conj().T)
+    return DensityMatrix(u.entries @ rho.entries @ u.entries.conj().T)
 
 
 def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:
@@ -252,5 +260,5 @@ def bit_reversal_permutation(n: int) -> UnitaryMatrix:
     for a in range(dim):
         rev = int(format(a, f"0{n}b")[::-1], 2)
         p[rev, a] = 1.0
-    return UnitaryMatrix(n, p)
+    return UnitaryMatrix(p)
 

@@ -30,8 +30,9 @@ Each element kind is defined once, by its action ``a -> u @ a`` where
 the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
 axes through ``core.apply_local``, two rows for a transition pulse, one
 phase per row for a delay or a z pulse).  ``element_unitary`` is that
-action applied to the identity.  A noiseless ``run`` conjugates by the
-dense ``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
+action applied to the identity on ``n`` spins, since an element does
+not know the system size.  A noiseless ``run`` conjugates by the dense
+``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
 element unitary: it applies each element's action to the density matrix
 twice, as ``u (u rho)^H`` (a diagonal one as one Schur product with
 ``outer(p, conj(p))``), then the element's dephasing channel.
@@ -70,16 +71,6 @@ PHASE_MINUS_Y = 3.0 * math.pi / 2.0
 # the spin-pulse time and the one J, on every pair of spins, come from costmodel
 TRANSITION_PULSE_SECONDS = 6.5e-3
 GAMMA_RATIO_H_TO_C = 3.976  # 1H/13C gyromagnetic ratio, thermal-weighting preset
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """``n`` weakly coupled spins on resonance, every pair coupled at ``CHLOROFORM_J_HZ``."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_qubit_count(self.n)
-
 
 # -- pulse elements ------------------------------------------------------
 
@@ -180,10 +171,10 @@ def _checked_rotation(angle: float, phase: float) -> np.ndarray:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     axis = np.array([[0.0, math.cos(phase) - 1j * math.sin(phase)],
                      [math.cos(phase) + 1j * math.sin(phase), 0.0]])
-    return UnitaryMatrix(1, c * np.eye(2, dtype=complex) - 1j * s * axis).entries
+    return UnitaryMatrix(c * np.eye(2, dtype=complex) - 1j * s * axis).entries
 
 
-def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.ndarray]:
+def _action(e: PulseElement, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """``a -> u @ a`` for the unitary ``u`` of one element, applied where
     the element acts, for any ``a`` with 2**n rows.
 
@@ -194,10 +185,9 @@ def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.nd
     once, when the action is built; finite phases give unit-modulus
     factors by construction.
     """
-    n = system.n
     if isinstance(e, SpinPulse):
         f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase))
-        return lambda a: apply_local(a, n, f)
+        return lambda a: apply_local(a, f)
     if isinstance(e, TransitionPulse):
         pair = list(transition_states(e.from_label, e.to_label, n))
         r = _checked_rotation(e.angle, e.phase)
@@ -213,33 +203,31 @@ def _action(e: PulseElement, system: SpinSystem) -> Callable[[np.ndarray], np.nd
     raise TypeError(f"unknown pulse element {e!r}")
 
 
-def element_unitary(e: PulseElement, system: SpinSystem) -> UnitaryMatrix:
-    """Exact unitary of one pulse element on the full Hilbert space: the
-    element's action applied to the identity."""
-    act = _action(e, system)
-    return UnitaryMatrix(system.n, act(np.eye(2 ** system.n, dtype=complex)))
+def element_unitary(e: PulseElement, n: int) -> UnitaryMatrix:
+    """Exact unitary of one pulse element on ``n`` spins, the full Hilbert
+    space: the element's action applied to the identity."""
+    _check_qubit_count(n)
+    return UnitaryMatrix(_action(e, n)(np.eye(2 ** n, dtype=complex)))
 
 
-def sequence_unitary(seq: PulseSequence, system: SpinSystem) -> UnitaryMatrix:
+def sequence_unitary(seq: PulseSequence) -> UnitaryMatrix:
     """Ordered product of element unitaries, leftmost element first in time."""
-    if seq.n != system.n:
-        raise ValueError(f"sequence is for {seq.n} spins, system has {system.n}")
-    out = np.eye(2 ** system.n, dtype=complex)
+    out = np.eye(2 ** seq.n, dtype=complex)
     for e in seq.elements:
-        out = element_unitary(e, system).entries @ out
-    return UnitaryMatrix(system.n, out)
+        out = element_unitary(e, seq.n).entries @ out
+    return UnitaryMatrix(out)
 
 
-def _conjugate_element(rho: np.ndarray, e: PulseElement, system: SpinSystem) -> np.ndarray:
+def _conjugate_element(rho: np.ndarray, e: PulseElement, n: int) -> np.ndarray:
     """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
     ``rho``, without the 2**n x 2**n unitary: the element's action applied
     twice, to ``rho`` and then to ``(u rho)^H``, since
     ``u (u rho)^H = u rho u^H``.  A delay or a z pulse, ``u = diag(p)``,
     is one Schur product with ``outer(p, conj(p))`` instead."""
     if isinstance(e, (CouplingDelay, CompositeZ)):
-        p = _phases(e, system.n)
+        p = _phases(e, n)
         return rho * np.outer(p, p.conj())
-    act = _action(e, system)
+    act = _action(e, n)
     # one expression, so that u rho is freed before the second pass allocates
     return act(act(rho).conj().T)
 
@@ -280,9 +268,9 @@ class NoiseModel:
     def uniform(cls, n: int, rate_hz: float) -> "NoiseModel":
         return cls((float(rate_hz),) * n)
 
-    def damping_matrix(self, n: int, seconds: float) -> np.ndarray:
-        if len(self.rates) != n:
-            raise ValueError(f"noise model has {len(self.rates)} rates, system has {n} spins")
+    def damping_matrix(self, seconds: float) -> np.ndarray:
+        """Schur-product factors of the channel for ``seconds``, on one spin per rate."""
+        n = len(self.rates)
         d = np.ones((2 ** n, 2 ** n))
         for j in range(1, n + 1):
             g = math.exp(-self.rates[j - 1] * seconds)
@@ -292,7 +280,7 @@ class NoiseModel:
         return d
 
 
-def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
+def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         noise: NoiseModel | None = None) -> DensityMatrix:
     """Propagate a density matrix through a sequence.
 
@@ -302,20 +290,22 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
     followed by the dephasing channel for that element's wall time; the
     channel's damping matrix is built once per distinct element time.
     """
-    if seq.n != system.n or rho.n != system.n:
-        raise ValueError("sequence, system and state must share the spin count")
+    rates = n if noise is None else len(noise.rates)
+    if not seq.n == n == rho.n == rates:
+        raise ValueError(f"the program has {seq.n} spins, n = {n}, the state {rho.n} spins "
+                         f"and the noise model {rates} rates; all must be equal")
     if noise is None or not any(noise.rates):
-        u = sequence_unitary(seq, system).entries
-        return DensityMatrix(system.n, u @ rho.entries @ u.conj().T)
+        u = sequence_unitary(seq).entries
+        return DensityMatrix(u @ rho.entries @ u.conj().T)
     damping = {}  # element seconds -> damping matrix, for this run only
     state = np.array(rho.entries)
     for e in seq.elements:
-        state = _conjugate_element(state, e, system)
+        state = _conjugate_element(state, e, n)
         t = element_seconds(e)
         if t not in damping:
-            damping[t] = noise.damping_matrix(system.n, t)
+            damping[t] = noise.damping_matrix(t)
         state *= damping[t]  # Schur-product dephasing channel, in place
-    return DensityMatrix(system.n, state)
+    return DensityMatrix(state)
 
 
 # -- thermal state and temporally averaged pseudopure preparation ---------
@@ -323,11 +313,10 @@ def run(seq: PulseSequence, system: SpinSystem, rho: DensityMatrix,
 def thermal_deviation(a: float = 1.0, b: float = 1.0) -> DensityMatrix:
     """Two-spin thermal deviation a*Iz1 + b*Iz2 (diagonal, traceless)."""
     diag = np.array([(a + b) / 2.0, (a - b) / 2.0, (-a + b) / 2.0, -(a + b) / 2.0])
-    return DensityMatrix(2, np.diag(diag.astype(complex)))
+    return DensityMatrix(np.diag(diag.astype(complex)))
 
 
-def prepare_pseudopure_temporal_avg(system: SpinSystem = SpinSystem(2),
-                                    a: float = 1.0, b: float = 1.0) -> DensityMatrix:
+def prepare_pseudopure_temporal_avg(n: int = 2, a: float = 1.0, b: float = 1.0) -> DensityMatrix:
     """Average of three experiments mapping a*Iz1 + b*Iz2 to pseudopure |00>.
 
     The two bundled permutation sequences cycle the three non-|00>
@@ -335,22 +324,23 @@ def prepare_pseudopure_temporal_avg(system: SpinSystem = SpinSystem(2),
     sequence A, sequence B) is proportional to |00><00| - I/4 for any
     non-negative weights: 2*(a+b)/3 times that projector deviation.
     """
-    if system.n != 2:
+    if n != 2:
         raise ValueError("temporal-averaging preparation is defined for two spins")
     rho_eq = thermal_deviation(a, b)
     seq_a, seq_b = pseudopure_cycle_sequences()
     total = np.array(rho_eq.entries)
     for seq in (seq_a, seq_b):
-        total = total + run(seq, system, rho_eq).entries
-    return DensityMatrix(2, total / 3.0)
+        total = total + run(seq, n, rho_eq).entries
+    return DensityMatrix(total / 3.0)
 
 
 def pseudopure_projector_deviation(n: int) -> DensityMatrix:
     """|0...0><0...0| - I/2**n, the normalized pseudopure deviation target."""
+    _check_qubit_count(n)
     dim = 2 ** n
     m = -np.eye(dim, dtype=complex) / dim
     m[0, 0] += 1.0
-    return DensityMatrix(n, m)
+    return DensityMatrix(m)
 
 
 # -- sequence DSL ----------------------------------------------------------
@@ -501,6 +491,6 @@ def pseudopure_cycle_sequences() -> tuple[PulseSequence, PulseSequence]:
     return a, b
 
 
-def system_for_sequence(seq: PulseSequence) -> SpinSystem:
-    """The spin system a sequence runs on: its spin count."""
-    return SpinSystem(seq.n)
+def system_for_sequence(seq: PulseSequence) -> int:
+    """The spin count a sequence runs on, ``seq.n``."""
+    return seq.n

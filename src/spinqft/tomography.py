@@ -10,7 +10,8 @@ of ``itertools.product("ixy", repeat=n)``.  The pulses are Clifford, so
 each value is +-Tr(rho P)/2 for one Pauli string P: a readout is the Pauli
 coefficients of the state (one tensorised ``einsum``; Hantzko, Binkowski &
 Gupta, 2023) read through an (index, sign) map, and the least-squares
-inversion is a signed mean per coefficient.
+inversion is a signed mean per coefficient.  n is read from the data: a
+state's shape (``core._matrix_qubits``) or a readout's n * 6**n values.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
-                   _trace_product, entries_of)
-from .nmr import PHASE_X, PHASE_Y, SpinPulse, SpinSystem, element_unitary
+                   _matrix_qubits, _trace_product, entries_of)
+from .nmr import PHASE_X, PHASE_Y, SpinPulse, element_unitary
 
 _PAULIS = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -83,7 +84,7 @@ def _pulse_table(phase: float) -> tuple[np.ndarray, np.ndarray]:
     """(index, sign) with R^dag P R = sign[p] * _PAULIS[index[p]] for the
     one-qubit Paulis P = _PAULIS[p] and R the pulse model's 90-degree pulse
     of ``phase``; a pulse that is not Clifford is refused."""
-    r = element_unitary(SpinPulse((1,), math.pi / 2.0, phase), SpinSystem(1)).entries
+    r = element_unitary(SpinPulse((1,), math.pi / 2.0, phase), 1).entries
     rotated = r.conj().T @ _PAULIS @ r
     overlap = np.einsum("pab,qba->pq", rotated, _PAULIS).real / 2.0
     index = np.argmax(np.abs(overlap), axis=1)
@@ -110,21 +111,13 @@ def _readout_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(x) for x in zip(*maps))
 
 
-def _qubit_count(m: np.ndarray, max_ndim: int) -> int:
-    """n of 2**n x 2**n matrices in at most ``max_ndim`` axes, 1 <= n <= MAX_QUBITS."""
-    n = (m.shape[-1] - 1).bit_length() if 2 <= m.ndim <= max_ndim else 0
-    if not 1 <= n <= MAX_QUBITS or m.shape[-2:] != (2 ** n, 2 ** n):
-        raise ValueError(f"expected 2**n x 2**n matrices, 1 <= n <= {MAX_QUBITS}, got {m.shape}")
-    return n
-
-
 def measure_all(rho) -> np.ndarray:
     """Exact expectation values Tr(rho' O) of ``observables(n)`` after the
     pulses of each setting: block e is setting e of ``itertools.product("ixy",
     repeat=n)``, qubit 1 first.  A stack of k states gives a
     (k, n * 2**n * 3**n) array, one vector per state."""
+    n = _matrix_qubits(rho, 3)
     m = entries_of(rho)
-    n = _qubit_count(m, 3)
     index, sign = _readout_map(n)
     return sign * _pauli_coefficients(m, n)[..., index] / 2.0
 
@@ -137,28 +130,31 @@ def design_matrix(n: int) -> np.ndarray:
     return measure_all(_from_coefficients(2.0 ** n * np.eye(4 ** n)[1:], n)).T
 
 
-def reconstruct(values: np.ndarray, n: int) -> DensityMatrix | list[DensityMatrix]:
+def reconstruct(values: np.ndarray) -> DensityMatrix | list[DensityMatrix]:
     """Least-squares linear inversion of the full readout vector.
 
-    Each value reads +-Tr(rho P)/2 for one Pauli string P, so the normal
-    matrix is diagonal and the estimate of Tr(rho P) is twice the signed
-    mean of the values that read it.  The identity is never read, so the
+    A readout of n spins has n * 6**n values, so its length fixes n; any
+    other length is refused before the readout map is built.  Each value
+    reads +-Tr(rho P)/2 for one Pauli string P, so the normal matrix is
+    diagonal and the estimate of Tr(rho P) is twice the signed mean of the
+    values that read it.  The identity is never read, so the
     result is the deviation (traceless) matrix.  One readout vector gives
     one matrix; a (k, m) stack gives a list of k, each validated alone.
     """
-    index, sign = _readout_map(n)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         values = values.reshape(-1)
-    if values.shape[-1] != len(index):
-        raise ValueError(f"expected {len(index)} readout values, got {values.shape[-1]}")
+    n = {k * 6 ** k: k for k in range(1, MAX_QUBITS + 1)}.get(values.shape[-1])
+    if n is None:
+        raise ValueError(f"a readout has n*6**n values, n <= {MAX_QUBITS}, not {values.shape[-1]}")
+    index, sign = _readout_map(n)
     sums = np.zeros((4 ** n,) + values.shape[:-1])
     np.add.at(sums, index, (sign * values).T)
     # index 0, the identity, is read by no value: its sum stays 0 over a count of 1
     m = _from_coefficients(2.0 * sums.T / np.maximum(np.bincount(index, minlength=4 ** n), 1), n)
     if m.ndim == 2:
-        return DensityMatrix(n, m)
-    return [DensityMatrix(n, one) for one in m]
+        return DensityMatrix(m)
+    return [DensityMatrix(one) for one in m]
 
 
 @dataclass(frozen=True)
@@ -200,8 +196,8 @@ def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:
 
 def bar_chart_csv(rho) -> str:
     """One ``row,col,re,im`` line per entry, row by row; states as n-bit labels."""
+    n = _matrix_qubits(rho)
     m = entries_of(rho)
-    n = _qubit_count(m, 2)
     labels = [format(i, f"0{n}b") for i in range(2 ** n)]
     lines = ["row,col,re,im"]
     for row, re_row, im_row in zip(labels, m.real.tolist(), m.imag.tolist()):

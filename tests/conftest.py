@@ -7,28 +7,26 @@ import numpy as np
 from spinqft import core, nmr, tomography
 
 
-def pseudopure_input(system: nmr.SpinSystem) -> core.DensityMatrix:
+def pseudopure_input(n: int) -> core.DensityMatrix:
     """Pseudopure deviation input: temporally averaged for two spins, the
     ideal projector deviation for three."""
-    if system.n == 2:
-        return nmr.prepare_pseudopure_temporal_avg(system)
-    return nmr.pseudopure_projector_deviation(system.n)
+    if n == 2:
+        return nmr.prepare_pseudopure_temporal_avg()
+    return nmr.pseudopure_projector_deviation(n)
 
 
 def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
     """Transform target after reverse-order relabeling of the qubits."""
     n = rho_init.n
-    u = core.UnitaryMatrix(
-        n, core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries)
+    u = core.UnitaryMatrix(core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries)
     return core.conjugate(u, rho_init)
 
 
 def sequence_fidelity(seq: nmr.PulseSequence, noise: nmr.NoiseModel | None = None) -> float:
     """Fidelity of a sequence run from the pseudopure input against the
     relabeled transform target."""
-    system = nmr.system_for_sequence(seq)
-    rho_init = pseudopure_input(system)
-    rho_out = nmr.run(seq, system, rho_init, noise)
+    rho_init = pseudopure_input(seq.n)
+    rho_out = nmr.run(seq, seq.n, rho_init, noise)
     return tomography.fidelity(ideal_output(rho_init), rho_out, rho_init).fidelity
 
 
@@ -73,4 +71,4 @@ def random_traceless_hermitian(n: int, rng: np.random.Generator) -> core.Density
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (h + h.conj().T) / 2.0
     h -= np.trace(h) / dim * np.eye(dim)
-    return core.DensityMatrix(n, h)
+    return core.DensityMatrix(h)

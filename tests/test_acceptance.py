@@ -142,7 +142,7 @@ def test_criterion_7_tomography_roundtrip():
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             rho = random_traceless_hermitian(n, rng)
-            rec = tomography.reconstruct(tomography.measure_all(rho), n)
+            rec = tomography.reconstruct(tomography.measure_all(rho))
             worst = max(worst, float(np.max(np.abs(rec.entries - rho.entries))))
     assert worst <= 1e-8
     print(f"\n[PASS] criterion 7: tomography round-trip, 100 x n=2 + 20 x n=3 "

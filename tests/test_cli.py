@@ -320,7 +320,7 @@ class TestSimulate:
             raise AssertionError("simulated past the size cap")
 
         monkeypatch.setattr(nmr, "run", no_work)
-        monkeypatch.setattr(nmr, "system_for_sequence", no_work)
+        monkeypatch.setattr(nmr, "pseudopure_projector_deviation", no_work)
         started = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--sequence", str(path), "--tomography"])
@@ -354,7 +354,7 @@ class TestSimulate:
             raise AssertionError("simulated past the size cap")
 
         monkeypatch.setattr(nmr, "run", no_work)
-        monkeypatch.setattr(nmr, "system_for_sequence", no_work)
+        monkeypatch.setattr(nmr, "pseudopure_projector_deviation", no_work)
         started = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--sequence", str(path)] + ["--tomography"] * tomography)
@@ -374,10 +374,10 @@ class TestSimulate:
         class Reached(Exception):
             pass
 
-        def reached(seq):
+        def reached(seq, n, rho, noise):
             raise Reached(seq.n)
 
-        monkeypatch.setattr(nmr, "system_for_sequence", reached)
+        monkeypatch.setattr(nmr, "run", reached)
         with pytest.raises(Reached):
             cli.main(["simulate", "--sequence", str(path)])
 
@@ -443,7 +443,7 @@ class TestTomoRoundtrip:
             h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = (h + h.conj().T) / 2.0
             states.append(h - np.trace(h) / dim * np.eye(dim))
-        recons = tomography.reconstruct(tomography.measure_all(np.array(states)), n)
+        recons = tomography.reconstruct(tomography.measure_all(np.array(states)))
         worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
         monkeypatch.delenv("SPINQFT_SEED", raising=False)
         _, out, _ = run_cli(["tomo-roundtrip", "--n", str(n), "--samples", "7", "--seed", "3"],
@@ -578,7 +578,7 @@ class TestExportFig2:
             raise AssertionError("simulated past the size cap")
 
         monkeypatch.setattr(nmr, "run", no_work)
-        monkeypatch.setattr(nmr, "system_for_sequence", no_work)
+        monkeypatch.setattr(nmr, "pseudopure_projector_deviation", no_work)
         started = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             cli.main(["export-fig2", "--sequence", str(path), "--what", what])

@@ -54,7 +54,7 @@ class TestDftOracle:
 class TestApplyConjugate:
     def test_conjugate_uniform_projector(self):
         # the deviation |00><00| - I/4 goes to the uniform projector minus I/4
-        rho = core.DensityMatrix(2, np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
+        rho = core.DensityMatrix(np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
         out = core.conjugate(core.dft_oracle(2), rho)
         np.testing.assert_allclose(out.entries, np.full((4, 4), 0.25) - np.eye(4) / 4,
                                    atol=1e-15)
@@ -64,12 +64,12 @@ class TestApplyConjugate:
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = m + m.conj().T
         rho -= np.trace(rho) / 8 * np.eye(8)
-        out = core.conjugate(core.dft_oracle(3), core.DensityMatrix(3, rho))
+        out = core.conjugate(core.dft_oracle(3), core.DensityMatrix(rho))
         assert abs(np.trace(out.entries)) < 1e-12
         np.testing.assert_allclose(out.entries, out.entries.conj().T, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        rho = core.DensityMatrix(2, np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
+        rho = core.DensityMatrix(np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
         with pytest.raises(ValueError):
             core.conjugate(core.dft_oracle(1), rho)
 
@@ -146,22 +146,22 @@ class TestValidation:
         m = np.diag([0.5, -0.5]).astype(complex)
         m[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
-            core.DensityMatrix(1, m)
+            core.DensityMatrix(m)
 
     def test_nonzero_trace_rejected(self):
         # every density matrix is a deviation matrix, so a trace-1 state is refused
-        core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
+        core.DensityMatrix(np.diag([0.5, -0.5]).astype(complex))
         for diag in ([1.0, 0.0], [1.5, -0.5 + 1e-6]):
             with pytest.raises(ValueError, match="traceless"):
-                core.DensityMatrix(1, np.diag(diag).astype(complex))
+                core.DensityMatrix(np.diag(diag).astype(complex))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
-            core.UnitaryMatrix(1, np.array([[1, 0], [0, 2.0]]))
+            core.UnitaryMatrix(np.array([[1, 0], [0, 2.0]]))
 
     @pytest.mark.parametrize("make", [
-        lambda m: core.UnitaryMatrix(1, m),
-        lambda m: core.DensityMatrix(1, m),
+        lambda m: core.UnitaryMatrix(m),
+        lambda m: core.DensityMatrix(m),
     ], ids=["unitary", "density"])
     @pytest.mark.parametrize("bad", [np.nan, pytest.param(
         np.inf, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])

@@ -14,58 +14,50 @@ from spinqft import core, costmodel, nmr
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def one_spin():
-    return nmr.SpinSystem(1)
-
-
 class TestSpinPulse:
     def test_pi_x_is_minus_i_sigma_x(self):
-        u = nmr.element_unitary(nmr.SpinPulse((1,), math.pi, nmr.PHASE_X), one_spin())
+        u = nmr.element_unitary(nmr.SpinPulse((1,), math.pi, nmr.PHASE_X), 1)
         np.testing.assert_allclose(u.entries, -1j * SX, atol=1e-15)
 
     def test_zero_angle_exact_identity(self):
-        u = nmr.element_unitary(nmr.SpinPulse((1,), 0.0, nmr.PHASE_Y), one_spin())
+        u = nmr.element_unitary(nmr.SpinPulse((1,), 0.0, nmr.PHASE_Y), 1)
         assert np.array_equal(u.entries, np.eye(2))
 
     def test_90y_on_zero_gives_plus(self):
-        u = nmr.element_unitary(nmr.SpinPulse((1,), math.pi / 2, nmr.PHASE_Y), one_spin())
+        u = nmr.element_unitary(nmr.SpinPulse((1,), math.pi / 2, nmr.PHASE_Y), 1)
         np.testing.assert_allclose(u.entries @ [1, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)],
                                    atol=1e-15)
 
     def test_pulse_pair_makes_hadamard(self):
         # 90y then 180x is the Hadamard up to a global phase
-        sys1 = one_spin()
-        u1 = nmr.element_unitary(nmr.SpinPulse((1,), math.pi / 2, nmr.PHASE_Y), sys1).entries
-        u2 = nmr.element_unitary(nmr.SpinPulse((1,), math.pi, nmr.PHASE_X), sys1).entries
+        u1 = nmr.element_unitary(nmr.SpinPulse((1,), math.pi / 2, nmr.PHASE_Y), 1).entries
+        u2 = nmr.element_unitary(nmr.SpinPulse((1,), math.pi, nmr.PHASE_X), 1).entries
         ok, _ = core.equal_up_to_global_phase(u2 @ u1, core.HADAMARD, 1e-12)
         assert ok
 
     def test_disjoint_pulses_commute(self):
-        system = nmr.SpinSystem(4)
-        a = nmr.element_unitary(nmr.SpinPulse((1, 3), 0.7, nmr.PHASE_X), system).entries
-        b = nmr.element_unitary(nmr.SpinPulse((2, 4), 1.1, nmr.PHASE_MINUS_Y), system).entries
+        a = nmr.element_unitary(nmr.SpinPulse((1, 3), 0.7, nmr.PHASE_X), 4).entries
+        b = nmr.element_unitary(nmr.SpinPulse((2, 4), 1.1, nmr.PHASE_MINUS_Y), 4).entries
         np.testing.assert_allclose(a @ b, b @ a, atol=1e-13)
 
     def test_spin_out_of_range(self):
         with pytest.raises(ValueError):
-            nmr.element_unitary(nmr.SpinPulse((3,), 1.0, 0.0), nmr.SpinSystem(2))
+            nmr.element_unitary(nmr.SpinPulse((3,), 1.0, 0.0), 2)
 
 
 class TestTransitionPulse:
     def test_pi_pulse_swaps_upper_pair(self):
-        u = nmr.element_unitary(nmr.TransitionPulse(3, 4, math.pi, nmr.PHASE_X),
-                                nmr.SpinSystem(2)).entries
+        u = nmr.element_unitary(nmr.TransitionPulse(3, 4, math.pi, nmr.PHASE_X), 2).entries
         np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-15)
         np.testing.assert_allclose(u[2:, 2:], -1j * SX, atol=1e-15)
 
     def test_invalid_transition(self):
         with pytest.raises(ValueError):
-            nmr.element_unitary(nmr.TransitionPulse(1, 4, math.pi, 0.0), nmr.SpinSystem(2))
+            nmr.element_unitary(nmr.TransitionPulse(1, 4, math.pi, 0.0), 2)
 
     def test_disjoint_transitions_commute(self):
-        system = nmr.SpinSystem(3)
-        a = nmr.element_unitary(nmr.TransitionPulse(5, 7, 1.0, 0.0), system).entries
-        b = nmr.element_unitary(nmr.TransitionPulse(3, 4, 0.5, nmr.PHASE_Y), system).entries
+        a = nmr.element_unitary(nmr.TransitionPulse(5, 7, 1.0, 0.0), 3).entries
+        b = nmr.element_unitary(nmr.TransitionPulse(3, 4, 0.5, nmr.PHASE_Y), 3).entries
         np.testing.assert_allclose(a @ b, b @ a, atol=1e-14)
 
 
@@ -75,19 +67,18 @@ class TestCouplingDelay:
         # exponent exp(-i 2 pi J t IzIz): diag(q, q*, q*, q) for
         # q = e^{-i pi/4}, times the -1 of (-i sigma_x)**2
         seq = nmr.parse_sequence("n: 2\n180x@s1 delay:1/(2*J12) 180x@s1\n")
-        u = nmr.sequence_unitary(seq, nmr.SpinSystem(2)).entries
+        u = nmr.sequence_unitary(seq).entries
         q = np.exp(-1j * np.pi / 4)
         np.testing.assert_allclose(u, -np.diag([q, q.conjugate(), q.conjugate(), q]), atol=1e-15)
 
     def test_calibrated_sign_is_conjugate(self):
         # the refocused delay is the plain one under the opposite sign: its
         # conjugate, up to a global phase, whichever spin is refocused
-        system = nmr.SpinSystem(2)
         for m in (1, 2, 4, 8):
-            plain = nmr.element_unitary(nmr.CouplingDelay(((1, 2, m),)), system).entries
+            plain = nmr.element_unitary(nmr.CouplingDelay(((1, 2, m),)), 2).entries
             for spin in (1, 2):
                 seq = nmr.parse_sequence(f"n: 2\n180x@s{spin} delay:1/({m}*J12) 180x@s{spin}\n")
-                ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(seq, system),
+                ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(seq),
                                                       plain.conj(), 1e-14)
                 assert ok, (m, spin)
 
@@ -95,7 +86,7 @@ class TestCouplingDelay:
         # no delay is shorter: 1/(m*J) rounds to 0.0, the phases 2*pi/m to almost nothing
         delay = nmr.CouplingDelay(((1, 2, int(1.7976931348623157e308)),))
         assert nmr.element_seconds(delay) == 0.0
-        u = nmr.element_unitary(delay, nmr.SpinSystem(2)).entries
+        u = nmr.element_unitary(delay, 2).entries
         np.testing.assert_allclose(u, np.eye(4), rtol=0, atol=1e-300)
 
     @pytest.mark.parametrize("m", [0, -4, 2.5, 4.0, "4", None])
@@ -108,28 +99,27 @@ class TestCouplingDelay:
         # worded as for a pulse on a spin outside the program
         delay = nmr.CouplingDelay(((1, 2, 4), (j, k, 8)))
         with pytest.raises(ValueError, match=rf"^qubit labels \[{j}, {k}\] outside 1\.\.3$"):
-            nmr.element_unitary(delay, nmr.SpinSystem(3))
+            nmr.element_unitary(delay, 3)
 
 
 class TestCompositeZ:
     def test_default_expansion_is_plus_z_rotation(self):
-        u = nmr.element_unitary(nmr.CompositeZ(1, math.pi / 4), one_spin()).entries
+        u = nmr.element_unitary(nmr.CompositeZ(1, math.pi / 4), 1).entries
         np.testing.assert_allclose(u, np.diag([np.exp(-1j * np.pi / 8),
                                                np.exp(1j * np.pi / 8)]), atol=1e-15)
 
     def test_negative_angle_inverts(self):
-        plus = nmr.element_unitary(nmr.CompositeZ(1, 0.9), one_spin()).entries
-        minus = nmr.element_unitary(nmr.CompositeZ(1, -0.9), one_spin()).entries
+        plus = nmr.element_unitary(nmr.CompositeZ(1, 0.9), 1).entries
+        minus = nmr.element_unitary(nmr.CompositeZ(1, -0.9), 1).entries
         np.testing.assert_allclose(plus @ minus, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diagonal_z_equals_its_rf_sandwich(self, n):
-        system = nmr.SpinSystem(n)
         angles = [0.0, math.pi, -math.pi, -0.7, *np.random.default_rng(n).uniform(-7, 7, 4)]
         for spin in range(1, n + 1):
             for angle in angles:
-                z = nmr.element_unitary(nmr.CompositeZ(spin, angle), system).entries
-                np.testing.assert_allclose(z, rf_sandwich(spin, angle, system),
+                z = nmr.element_unitary(nmr.CompositeZ(spin, angle), n).entries
+                np.testing.assert_allclose(z, rf_sandwich(spin, angle, n),
                                            rtol=0, atol=1e-14)
                 assert not z[~np.eye(2 ** n, dtype=bool)].any()  # exactly diagonal
         # a noisy run equals a program that carries the product as one 30 us
@@ -144,23 +134,23 @@ class TestCompositeZ:
         rho = random_traceless_hermitian(n, rng)
         state = rho.entries
         for e in elements:
-            u = (rf_sandwich(e.spin, e.angle, system) if isinstance(e, nmr.CompositeZ)
-                 else nmr.element_unitary(e, system).entries)
-            state = (u @ state @ u.conj().T) * noise.damping_matrix(n, nmr.element_seconds(e))
-        got = nmr.run(nmr.PulseSequence("z", n, elements), system, rho, noise).entries
+            u = (rf_sandwich(e.spin, e.angle, n) if isinstance(e, nmr.CompositeZ)
+                 else nmr.element_unitary(e, n).entries)
+            state = (u @ state @ u.conj().T) * noise.damping_matrix(nmr.element_seconds(e))
+        got = nmr.run(nmr.PulseSequence("z", n, elements), n, rho, noise).entries
         np.testing.assert_allclose(got, state, rtol=0, atol=1e-14)
 
 
-def rf_sandwich(spin, angle, system):
+def rf_sandwich(spin, angle, n):
     """Product of the rf pulses {90_-x}{theta_y}{90_x} on one spin, in time
     order; the middle pulse turns about -y by |theta| for a negative theta."""
     mid = nmr.PHASE_Y if angle >= 0 else nmr.PHASE_MINUS_Y
     pulses = [nmr.SpinPulse((spin,), math.pi / 2, nmr.PHASE_MINUS_X),
               nmr.SpinPulse((spin,), abs(angle), mid),
               nmr.SpinPulse((spin,), math.pi / 2, nmr.PHASE_X)]
-    u = np.eye(2 ** system.n, dtype=complex)
+    u = np.eye(2 ** n, dtype=complex)
     for p in pulses:
-        u = nmr.element_unitary(p, system).entries @ u
+        u = nmr.element_unitary(p, n).entries @ u
     return u
 
 
@@ -169,91 +159,86 @@ class TestElementUnitarity:
         # UnitaryMatrix construction enforces the 1e-10 check; sweep random
         # parameters through every element kind
         rng = np.random.default_rng(31)
-        system = nmr.SpinSystem(3)
         for _ in range(50):
             angle = rng.uniform(0, 2 * math.pi)
             phase = rng.choice([nmr.PHASE_X, nmr.PHASE_Y, nmr.PHASE_MINUS_X,
                                 nmr.PHASE_MINUS_Y])
             spins = tuple(rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False))
-            nmr.element_unitary(nmr.SpinPulse(spins, angle, phase), system)
+            nmr.element_unitary(nmr.SpinPulse(spins, angle, phase), 3)
             nmr.element_unitary(nmr.CompositeZ(int(rng.integers(1, 4)),
-                                               rng.uniform(-math.pi, math.pi)), system)
-            nmr.element_unitary(nmr.TransitionPulse(3, 4, angle, phase), system)
+                                               rng.uniform(-math.pi, math.pi)), 3)
+            nmr.element_unitary(nmr.TransitionPulse(3, 4, angle, phase), 3)
             delay = nmr.CouplingDelay(((1, 2, int(rng.integers(1, 13))),
                                        (2, 3, int(rng.integers(1, 9)))))
-            nmr.element_unitary(delay, system)
+            nmr.element_unitary(delay, 3)
 
 
 class TestSequenceEvaluation:
     def test_empty_sequence_is_identity(self):
         seq = nmr.PulseSequence("empty", 2, ())
-        u = nmr.sequence_unitary(seq, nmr.SpinSystem(2))
+        u = nmr.sequence_unitary(seq)
         assert np.array_equal(u.entries, np.eye(4))
 
     def test_all_library_sequences_are_unitary(self):
         for name in nmr.SEQUENCE_LIBRARY:
             seq = nmr.library_sequence(name)
-            system = nmr.system_for_sequence(seq)
-            u = nmr.sequence_unitary(seq, system)  # constructor checks unitarity
+            u = nmr.sequence_unitary(seq)  # constructor checks unitarity
             assert u.n == seq.n
 
     def test_noiseless_run_equals_conjugation_exactly(self):
         seq = nmr.library_sequence("serial-n2")
-        system = nmr.SpinSystem(2)
         rho = nmr.pseudopure_projector_deviation(2)
-        direct = nmr.run(seq, system, rho)
-        u = nmr.sequence_unitary(seq, system)
+        direct = nmr.run(seq, 2, rho)
+        u = nmr.sequence_unitary(seq)
         np.testing.assert_allclose(direct.entries,
                                    u.entries @ rho.entries @ u.entries.conj().T, atol=0)
 
     def test_zero_rate_noise_identical_to_noiseless(self):
         seq = nmr.library_sequence("parallel-n2")
-        system = nmr.SpinSystem(2)
         rho = nmr.pseudopure_projector_deviation(2)
-        quiet = nmr.run(seq, system, rho, nmr.NoiseModel.uniform(2, 0.0))
-        np.testing.assert_allclose(quiet.entries, nmr.run(seq, system, rho).entries, atol=0)
+        quiet = nmr.run(seq, 2, rho, nmr.NoiseModel.uniform(2, 0.0))
+        np.testing.assert_allclose(quiet.entries, nmr.run(seq, 2, rho).entries, atol=0)
 
 
 def local_conjugation_cases():
     for n in range(1, 6):
-        system = nmr.SpinSystem(n)
-        yield pytest.param(system, (nmr.SpinPulse(tuple(range(1, n + 1)), 1.3, 0.7),),
+        yield pytest.param(n, (nmr.SpinPulse(tuple(range(1, n + 1)), 1.3, 0.7),),
                            id=f"n{n}-all-spins")
-        yield pytest.param(system, (nmr.SpinPulse((n,), 2.2, nmr.PHASE_MINUS_Y),),
+        yield pytest.param(n, (nmr.SpinPulse((n,), 2.2, nmr.PHASE_MINUS_Y),),
                            id=f"n{n}-last-spin")
         if n >= 3:
-            yield pytest.param(system, (nmr.SpinPulse((1, 3), 0.4, nmr.PHASE_Y),),
+            yield pytest.param(n, (nmr.SpinPulse((1, 3), 0.4, nmr.PHASE_Y),),
                                id=f"n{n}-spins-1-3")
         for a in range(2 ** n):
             b = a ^ (1 << (a % n))  # flip one bit: a single-quantum transition
             pulse = nmr.TransitionPulse(a + 1, b + 1, 0.9 + a,
                                         nmr.PHASE_X if a % 2 else nmr.PHASE_MINUS_Y)
-            yield pytest.param(system, (pulse,), id=f"n{n}-t{a + 1}-{b + 1}")
+            yield pytest.param(n, (pulse,), id=f"n{n}-t{a + 1}-{b + 1}")
         if n >= 2:
             legs = [(1, n, 4), (1, 2, 3)]
             if n >= 3:
                 legs += [(2, 3, 8), (2, n, 12), (1, 3, 1)]
-            yield pytest.param(system, (nmr.CouplingDelay(tuple(legs)),), id=f"n{n}-delay-sign-1")
+            yield pytest.param(n, (nmr.CouplingDelay(tuple(legs)),), id=f"n{n}-delay-sign-1")
             # every leg ends on spin 1, so refocusing spin 1 flips every leg's sign
             star = nmr.CouplingDelay(tuple((1, k, (1, 3, 4, 12)[k - 2])
                                            for k in range(2, n + 1)))
-            yield pytest.param(system, (star,), id=f"n{n}-delay-star")
-            yield pytest.param(system, refocused(star, (1,)), id=f"n{n}-delay-sign+1")
+            yield pytest.param(n, (star,), id=f"n{n}-delay-star")
+            yield pytest.param(n, refocused(star, (1,)), id=f"n{n}-delay-sign+1")
         for template in ("literal_xx", "xy_minus", "minus_xy"):
             for angle in (0.8, -2.1):
-                yield pytest.param(system, z_template(n, angle, template),
+                yield pytest.param(n, z_template(n, angle, template),
                                    id=f"n{n}-z{angle:+}-{template}")
         for angle in (0.0, -0.3, math.pi, 5.9):
-            yield pytest.param(system, (nmr.CompositeZ(n, angle),), id=f"n{n}-z{angle:+.4g}")
+            yield pytest.param(n, (nmr.CompositeZ(n, angle),), id=f"n{n}-z{angle:+.4g}")
 
 
-@pytest.mark.parametrize("system,program", list(local_conjugation_cases()))
-def test_local_conjugation_equals_dense_conjugation(system, program):
-    rho = random_traceless_hermitian(system.n, np.random.default_rng(system.n)).entries
+@pytest.mark.parametrize("n,program", list(local_conjugation_cases()))
+def test_local_conjugation_equals_dense_conjugation(n, program):
+    rho = random_traceless_hermitian(n, np.random.default_rng(n)).entries
     got = want = rho
     for e in program:
-        u = nmr.element_unitary(e, system).entries
-        got = nmr._conjugate_element(got, e, system)
+        u = nmr.element_unitary(e, n).entries
+        got = nmr._conjugate_element(got, e, n)
         want = u @ want @ u.conj().T
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
@@ -274,34 +259,42 @@ def noisy_programs():
 class TestNoisyRun:
     @pytest.mark.parametrize("seq", list(noisy_programs()))
     def test_matches_dense_reference_loop(self, seq):
-        system = nmr.system_for_sequence(seq)
-        rho = (nmr.prepare_pseudopure_temporal_avg(system) if seq.n == 2
+        rho = (nmr.prepare_pseudopure_temporal_avg() if seq.n == 2
                else nmr.pseudopure_projector_deviation(seq.n))
         noise = nmr.NoiseModel(tuple(3.0 + 2.0 * j for j in range(seq.n)))
         state = rho.entries
         for e in seq.elements:  # dense unitary per element, then the channel
-            u = nmr.element_unitary(e, system).entries
-            d = noise.damping_matrix(seq.n, nmr.element_seconds(e))
+            u = nmr.element_unitary(e, seq.n).entries
+            d = noise.damping_matrix(nmr.element_seconds(e))
             state = (u @ state @ u.conj().T) * d
-        np.testing.assert_allclose(nmr.run(seq, system, rho, noise).entries, state,
+        np.testing.assert_allclose(nmr.run(seq, seq.n, rho, noise).entries, state,
                                    rtol=0, atol=1e-14)
 
     def test_damping_built_once_per_distinct_element_time(self, monkeypatch):
         seq = serial_program(4)
-        system = nmr.system_for_sequence(seq)
         noise = nmr.NoiseModel.uniform(4, 5.0)
         calls = []
         build = nmr.NoiseModel.damping_matrix
 
-        def counting(self, n, seconds):
+        def counting(self, seconds):
             calls.append(seconds)
-            return build(self, n, seconds)
+            return build(self, seconds)
 
         monkeypatch.setattr(nmr.NoiseModel, "damping_matrix", counting)
-        nmr.run(seq, system, nmr.pseudopure_projector_deviation(4), noise)
+        nmr.run(seq, 4, nmr.pseudopure_projector_deviation(4), noise)
         times = [nmr.element_seconds(e) for e in seq.elements]
         assert len(times) > len(set(times))
         assert sorted(calls) == sorted(set(times))
+
+    @pytest.mark.parametrize("rate", [0.0, 5.0])
+    def test_a_rate_per_spin_of_the_program_or_refused(self, rate):
+        # zero rates take the noiseless path, which must check the count as well
+        seq = nmr.library_sequence("serial-n2")
+        rho = nmr.pseudopure_projector_deviation(2)
+        for count in (1, 3):
+            with pytest.raises(ValueError, match=f"{count} rates"):
+                nmr.run(seq, 2, rho, nmr.NoiseModel((rate,) * count))
+        assert nmr.run(seq, 2, rho, nmr.NoiseModel((rate,) * 2)).n == 2
 
     @pytest.mark.parametrize("e", [
         nmr.SpinPulse((1,), math.nan, 0.0),
@@ -313,7 +306,7 @@ class TestNoisyRun:
         rho = nmr.pseudopure_projector_deviation(2)
         for noise in (None, nmr.NoiseModel.uniform(2, 5.0)):
             with pytest.raises(ValueError, match="unit"):
-                nmr.run(seq, nmr.SpinSystem(2), rho, noise)
+                nmr.run(seq, 2, rho, noise)
 
 
 class TestPseudopurePreparation:
@@ -343,21 +336,20 @@ class TestPseudopurePreparation:
 
     def test_wrong_spin_count_rejected(self):
         with pytest.raises(ValueError):
-            nmr.prepare_pseudopure_temporal_avg(nmr.SpinSystem(3))
+            nmr.prepare_pseudopure_temporal_avg(3)
 
 
 class TestNoise:
     def test_purity_never_increases(self):
         seq = nmr.library_sequence("serial-n2")
-        system = nmr.SpinSystem(2)
         rho = nmr.pseudopure_projector_deviation(2)
         noise = nmr.NoiseModel.uniform(2, 20.0)
-        out = nmr.run(seq, system, rho, noise)
+        out = nmr.run(seq, 2, rho, noise)
         assert out.purity() <= rho.purity() + 1e-12
 
     def test_damping_hits_single_spin_coherence(self):
         noise = nmr.NoiseModel((10.0, 0.0))
-        d = noise.damping_matrix(2, 0.01)
+        d = noise.damping_matrix(0.01)
         g = math.exp(-0.1)
         assert d[0, 0] == 1.0
         assert d[0, 2] == pytest.approx(g)   # spin-1 coherence damped

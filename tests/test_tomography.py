@@ -6,6 +6,7 @@ as Kronecker products, one trace per value and one ``lstsq`` fit."""
 
 import math
 import re
+import time
 from functools import lru_cache, reduce
 from itertools import product
 
@@ -76,25 +77,67 @@ class TestReadout:
                                    rtol=0, atol=1e-14)
 
 
-# Matrix sizes outside 2**n x 2**n with 1 <= n <= MAX_QUBITS; the last is
-# broadcast from one zero, so it allocates nothing.
-BAD_SIZES = [np.zeros((0, 0)), np.zeros((1, 1)), np.zeros((3, 3)), np.zeros((6, 6)),
-             np.broadcast_to(np.zeros((), complex), (2 ** 13, 2 ** 13))]
+class _Unreadable:
+    """A matrix by its shape alone: reading its entries fails the test, so
+    refusing one shows that the shape was checked before any copy."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("entries read before the shape was checked")
+
+
+# Shapes outside 2**n x 2**n with 1 <= n <= MAX_QUBITS, each passed as an
+# _Unreadable (a complex 2**13 x 2**13 matrix would be 1 GiB).
+BAD_SIZES = [(0, 0), (1, 1), (3, 3), (6, 6), (2, 4), (2 ** 13, 2 ** 13)]
+
+
+def _size_id(shape):
+    return "x".join(map(str, shape))
 
 
 class TestSizeRule:
-    @pytest.mark.parametrize("m", BAD_SIZES, ids=lambda m: "x".join(map(str, m.shape)))
-    def test_measure_all_refuses(self, m):
-        with pytest.raises(ValueError, match=re.escape(str(m.shape))):
-            tomography.measure_all(m)
-        with pytest.raises(ValueError, match=re.escape(str((2,) + m.shape))):
-            tomography.measure_all(np.broadcast_to(m, (2,) + m.shape))
+    """core's one shape rule, at each of its six users."""
 
-    @pytest.mark.parametrize("m", BAD_SIZES + [np.zeros((2, 4, 4))],
-                             ids=lambda m: "x".join(map(str, m.shape)))
-    def test_bar_chart_refuses(self, m):
-        with pytest.raises(ValueError, match=re.escape(str(m.shape))):
-            tomography.bar_chart_csv(m)
+    @pytest.mark.parametrize("shape", BAD_SIZES, ids=_size_id)
+    def test_measure_all_refuses(self, shape):
+        for stacked in (shape, (2,) + shape):
+            with pytest.raises(ValueError, match=re.escape(str(stacked))):
+                tomography.measure_all(_Unreadable(stacked))
+
+    @pytest.mark.parametrize("shape", BAD_SIZES + [(2, 4, 4)], ids=_size_id)
+    def test_bar_chart_refuses(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            tomography.bar_chart_csv(_Unreadable(shape))
+
+    @pytest.mark.parametrize("shape", BAD_SIZES, ids=_size_id)
+    @pytest.mark.parametrize("make", [core.DensityMatrix, core.UnitaryMatrix],
+                             ids=["density", "unitary"])
+    def test_value_types_refuse(self, make, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            make(_Unreadable(shape))
+
+    # a kernel reads only axis 0, so (2, 4) is one qubit's operand to it
+    @pytest.mark.parametrize("shape", [s for s in BAD_SIZES if s[0] != 2], ids=_size_id)
+    @pytest.mark.parametrize("kernel", [lambda a: core.apply_local(a, {1: core.HADAMARD}),
+                                        lambda a: core.apply_controlled(a, 1, 2, core.HADAMARD)],
+                             ids=["apply_local", "apply_controlled"])
+    def test_kernels_refuse(self, kernel, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            kernel(_Unreadable(shape))
+
+    @pytest.mark.parametrize("make", [core.DensityMatrix, core.UnitaryMatrix],
+                             ids=["density", "unitary"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_is_read_from_the_shape(self, make, n):
+        assert make(np.diag([1.0] * 2 ** (n - 1) + [-1.0] * 2 ** (n - 1))).n == n
+
+    def test_element_unitary_refuses_a_spin_count_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="qubit count"):
+            nmr.element_unitary(nmr.SpinPulse((1,), 1.0, 0.0), 40)
+        assert time.perf_counter() - start < 1.0
 
 
 # -- the dense readout, as the differential reference --------------------
@@ -102,11 +145,11 @@ class TestSizeRule:
 def _dense_readout_unitary(pulses):
     """Product of the per-qubit 90-degree readout pulses on all n spins."""
     n = len(pulses)
-    system, u = nmr.SpinSystem(n), np.eye(2 ** n, dtype=complex)
+    u = np.eye(2 ** n, dtype=complex)
     for j, p in enumerate(pulses, start=1):
         if p != "i":
             pulse = nmr.SpinPulse((j,), math.pi / 2.0, nmr.PHASE_X if p == "x" else nmr.PHASE_Y)
-            u = nmr.element_unitary(pulse, system).entries @ u
+            u = nmr.element_unitary(pulse, n).entries @ u
     return u
 
 
@@ -172,7 +215,7 @@ class TestDenseReference:
         states = _random_states(n, 3, 700 + n)
         want = _dense_measure_all(states, n)
         np.testing.assert_allclose(tomography.measure_all(states), want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(tomography.measure_all(core.DensityMatrix(n, states[0])),
+        np.testing.assert_allclose(tomography.measure_all(core.DensityMatrix(states[0])),
                                    want[0], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,9 +223,9 @@ class TestDenseReference:
         states = _random_states(n, 3, 800 + n)
         values = tomography.measure_all(states)
         want = _dense_reconstruct(values, n)
-        got = tomography.reconstruct(values, n)
+        got = tomography.reconstruct(values)
         np.testing.assert_allclose([r.entries for r in got], want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(tomography.reconstruct(values[0], n).entries, want[0],
+        np.testing.assert_allclose(tomography.reconstruct(values[0]).entries, want[0],
                                    rtol=0, atol=1e-13)
 
     def test_observable_strings_match_their_labels(self):
@@ -229,21 +272,21 @@ class TestReconstruction:
         assert np.linalg.matrix_rank(a) == 4 ** n - 1
 
     def test_a_pulse_that_is_not_clifford_is_refused(self, monkeypatch):
-        def quarter(pulse, system):  # a 45-degree pulse in place of the 90
+        def quarter(pulse, n):  # a 45-degree pulse in place of the 90
             return nmr.element_unitary(nmr.SpinPulse(pulse.spins, pulse.angle / 2.0,
-                                                     pulse.phase), system)
+                                                     pulse.phase), n)
 
         monkeypatch.setattr(tomography, "element_unitary", quarter)
         with pytest.raises(ValueError, match="not Clifford"):
             tomography.measure_all(nmr.pseudopure_projector_deviation(2))
 
     def test_zero_maps_to_zero(self):
-        rec = tomography.reconstruct(np.zeros(9 * 8), 2)
+        rec = tomography.reconstruct(np.zeros(9 * 8))
         np.testing.assert_allclose(rec.entries, 0.0, atol=1e-14)
 
     def test_pseudopure_roundtrip(self):
         rho = nmr.pseudopure_projector_deviation(2)
-        rec = tomography.reconstruct(tomography.measure_all(rho), 2)
+        rec = tomography.reconstruct(tomography.measure_all(rho))
         np.testing.assert_allclose(rec.entries, rho.entries, atol=1e-8)
 
     @pytest.mark.parametrize("n,samples", [(2, 100), (3, 20)])
@@ -252,14 +295,14 @@ class TestReconstruction:
         worst = 0.0
         for _ in range(samples):
             rho = random_traceless_hermitian(n, rng)
-            rec = tomography.reconstruct(tomography.measure_all(rho), n)
+            rec = tomography.reconstruct(tomography.measure_all(rho))
             worst = max(worst, float(np.max(np.abs(rec.entries - rho.entries))))
         assert worst <= 1e-8
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_roundtrips_are_exact_to_roundoff(self, n):
         states = _random_states(n, 50, 900 + n)
-        recons = tomography.reconstruct(tomography.measure_all(states), n)
+        recons = tomography.reconstruct(tomography.measure_all(states))
         worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
         assert worst <= 2e-15
 
@@ -271,39 +314,55 @@ class TestReconstruction:
         value reaches no later call."""
         rho = nmr.pseudopure_projector_deviation(2)
         values = tomography.measure_all(rho)
-        before = tomography.reconstruct(values, 2).entries
+        before = tomography.reconstruct(values).entries
         design, obs = tomography.design_matrix(2).copy(), tomography.observables(2)
         write()
-        np.testing.assert_array_equal(tomography.reconstruct(values, 2).entries, before)
+        np.testing.assert_array_equal(tomography.reconstruct(values).entries, before)
         np.testing.assert_array_equal(tomography.measure_all(rho), values)
         np.testing.assert_array_equal(tomography.design_matrix(2), design)
         assert tomography.observables(2) == obs
 
     def test_incomplete_readout_rejected(self):
         with pytest.raises(ValueError):
-            tomography.reconstruct(np.zeros(10), 2)
+            tomography.reconstruct(np.zeros(10))
         with pytest.raises(ValueError):
-            tomography.reconstruct(np.zeros((3, 10)), 2)
+            tomography.reconstruct(np.zeros((3, 10)))
+
+    @pytest.mark.parametrize("values", [np.zeros(0), np.zeros(1), np.zeros(73), np.zeros((2, 10))],
+                             ids=["0", "1", "73", "2x10"])
+    def test_a_length_no_n_reads_is_refused_at_once(self, values):
+        # n * 6**n values fix n; no other length reaches the readout map
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"n\*6\*\*n values.*not {values.shape[-1]}$"):
+            tomography.reconstruct(values)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_readout_length_fixes_n(self, n):
+        readouts = tomography.measure_all(_random_states(n, 2, 1000 + n))
+        assert readouts.shape[-1] == n * 6 ** n
+        assert tomography.reconstruct(readouts[0]).n == n
+        assert [r.n for r in tomography.reconstruct(readouts)] == [n, n]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stack_matches_one_vector_at_a_time(self, n):
         rng = np.random.default_rng(5 + n)
         states = [random_traceless_hermitian(n, rng) for _ in range(4)]
         readouts = tomography.measure_all(np.array([r.entries for r in states]))
-        stacked = tomography.reconstruct(readouts, n)
+        stacked = tomography.reconstruct(readouts)
         assert len(stacked) == len(states)
         for rec, values, rho in zip(stacked, readouts, states):
             assert isinstance(rec, core.DensityMatrix)
-            single = tomography.reconstruct(values, n)
+            single = tomography.reconstruct(values)
             np.testing.assert_allclose(rec.entries, single.entries, rtol=0, atol=1e-14)
             np.testing.assert_allclose(rec.entries, rho.entries, rtol=0, atol=1e-12)
 
     def test_one_vector_gives_one_matrix_and_a_stack_a_list(self):
         rho = nmr.pseudopure_projector_deviation(2)
         values = tomography.measure_all(rho)
-        single = tomography.reconstruct(values, 2)
+        single = tomography.reconstruct(values)
         assert isinstance(single, core.DensityMatrix)
-        (stacked,) = tomography.reconstruct(values[None, :], 2)
+        (stacked,) = tomography.reconstruct(values[None, :])
         np.testing.assert_allclose(stacked.entries, single.entries, rtol=0, atol=1e-14)
 
 
@@ -316,8 +375,8 @@ class TestFidelity:
         assert rep.signal_retention == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_gives_zero(self):
-        z = core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
-        x = core.DensityMatrix(1, np.array([[0, 0.5], [0.5, 0]], dtype=complex))
+        z = core.DensityMatrix(np.diag([0.5, -0.5]).astype(complex))
+        x = core.DensityMatrix(np.array([[0, 0.5], [0.5, 0]], dtype=complex))
         rep = tomography.fidelity(z, x, z)
         assert rep.correlation == pytest.approx(0.0, abs=1e-12)
         assert rep.fidelity == pytest.approx(0.0, abs=1e-12)
@@ -361,8 +420,8 @@ class TestFidelity:
             assert a.purity() == pytest.approx(tr(a, a), rel=1e-13)
 
     def test_zero_norm_reference_rejected(self):
-        zero = core.DensityMatrix(1, np.zeros((2, 2), dtype=complex))
-        z = core.DensityMatrix(1, np.diag([0.5, -0.5]).astype(complex))
+        zero = core.DensityMatrix(np.zeros((2, 2), dtype=complex))
+        z = core.DensityMatrix(np.diag([0.5, -0.5]).astype(complex))
         with pytest.raises(ValueError):
             tomography.fidelity(zero, z, z)
         with pytest.raises(ValueError):
@@ -370,14 +429,13 @@ class TestFidelity:
 
     def test_retention_monotone_under_dephasing(self):
         seq = nmr.library_sequence("selective-n2")
-        system = nmr.SpinSystem(2)
-        rho0 = nmr.prepare_pseudopure_temporal_avg(system)
+        rho0 = nmr.prepare_pseudopure_temporal_avg()
         target = core.conjugate(core.UnitaryMatrix(
-            2, core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries), rho0)
+            core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries), rho0)
         retentions = []
         for rate in (0.0, 5.0, 15.0, 40.0):
             noise = nmr.NoiseModel.uniform(2, rate) if rate else None
-            out = nmr.run(seq, system, rho0, noise)
+            out = nmr.run(seq, 2, rho0, noise)
             retentions.append(tomography.fidelity(target, out, rho0).signal_retention)
         assert all(b <= a + 1e-12 for a, b in zip(retentions, retentions[1:]))
 
