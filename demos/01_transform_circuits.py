@@ -15,10 +15,10 @@ parallel = circuits.build_parallel(4)
 approx = circuits.build_approximate(4, 2)
 
 for c in (serial, parallel, approx):
-    counts = circuits.gate_counts(c)
+    counts = circuits.gate_counts(c)  # a Counter by gate kind: a kind c lacks reads 0
     print(f"{c.decomposition:<15} gates={len(c.gates):>2}  "
-          f"H={counts.hadamards} B={counts.controlled_phases} "
-          f"H_T={counts.total_hadamards} roots={counts.root_cnots}")
+          f"H={counts[circuits.HADAMARD_KIND]} B={counts[circuits.CONTROLLED_PHASE_KIND]} "
+          f"H_T={counts[circuits.TOTAL_HADAMARD_KIND]} roots={counts[circuits.ROOT_CNOT_KIND]}")
 
 # The serial circuit uses n Hadamards and n(n-1)/2 controlled phases; the
 # parallel circuit trades them for one non-selective Hadamard plus
@@ -44,7 +44,7 @@ for m in range(1, 7):
     u = circuits.circuit_unitary(c).entries
     _, gamma = core.equal_up_to_global_phase(u, target)
     dev = np.max(np.abs(u - np.exp(1j * gamma) * target))
-    phases = circuits.gate_counts(c).controlled_phases
+    phases = circuits.gate_counts(c)[circuits.CONTROLLED_PHASE_KIND]
     print(f"  m={m}: {phases:>2} phase gates, deviation {dev:.3e}")
 
 # ── 4) The closed-form product state ────────────────────────────────────

@@ -37,8 +37,7 @@ print("with 1H/13C weighting:   ", np.round(np.diag(rho_gamma.entries).real, 6))
 print(f"\n{'sequence':<14} {'elements':>8} {'fidelity':>12}")
 for name in nmr.SEQUENCE_LIBRARY:
     seq = nmr.library_sequence(name)
-    rho_in = (nmr.prepare_pseudopure_temporal_avg() if seq.n == 2
-              else nmr.pseudopure_projector_deviation(seq.n))
+    rho_in = nmr.pseudopure_input(seq.n)  # temporal average at n = 2, projector otherwise
     rho_out = nmr.run(seq, seq.n, rho_in)
     target_u = core.UnitaryMatrix(
         core.bit_reversal_permutation(seq.n).entries @ core.dft_oracle(seq.n).entries)

@@ -45,9 +45,9 @@ h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 h = (h + h.conj().T) / 2
 h -= np.trace(h) / 4 * np.eye(4)
 rho = core.DensityMatrix(h)
-recon = tomography.reconstruct(tomography.measure_all(rho))
+recon = tomography.reconstruct(tomography.measure_all(rho))  # a 4 x 4 array
 print(f"random-matrix round trip: max error "
-      f"{np.max(np.abs(recon.entries - rho.entries)):.2e}")
+      f"{np.max(np.abs(recon - rho.entries)):.2e}")
 
 # ── 3) Tomography of a simulated transform output ───────────────────────
 
@@ -56,7 +56,7 @@ rho_in = nmr.prepare_pseudopure_temporal_avg()
 rho_out = nmr.run(seq, seq.n, rho_in, nmr.NoiseModel.uniform(seq.n, 10.0))
 recon = tomography.reconstruct(tomography.measure_all(rho_out))
 print(f"\nnoisy {seq.name} output reconstructed: max error "
-      f"{np.max(np.abs(recon.entries - rho_out.entries)):.2e}")
+      f"{np.max(np.abs(recon - rho_out.entries)):.2e}")
 
 target_u = core.UnitaryMatrix(core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries)
 rho_th = core.conjugate(target_u, rho_in)

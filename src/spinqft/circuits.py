@@ -4,7 +4,8 @@ Three builders produce symbolic gate lists: the serial form (qubit-wise
 Hadamards plus two-qubit controlled-phase gates, O(n^2) gates), the
 parallel form (one non-selective Hadamard plus root-of-controlled-NOT
 gates, O(n) pulses), and the approximate form (serial with long-range
-phase gates dropped).  Circuits store gates first-in-time-first-in-list.
+phase gates dropped).  Circuits store gates first-in-time-first-in-list;
+``gate_counts`` tallies them by kind in a ``collections.Counter``.
 Every two-qubit gate is a one-qubit operator on the target qubit k
 applied when the control qubit j is set, so each gate kind is defined
 once, by that 2x2 target operator (``_target_operator``).
@@ -24,6 +25,7 @@ verification applies the reversal as a row permutation of the product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,25 +104,9 @@ class Circuit:
         object.__setattr__(self, "gates", gates)
 
 
-@dataclass(frozen=True)
-class GateCounts:
-    hadamards: int = 0
-    controlled_phases: int = 0
-    total_hadamards: int = 0
-    root_cnots: int = 0
-
-
-def gate_counts(circuit: Circuit) -> GateCounts:
-    """Tally gates by kind with a linear scan."""
-    tally = dict.fromkeys(GATE_KINDS, 0)
-    for g in circuit.gates:
-        tally[g.kind] += 1
-    return GateCounts(
-        hadamards=tally[HADAMARD_KIND],
-        controlled_phases=tally[CONTROLLED_PHASE_KIND],
-        total_hadamards=tally[TOTAL_HADAMARD_KIND],
-        root_cnots=tally[ROOT_CNOT_KIND],
-    )
+def gate_counts(circuit: Circuit) -> Counter:
+    """Gates by kind, one of ``GATE_KINDS``; a kind the circuit lacks reads 0."""
+    return Counter(g.kind for g in circuit.gates)
 
 
 def phase_angle(j: int, k: int) -> float:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``verify`` (circuit vs. the Fourier oracle), ``cost``
-(time-cost sweeps as CSV/JSON), ``simulate`` (pulse-level run from the
-pseudopure input with fidelity report and optional tomography
+(time-cost sweeps as CSV/JSON), ``simulate`` (pulse-level run from
+``nmr.pseudopure_input`` with fidelity report and optional tomography
 cross-check), ``tomo-roundtrip`` (reconstruction identity check), and
 ``export-fig2`` (density-matrix bar-chart CSV).
 
@@ -259,11 +259,14 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
                  f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
 
 
-def _pseudopure_input(n: int) -> core.DensityMatrix:
+def _program(args, parser, cap: int, verb: str) -> tuple[nmr.PulseSequence, core.DensityMatrix]:
+    """The ``--sequence`` program and its ``nmr.pseudopure_input``; a usage error above ``cap``."""
     from . import nmr
 
-    return (nmr.prepare_pseudopure_temporal_avg() if n == 2
-            else nmr.pseudopure_projector_deviation(n))
+    seq = _resolve_sequence(args.sequence, parser)
+    if seq.n > cap:
+        parser.error(f"{verb} at most {cap} spins, the sequence has {seq.n}")
+    return seq, nmr.pseudopure_input(seq.n)
 
 
 def _ideal_target_unitary(n: int) -> core.UnitaryMatrix:
@@ -282,32 +285,26 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
 
     from . import core, nmr, tomography
 
-    seq = _resolve_sequence(args.sequence, parser)
     cap, verb = ((TOMO_MAX_QUBITS, "--tomography reads out") if args.tomography
                  else (SIMULATE_MAX_QUBITS, "simulate runs"))
-    if seq.n > cap:
-        parser.error(f"{verb} at most {cap} spins, the sequence has {seq.n}")
-    rho_init = _pseudopure_input(seq.n)
+    seq, rho_init = _program(args, parser, cap, verb)
     noise = nmr.NoiseModel.uniform(seq.n, 1.0 / args.t2) if args.t2 else None
     rho_exp = nmr.run(seq, seq.n, rho_init, noise)
-    target_u = _ideal_target_unitary(seq.n)
-    rho_th = core.conjugate(target_u, rho_init)
-    report = tomography.fidelity(rho_th, rho_exp, rho_init)
+    rho_th = core.conjugate(_ideal_target_unitary(seq.n), rho_init)
     doc = {
         "command": "simulate",
         "sequence": seq.name,
         "n": seq.n,
         "t2_seconds": args.t2,
         "seed": args.seed,
-        "fidelity_report": report.as_dict(),
+        "fidelity_report": tomography.fidelity(rho_th, rho_exp, rho_init).as_dict(),
         "rho_exp": {"n": seq.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
         "rho_target": {"n": seq.n, "re": rho_th.entries.real, "im": rho_th.entries.imag},
     }
     status = 0
     if args.tomography:
-        values = tomography.measure_all(rho_exp)
-        recon = tomography.reconstruct(values)
-        err = float(np.max(np.abs(recon.entries - rho_exp.entries)))
+        recon = tomography.reconstruct(tomography.measure_all(rho_exp))
+        err = float(np.max(np.abs(recon - rho_exp.entries)))
         doc["tomography_max_error"] = err
         doc["tomography_tolerance"] = TOMO_TOL
         if err > TOMO_TOL:
@@ -327,8 +324,7 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
     states = (h + h.conj().swapaxes(1, 2)) / 2.0  # Hermitian and, below, traceless
     states -= np.trace(states, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
     readouts = tomography.measure_all(states)  # one readout of the whole stack
-    recons = tomography.reconstruct(readouts)  # and one inversion
-    worst = max(float(np.max(np.abs(r.entries - rho))) for r, rho in zip(recons, states))
+    worst = float(np.max(np.abs(tomography.reconstruct(readouts) - states)))  # and one inversion
     passed = worst <= TOMO_TOL
     doc = {
         "command": "tomo-roundtrip",
@@ -346,11 +342,7 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
 def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
     from . import core, nmr, tomography
 
-    seq = _resolve_sequence(args.sequence, parser)
-    if seq.n > FIG2_MAX_QUBITS:
-        parser.error(f"export-fig2 charts at most {FIG2_MAX_QUBITS} spins, "
-                     f"the sequence has {seq.n}")
-    rho_init = _pseudopure_input(seq.n)
+    seq, rho_init = _program(args, parser, FIG2_MAX_QUBITS, "export-fig2 charts")
     if args.what == "pseudopure":
         rho = rho_init
     elif args.what == "target":

@@ -97,10 +97,6 @@ class DensityMatrix:
             raise ValueError(f"deviation matrix must be traceless, trace = {tr}")
         object.__setattr__(self, "entries", m)
 
-    def purity(self) -> float:
-        """Tr(rho^2); ``rho`` is Hermitian by construction."""
-        return _trace_product(self.entries, self.entries)
-
 
 @dataclass(frozen=True)
 class UnitaryMatrix:

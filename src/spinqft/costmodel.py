@@ -137,13 +137,19 @@ def _coupling_closed(kappa: float, n: int) -> float:
     return closed
 
 
-def t_serial_liquid(n: int, p: LiquidParams) -> CostBreakdown:
-    """Serial-transform wall time on a liquid-state device."""
+def _t_serial(n: int, p, model: str, swap_unit: float) -> CostBreakdown:
+    """Serial-transform wall time: pulses, checked couplings, 2*n*swap_unit SWAPs."""
     if n < 1:
         raise ValueError("n must be >= 1")
     pulse = n * p.delta
     coupling = _coupling_closed(p.kappa, n)
-    return CostBreakdown(n, "serial-liquid", pulse, coupling, 0.0, pulse + coupling)
+    swap = 2.0 * n * swap_unit
+    return CostBreakdown(n, model, pulse, coupling, swap, pulse + coupling + swap)
+
+
+def t_serial_liquid(n: int, p: LiquidParams) -> CostBreakdown:
+    """Serial-transform wall time on a liquid-state device: no SWAPs."""
+    return _t_serial(n, p, "serial-liquid", 0.0)
 
 
 def t_parallel(n: int, p) -> CostBreakdown:
@@ -164,12 +170,7 @@ def t_serial_solid(n: int, p: SolidParams) -> CostBreakdown:
     Adds the linear SWAP overhead 2*n*Delta to the liquid structure, with
     kappa = pi/d.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pulse = n * p.delta
-    coupling = _coupling_closed(p.kappa, n)
-    swap = 2.0 * n * p.Delta
-    return CostBreakdown(n, "serial-solid", pulse, coupling, swap, pulse + coupling + swap)
+    return _t_serial(n, p, "serial-solid", p.Delta)
 
 
 _MODELS = {

@@ -31,8 +31,8 @@ the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
 axes through ``core.apply_local``, two rows for a transition pulse, one
 phase per row for a delay or a z pulse).  ``element_unitary`` is that
 action applied to the identity on ``n`` spins, since an element does
-not know the system size.  A noiseless ``run`` conjugates by the dense
-``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
+not know the system size.  A noiseless ``run`` is ``core.conjugate`` by
+the dense ``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
 element unitary: it applies each element's action to the density matrix
 twice, as ``u (u rho)^H`` (a diagonal one as one Schur product with
 ``outer(p, conj(p))``), then the element's dephasing channel.
@@ -57,6 +57,7 @@ from .core import (
     _check_labels,
     _check_qubit_count,
     apply_local,
+    conjugate,
     qubit_bits,
     transition_states,
 )
@@ -254,12 +255,14 @@ class NoiseModel:
     """Per-spin pure dephasing (rate 1/T2 in Hz) during each element's
     ``element_seconds``: every element damps single-spin coherence by
     exp(-rate * time).  Zero rates reproduce the exact unitary channel.
+    One rate per spin: 1 to ``MAX_QUBITS`` of them.
     """
 
     rates: tuple
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
+        _check_qubit_count(len(rates))
         if not all(0 <= v < math.inf for v in rates):
             raise ValueError("dephasing rates must be finite and >= 0")
         object.__setattr__(self, "rates", rates)
@@ -284,7 +287,7 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         noise: NoiseModel | None = None) -> DensityMatrix:
     """Propagate a density matrix through a sequence.
 
-    Without noise this equals conjugation by ``sequence_unitary`` exactly.
+    Without noise this is ``core.conjugate`` by ``sequence_unitary``.
     With noise, each element is applied where it acts
     (``_conjugate_element``, no 2**n x 2**n unitary is built) and then
     followed by the dephasing channel for that element's wall time; the
@@ -295,8 +298,7 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         raise ValueError(f"the program has {seq.n} spins, n = {n}, the state {rho.n} spins "
                          f"and the noise model {rates} rates; all must be equal")
     if noise is None or not any(noise.rates):
-        u = sequence_unitary(seq).entries
-        return DensityMatrix(u @ rho.entries @ u.conj().T)
+        return conjugate(sequence_unitary(seq), rho)
     damping = {}  # element seconds -> damping matrix, for this run only
     state = np.array(rho.entries)
     for e in seq.elements:
@@ -332,6 +334,11 @@ def prepare_pseudopure_temporal_avg(n: int = 2, a: float = 1.0, b: float = 1.0) 
     for seq in (seq_a, seq_b):
         total = total + run(seq, n, rho_eq).entries
     return DensityMatrix(total / 3.0)
+
+
+def pseudopure_input(n: int) -> DensityMatrix:
+    """An n-spin program's input: the temporal average at n = 2, else the projector deviation."""
+    return prepare_pseudopure_temporal_avg() if n == 2 else pseudopure_projector_deviation(n)
 
 
 def pseudopure_projector_deviation(n: int) -> DensityMatrix:

@@ -10,8 +10,9 @@ of ``itertools.product("ixy", repeat=n)``.  The pulses are Clifford, so
 each value is +-Tr(rho P)/2 for one Pauli string P: a readout is the Pauli
 coefficients of the state (one tensorised ``einsum``; Hantzko, Binkowski &
 Gupta, 2023) read through an (index, sign) map, and the least-squares
-inversion is a signed mean per coefficient.  n is read from the data: a
-state's shape (``core._matrix_qubits``) or a readout's n * 6**n values.
+inversion, from arrays to arrays, is a signed mean per coefficient.  n is
+read from the data: a state's shape (``core._matrix_qubits``) or a
+readout's n * 6**n values.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
-                   _matrix_qubits, _trace_product, entries_of)
+from .core import (MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _matrix_qubits,
+                   _trace_product, entries_of)
 from .nmr import PHASE_X, PHASE_Y, SpinPulse, element_unitary
 
 _PAULIS = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
@@ -130,31 +131,31 @@ def design_matrix(n: int) -> np.ndarray:
     return measure_all(_from_coefficients(2.0 ** n * np.eye(4 ** n)[1:], n)).T
 
 
-def reconstruct(values: np.ndarray) -> DensityMatrix | list[DensityMatrix]:
-    """Least-squares linear inversion of the full readout vector.
+def reconstruct(values: np.ndarray) -> np.ndarray:
+    """Least-squares linear inversion of readouts, the inverse of ``measure_all``.
 
-    A readout of n spins has n * 6**n values, so its length fixes n; any
-    other length is refused before the readout map is built.  Each value
+    A readout of n spins has n * 6**n values, so its length fixes n; a
+    readout of shape (m,) gives one 2**n x 2**n matrix and a (k, m) stack
+    gives (k, 2**n, 2**n).  Any other shape or length, or a value that is
+    not finite, is refused before the readout map is built.  Each value
     reads +-Tr(rho P)/2 for one Pauli string P, so the normal matrix is
     diagonal and the estimate of Tr(rho P) is twice the signed mean of the
-    values that read it.  The identity is never read, so the
-    result is the deviation (traceless) matrix.  One readout vector gives
-    one matrix; a (k, m) stack gives a list of k, each validated alone.
+    values that read it.  The identity is never read, so the result is
+    the deviation (traceless) matrix.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        values = values.reshape(-1)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"a readout has shape (m,) or (k, m), not {values.shape}")
     n = {k * 6 ** k: k for k in range(1, MAX_QUBITS + 1)}.get(values.shape[-1])
     if n is None:
         raise ValueError(f"a readout has n*6**n values, n <= {MAX_QUBITS}, not {values.shape[-1]}")
+    if not np.isfinite(values).all():
+        raise ValueError("a readout value is not finite")
     index, sign = _readout_map(n)
     sums = np.zeros((4 ** n,) + values.shape[:-1])
     np.add.at(sums, index, (sign * values).T)
     # index 0, the identity, is read by no value: its sum stays 0 over a count of 1
-    m = _from_coefficients(2.0 * sums.T / np.maximum(np.bincount(index, minlength=4 ** n), 1), n)
-    if m.ndim == 2:
-        return DensityMatrix(m)
-    return [DensityMatrix(one) for one in m]
+    return _from_coefficients(2.0 * sums.T / np.maximum(np.bincount(index, minlength=4 ** n), 1), n)
 
 
 @dataclass(frozen=True)

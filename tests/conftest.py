@@ -7,14 +7,6 @@ import numpy as np
 from spinqft import core, nmr, tomography
 
 
-def pseudopure_input(n: int) -> core.DensityMatrix:
-    """Pseudopure deviation input: temporally averaged for two spins, the
-    ideal projector deviation for three."""
-    if n == 2:
-        return nmr.prepare_pseudopure_temporal_avg()
-    return nmr.pseudopure_projector_deviation(n)
-
-
 def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
     """Transform target after reverse-order relabeling of the qubits."""
     n = rho_init.n
@@ -25,7 +17,7 @@ def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
 def sequence_fidelity(seq: nmr.PulseSequence, noise: nmr.NoiseModel | None = None) -> float:
     """Fidelity of a sequence run from the pseudopure input against the
     relabeled transform target."""
-    rho_init = pseudopure_input(seq.n)
+    rho_init = nmr.pseudopure_input(seq.n)
     rho_out = nmr.run(seq, seq.n, rho_init, noise)
     return tomography.fidelity(ideal_output(rho_init), rho_out, rho_init).fidelity
 

@@ -143,7 +143,7 @@ def test_criterion_7_tomography_roundtrip():
         for _ in range(samples):
             rho = random_traceless_hermitian(n, rng)
             rec = tomography.reconstruct(tomography.measure_all(rho))
-            worst = max(worst, float(np.max(np.abs(rec.entries - rho.entries))))
+            worst = max(worst, float(np.max(np.abs(rec - rho.entries))))
     assert worst <= 1e-8
     print(f"\n[PASS] criterion 7: tomography round-trip, 100 x n=2 + 20 x n=3 "
           f"(max error {worst:.2e})")

@@ -28,9 +28,19 @@ class TestBuilders:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_serial_counts(self, n):
-        counts = circuits.gate_counts(circuits.build_serial(n))
-        assert counts.hadamards == n
-        assert counts.controlled_phases == n * (n - 1) // 2
+        c = circuits.build_serial(n)
+        counts = circuits.gate_counts(c)
+        assert counts[circuits.HADAMARD_KIND] == n
+        assert counts[circuits.CONTROLLED_PHASE_KIND] == n * (n - 1) // 2
+        assert counts.total() == len(c.gates)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_parallel_counts_read_zero_for_kinds_it_lacks(self, n):
+        counts = circuits.gate_counts(circuits.build_parallel(n))
+        assert counts[circuits.HADAMARD_KIND] == counts[circuits.CONTROLLED_PHASE_KIND] == 0
+        assert counts[circuits.TOTAL_HADAMARD_KIND] == 1
+        assert counts[circuits.ROOT_CNOT_KIND] == n * (n - 1) // 2
+        assert set(counts) <= set(circuits.GATE_KINDS)
 
     def test_parallel_n1(self):
         c = circuits.build_parallel(1)
@@ -56,7 +66,7 @@ class TestBuilders:
     def test_approximate_drops_long_range(self):
         c = circuits.build_approximate(3, 1)
         counts = circuits.gate_counts(c)
-        assert counts.hadamards == 3 and counts.controlled_phases == 2
+        assert counts[circuits.HADAMARD_KIND] == 3 and counts[circuits.CONTROLLED_PHASE_KIND] == 2
         assert all(g.k - g.j <= 1 for g in c.gates
                    if g.kind == circuits.CONTROLLED_PHASE_KIND)
 

@@ -444,7 +444,7 @@ class TestTomoRoundtrip:
             h = (h + h.conj().T) / 2.0
             states.append(h - np.trace(h) / dim * np.eye(dim))
         recons = tomography.reconstruct(tomography.measure_all(np.array(states)))
-        worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
+        worst = max(float(np.max(np.abs(r - s))) for r, s in zip(recons, states))
         monkeypatch.delenv("SPINQFT_SEED", raising=False)
         _, out, _ = run_cli(["tomo-roundtrip", "--n", str(n), "--samples", "7", "--seed", "3"],
                             capsys)

@@ -259,8 +259,7 @@ def noisy_programs():
 class TestNoisyRun:
     @pytest.mark.parametrize("seq", list(noisy_programs()))
     def test_matches_dense_reference_loop(self, seq):
-        rho = (nmr.prepare_pseudopure_temporal_avg() if seq.n == 2
-               else nmr.pseudopure_projector_deviation(seq.n))
+        rho = nmr.pseudopure_input(seq.n)
         noise = nmr.NoiseModel(tuple(3.0 + 2.0 * j for j in range(seq.n)))
         state = rho.entries
         for e in seq.elements:  # dense unitary per element, then the channel
@@ -338,6 +337,20 @@ class TestPseudopurePreparation:
         with pytest.raises(ValueError):
             nmr.prepare_pseudopure_temporal_avg(3)
 
+    def test_program_input_is_the_temporal_average_at_two_spins(self):
+        np.testing.assert_array_equal(nmr.pseudopure_input(2).entries,
+                                      nmr.prepare_pseudopure_temporal_avg().entries)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_program_input_is_the_projector_deviation_otherwise(self, n):
+        np.testing.assert_array_equal(nmr.pseudopure_input(n).entries,
+                                      nmr.pseudopure_projector_deviation(n).entries)
+
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_program_input_refuses_a_spin_count_outside_the_cap(self, n):
+        with pytest.raises(ValueError, match="qubit count"):
+            nmr.pseudopure_input(n)
+
 
 class TestNoise:
     def test_purity_never_increases(self):
@@ -345,7 +358,8 @@ class TestNoise:
         rho = nmr.pseudopure_projector_deviation(2)
         noise = nmr.NoiseModel.uniform(2, 20.0)
         out = nmr.run(seq, 2, rho, noise)
-        assert out.purity() <= rho.purity() + 1e-12
+        assert core._trace_product(out.entries, out.entries) <= (
+            core._trace_product(rho.entries, rho.entries) + 1e-12)
 
     def test_damping_hits_single_spin_coherence(self):
         noise = nmr.NoiseModel((10.0, 0.0))
@@ -376,6 +390,14 @@ class TestNoise:
         for rates in ((bad, 0.0), (1.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 nmr.NoiseModel(rates)
+
+    @pytest.mark.parametrize("count", [0, 13, 40])
+    def test_one_rate_per_spin_up_to_the_cap(self, count):
+        # only the constructors: a damping matrix at 13+ rates would take 0.5 GiB or more
+        with pytest.raises(ValueError, match=rf"\[1, {core.MAX_QUBITS}\], got {count}$"):
+            nmr.NoiseModel((1.0,) * count)
+        with pytest.raises(ValueError, match=rf"\[1, {core.MAX_QUBITS}\], got {count}$"):
+            nmr.NoiseModel.uniform(count, 1.0)
 
 
 DEGREES = st.integers(0, 12).flatmap(

@@ -223,9 +223,8 @@ class TestDenseReference:
         states = _random_states(n, 3, 800 + n)
         values = tomography.measure_all(states)
         want = _dense_reconstruct(values, n)
-        got = tomography.reconstruct(values)
-        np.testing.assert_allclose([r.entries for r in got], want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(tomography.reconstruct(values[0]).entries, want[0],
+        np.testing.assert_allclose(tomography.reconstruct(values), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tomography.reconstruct(values[0]), want[0],
                                    rtol=0, atol=1e-13)
 
     def test_observable_strings_match_their_labels(self):
@@ -234,6 +233,10 @@ class TestDenseReference:
             from_strings = [reduce(np.kron, [letters[c] for c in pauli]) / 2.0
                             for _, pauli in tomography.observables(n)]
             np.testing.assert_array_equal(from_strings, _dense_observables(n))
+
+
+def _no_readout_map(n):
+    raise AssertionError(f"built the n = {n} readout map")
 
 
 def _scale_design_matrix():
@@ -282,12 +285,12 @@ class TestReconstruction:
 
     def test_zero_maps_to_zero(self):
         rec = tomography.reconstruct(np.zeros(9 * 8))
-        np.testing.assert_allclose(rec.entries, 0.0, atol=1e-14)
+        np.testing.assert_allclose(rec, 0.0, atol=1e-14)
 
     def test_pseudopure_roundtrip(self):
         rho = nmr.pseudopure_projector_deviation(2)
         rec = tomography.reconstruct(tomography.measure_all(rho))
-        np.testing.assert_allclose(rec.entries, rho.entries, atol=1e-8)
+        np.testing.assert_allclose(rec, rho.entries, atol=1e-8)
 
     @pytest.mark.parametrize("n,samples", [(2, 100), (3, 20)])
     def test_random_roundtrips(self, n, samples):
@@ -296,15 +299,14 @@ class TestReconstruction:
         for _ in range(samples):
             rho = random_traceless_hermitian(n, rng)
             rec = tomography.reconstruct(tomography.measure_all(rho))
-            worst = max(worst, float(np.max(np.abs(rec.entries - rho.entries))))
+            worst = max(worst, float(np.max(np.abs(rec - rho.entries))))
         assert worst <= 1e-8
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_roundtrips_are_exact_to_roundoff(self, n):
         states = _random_states(n, 50, 900 + n)
         recons = tomography.reconstruct(tomography.measure_all(states))
-        worst = max(float(np.max(np.abs(r.entries - s))) for r, s in zip(recons, states))
-        assert worst <= 2e-15
+        assert float(np.max(np.abs(recons - states))) <= 2e-15
 
     @pytest.mark.parametrize("write", [_scale_design_matrix, _rewrite_observables],
                              ids=["design_matrix", "observable"])
@@ -314,10 +316,10 @@ class TestReconstruction:
         value reaches no later call."""
         rho = nmr.pseudopure_projector_deviation(2)
         values = tomography.measure_all(rho)
-        before = tomography.reconstruct(values).entries
+        before = tomography.reconstruct(values)
         design, obs = tomography.design_matrix(2).copy(), tomography.observables(2)
         write()
-        np.testing.assert_array_equal(tomography.reconstruct(values).entries, before)
+        np.testing.assert_array_equal(tomography.reconstruct(values), before)
         np.testing.assert_array_equal(tomography.measure_all(rho), values)
         np.testing.assert_array_equal(tomography.design_matrix(2), design)
         assert tomography.observables(2) == obs
@@ -339,10 +341,33 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_the_readout_length_fixes_n(self, n):
+        # one readout gives one matrix and a (k, m) stack a (k, 2**n, 2**n) stack
         readouts = tomography.measure_all(_random_states(n, 2, 1000 + n))
         assert readouts.shape[-1] == n * 6 ** n
-        assert tomography.reconstruct(readouts[0]).n == n
-        assert [r.n for r in tomography.reconstruct(readouts)] == [n, n]
+        single = tomography.reconstruct(readouts[0])
+        assert type(single) is np.ndarray and single.shape == (2 ** n, 2 ** n)
+        assert tomography.reconstruct(readouts).shape == (2, 2 ** n, 2 ** n)
+        (stacked,) = tomography.reconstruct(readouts[:1])
+        np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(), (3, 4, 6), (1, 2, 6), (2, 1, 1, 72)],
+                             ids=["0-d", "3x4x6", "1x2x6", "2x1x1x72"])
+    def test_only_one_readout_or_a_stack_is_read(self, shape, monkeypatch):
+        # measure_all has one stack axis: twelve one-spin readouts are no 2-spin readout
+        monkeypatch.setattr(tomography, "_readout_map", _no_readout_map)
+        values = np.random.default_rng(0).normal(size=shape)
+        want = rf"shape \(m,\) or \(k, m\), not {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=want):
+            tomography.reconstruct(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_a_value_that_is_not_finite_is_refused(self, bad, stacked, monkeypatch):
+        values = tomography.measure_all(nmr.pseudopure_projector_deviation(2))
+        values[5] = bad
+        monkeypatch.setattr(tomography, "_readout_map", _no_readout_map)
+        with pytest.raises(ValueError, match="not finite"):
+            tomography.reconstruct(np.stack([values, values]) if stacked else values)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stack_matches_one_vector_at_a_time(self, n):
@@ -350,20 +375,10 @@ class TestReconstruction:
         states = [random_traceless_hermitian(n, rng) for _ in range(4)]
         readouts = tomography.measure_all(np.array([r.entries for r in states]))
         stacked = tomography.reconstruct(readouts)
-        assert len(stacked) == len(states)
+        assert stacked.shape == (len(states), 2 ** n, 2 ** n)
         for rec, values, rho in zip(stacked, readouts, states):
-            assert isinstance(rec, core.DensityMatrix)
-            single = tomography.reconstruct(values)
-            np.testing.assert_allclose(rec.entries, single.entries, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(rec.entries, rho.entries, rtol=0, atol=1e-12)
-
-    def test_one_vector_gives_one_matrix_and_a_stack_a_list(self):
-        rho = nmr.pseudopure_projector_deviation(2)
-        values = tomography.measure_all(rho)
-        single = tomography.reconstruct(values)
-        assert isinstance(single, core.DensityMatrix)
-        (stacked,) = tomography.reconstruct(values[None, :])
-        np.testing.assert_allclose(stacked.entries, single.entries, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rec, tomography.reconstruct(values), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rec, rho.entries, rtol=0, atol=1e-12)
 
 
 class TestFidelity:
@@ -403,8 +418,8 @@ class TestFidelity:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_traces_match_dense_products(self, n):
-        # fidelity and purity take Tr(AB) as sum A_ij conj(B_ij); the
-        # reference is the dense product they replace
+        # fidelity takes Tr(AB) as sum A_ij conj(B_ij); the reference is
+        # the dense product it replaces
         def tr(a, b):
             return float(np.real(np.trace(a.entries @ b.entries)))
 
@@ -417,7 +432,7 @@ class TestFidelity:
             np.testing.assert_allclose(
                 [rep.correlation, rep.signal_retention, rep.fidelity],
                 [corr, retention, corr * math.sqrt(retention)], rtol=1e-12, atol=1e-14)
-            assert a.purity() == pytest.approx(tr(a, a), rel=1e-13)
+            assert core._trace_product(a.entries, a.entries) == pytest.approx(tr(a, a), rel=1e-13)
 
     def test_zero_norm_reference_rejected(self):
         zero = core.DensityMatrix(np.zeros((2, 2), dtype=complex))
