@@ -350,6 +350,14 @@ class TestReconstruction:
         (stacked,) = tomography.reconstruct(readouts[:1])
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-14)
 
+    def test_one_vector_gives_one_matrix_and_a_stack_a_list(self):
+        # a stack of one unpacks to the one matrix its single readout gives
+        values = tomography.measure_all(nmr.pseudopure_projector_deviation(2))
+        single = tomography.reconstruct(values)
+        assert type(single) is np.ndarray and single.shape == (4, 4)
+        (stacked,) = tomography.reconstruct(values[None, :])
+        np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("shape", [(), (3, 4, 6), (1, 2, 6), (2, 1, 1, 72)],
                              ids=["0-d", "3x4x6", "1x2x6", "2x1x1x72"])
     def test_only_one_readout_or_a_stack_is_read(self, shape, monkeypatch):
