@@ -59,7 +59,7 @@ VERIFY_MAX_QUBITS = 10
 N_RANGE_MAX = 10_000
 # a tomo-roundtrip --n 3 child at the cap takes about 0.5 s and 107 MiB (2-CPU container)
 TOMO_MAX_SAMPLES = 5_000
-# simulate --out took 7.8 s on the n = 9 serial program, and wrote 91 MB for one n = 10 pulse
+# n = 9 serial simulate --out: 1.7 s/62 MiB, --t2 1.9 s/69 MiB, 32 MB; one n = 10 pulse: 91 MB
 SIMULATE_MAX_QUBITS = 9
 # a simulate --tomography child on the serial program took 0.4 s at n = 4, 0.6 s at n = 5
 # and 3.5 s at n = 6, 31-41 MiB (2-CPU container)

@@ -26,16 +26,15 @@ isolate one coupling on hardware), and pulses are instantaneous.
 ``element_seconds`` gives each element its wall time, which matters only
 to the dephasing noise model; it is the only place J enters.
 
-Each element kind is defined once, by its action ``a -> u @ a`` where
-the element acts (``_action``: 2x2 rotations on the pulsed spins' qubit
-axes through ``core.apply_local``, two rows for a transition pulse, one
-phase per row for a delay or a z pulse).  ``element_unitary`` is that
-action applied to the identity on ``n`` spins, since an element does
-not know the system size.  A noiseless ``run`` is ``core.conjugate`` by
-the dense ``sequence_unitary``.  A noisy ``run`` never builds a 2**n x 2**n
-element unitary: it applies each element's action to the density matrix
-twice, as ``u (u rho)^H`` (a diagonal one as one Schur product with
-``outer(p, conj(p))``), then the element's dephasing channel.
+Each element kind is defined once, by its operator on its own spins
+(``_local``: a 2x2 rotation for a pulse, a diagonal of phase factors for
+a delay or a z pulse) and one rule that applies it where the element acts
+(``_apply``); ``element_unitary`` applies it to the identity on ``n``
+spins.  ``run`` checks every element's operator once on its own spins,
+then is one loop, with or without noise: it applies each to the density
+matrix as ``u (u rho)^H``, then the element's dephasing channel if a rate
+is nonzero.  ``sequence_unitary`` is the dense product that tests check
+``run`` against.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -57,7 +55,6 @@ from .core import (
     _check_labels,
     _check_qubit_count,
     apply_local,
-    conjugate,
     qubit_bits,
     transition_states,
 )
@@ -150,65 +147,78 @@ class PulseSequence:
 
 # -- element evaluation --------------------------------------------------
 
-def _phases(e: CouplingDelay | CompositeZ, n: int) -> np.ndarray:
-    """Diagonal of a delay's or a z pulse's unitary, one phase factor per
-    basis state: -theta * Iz_j for Rz(theta) on spin j, or the sum of
-    2*pi/m * Iz_j * Iz_k over delay legs of 1/(m * J), so J never enters.
-    A spin outside 1..n, or a non-finite z angle, is a ``ValueError``."""
-    iz = {j: 0.5 - qubit_bits(j, n) for j in range(1, n + 1)}  # +1/2 for bit 0
+def _phase_terms(e: CouplingDelay | CompositeZ, n: int) -> tuple[list, list]:
+    """A delay's or a z pulse's phase as terms (w, *spins) of w * prod Iz_j
+    (-theta on spin j for Rz(theta), 2*pi/m per leg of 1/(m * J), so J never
+    enters), and its spins in order; a spin outside 1..n is a ``ValueError``."""
+    if not isinstance(e, (CompositeZ, CouplingDelay)):
+        raise TypeError(f"unknown pulse element {e!r}")
     terms = ([(-e.angle, e.spin)] if isinstance(e, CompositeZ)
              else [(2.0 * math.pi / m, j, k) for j, k, m in e.legs])
-    phase = np.zeros(2 ** n)
-    for w, *spins in terms:
+    for _, *spins in terms:
         _check_labels(n, spins)
-        if not math.isfinite(w):
-            raise ValueError("a z angle that is not finite gives no unitary")
-        phase += math.prod((iz[j] for j in spins), start=w)
+    return terms, sorted({j for _, *spins in terms for j in spins})
+
+
+def _on_own_spins(e: PulseElement, n: int) -> tuple[PulseElement, int]:
+    """The element moved onto its own k spins, and k: a pulse or a z pulse onto
+    spin 1, a transition onto 1 -> 2, a delay onto its spins (checked in 1..n
+    first: the check of a moved delay is O(8**k), so k may not exceed n)."""
+    if isinstance(e, SpinPulse):
+        return SpinPulse((1,), e.angle, e.phase), 1
+    if isinstance(e, TransitionPulse):
+        return TransitionPulse(1, 2, e.angle, e.phase), 1
+    if isinstance(e, CompositeZ):
+        return CompositeZ(1, e.angle), 1
+    own = {j: i for i, j in enumerate(_phase_terms(e, n)[1], start=1)}
+    return CouplingDelay(tuple((own[j], own[k], m) for j, k, m in e.legs)), len(own)
+
+
+def _local(e: PulseElement, n: int) -> np.ndarray:
+    """The operator of an element on its own spins: a pulse's 2x2 rotation,
+    or a delay's or a z pulse's phase factors, its diagonal over its spins."""
+    if isinstance(e, (SpinPulse, TransitionPulse)):
+        c, s = math.cos(e.angle / 2.0), math.sin(e.angle / 2.0)
+        axis = np.array([[0.0, math.cos(e.phase) - 1j * math.sin(e.phase)],
+                         [math.cos(e.phase) + 1j * math.sin(e.phase), 0.0]])
+        return c * np.eye(2, dtype=complex) - 1j * s * axis
+    terms, spins = _phase_terms(e, n)
+    iz = {j: 0.5 - qubit_bits(i, len(spins)) for i, j in enumerate(spins, 1)}  # +1/2 at bit 0
+    phase = np.zeros(2 ** len(spins))
+    for w, *legs in terms:
+        phase += math.prod((iz[j] for j in legs), start=w)
     return np.exp(1j * phase)
 
 
-def _checked_rotation(angle: float, phase: float) -> np.ndarray:
-    """One spin's pulse rotation, checked unitary as a 1-qubit matrix."""
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    axis = np.array([[0.0, math.cos(phase) - 1j * math.sin(phase)],
-                     [math.cos(phase) + 1j * math.sin(phase), 0.0]])
-    return UnitaryMatrix(c * np.eye(2, dtype=complex) - 1j * s * axis).entries
-
-
-def _action(e: PulseElement, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``a -> u @ a`` for the unitary ``u`` of one element, applied where
-    the element acts, for any ``a`` with 2**n rows.
-
-    A spin pulse is its 2x2 rotation on the pulsed spins' qubit axes
-    (``core.apply_local``); a transition pulse rewrites the two rows of its
-    basis pair; a coupling delay or a z pulse scales each row by its phase
-    factor (``_phases``).  Each 2x2 rotation is checked unitary to 1e-10,
-    once, when the action is built; finite phases give unit-modulus
-    factors by construction.
-    """
+def _apply(a: np.ndarray, e: PulseElement, n: int, op: np.ndarray) -> np.ndarray:
+    """``u @ a`` for the unitary ``u`` of element ``e`` on ``n`` spins, given its
+    operator ``op`` on its own spins (``_local``): a 2x2 on each pulsed spin's
+    axis (``core.apply_local``) or on a transition's two rows, or one phase
+    factor per row, at the row's bits on the element's spins; ``a`` is not written."""
     if isinstance(e, SpinPulse):
-        f = dict.fromkeys(e.spins, _checked_rotation(e.angle, e.phase))
-        return lambda a: apply_local(a, f)
+        return apply_local(a, dict.fromkeys(e.spins, op))
     if isinstance(e, TransitionPulse):
         pair = list(transition_states(e.from_label, e.to_label, n))
-        r = _checked_rotation(e.angle, e.phase)
-
-        def rotate_pair(a):
-            out = np.array(a, dtype=complex)
-            out[pair] = r @ out[pair]
-            return out
-        return rotate_pair
-    if isinstance(e, (CouplingDelay, CompositeZ)):
-        p = _phases(e, n)
-        return lambda a: p[:, None] * a
-    raise TypeError(f"unknown pulse element {e!r}")
+        out = np.array(a, dtype=complex)
+        out[pair] = op @ out[pair]
+        return out
+    spins = _phase_terms(e, n)[1]
+    row = sum(qubit_bits(j, n) << (len(spins) - i) for i, j in enumerate(spins, start=1))
+    return op[row][:, None] * a
 
 
 def element_unitary(e: PulseElement, n: int) -> UnitaryMatrix:
     """Exact unitary of one pulse element on ``n`` spins, the full Hilbert
-    space: the element's action applied to the identity."""
+    space: its operator on its own spins applied to the identity."""
     _check_qubit_count(n)
-    return UnitaryMatrix(_action(e, n)(np.eye(2 ** n, dtype=complex)))
+    return UnitaryMatrix(_apply(np.eye(2 ** n, dtype=complex), e, n, _local(e, n)))
+
+
+def _checked(e: PulseElement, n: int) -> np.ndarray:
+    """The element's operator on its own spins, the ``element_unitary`` of the
+    element moved there (so checked unitary), in the form ``_local`` gives."""
+    u = element_unitary(*_on_own_spins(e, n)).entries
+    return u if isinstance(e, (SpinPulse, TransitionPulse)) else np.diagonal(u).copy()
 
 
 def sequence_unitary(seq: PulseSequence) -> UnitaryMatrix:
@@ -217,20 +227,6 @@ def sequence_unitary(seq: PulseSequence) -> UnitaryMatrix:
     for e in seq.elements:
         out = element_unitary(e, seq.n).entries @ out
     return UnitaryMatrix(out)
-
-
-def _conjugate_element(rho: np.ndarray, e: PulseElement, n: int) -> np.ndarray:
-    """``u @ rho @ u^H`` for ``u = element_unitary(e)`` and a Hermitian
-    ``rho``, without the 2**n x 2**n unitary: the element's action applied
-    twice, to ``rho`` and then to ``(u rho)^H``, since
-    ``u (u rho)^H = u rho u^H``.  A delay or a z pulse, ``u = diag(p)``,
-    is one Schur product with ``outer(p, conj(p))`` instead."""
-    if isinstance(e, (CouplingDelay, CompositeZ)):
-        p = _phases(e, n)
-        return rho * np.outer(p, p.conj())
-    act = _action(e, n)
-    # one expression, so that u rho is freed before the second pass allocates
-    return act(act(rho).conj().T)
 
 
 # -- element time and dephasing noise ---------------------------------------
@@ -285,28 +281,24 @@ class NoiseModel:
 
 def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         noise: NoiseModel | None = None) -> DensityMatrix:
-    """Propagate a density matrix through a sequence.
-
-    Without noise this is ``core.conjugate`` by ``sequence_unitary``.
-    With noise, each element is applied where it acts
-    (``_conjugate_element``, no 2**n x 2**n unitary is built) and then
-    followed by the dephasing channel for that element's wall time; the
-    channel's damping matrix is built once per distinct element time.
-    """
+    """Propagate a density matrix through a sequence: each element's operator,
+    checked on its own spins, applied to ``rho`` and to ``(u rho)^H`` (``u (u
+    rho)^H = u rho u^H``), then its dephasing channel if a rate is nonzero, one
+    damping matrix per distinct element time.  No 2**n x 2**n unitary is built."""
     rates = n if noise is None else len(noise.rates)
     if not seq.n == n == rho.n == rates:
         raise ValueError(f"the program has {seq.n} spins, n = {n}, the state {rho.n} spins "
                          f"and the noise model {rates} rates; all must be equal")
-    if noise is None or not any(noise.rates):
-        return conjugate(sequence_unitary(seq), rho)
-    damping = {}  # element seconds -> damping matrix, for this run only
-    state = np.array(rho.entries)
-    for e in seq.elements:
-        state = _conjugate_element(state, e, n)
-        t = element_seconds(e)
-        if t not in damping:
-            damping[t] = noise.damping_matrix(t)
-        state *= damping[t]  # Schur-product dephasing channel, in place
+    noisy = noise is not None and any(noise.rates)
+    ops = [_checked(e, n) for e in seq.elements]  # built before the loop, which they slow
+    times = {element_seconds(e) for e in seq.elements} if noisy else ()
+    damping = {t: noise.damping_matrix(t) for t in times}  # for this run only
+    state, h = rho.entries, np.empty_like(rho.entries)  # h: each (u rho)^H, one C array
+    for e, op in zip(seq.elements, ops):
+        state = _apply(np.conjugate(_apply(state, e, n, op).T, out=h), e, n, op)
+        if noisy:
+            state *= damping[element_seconds(e)]  # Schur-product dephasing channel, in place
+    del h  # not held through the final check
     return DensityMatrix(state)
 
 

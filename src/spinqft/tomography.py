@@ -136,13 +136,15 @@ def reconstruct(values: np.ndarray) -> np.ndarray:
 
     A readout of n spins has n * 6**n values, so its length fixes n; a
     readout of shape (m,) gives one 2**n x 2**n matrix and a (k, m) stack
-    gives (k, 2**n, 2**n).  Any other shape or length, or a value that is
-    not finite, is refused before the readout map is built.  Each value
+    gives (k, 2**n, 2**n).  Any other shape or length, a complex dtype or a
+    value that is not finite is refused before the readout map is built.  Each value
     reads +-Tr(rho P)/2 for one Pauli string P, so the normal matrix is
     diagonal and the estimate of Tr(rho P) is twice the signed mean of the
     values that read it.  The identity is never read, so the result is
     the deviation (traceless) matrix.
     """
+    if np.iscomplexobj(values):
+        raise ValueError("a readout is real, not of a complex dtype")
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2):
         raise ValueError(f"a readout has shape (m,) or (k, m), not {values.shape}")

@@ -173,6 +173,19 @@ class TestElementUnitarity:
             nmr.element_unitary(delay, 3)
 
 
+def serial_program(n):
+    return nmr.parse_sequence(serial_program_text(n))
+
+
+def bundled_and_serial_programs(sizes):
+    for name in nmr.SEQUENCE_LIBRARY:
+        yield pytest.param(nmr.library_sequence(name), id=name)
+    for seq in nmr.pseudopure_cycle_sequences():
+        yield pytest.param(seq, id=seq.name)
+    for n in sizes:
+        yield pytest.param(serial_program(n), id=f"serial-{n}")
+
+
 class TestSequenceEvaluation:
     def test_empty_sequence_is_identity(self):
         seq = nmr.PulseSequence("empty", 2, ())
@@ -185,13 +198,32 @@ class TestSequenceEvaluation:
             u = nmr.sequence_unitary(seq)  # constructor checks unitarity
             assert u.n == seq.n
 
-    def test_noiseless_run_equals_conjugation_exactly(self):
-        seq = nmr.library_sequence("serial-n2")
-        rho = nmr.pseudopure_projector_deviation(2)
-        direct = nmr.run(seq, 2, rho)
-        u = nmr.sequence_unitary(seq)
-        np.testing.assert_allclose(direct.entries,
-                                   u.entries @ rho.entries @ u.entries.conj().T, atol=0)
+    @pytest.mark.parametrize("seq", list(bundled_and_serial_programs(range(1, 7))))
+    def test_noiseless_run_matches_dense_conjugation(self, seq):
+        rho = nmr.pseudopure_input(seq.n)
+        u = nmr.sequence_unitary(seq).entries
+        np.testing.assert_allclose(nmr.run(seq, seq.n, rho).entries,
+                                   u @ rho.entries @ u.conj().T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rate", [0.0, 5.0], ids=["noiseless", "t2"])
+    @pytest.mark.parametrize("seq", [nmr.library_sequence("parallel-n3"),
+                                     nmr.library_sequence("selective-n3"), serial_program(6)],
+                             ids=["parallel-n3", "selective-n3", "serial-6"])
+    def test_run_checks_each_element_once_on_its_own_spins(self, seq, rate, monkeypatch):
+        calls = []
+        build = nmr.element_unitary
+
+        def counting(e, n):
+            calls.append(n)
+            return build(e, n)
+
+        monkeypatch.setattr(nmr, "element_unitary", counting)
+        noise = nmr.NoiseModel.uniform(seq.n, rate) if rate else None
+        nmr.run(seq, seq.n, nmr.pseudopure_input(seq.n), noise)
+        # a pulse or a z pulse on one spin, a delay on the spins of its legs
+        own = [len({s for j, k, _ in e.legs for s in (j, k)})
+               if isinstance(e, nmr.CouplingDelay) else 1 for e in seq.elements]
+        assert calls == own
 
     def test_zero_rate_noise_identical_to_noiseless(self):
         seq = nmr.library_sequence("parallel-n2")
@@ -234,30 +266,17 @@ def local_conjugation_cases():
 
 @pytest.mark.parametrize("n,program", list(local_conjugation_cases()))
 def test_local_conjugation_equals_dense_conjugation(n, program):
-    rho = random_traceless_hermitian(n, np.random.default_rng(n)).entries
-    got = want = rho
+    rho = random_traceless_hermitian(n, np.random.default_rng(n))
+    want = rho.entries
     for e in program:
         u = nmr.element_unitary(e, n).entries
-        got = nmr._conjugate_element(got, e, n)
         want = u @ want @ u.conj().T
+    got = nmr.run(nmr.PulseSequence("case", n, program), n, rho).entries
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
-def serial_program(n):
-    return nmr.parse_sequence(serial_program_text(n))
-
-
-def noisy_programs():
-    for name in nmr.SEQUENCE_LIBRARY:
-        yield pytest.param(nmr.library_sequence(name), id=name)
-    for seq in nmr.pseudopure_cycle_sequences():
-        yield pytest.param(seq, id=seq.name)
-    for n in (4, 5, 6):
-        yield pytest.param(serial_program(n), id=f"serial-{n}")
-
-
 class TestNoisyRun:
-    @pytest.mark.parametrize("seq", list(noisy_programs()))
+    @pytest.mark.parametrize("seq", list(bundled_and_serial_programs((4, 5, 6))))
     def test_matches_dense_reference_loop(self, seq):
         rho = nmr.pseudopure_input(seq.n)
         noise = nmr.NoiseModel(tuple(3.0 + 2.0 * j for j in range(seq.n)))

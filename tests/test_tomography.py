@@ -377,6 +377,15 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="not finite"):
             tomography.reconstruct(np.stack([values, values]) if stacked else values)
 
+    @pytest.mark.parametrize("imag", [0.0, 5.0])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_a_complex_readout_is_refused(self, imag, stacked, monkeypatch):
+        values = tomography.measure_all(nmr.pseudopure_projector_deviation(2)).astype(complex)
+        values[5] += 1j * imag
+        monkeypatch.setattr(tomography, "_readout_map", _no_readout_map)
+        with pytest.raises(ValueError, match="complex dtype"):
+            tomography.reconstruct(np.stack([values, values]) if stacked else values)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_stack_matches_one_vector_at_a_time(self, n):
         rng = np.random.default_rng(5 + n)
