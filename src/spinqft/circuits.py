@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     HADAMARD,
     UnitaryMatrix,
+    _check_labels,
     _check_qubit_count,
     apply_controlled,
     apply_local,
@@ -96,11 +97,8 @@ class Circuit:
     def __post_init__(self):
         _check_qubit_count(self.n)
         gates = tuple(self.gates)
-        for g in gates:
-            labels = {TOTAL_HADAMARD_KIND: [], HADAMARD_KIND: [g.j]}.get(g.kind, [g.j, g.k])
-            for lbl in labels:
-                if not 1 <= lbl <= self.n:
-                    raise ValueError(f"gate {g} references qubit {lbl} outside 1..{self.n}")
+        _check_labels(self.n, {q for g in gates if g.kind != TOTAL_HADAMARD_KIND
+                               for q in ([g.j] if g.kind == HADAMARD_KIND else [g.j, g.k])})
         object.__setattr__(self, "gates", gates)
 
 

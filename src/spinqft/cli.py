@@ -18,14 +18,14 @@ compares with the transform followed by the reversal of the output bits
 A JSON report has the bytes ``json.dumps(..., sort_keys=True, indent=2)``
 would give, written row by row without ever holding the report as one
 string (``_write_report``).  It holds only str-keyed dicts, scalars and
-non-empty 2-D float64 arrays; any other value is a ``TypeError``.  For
-stdout, or an ``--out`` that is not a regular file, it is encoded in
-full before anything is written, so a report that cannot be encoded
-writes nothing.  For a regular ``--out`` file it is encoded straight
-into a temporary file beside the target (``_atomic_write``), which
-replaces the target only when complete and is removed if encoding
-fails.  A failed write to stdout, or a closed stdout, exits 2 with one
-line.
+non-empty 2-D float64 arrays; any other value is a ``TypeError``.
+``_emit`` decides how a report reaches its destination.  For stdout, or
+an ``--out`` that is not a regular file, it is encoded in full before
+anything is written, so a report that cannot be encoded writes nothing.
+A regular or new ``--out`` file is encoded straight into a temporary
+file beside it (``_replace``), which replaces it only when complete and
+is removed if encoding fails.  A failed write to stdout, or a closed
+stdout, exits 2 with one line.
 
 Only ``costmodel`` is imported at module level.  The matrix layers
 (``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
@@ -69,21 +69,11 @@ TOMO_MAX_QUBITS = 5
 FIG2_MAX_QUBITS = 8
 
 
-def _atomic_write(path: str, report) -> None:
-    """Write ``report`` (see ``_write_report``) where and with the mode
-    ``open(path, "w")`` would (symlinks followed, FIFOs and devices written
-    in place), but replace a regular file atomically.
-
-    A regular file is encoded straight into a temporary file beside it, which
-    is removed if encoding fails; anything else is encoded in full first.
-    """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        chunks = []
-        _write_report(chunks.append, report)
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
-        return
+def _replace(path: str, report) -> None:
+    """Encode ``report`` (see ``_write_report``) straight into a temporary
+    file beside the regular or new file ``path``, with the mode ``open(path,
+    "w")`` would give it, then replace ``path`` with it; the temporary is
+    removed if encoding or writing fails."""
     umask = os.umask(0)
     os.umask(umask)
     mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
@@ -101,26 +91,31 @@ def _atomic_write(path: str, report) -> None:
 
 def _emit(report, out: str) -> None:
     """Write ``report`` (see ``_write_report``) to ``out``, or to stdout when
-    it is empty."""
-    if not out:
+    it is empty, where ``open(out, "w")`` would (symlinks followed): a
+    regular or new file through ``_replace``, stdout, a FIFO or a device in
+    place once the report is encoded in full."""
+    try:
+        path = os.path.realpath(out) if out else ""
+        if path and (os.path.isfile(path) or not os.path.exists(path)):
+            return _replace(path, report)
         chunks = []
         _write_report(chunks.append, report)
-        try:
-            if sys.stdout is None:  # the process started with file descriptor 1 closed
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if path:
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
+        elif sys.stdout is None:  # the process started with file descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except OSError as exc:
-            if sys.stdout is not None:
-                # the interpreter flushes stdout again at exit: let that flush reach nothing
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print(f"spinqft: error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-            raise SystemExit(2) from None
-        return
-    try:
-        _atomic_write(out, report)
     except OSError as exc:
-        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+        if out:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+        if sys.stdout is not None:
+            # the interpreter flushes stdout again at exit: let that flush reach nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"spinqft: error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _write_report(write, report) -> None:
@@ -441,8 +436,6 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if not 1 <= args.n <= VERIFY_MAX_QUBITS:
             parser.error(f"--n must lie in [1, {VERIFY_MAX_QUBITS}] for full-matrix verification")
-        if args.decomp == "approximate" and args.m and not 1 <= args.m <= args.n:
-            parser.error("--m must lie in [1, n]")
     # 0 is no noise; any other t2 must give a finite dephasing rate 1/t2
     if args.command == "simulate" and args.t2 and not 0 < 1.0 / args.t2 < math.inf:
         parser.error(f"--t2 must be 0 or a time in seconds with a finite rate 1/t2, "

@@ -111,6 +111,12 @@ class TestGateUnitaries:
             with pytest.raises(ValueError, match="outside"):
                 circuits.gate_unitary(gate, 2)
 
+    def test_circuit_labels_are_checked_as_apply_local_checks_them(self):
+        with pytest.raises(ValueError, match=r"^qubit labels \[3\] outside 1\.\.2$"):
+            circuits.Circuit(2, (circuits.hadamard(3),))
+        with pytest.raises(ValueError, match=r"^qubit labels \[1, 3\] outside 1\.\.2$"):
+            circuits.Circuit(2, (circuits.hadamard(1), circuits.root_cnot(1, 3, 0.5)))
+
     def test_unknown_kind_is_refused_when_built(self):
         with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
             circuits.Gate("swap", j=1, k=2)

@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import serial_program_text
 
-from spinqft import cli, nmr
+from spinqft import circuits, cli, nmr
 
 
 SCHEMA = json.loads(
@@ -97,6 +97,16 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1] == (
             "spinqft: error: --n must lie in [1, 10] for full-matrix verification")
+
+    def test_m_out_of_range_exits_2_before_the_oracle(self, capsys, monkeypatch):
+        monkeypatch.setattr(circuits, "verify_against_oracle", None)  # a call would raise
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "3", "--decomp", "approximate", "--m", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "spinqft: error: approximation range m must lie in [1, 3], got 5")
 
     def test_approximate_with_cutoff_fails_verification(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "4", "--decomp", "approximate",
@@ -678,7 +688,7 @@ class TestOutPath:
         def refuse(path, text):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(cli, "_atomic_write", refuse)
+        monkeypatch.setattr(cli, "_replace", refuse)
         out = tmp_path / "x.json"
         with pytest.raises(SystemExit) as exc:
             cli.main(self.ARGS + [str(out)])
@@ -695,7 +705,7 @@ class TestOutPath:
         out.write_text("old report\n")
         report = {"a": np.ones((64, 64)), "z": float("nan")}
         with pytest.raises(ValueError, match="^Out of range float"):
-            cli._atomic_write(str(out), report)
+            cli._replace(str(out), report)
         assert out.read_text() == "old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 

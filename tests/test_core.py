@@ -155,9 +155,20 @@ class TestValidation:
             with pytest.raises(ValueError, match="traceless"):
                 core.DensityMatrix(np.diag(diag).astype(complex))
 
+    def test_trace_tolerance_scales_with_the_largest_entry(self):
+        # 1e-9 times the largest magnitude, 1e3 here: 5e-7 is inside, 5e-6 is not
+        core.DensityMatrix(np.diag([1e3, -1e3 + 5e-7]).astype(complex))
+        with pytest.raises(ValueError, match="traceless"):
+            core.DensityMatrix(np.diag([1e3, -1e3 + 5e-6]).astype(complex))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             core.UnitaryMatrix(np.array([[1, 0], [0, 2.0]]))
+
+    def test_unitarity_tolerance_is_1e_10(self):
+        # m m^H misses the identity by 2e-6 on the diagonal
+        with pytest.raises(ValueError, match="not unitary"):
+            core.UnitaryMatrix(np.eye(2) * (1 + 1e-6))
 
     @pytest.mark.parametrize("make", [
         lambda m: core.UnitaryMatrix(m),

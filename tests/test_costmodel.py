@@ -187,6 +187,12 @@ class TestSolid:
         assert row.coupling_term == pytest.approx(
             (math.pi / 1e7) * (3 - 1 + 2.0 ** -3), rel=1e-12)
 
+    def test_dipolar_band_includes_both_ends(self):
+        for d in (1e3, 1e12):
+            assert costmodel.SolidParams(delta=1e-8, d=d, Delta=1e-7).d == d
+        with pytest.raises(ValueError, match="outside sane range"):
+            costmodel.SolidParams(delta=1e-8, d=math.nextafter(1e12, math.inf), Delta=1e-7)
+
     def test_n3_reference_value(self):
         # independent spreadsheet-style evaluation of the closed form
         p = costmodel.SolidParams(delta=10e-9, d=1e7, Delta=100e-9)

@@ -2,17 +2,19 @@
 
 This is the central verification of the pulse-level simulator: every
 bundled sequence, run noiselessly from the pseudopure input, must
-reproduce the relabeled-transform output.  The sensitivity tests pin the
-calibration: programs that mirror a wrong convention, and wrong
-correction angles, fail it, so neither is decorative.
+reproduce the relabeled-transform output, and its unitary must be the
+map its header declares.  The sensitivity tests pin the calibration:
+programs that mirror a wrong convention, and wrong correction angles,
+fail it, so neither is decorative.
 """
 
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import sequence_fidelity
+from conftest import sequence_fidelity, serial_program_text
 
 from spinqft import core, nmr
 
@@ -37,6 +39,58 @@ def with_replaced(name: str, old: str, new: str) -> nmr.PulseSequence:
     text = bundled_text(name)
     assert text.count(old) == 1
     return nmr.parse_sequence(text.replace(old, new))
+
+
+def transform_maps(n: int) -> dict:
+    """The two maps a program header may declare: P F, the transform then
+    the reversal of the output bits (the ``simulate`` target), and F P, the
+    reversal of the input bits then the transform."""
+    f = core.dft_oracle(n).entries
+    p = core.bit_reversal_permutation(n).entries
+    return {"P F": p @ f, "F P": f @ p}
+
+
+def is_map(seq: nmr.PulseSequence, target: np.ndarray) -> bool:
+    return core.equal_up_to_global_phase(nmr.sequence_unitary(seq), target, 1e-12)[0]
+
+
+class TestDeclaredMap:
+    """Fidelity 1 from |0...0> cannot tell the transform from maps that
+    agree on that one input, such as a layer of Hadamards; the whole
+    unitary can."""
+
+    @pytest.mark.parametrize("name", nmr.SEQUENCE_LIBRARY)
+    def test_bundled_program_is_its_declared_map(self, name):
+        (declared,) = re.findall(r"^# map: (P F|F P) ", bundled_text(name), re.M)
+        seq = nmr.library_sequence(name)
+        maps = transform_maps(seq.n)
+        assert is_map(seq, maps.pop(declared))
+        (other,) = maps.values()
+        assert not is_map(seq, other)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generated_serial_program_is_f_p(self, n):
+        seq = nmr.parse_sequence(serial_program_text(n))
+        maps = transform_maps(n)
+        assert is_map(seq, maps["F P"]) and not is_map(seq, maps["P F"])
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("high", [False, True], ids=["a=1", "a=2**n-1"])
+    def test_generated_serial_program_maps_a_to_column_rev_a(self, n, high):
+        # too large for the dense unitary: run one basis state, |a><a| - I/2**n
+        a = 2 ** n - 1 if high else 1
+        dim = 2 ** n
+        rho = -np.eye(dim, dtype=complex) / dim
+        rho[a, a] += 1.0
+        out = nmr.run(nmr.parse_sequence(serial_program_text(n)), n, core.DensityMatrix(rho))
+        u = core.dft_oracle(n).entries[:, int(f"{a:0{n}b}"[::-1], 2)]
+        expected = np.outer(u, u.conj()) - np.eye(dim) / dim
+        assert np.max(np.abs(out.entries - expected)) <= 1e-14
+
+    def test_hadamard_layer_fails_the_map_check(self):
+        seq = nmr.parse_sequence("n: 3\n45y@s1,s2,s3 180x@s1,s2,s3 45-y@s1,s2,s3\n")
+        assert sequence_fidelity(seq) == pytest.approx(1.0, abs=1e-12)
+        assert not any(is_map(seq, m) for m in transform_maps(3).values())
 
 
 class TestCalibrationIsLoadBearing:
@@ -67,9 +121,9 @@ class TestCalibrationIsLoadBearing:
         assert sequence_fidelity(mirror) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_selective_n3_z_correction_angle(self):
-        # the 90-degree z-correction on spin 1 is required; the 67.5-degree
-        # variant (the angle a per-gate bookkeeping would suggest) falls short
-        fid = sequence_fidelity(with_replaced("selective-n3", "z90@s1", "z67.5@s1"))
+        # the 67.5-degree z-correction on spin 1 is required; 90 degrees,
+        # the angle of a program that is not the transform, falls short
+        fid = sequence_fidelity(with_replaced("selective-n3", "z67.5@s1", "z90@s1"))
         assert 0.94 < fid < 0.999
 
     def test_parallel_n2_needs_post_delay_elements(self):
