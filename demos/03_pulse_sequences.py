@@ -26,10 +26,6 @@ for seq in (seq_a, seq_b):
 rho_pp = nmr.prepare_pseudopure_temporal_avg()
 print("three-experiment average:", np.round(np.diag(rho_pp.entries).real, 6))
 
-# The gyromagnetic-ratio preset models the actual 1H/13C weighting:
-rho_gamma = nmr.prepare_pseudopure_temporal_avg(a=nmr.GAMMA_RATIO_H_TO_C, b=1.0)
-print("with 1H/13C weighting:   ", np.round(np.diag(rho_gamma.entries).real, 6))
-
 # ── 2) The six bundled sequences, end to end ────────────────────────────
 
 # Each sequence runs from the pseudopure input and is scored against the
@@ -64,9 +60,3 @@ for rate in (0.0, 1.0, 3.0, 10.0, 30.0):
     rep = tomography.fidelity(rho_th, out, rho_in)
     print(f"  rate {rate:>5.1f} Hz: fidelity {rep.fidelity:.6f} "
           f"(retention {rep.signal_retention:.6f})")
-
-# The hardware experiments this package models reported fidelities of
-# 0.79 / 0.80 / 0.85 for the three two-qubit implementations; those
-# numbers fold in pulse miscalibration the simulator does not model and
-# are kept only as documentation constants:
-print("\nreference hardware fidelities:", tomography.REFERENCE_EXPERIMENT_FIDELITIES)

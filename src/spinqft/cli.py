@@ -8,12 +8,15 @@ cross-check), ``tomo-roundtrip`` (reconstruction identity check), and
 
 Each handler reads the argparse namespace directly; identical inputs
 produce byte-identical outputs.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Only the two commands with a ``--seed`` read
-the environment variable ``SPINQFT_SEED``, which overrides it: it draws
-the random states of ``tomo-roundtrip``, and ``simulate`` only records
-it in its report.  A seed below 0 is refused.  ``simulate`` always
-compares with the transform followed by the reversal of the output bits
-(the order the bundled programs read out in).
+failure, 2 usage error.  Below ``main`` a refusal is a ``ValueError``
+with its message, which ``main`` alone turns into the one-line usage
+error; the one exception is a failed write to stdout (below).  Only the
+two commands with a ``--seed`` read the environment variable
+``SPINQFT_SEED``, which overrides it: it draws the random states of
+``tomo-roundtrip``, and ``simulate`` only records it in its report.  A
+seed below 0 is refused.  ``simulate`` always compares with the
+transform followed by the reversal of the output bits (the order the
+bundled programs read out in).
 
 A JSON report has the bytes ``json.dumps(..., sort_keys=True, indent=2)``
 would give, written row by row without ever holding the report as one
@@ -25,7 +28,7 @@ anything is written, so a report that cannot be encoded writes nothing.
 A regular or new ``--out`` file is encoded straight into a temporary
 file beside it (``_replace``), which replaces it only when complete and
 is removed if encoding fails.  A failed write to stdout, or a closed
-stdout, exits 2 with one line.
+stdout, exits 2 from ``_emit`` itself: one line on stderr, no usage line.
 
 Only ``costmodel`` is imported at module level.  The matrix layers
 (``circuits``, ``core``, ``nmr``, ``tomography``) and numpy are imported
@@ -194,11 +197,11 @@ def _parse_range(text: str) -> tuple:
     return tuple(range(lo, hi + 1))
 
 
-def cmd_verify(args: argparse.Namespace, parser) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import circuits
 
     if args.decomp == "approximate":
-        circuit = circuits.build_approximate(args.n, args.m or args.n)
+        circuit = circuits.build_approximate(args.n, args.n if args.m is None else args.m)
     elif args.decomp == "serial":
         circuit = circuits.build_serial(args.n)
     else:
@@ -216,12 +219,12 @@ def cmd_verify(args: argparse.Namespace, parser) -> int:
     return 0 if passed else 1
 
 
-def cmd_cost(args: argparse.Namespace, parser) -> int:
+def cmd_cost(args: argparse.Namespace) -> int:
     if args.model in ("liquid", "parallel"):
         params = costmodel.LiquidParams(delta=args.delta, J=args.J)
     else:
         if args.d is None or args.Delta is None:
-            parser.error("solid model requires --d and --Delta")
+            raise ValueError("solid model requires --d and --Delta")
         params = costmodel.SolidParams(delta=args.delta, d=args.d, Delta=args.Delta)
     rows = costmodel.sweep(args.model, params, args.n_range)
     # the serial/parallel comparison can fail too: compute it before writing anything
@@ -237,7 +240,7 @@ def cmd_cost(args: argparse.Namespace, parser) -> int:
     return 0
 
 
-def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
+def _resolve_sequence(name: str) -> nmr.PulseSequence:
     from . import nmr
 
     if name in nmr.SEQUENCE_LIBRARY:
@@ -247,20 +250,20 @@ def _resolve_sequence(name: str, parser) -> nmr.PulseSequence:
             with open(name) as fh:
                 return nmr.parse_sequence(fh.read(), name=os.path.basename(name))
         except OSError as exc:
-            parser.error(f"cannot read {name}: {exc.strerror or exc}")
+            raise ValueError(f"cannot read {name}: {exc.strerror or exc}")
         except nmr.SequenceParseError as exc:
-            parser.error(f"cannot parse {name}: {exc}")
-    parser.error(f"unknown sequence {_shown(name)}: not a library name "
-                 f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
+            raise ValueError(f"cannot parse {name}: {exc}")
+    raise ValueError(f"unknown sequence {_shown(name)}: not a library name "
+                     f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
 
 
-def _program(args, parser, cap: int, verb: str) -> tuple[nmr.PulseSequence, core.DensityMatrix]:
-    """The ``--sequence`` program and its ``nmr.pseudopure_input``; a usage error above ``cap``."""
+def _program(args, cap: int, verb: str) -> tuple[nmr.PulseSequence, core.DensityMatrix]:
+    """The ``--sequence`` program and its ``nmr.pseudopure_input``; refused above ``cap``."""
     from . import nmr
 
-    seq = _resolve_sequence(args.sequence, parser)
+    seq = _resolve_sequence(args.sequence)
     if seq.n > cap:
-        parser.error(f"{verb} at most {cap} spins, the sequence has {seq.n}")
+        raise ValueError(f"{verb} at most {cap} spins, the sequence has {seq.n}")
     return seq, nmr.pseudopure_input(seq.n)
 
 
@@ -275,14 +278,14 @@ def _ideal_target_unitary(n: int) -> core.UnitaryMatrix:
     return core.UnitaryMatrix(f[np.nonzero(core.bit_reversal_permutation(n).entries)[1]])
 
 
-def cmd_simulate(args: argparse.Namespace, parser) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import core, nmr, tomography
 
     cap, verb = ((TOMO_MAX_QUBITS, "--tomography reads out") if args.tomography
                  else (SIMULATE_MAX_QUBITS, "simulate runs"))
-    seq, rho_init = _program(args, parser, cap, verb)
+    seq, rho_init = _program(args, cap, verb)
     noise = nmr.NoiseModel.uniform(seq.n, 1.0 / args.t2) if args.t2 else None
     rho_exp = nmr.run(seq, seq.n, rho_init, noise)
     rho_th = core.conjugate(_ideal_target_unitary(seq.n), rho_init)
@@ -290,9 +293,9 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
         "command": "simulate",
         "sequence": seq.name,
         "n": seq.n,
-        "t2_seconds": args.t2,
+        "t2_seconds": args.t2 or 0.0,  # -0.0 is reported as the 0.0 it means
         "seed": args.seed,
-        "fidelity_report": tomography.fidelity(rho_th, rho_exp, rho_init).as_dict(),
+        "fidelity_report": tomography.fidelity(rho_th, rho_exp, rho_init)._asdict(),
         "rho_exp": {"n": seq.n, "re": rho_exp.entries.real, "im": rho_exp.entries.imag},
         "rho_target": {"n": seq.n, "re": rho_th.entries.real, "im": rho_th.entries.imag},
     }
@@ -308,7 +311,7 @@ def cmd_simulate(args: argparse.Namespace, parser) -> int:
     return status
 
 
-def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
+def cmd_tomo_roundtrip(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import tomography
@@ -334,10 +337,10 @@ def cmd_tomo_roundtrip(args: argparse.Namespace, parser) -> int:
     return 0 if passed else 1
 
 
-def cmd_export_fig2(args: argparse.Namespace, parser) -> int:
+def cmd_export_fig2(args: argparse.Namespace) -> int:
     from . import core, nmr, tomography
 
-    seq, rho_init = _program(args, parser, FIG2_MAX_QUBITS, "export-fig2 charts")
+    seq, rho_init = _program(args, FIG2_MAX_QUBITS, "export-fig2 charts")
     if args.what == "pseudopure":
         rho = rho_init
     elif args.what == "target":
@@ -376,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a built circuit against the Fourier oracle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--decomp", choices=("serial", "parallel", "approximate"), default="serial")
-    p.add_argument("--m", type=int, default=0, help="range cutoff for --decomp approximate")
-    p.add_argument("--out", default="")
+    p.add_argument("--m", type=int, default=None, help="range cutoff for --decomp approximate")
 
     p = sub.add_parser("cost", help="evaluate the time-cost models over a qubit range")
     p.add_argument("--model", choices=("liquid", "parallel", "solid"), required=True)
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", dest="n_range", type=_parse_range, required=True,
                    metavar="LO..HI")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="")
 
     p = sub.add_parser("simulate", help="run a pulse sequence from the pseudopure input")
     p.add_argument("--sequence", required=True, help="library name or .seq file path")
@@ -397,25 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tomography", action="store_true",
                    help="also reconstruct the output by simulated tomography")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default="")
 
     p = sub.add_parser("tomo-roundtrip", help="check reconstruction is the identity map")
     p.add_argument("--n", type=int, choices=(2, 3), required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default="")
 
     p = sub.add_parser("export-fig2", help="bar-chart CSV of a simulated density matrix")
     p.add_argument("--sequence", required=True)
     p.add_argument("--what", choices=("output", "pseudopure", "target"), default="output")
-    p.add_argument("--out", default="")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="")
     return parser
 
 
-def _seed(flag: int, parser) -> int:
-    """``SPINQFT_SEED`` if it is set, else ``--seed``; a usage error if it
-    is not an integer or is below 0."""
+def _seed(flag: int) -> int:
+    """``SPINQFT_SEED`` if it is set, else ``--seed``; refused if it is not
+    an integer or is below 0."""
     text = os.environ.get("SPINQFT_SEED")
     if text is None:
         name, seed = "--seed", flag
@@ -424,35 +424,35 @@ def _seed(flag: int, parser) -> int:
         try:
             seed = int(text)
         except ValueError:  # also digit strings too long to convert
-            parser.error(f"SPINQFT_SEED must be an integer, got {_shown(text)}")
+            raise ValueError(f"SPINQFT_SEED must be an integer, got {_shown(text)}")
     if seed < 0:
-        parser.error(f"{name} must be >= 0, got {_shown(str(seed))}")
+        raise ValueError(f"{name} must be >= 0, got {_shown(str(seed))}")
     return seed
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        if not 1 <= args.n <= VERIFY_MAX_QUBITS:
-            parser.error(f"--n must lie in [1, {VERIFY_MAX_QUBITS}] for full-matrix verification")
-    # 0 is no noise; any other t2 must give a finite dephasing rate 1/t2
-    if args.command == "simulate" and args.t2 and not 0 < 1.0 / args.t2 < math.inf:
-        parser.error(f"--t2 must be 0 or a time in seconds with a finite rate 1/t2, "
-                     f"got {args.t2!r}")
-    if args.command == "tomo-roundtrip":
-        if args.samples < 1:
-            parser.error("--samples must be >= 1")
-        if args.samples > TOMO_MAX_SAMPLES:
-            parser.error(f"--samples must be <= {TOMO_MAX_SAMPLES}")
-    if args.out:
-        out = os.path.realpath(args.out)
-        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
-            parser.error(f"--out {_shown(args.out)}: not a file in an existing directory")
-    if args.command in ("simulate", "tomo-roundtrip"):
-        args.seed = _seed(args.seed, parser)
     try:
-        return _HANDLERS[args.command](args, parser)
+        if args.command == "verify" and not 1 <= args.n <= VERIFY_MAX_QUBITS:
+            raise ValueError(
+                f"--n must lie in [1, {VERIFY_MAX_QUBITS}] for full-matrix verification")
+        # 0 is no noise; any other t2 must give a finite dephasing rate 1/t2
+        if args.command == "simulate" and args.t2 and not 0 < 1.0 / args.t2 < math.inf:
+            raise ValueError(f"--t2 must be 0 or a time in seconds with a finite rate 1/t2, "
+                             f"got {args.t2!r}")
+        if args.command == "tomo-roundtrip":
+            if args.samples < 1:
+                raise ValueError("--samples must be >= 1")
+            if args.samples > TOMO_MAX_SAMPLES:
+                raise ValueError(f"--samples must be <= {TOMO_MAX_SAMPLES}")
+        if args.out:
+            out = os.path.realpath(args.out)
+            if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out)):
+                raise ValueError(f"--out {_shown(args.out)}: not a file in an existing directory")
+        if args.command in ("simulate", "tomo-roundtrip"):
+            args.seed = _seed(args.seed)
+        return _HANDLERS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -107,9 +107,6 @@ class CostBreakdown(_Checked, namedtuple(
         if abs(self.total - s) > 1e-15 * max(abs(self.total), abs(s), 1e-300):
             raise ValueError("total does not equal the sum of its terms")
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 # entry n is sum_{j<k<=n} 2**(j-k), summed term by term; grows on demand
 _direct_sums = [0.0]
@@ -200,5 +197,5 @@ def sweep_to_csv(rows: Sequence[CostBreakdown]) -> str:
 
 
 def sweep_to_json(rows: Sequence[CostBreakdown]) -> str:
-    return json.dumps([r.as_dict() for r in rows], sort_keys=True, indent=2,
+    return json.dumps([r._asdict() for r in rows], sort_keys=True, indent=2,
                       allow_nan=False) + "\n"

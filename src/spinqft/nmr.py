@@ -68,7 +68,6 @@ PHASE_MINUS_Y = 3.0 * math.pi / 2.0
 
 # the spin-pulse time and the one J, on every pair of spins, come from costmodel
 TRANSITION_PULSE_SECONDS = 6.5e-3
-GAMMA_RATIO_H_TO_C = 3.976  # 1H/13C gyromagnetic ratio, thermal-weighting preset
 
 # -- pulse elements ------------------------------------------------------
 

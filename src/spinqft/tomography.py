@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,10 +28,6 @@ from .core import (MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _matrix_qubit
 from .nmr import PHASE_X, PHASE_Y, SpinPulse, element_unitary
 
 _PAULIS = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
-
-# Fidelities reported for the hardware experiments this package models;
-# kept as documentation constants, not reproduction targets.
-REFERENCE_EXPERIMENT_FIDELITIES = {"serial-n2": 0.79, "parallel-n2": 0.80, "selective-n2": 0.85}
 
 
 def observables(n: int) -> list[tuple[str, str]]:
@@ -160,16 +156,8 @@ def reconstruct(values: np.ndarray) -> np.ndarray:
     return _from_coefficients(2.0 * sums.T / np.maximum(np.bincount(index, minlength=4 ** n), 1), n)
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Trace-overlap correlation, signal retention, and their product."""
-
-    correlation: float
-    signal_retention: float
-    fidelity: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+# trace-overlap correlation, signal retention, and their product
+FidelityReport = namedtuple("FidelityReport", "correlation signal_retention fidelity")
 
 
 def fidelity(rho_th, rho_exp, rho_init) -> FidelityReport:

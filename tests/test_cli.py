@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -100,13 +101,14 @@ class TestVerify:
 
     def test_m_out_of_range_exits_2_before_the_oracle(self, capsys, monkeypatch):
         monkeypatch.setattr(circuits, "verify_against_oracle", None)  # a call would raise
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--n", "3", "--decomp", "approximate", "--m", "5"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "spinqft: error: approximation range m must lie in [1, 3], got 5")
+        for m in ("5", "0"):  # 0 is a cutoff, not "--m not given"
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--n", "3", "--decomp", "approximate", "--m", m])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"spinqft: error: approximation range m must lie in [1, 3], got {m}")
 
     def test_approximate_with_cutoff_fails_verification(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "4", "--decomp", "approximate",
@@ -426,13 +428,14 @@ class TestSimulate:
             "spinqft: error: --t2 must be 0 or a time in seconds with a finite rate 1/t2, "
             f"got {float(t2)!r}")
 
-    @pytest.mark.parametrize("t2", ["0", "-0", "1e-300", "0.05"])
+    @pytest.mark.parametrize("t2", ["0", "-0", "-0.0", "1e-300", "0.05"])
     def test_t2_of_zero_or_with_a_finite_rate_is_accepted(self, t2, capsys):
         code, out, _ = run_cli(["simulate", "--sequence", "serial-n2", f"--t2={t2}"], capsys)
         assert code == 0
         doc = json.loads(out)
         validate(doc)
         assert doc["t2_seconds"] == float(t2)
+        assert math.copysign(1.0, doc["t2_seconds"]) == 1.0  # a negative zero is echoed as 0.0
 
 
 class TestTomoRoundtrip:
@@ -533,7 +536,7 @@ class TestTomoRoundtrip:
     def test_sample_cap_is_accepted(self, monkeypatch):
         seen = []
         monkeypatch.setitem(cli._HANDLERS, "tomo-roundtrip",
-                            lambda args, parser: seen.append(args.samples) or 0)
+                            lambda args: seen.append(args.samples) or 0)
         assert cli.main(["tomo-roundtrip", "--n", "3",
                          "--samples", str(cli.TOMO_MAX_SAMPLES)]) == 0
         assert seen == [cli.TOMO_MAX_SAMPLES]
@@ -598,6 +601,36 @@ class TestExportFig2:
         assert captured.out == ""
         assert captured.err.splitlines()[-1:] == [
             f"spinqft: error: export-fig2 charts at most {n - 1} spins, the sequence has {n}"]
+
+
+class TestRefusalIsAValueError:
+    """Below ``main`` a refusal is a ``ValueError``; only ``main`` prints the usage line."""
+
+    def test_unknown_sequence(self):
+        with pytest.raises(ValueError) as exc:
+            cli._resolve_sequence("nope")
+        assert str(exc.value) == (
+            f"unknown sequence 'nope': not a library name "
+            f"({', '.join(nmr.SEQUENCE_LIBRARY)}) or a readable file")
+
+    def test_program_above_its_cap(self):
+        with pytest.raises(ValueError) as exc:
+            cli._program(argparse.Namespace(sequence="serial-n3"), 2, "simulate runs")
+        assert str(exc.value) == "simulate runs at most 2 spins, the sequence has 3"
+
+    @pytest.mark.parametrize("text,flag,message", [
+        ("abc", 1, "SPINQFT_SEED must be an integer, got 'abc'"),
+        ("-5", 1, "SPINQFT_SEED must be >= 0, got '-5'"),
+        (None, -5, "--seed must be >= 0, got '-5'"),
+    ])
+    def test_bad_seed(self, text, flag, message, monkeypatch):
+        if text is None:
+            monkeypatch.delenv("SPINQFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SPINQFT_SEED", text)
+        with pytest.raises(ValueError) as exc:
+            cli._seed(flag)
+        assert str(exc.value) == message
 
 
 class TestNonFiniteInput:
@@ -893,7 +926,7 @@ SEEDS = st.integers(0, 2 ** 32)
 
 
 def verify_argv(n, decomp, m):
-    return ["verify", "--n", str(n), "--decomp", decomp, "--m", str(m)]
+    return ["verify", "--n", str(n), "--decomp", decomp] + ([] if m is None else ["--m", str(m)])
 
 
 def cost_argv(model, j, delta, d, big_delta, lo, hi, fmt):
@@ -919,7 +952,7 @@ def tomo_argv(n, samples, seed):
 VALID_JSON_ARGV = st.one_of(
     st.integers(1, 4).flatmap(lambda n: st.builds(
         verify_argv, st.just(n), st.sampled_from(["serial", "parallel", "approximate"]),
-        st.integers(0, n))),
+        st.none() | st.integers(1, n))),  # --m 0 is refused
     st.integers(1, 50).flatmap(lambda hi: st.builds(
         cost_argv, st.sampled_from(["liquid", "parallel", "solid"]),
         st.floats(1.0, 1e4), st.floats(0.0, 1e-3), st.floats(1e3, 1e12), st.floats(0.0, 1e-3),

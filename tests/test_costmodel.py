@@ -303,6 +303,6 @@ class TestValueTypes:
         assert repr(costmodel.LiquidParams(delta=1e-5, J=100.0)) == \
             "LiquidParams(delta=1e-05, J=100.0)"
         row = costmodel.t_parallel(2, costmodel.LiquidParams())
-        assert row.as_dict() == {"n": 2, "model": "parallel", "pulse_term": 0.0,
+        assert row._asdict() == {"n": 2, "model": "parallel", "pulse_term": 0.0,
                                  "coupling_term": row.total, "swap_term": 0.0,
                                  "total": row.total}

@@ -471,12 +471,6 @@ class TestFidelity:
             retentions.append(tomography.fidelity(target, out, rho0).signal_retention)
         assert all(b <= a + 1e-12 for a, b in zip(retentions, retentions[1:]))
 
-    def test_reference_constants_are_documentation(self):
-        # the hardware numbers are bookkeeping, far from the simulator's 1.0
-        assert tomography.REFERENCE_EXPERIMENT_FIDELITIES["selective-n2"] == 0.85
-        assert set(tomography.REFERENCE_EXPERIMENT_FIDELITIES) == {
-            "serial-n2", "parallel-n2", "selective-n2"}
-
 
 class TestBarChartExport:
     def test_rows_cover_all_pairs(self):
