@@ -13,12 +13,13 @@ evaluation time; the test suite checks that the identity holds exactly in
 rational arithmetic.
 
 The direct sums are summed term by term, one column k at a time:
-S(k) = S(k-1) + sum_{j<k} 2**(j-k).  The process keeps every S(n)
-computed so far, so a sweep over 1..N sums each of its ~N**2/2 terms once
-instead of ~N**3/6 terms from scratch, and later calls reuse them.  The
-output values come from the closed forms; every n is still compared.
-Costs that overflow to infinity are rejected, never checked against an
-infinite sum.
+S(k) = S(k-1) + sum_{j<k} 2**(j-k), each column a ``sum`` over a slice of
+a kept table of the powers 2**-i, in the order j = 0 .. k-1.  The process
+keeps every S(n) computed so far, so a sweep over 1..N sums each of its
+~N**2/2 terms once instead of ~N**3/6 terms from scratch, and later calls
+reuse them.  The output values come from the closed forms; every n is
+still compared.  Costs that overflow to infinity are rejected, never
+checked against an infinite sum.
 
 The value types are checked namedtuples, not dataclasses: ``dataclasses``
 alone pulls ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI
@@ -110,15 +111,17 @@ class CostBreakdown(_Checked, namedtuple(
 
 # entry n is sum_{j<k<=n} 2**(j-k), summed term by term; grows on demand
 _direct_sums = [0.0]
+_powers = [1.0]  # entry i is 2.0 ** -i
 _direct_sums_lock = threading.Lock()
 
 
 def _direct_sum(n: int) -> float:
     with _direct_sums_lock:
-        sums = _direct_sums
+        sums, powers = _direct_sums, _powers
+        powers.extend(2.0 ** -i for i in range(len(powers), n + 1))
         while len(sums) <= n:
             k = len(sums)
-            sums.append(sums[-1] + sum(2.0 ** (j - k) for j in range(k)))
+            sums.append(sums[-1] + sum(powers[k:0:-1]))  # 2**(j-k) for j = 0 .. k-1
         return sums[n]
 
 

@@ -922,6 +922,70 @@ class TestBlasThreads:
             assert outs[0] and outs[0] == outs[1], args
 
 
+def run_python(args, cwd, **kwargs):
+    """``python args`` in ``cwd`` on this package, text captured; stdout is
+    block-buffered, so output that is not flushed is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+class TestProgramExit:
+    """The program ends itself once ``main`` has returned: the exit code,
+    the flushed streams and the ``--out`` file are those of ``main``."""
+
+    @pytest.mark.parametrize("args, closed_stdout", [
+        (["verify", "--n", "3"], False),
+        (["verify", "--n", "3", "--decomp", "approximate", "--m", "1"], False),
+        (["cost", "--model", "liquid", "--n-range", "1..40"], False),
+        (["cost", "--model", "liquid", "--n-range", "1..3", "--out", "t.csv"], True),
+        (["simulate", "--sequence", "serial-n2", "--out", "report.json"], False),
+        (["tomo-roundtrip", "--n", "2"], False),
+    ], ids=["verify", "verify-fails", "cost", "cost-out-stdout-closed", "simulate-out",
+            "tomo-roundtrip"])
+    def test_child_equals_main_in_process(self, args, closed_stdout, tmp_path, capsys,
+                                          monkeypatch):
+        (tmp_path / "child").mkdir()
+        (tmp_path / "main").mkdir()
+        done = run_python(["-m", "spinqft.cli", *args], tmp_path / "child",
+                          preexec_fn=(lambda: os.close(1)) if closed_stdout else None)  # `>&-`
+        monkeypatch.chdir(tmp_path / "main")
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+        assert code == (1 if "approximate" in args else 0)
+        files = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "child").iterdir())
+        assert files == (args[-1:] if "--out" in args else [])
+        for name in files:
+            child, main = (tmp_path / side / name for side in ("child", "main"))
+            assert child.read_bytes() == main.read_bytes()
+
+    def test_a_profiler_wrapping_the_module_still_reports(self, tmp_path):
+        done = run_python(["-m", "cProfile", "-m", "spinqft.cli", "cost", "--model", "liquid",
+                           "--n-range", "1..3"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(cli.costmodel.CSV_HEADER + "\n")
+        assert "function calls" in done.stdout and "Ordered by" in done.stdout
+        assert done.stdout.endswith("\n\n\n")  # the stats' last row and two blank lines
+
+    def test_a_line_left_unfinished_on_stderr_is_flushed(self, tmp_path):
+        # stderr is line-buffered: only the end of the process flushes this
+        code = "import sys; from spinqft import cli; sys.stderr.write('partial'); cli._end(3)"
+        done = run_python(["-c", code], tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", "partial")
+
+    def test_the_script_runs_what_the_module_runs(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fh:  # no tomllib before 3.11
+            scripts = re.findall(r'^spinqft = "spinqft\.cli:(\w+)"$', fh.read(), re.M)
+        with open(cli.__file__) as fh:
+            module_main = re.findall(r'^if __name__ == "__main__":\n    (\w+)\(\)$', fh.read(),
+                                     re.M)
+        assert scripts == module_main == ["entry_point"]
+
+
 SEEDS = st.integers(0, 2 ** 32)
 
 

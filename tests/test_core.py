@@ -25,6 +25,17 @@ class TestDftOracle:
         np.testing.assert_allclose(u.entries[:, 0], np.full(4, 0.5), atol=1e-15)
 
     @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_the_per_entry_item_assignment_loop(self, n):
+        # the oracle's former fill, kept as the reference for its row-by-row fill
+        q = 2 ** n
+        w = [cmath.exp(2j * cmath.pi * t / q) / cmath.sqrt(q) for t in range(q)]
+        m = np.empty((q, q), dtype=complex)
+        for c in range(q):
+            for a in range(q):
+                m[c, a] = w[a * c % q]
+        assert np.array_equal(core.dft_oracle(n).entries, m)
+
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_unitary_up_to_n10(self, n):
         u = core.dft_oracle(n).entries
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2 ** n), atol=1e-10)

@@ -48,6 +48,15 @@ class TestDirectSums:
             literal = j_major_double_sum(n)
             assert abs(costmodel._direct_sum(n) - literal) <= 1e-15 * literal, n
 
+    def test_equal_the_generator_form_exactly_past_underflow(self, monkeypatch):
+        # 2**(j-k) underflows to 0 below 2**-1074, inside this range
+        monkeypatch.setattr(costmodel, "_direct_sums", [0.0])
+        monkeypatch.setattr(costmodel, "_powers", [1.0])
+        expected = [0.0]
+        for k in range(1, 1201):
+            expected.append(expected[-1] + sum(2.0 ** (j - k) for j in range(k)))
+        assert [costmodel._direct_sum(n) for n in range(1201)] == expected
+
     def test_a_poisoned_sum_fails_the_check_from_its_n_up(self, monkeypatch):
         sums = [0.0]
         monkeypatch.setattr(costmodel, "_direct_sums", sums)
