@@ -66,7 +66,8 @@ VERIFY_MAX_QUBITS = 10
 N_RANGE_MAX = 10_000
 # a tomo-roundtrip --n 3 child at the cap takes about 0.5 s and 107 MiB (2-CPU container)
 TOMO_MAX_SAMPLES = 5_000
-# n = 9 serial simulate --out: 1.7 s/62 MiB, --t2 1.9 s/69 MiB, 32 MB; one n = 10 pulse: 91 MB
+# n = 9 serial simulate --out: 0.9 s/61 MiB, --t2 0.1 1.4-2.5 s/61 MiB (most of it writing),
+# 32 MB (2-CPU container); one n = 10 pulse: 91 MB
 SIMULATE_MAX_QUBITS = 9
 # a simulate --tomography child on the serial program took 0.4 s at n = 4, 0.6 s at n = 5
 # and 3.5 s at n = 6, 31-41 MiB (2-CPU container)
@@ -163,30 +164,43 @@ def _encode_into(write, value, newline: str) -> None:
         raise TypeError(f"a report holds no {type(value).__name__}{getattr(value, 'shape', '')}")
 
 
+_TABLE_ROWS = 64  # the rows that share one table of repeated values in ``_encode_matrix``
+
+
 def _encode_matrix(write, a, newline: str) -> None:
     """Write a non-empty 2-D float64 array as ``_encode_into`` writes its
-    rows, formatting each value that occurs more than once a single time
-    and the rest row by row, so no string is held for every entry."""
+    rows, each block of ``_TABLE_ROWS`` rows formatted by ``_block_texts``."""
     import numpy as np
 
-    bad = ~np.isfinite(a)
-    if bad.any():
-        _encode(a[bad][0].item())  # raises the encoder's own ValueError
-    # keyed on the bit pattern: a float key would merge 0.0 and -0.0
-    keys, index, counts = np.unique(a.view(np.int64), return_inverse=True, return_counts=True)
-    repeated = counts > 1
-    shown = np.empty(len(keys), dtype=object)
-    shown[repeated] = [repr(x) for x in keys[repeated].view(np.float64).tolist()]
+    if not np.isfinite(a).all():
+        _encode(a[~np.isfinite(a)][0].item())  # raises the encoder's own ValueError
     inner = newline + "  "
     sep = "," + inner + "  "
     opener = "["
-    for row, row_index in zip(a, index.reshape(a.shape)):
+    for top in range(0, len(a), _TABLE_ROWS):
+        for text in _block_texts(a[top:top + _TABLE_ROWS]):
+            write(f"{opener}{inner}[{inner}  {sep.join(text)}{inner}]")
+            opener = ","
+    write(newline + "]")
+
+
+def _block_texts(block):
+    """Each row of ``block`` as the ``repr`` of its values, a value that
+    occurs more than once in the block formatted a single time and the rest
+    row by row: no string is held for every entry, and the table of
+    repeated values lives only while its block is written."""
+    import numpy as np
+
+    # keyed on the bit pattern: a float key would merge 0.0 and -0.0
+    keys, index, counts = np.unique(block.view(np.int64), return_inverse=True, return_counts=True)
+    repeated = counts > 1
+    shown = np.empty(len(keys), dtype=object)
+    shown[repeated] = [repr(x) for x in keys[repeated].view(np.float64).tolist()]
+    for row, row_index in zip(block, index.reshape(block.shape)):
         text = shown[row_index]
         alone = ~repeated[row_index]
         text[alone] = [repr(x) for x in row[alone].tolist()]
-        write(f"{opener}{inner}[{inner}  {sep.join(text.tolist())}{inner}]")
-        opener = ","
-    write(newline + "]")
+        yield text.tolist()
 
 
 def _parse_range(text: str) -> tuple:

@@ -9,12 +9,14 @@ rule reads it before any copy (``_axis_qubits``, ``_matrix_qubits``).
 ``apply_local`` (one-qubit operators applied to an array on their
 qubits' axes, without building the 2**n x 2**n matrix),
 ``apply_controlled`` (a one-qubit operator on a target qubit when a
-control qubit is set) and ``qubit_bits`` (one qubit's bit across all
-basis indices) apply this ordering to every gate, pulse and noise
-channel in the package; the only other places are the oracle and the
-tomography's Pauli transform, which reshapes a matrix to one axis per
-qubit.  Each is one broadcast matrix product on a reshaped view: a
-controlled gate copies its control = 0 half and rewrites only the
+control qubit is set), ``apply_channel`` (a 4x4 superoperator on one
+qubit's row and column bits of a matrix) and ``qubit_bits`` (one qubit's
+bit across all basis indices) apply this ordering to every gate, pulse
+and noise channel in the package; the only other places are the oracle,
+the tomography's Pauli transform, which reshapes a matrix to one axis per
+qubit, and ``nmr.NoiseModel.damping_matrix``, a Kronecker product with
+qubit 1 first.  Each is one broadcast matrix product on a reshaped view:
+a controlled gate copies its control = 0 half and rewrites only the
 control = 1 half.
 
 The Fourier matrix built here by a direct scalar double loop is the
@@ -184,6 +186,26 @@ def apply_controlled(a: np.ndarray, control: int, target: int, v: np.ndarray) ->
     out[:, 0] = src[:, 0]
     np.matmul(v, src[:, 1], out=out[:, 1])
     return out.reshape(np.shape(a))
+
+
+def apply_channel(a: np.ndarray, j: int, s: np.ndarray, buf: np.ndarray) -> None:
+    """Apply the 4x4 superoperator ``s`` to qubit ``j``'s (row bit, column
+    bit) pair of the C-contiguous 2**n x 2**n array ``a``, in place.
+
+    The pair (r, c) is index 2r + c of ``s``, so ``np.kron(u, u.conj())``
+    gives u a u^H.  One transposing copy of ``a`` (the pair first) into
+    ``buf[0]``, one matrix product into ``buf[1]`` and one copy back;
+    ``buf`` is complex scratch of shape (2, a.size), reused across calls.
+    """
+    n = _matrix_qubits(a)
+    _check_labels(n, [j])
+    if not a.flags.c_contiguous or np.shape(s) != (4, 4) or np.shape(buf) != (2, a.size):
+        raise ValueError("expected a C-contiguous matrix, a 4x4 operator and (2, size) scratch")
+    lo, hi = 2 ** (j - 1), 2 ** (n - j)
+    view = a.reshape(lo, 2, hi, lo, 2, hi)
+    np.copyto(buf[0].reshape(2, 2, lo, hi, lo, hi), view.transpose(1, 4, 0, 2, 3, 5))
+    out = np.matmul(s, buf[0].reshape(4, -1), out=buf[1].reshape(4, -1))
+    np.copyto(view, out.reshape(2, 2, lo, hi, lo, hi).transpose(2, 0, 3, 4, 1, 5))
 
 
 def transition_states(r: int, s: int, n: int) -> tuple[int, int]:

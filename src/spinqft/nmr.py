@@ -31,9 +31,13 @@ Each element kind is defined once, by its operator on its own spins
 a delay or a z pulse) and one rule that applies it where the element acts
 (``_apply``); ``element_unitary`` applies it to the identity on ``n``
 spins.  ``run`` checks every element's operator once on its own spins,
-then is one loop, with or without noise: it applies each to the density
-matrix as ``u (u rho)^H``, then the element's dephasing channel if a rate
-is nonzero.  ``sequence_unitary`` is the dense product that tests check
+then is one loop, with or without noise, that applies fused pieces.  A
+spin's dephasing commutes with every operation on other spins and with
+every diagonal element, so only its order against that spin's own pulses
+matters: a run of spin pulses becomes one 4x4 channel per pulsed spin on
+its (row bit, column bit) pair, which keeps that order, and a run of
+delays and z pulses becomes one Schur product with the dephasing the
+spins owe.  ``sequence_unitary`` is the dense product that tests check
 ``run`` against.
 """
 
@@ -54,6 +58,7 @@ from .core import (
     UnitaryMatrix,
     _check_labels,
     _check_qubit_count,
+    apply_channel,
     apply_local,
     qubit_bits,
     transition_states,
@@ -201,9 +206,14 @@ def _apply(a: np.ndarray, e: PulseElement, n: int, op: np.ndarray) -> np.ndarray
         out = np.array(a, dtype=complex)
         out[pair] = op @ out[pair]
         return out
+    return _phases(e, n, op)[:, None] * a
+
+
+def _phases(e: CouplingDelay | CompositeZ, n: int, op: np.ndarray) -> np.ndarray:
+    """The 2**n diagonal of a delay or a z pulse on ``n`` spins, given its
+    phase factors ``op`` over its own spins: one per row, at the row's bits there."""
     spins = _phase_terms(e, n)[1]
-    row = sum(qubit_bits(j, n) << (len(spins) - i) for i, j in enumerate(spins, start=1))
-    return op[row][:, None] * a
+    return op[sum(qubit_bits(j, n) << (len(spins) - i) for i, j in enumerate(spins, start=1))]
 
 
 def element_unitary(e: PulseElement, n: int) -> UnitaryMatrix:
@@ -266,38 +276,115 @@ class NoiseModel:
     def uniform(cls, n: int, rate_hz: float) -> "NoiseModel":
         return cls((float(rate_hz),) * n)
 
-    def damping_matrix(self, seconds: float) -> np.ndarray:
-        """Schur-product factors of the channel for ``seconds``, on one spin per rate."""
-        n = len(self.rates)
-        d = np.ones((2 ** n, 2 ** n))
-        for j in range(1, n + 1):
-            g = math.exp(-self.rates[j - 1] * seconds)
-            bits = qubit_bits(j, n)
-            differs = bits[:, None] != bits[None, :]
-            d *= np.where(differs, g, 1.0)
+    def damping_matrix(self, seconds) -> np.ndarray:
+        """Schur-product factors of the channel: entry (r, c) is the product
+        of exp(-rate_j * t_j) over the spins j where the bits of r and c
+        differ, with t_j ``seconds``, or spin j's own time if ``seconds``
+        holds one per spin.  Built as the Kronecker product of the spins'
+        2x2 factors [[1, g_j], [g_j, 1]], spin 1 most significant, from spin
+        n up, so each step's inner loop runs over the long axis."""
+        times = (seconds,) * len(self.rates) if np.ndim(seconds) == 0 else tuple(seconds)
+        if len(times) != len(self.rates):
+            raise ValueError(f"{len(times)} times for {len(self.rates)} rates")
+        d = np.ones((1, 1))
+        for rate, t in zip(self.rates[::-1], times[::-1]):
+            g = math.exp(-rate * t)
+            d = np.kron([[1.0, g], [g, 1.0]], d)
         return d
+
+
+def _apply_schur(state: np.ndarray, phase: np.ndarray | None, damping: np.ndarray | None,
+                 buf: np.ndarray) -> None:
+    """``state`` times (p p^H) times ``damping``, entrywise and in place, for
+    the diagonal ``phase`` p of a run of delays and z pulses; either may be
+    None, not both.  The factor is built in ``buf[0]``."""
+    if phase is not None:
+        f = np.multiply(phase[:, None], phase.conj(), out=buf[0].reshape(state.shape))
+        if damping is not None:
+            f *= damping
+        damping = f
+    state *= damping
 
 
 def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         noise: NoiseModel | None = None) -> DensityMatrix:
-    """Propagate a density matrix through a sequence: each element's operator,
-    checked on its own spins, applied to ``rho`` and to ``(u rho)^H`` (``u (u
-    rho)^H = u rho u^H``), then its dephasing channel if a rate is nonzero, one
-    damping matrix per distinct element time.  No 2**n x 2**n unitary is built."""
-    rates = n if noise is None else len(noise.rates)
-    if not seq.n == n == rho.n == rates:
+    """Propagate a density matrix through a sequence, with or without
+    dephasing noise.  No 2**n x 2**n unitary is built.
+
+    Every element is checked once on its own spins first (``_checked``).
+    Spin j's dephasing during an element multiplies the (row bit j, column
+    bit j) pair of ``rho`` by diag(1, g, g, 1), g = exp(-rate_j * t); it
+    commutes with every operation on other spins and with every diagonal
+    element, so only its order against spin j's own pulses matters.  The
+    loop fuses on that:
+
+    - a maximal run of spin pulses builds one 4x4 channel per pulsed spin,
+      S_j <- D_j(t) (u (x) conj(u)) S_j in time order, starting from the
+      dephasing the spin owes from before its first pulse in the run; spins
+      the run never pulses carry their dephasing forward.  Each channel is
+      applied once, when the run ends (``core.apply_channel``);
+    - a maximal run of delays and z pulses is one phase vector p, applied
+      with the dephasing every spin owes as one in-place Schur product
+      (``_apply_schur``, one ``damping_matrix`` per flush with noise);
+    - a transition pulse closes both, is applied as u (u rho)^H and leaves
+      its dephasing owed.
+    """
+    count = n if noise is None else len(noise.rates)
+    if not seq.n == n == rho.n == count:
         raise ValueError(f"the program has {seq.n} spins, n = {n}, the state {rho.n} spins "
-                         f"and the noise model {rates} rates; all must be equal")
+                         f"and the noise model {count} rates; all must be equal")
     noisy = noise is not None and any(noise.rates)
+    rates = noise.rates if noisy else (0.0,) * n
     ops = [_checked(e, n) for e in seq.elements]  # built before the loop, which they slow
-    times = {element_seconds(e) for e in seq.elements} if noisy else ()
-    damping = {t: noise.damping_matrix(t) for t in times}  # for this run only
-    state, h = rho.entries, np.empty_like(rho.entries)  # h: each (u rho)^H, one C array
+    state = np.array(rho.entries)  # written in place from here on
+    buf = np.empty((2, state.size), dtype=complex)  # two reused C scratch arrays
+    owed = [0.0] * n  # seconds of dephasing each spin owes, spin j at j - 1
+    channels = {}  # spin -> its 4x4 channel in the open pulse run
+    phase = None  # the diagonal of the open run of delays and z pulses
+
+    def close_pulses():
+        for j, s in channels.items():
+            apply_channel(state, j, s, buf)
+        channels.clear()
+
+    def close_diagonal():
+        nonlocal phase
+        if phase is not None or noisy and any(owed):
+            _apply_schur(state, phase, noise.damping_matrix(tuple(owed)) if noisy else None, buf)
+            owed[:] = [0.0] * n
+        phase = None
+
     for e, op in zip(seq.elements, ops):
-        state = _apply(np.conjugate(_apply(state, e, n, op).T, out=h), e, n, op)
-        if noisy:
-            state *= damping[element_seconds(e)]  # Schur-product dephasing channel, in place
-    del h  # not held through the final check
+        if isinstance(e, SpinPulse):
+            if phase is not None:  # only a diagonal run closes here: what spins owe stays owed
+                close_diagonal()
+            k = np.kron(op, op.conj())
+            for j in e.spins:
+                s = channels.get(j)
+                if s is None:
+                    s = np.eye(4, dtype=complex)
+                    s[1:3] *= math.exp(-rates[j - 1] * owed[j - 1])
+                    owed[j - 1] = 0.0
+                channels[j] = k @ s
+        elif isinstance(e, TransitionPulse):
+            close_pulses()
+            close_diagonal()
+            h = np.conjugate(_apply(state, e, n, op).T, out=buf[0].reshape(state.shape))
+            state[...] = _apply(h, e, n, op)
+        else:
+            close_pulses()
+            p = _phases(e, n, op)
+            phase = p if phase is None else np.multiply(phase, p, out=phase)
+        if noisy:  # the element's own dephasing, into an open channel or owed
+            t = element_seconds(e)
+            for j in range(1, n + 1):
+                if j in channels:
+                    channels[j][1:3] *= math.exp(-rates[j - 1] * t)
+                else:
+                    owed[j - 1] += t
+    close_pulses()
+    close_diagonal()
+    del buf  # not held through the final check
     return DensityMatrix(state)
 
 

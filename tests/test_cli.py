@@ -869,6 +869,30 @@ class TestJsonText:
             tracemalloc.stop()
         assert peak <= 1.5 * sum(map(len, chunks))
 
+    def test_rows_in_several_value_tables_are_written_as_dumps(self):
+        # 150 rows span three tables of repeated values, with values shared across them
+        a = np.random.default_rng(3).choice(REPEATS_POOL + [2.5, -7e-300], size=(150, 5))
+        a[:, 0] = np.arange(150) / 7  # and values that occur once
+        assert cli._TABLE_ROWS < 150 // 2
+        assert json_text({"m": a, "t": a.T}) == dumps({"m": a.tolist(), "t": a.T.tolist()})
+
+    def test_value_table_is_bounded_by_a_block_of_rows(self):
+        # a symmetric matrix repeats every off-diagonal value: one table over the whole
+        # matrix held 32 640 strings, and writing it peaked at 9.4 times its 512 KiB
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(256, 256))
+        a += a.T
+        peaks = []
+        for m in (a, a[:cli._TABLE_ROWS]):
+            tracemalloc.start()
+            try:
+                cli._write_report(lambda chunk: None, {"m": m})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3 * a.nbytes
+        assert peaks[0] < 1.25 * peaks[1]  # no more than for one block of its rows
+
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 class TestStdoutFailure:
@@ -906,19 +930,25 @@ class TestClosedStdout:
 class TestBlasThreads:
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # each command runs in a child at one BLAS thread and at the default count
-        (tmp_path / "serial-7.seq").write_text(serial_program_text(7))
+        # (a report written with --out is read back from its file)
+        for n in (7, 8):
+            (tmp_path / f"serial-{n}.seq").write_text(serial_program_text(n))
         commands = [["verify", "--n", "9", "--decomp", "serial"],
                     ["verify", "--n", "9", "--decomp", "parallel"],
                     ["simulate", "--sequence", "serial-7.seq"],
-                    ["simulate", "--sequence", "serial-7.seq", "--t2", "0.05"]]
+                    ["simulate", "--sequence", "serial-7.seq", "--t2", "0.05"],
+                    ["simulate", "--sequence", "serial-8.seq", "--t2", "0.110464",
+                     "--out", "report.json"]]
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         default = {k: v for k, v in os.environ.items()
                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         default["PYTHONPATH"] = src
         for args in commands:
-            outs = [subprocess.run([sys.executable, "-m", "spinqft.cli", *args], cwd=tmp_path,
-                                   env=env, capture_output=True, timeout=120, check=True).stdout
-                    for env in (dict(default, OPENBLAS_NUM_THREADS="1"), default)]
+            outs = []
+            for env in (dict(default, OPENBLAS_NUM_THREADS="1"), default):
+                done = subprocess.run([sys.executable, "-m", "spinqft.cli", *args], cwd=tmp_path,
+                                      env=env, capture_output=True, timeout=120, check=True)
+                outs.append((tmp_path / args[-1]).read_bytes() if "--out" in args else done.stdout)
             assert outs[0] and outs[0] == outs[1], args
 
 

@@ -1,5 +1,6 @@
 """Pulse elements, the fixed calibration, the sequence DSL, preparation and noise."""
 
+import itertools
 import math
 
 import numpy as np
@@ -275,6 +276,51 @@ def test_local_conjugation_equals_dense_conjugation(n, program):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def dense_reference(seq, rho, rates=None):
+    """Each element's dense unitary as u rho u^H, then, with ``rates``, its
+    dephasing by definition: entry (r, c) times exp(-rate_j * t) for every
+    spin j where r and c differ.  No ``damping_matrix`` and no fusing."""
+    n = seq.n
+    differ = np.arange(2 ** n)[:, None] ^ np.arange(2 ** n)
+    state = rho.entries
+    for e in seq.elements:
+        u = nmr.element_unitary(e, n).entries
+        state = u @ state @ u.conj().T
+        for j, rate in enumerate(rates or (), start=1):
+            state = state * np.where(differ >> (n - j) & 1,
+                                     math.exp(-rate * nmr.element_seconds(e)), 1.0)
+    return state
+
+
+PHASES = st.sampled_from([nmr.PHASE_X, nmr.PHASE_Y, nmr.PHASE_MINUS_X, nmr.PHASE_MINUS_Y])
+
+
+@st.composite
+def program_elements(draw, n):
+    """Up to 12 pieces in time order: pulses on overlapping spin sets, runs of
+    pulses on one spin, single and braced delays, z pulses of either sign and
+    single-quantum transitions."""
+    spin = st.integers(1, n)
+    pulse = st.builds(nmr.SpinPulse, st.lists(spin, min_size=1, max_size=n).map(tuple),
+                      st.floats(0.0, 2 * math.pi), PHASES)
+    one_spin_run = st.tuples(spin, st.lists(st.tuples(st.floats(0.0, 2 * math.pi), PHASES),
+                                            min_size=2, max_size=4)).map(
+        lambda d: [nmr.SpinPulse((d[0],), a, p) for a, p in d[1]])
+    z = st.builds(nmr.CompositeZ, spin, st.floats(-7.0, 7.0))
+    transition = st.tuples(st.integers(0, 2 ** n - 1), st.integers(0, n - 1), st.floats(0.0, 7.0),
+                           PHASES).map(  # basis states a and a with one bit flipped
+        lambda d: nmr.TransitionPulse(d[0] + 1, (d[0] ^ 1 << d[1]) + 1, d[2], d[3]))
+    pieces = [pulse.map(lambda e: [e]), one_spin_run, z.map(lambda e: [e]),
+              transition.map(lambda e: [e])]
+    if n >= 2:
+        pair = st.lists(spin, min_size=2, max_size=2, unique=True)
+        delay = st.lists(st.tuples(pair, st.integers(1, 12)), min_size=1, max_size=3).map(
+            lambda legs: nmr.CouplingDelay(tuple((*p, m) for p, m in legs)))
+        pieces.append(delay.map(lambda e: [e]))
+    drawn = draw(st.lists(st.one_of(pieces), min_size=1, max_size=12))
+    return tuple(e for piece in drawn for e in piece)
+
+
 class TestNoisyRun:
     @pytest.mark.parametrize("seq", list(bundled_and_serial_programs((4, 5, 6))))
     def test_matches_dense_reference_loop(self, seq):
@@ -288,21 +334,55 @@ class TestNoisyRun:
         np.testing.assert_allclose(nmr.run(seq, seq.n, rho, noise).entries, state,
                                    rtol=0, atol=1e-14)
 
-    def test_damping_built_once_per_distinct_element_time(self, monkeypatch):
+    def test_generated_n8_matches_dense_reference_with_unequal_rates(self):
+        seq = serial_program(8)
+        rho = nmr.pseudopure_input(8)
+        rates = tuple(9.05 + 3.0 * j for j in range(8))  # 1/T2 near the benchmark's draw
+        np.testing.assert_allclose(nmr.run(seq, 8, rho, nmr.NoiseModel(rates)).entries,
+                                   dense_reference(seq, rho, rates), rtol=0, atol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_programs_match_dense_reference(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        seq = nmr.PulseSequence("drawn", n, data.draw(program_elements(n), label="elements"))
+        rates = data.draw(st.none() | st.lists(st.floats(0.0, 300.0), min_size=n, max_size=n),
+                          label="rates")
+        rho = random_traceless_hermitian(n, np.random.default_rng(data.draw(st.integers(0, 99))))
+        rho = core.DensityMatrix(rho.entries / np.linalg.norm(rho.entries))  # a unit deviation
+        got = nmr.run(seq, n, rho, rates and nmr.NoiseModel(rates)).entries
+        np.testing.assert_allclose(got, dense_reference(seq, rho, rates), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.0, 5.0], ids=["noiseless", "t2"])
+    def test_one_channel_per_pulsed_spin_per_run_one_schur_product_per_diagonal_run(
+            self, rate, monkeypatch):
         seq = serial_program(4)
-        noise = nmr.NoiseModel.uniform(4, 5.0)
-        calls = []
-        build = nmr.NoiseModel.damping_matrix
+        calls = {"apply_channel": [], "_apply_schur": [], "damping_matrix": []}
+        for owner, name, key in ((nmr, "apply_channel", lambda args: args[1]),  # the spin
+                                 (nmr, "_apply_schur", lambda args: None),
+                                 (nmr.NoiseModel, "damping_matrix", lambda args: args[1])):
+            def counting(*args, build=getattr(owner, name), name=name, key=key):
+                calls[name].append(key(args))
+                return build(*args)
 
-        def counting(self, seconds):
-            calls.append(seconds)
-            return build(self, seconds)
-
-        monkeypatch.setattr(nmr.NoiseModel, "damping_matrix", counting)
+            monkeypatch.setattr(owner, name, counting)
+        noise = nmr.NoiseModel.uniform(4, rate) if rate else None
         nmr.run(seq, 4, nmr.pseudopure_projector_deviation(4), noise)
-        times = [nmr.element_seconds(e) for e in seq.elements]
-        assert len(times) > len(set(times))
-        assert sorted(calls) == sorted(set(times))
+        runs = [(pulses, list(run)) for pulses, run in
+                itertools.groupby(seq.elements, lambda e: isinstance(e, nmr.SpinPulse))]
+        # each pulse run applies one channel per spin it pulses, in order of first pulse
+        assert calls["apply_channel"] == [j for pulses, run in runs if pulses
+                                          for j in dict.fromkeys(s for e in run for s in e.spins)]
+        assert len(calls["apply_channel"]) == 13
+        # each run of delays is one Schur product; with noise one more at the end carries
+        # the dephasing spins 3 and 4 owe from the last pulse run, which pulses only 1 and 2
+        diagonal_runs = sum(not pulses for pulses, _ in runs)
+        assert diagonal_runs == 6
+        assert len(calls["_apply_schur"]) == diagonal_runs + bool(rate)
+        assert len(calls["damping_matrix"]) == (diagonal_runs + 1 if rate else 0)
+        if rate:
+            *_, last = calls["damping_matrix"]
+            assert last[:2] == (0.0, 0.0) and last[2] == last[3] > 0
 
     @pytest.mark.parametrize("rate", [0.0, 5.0])
     def test_a_rate_per_spin_of_the_program_or_refused(self, rate):
@@ -387,6 +467,20 @@ class TestNoise:
         assert d[0, 0] == 1.0
         assert d[0, 2] == pytest.approx(g)   # spin-1 coherence damped
         assert d[0, 1] == pytest.approx(1.0)  # spin-2 untouched at zero rate
+
+    def test_damping_matrix_is_its_definition_entry_by_entry(self):
+        # entry (r, c) is the product of exp(-rate_j * t_j) over the spins j where r and c differ
+        rates, times = (3.0, 0.0, 41.0, 7.5), (2e-3, 5e-3, 7e-4, 1.9e-2)
+        noise = nmr.NoiseModel(rates)
+        d = noise.damping_matrix(times)
+        for r in range(16):
+            for c in range(16):
+                want = math.prod(math.exp(-rates[j] * times[j]) for j in range(4)
+                                 if (r ^ c) >> (3 - j) & 1)
+                assert d[r, c] == pytest.approx(want, rel=1e-15, abs=0), (r, c)
+        np.testing.assert_array_equal(noise.damping_matrix(0.01), noise.damping_matrix([0.01] * 4))
+        with pytest.raises(ValueError, match="3 times for 4 rates"):
+            noise.damping_matrix(times[:3])
 
     def test_element_durations(self):
         assert nmr.element_seconds(nmr.SpinPulse((1,), 1.0, 0.0)) == 10e-6

@@ -4,8 +4,8 @@ Every gate, pulse and noise matrix is compared with a reference built
 entry by entry from the rule alone: qubit j (1-based) is bit n - j of
 the basis index, so qubit 1 is the most significant bit.  The
 matrix-free ``core.apply_local`` is compared with the Kronecker product
-of its factors, and ``core.apply_controlled`` with the per-basis-state
-reference.
+of its factors, and ``core.apply_controlled`` and ``core.apply_channel``
+with per-basis-state references.
 """
 
 import math
@@ -224,6 +224,47 @@ def test_apply_controlled_matches_per_basis_reference(n, j, k):
                                    rtol=0, atol=1e-13)
         assert np.array_equal(got[control_clear], operand[control_clear])
         assert np.array_equal(operand, before)
+
+
+def channel_cases():
+    for n in range(1, 5):
+        for j in range(1, n + 1):
+            yield pytest.param(n, j, id=f"n{n}-{j}")
+
+
+@pytest.mark.parametrize("n,j", list(channel_cases()))
+def test_apply_channel_matches_per_basis_reference(n, j):
+    # entry (r, c) of the result sums s[2 r_j + c_j, 2 x + y] a[r with bit j = x, c with bit j = y]
+    rng = np.random.default_rng(n * 10 + j)
+    dim = 2 ** n
+    s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    flip = 1 << (n - j)
+    expected = np.zeros_like(a)
+    for r, c in product(range(dim), repeat=2):
+        for x, y in product((0, 1), repeat=2):
+            src_r, src_c = r & ~flip | x * flip, c & ~flip | y * flip
+            expected[r, c] += s[2 * bit(r, j, n) + bit(c, j, n), 2 * x + y] * a[src_r, src_c]
+    got = a.copy()
+    core.apply_channel(got, j, s, np.empty((2, a.size), dtype=complex))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))  # u (x) conj(u) is u a u^H
+    got = a.copy()
+    core.apply_channel(got, j, np.kron(u, u.conj()), np.empty((2, a.size), dtype=complex))
+    dense = reduce(np.kron, [u if k == j else np.eye(2) for k in range(1, n + 1)])
+    np.testing.assert_allclose(got, dense @ a @ dense.conj().T, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a,j,s,buf", [
+    (np.eye(8, dtype=complex), 0, np.eye(4), np.empty((2, 64), dtype=complex)),
+    (np.eye(8, dtype=complex), 4, np.eye(4), np.empty((2, 64), dtype=complex)),
+    (np.eye(8, dtype=complex)[:, ::-1], 1, np.eye(4), np.empty((2, 64), dtype=complex)),
+    (np.eye(8, dtype=complex), 1, np.eye(2), np.empty((2, 64), dtype=complex)),
+    (np.eye(8, dtype=complex), 1, np.eye(4), np.empty((2, 16), dtype=complex)),
+], ids=["label-0", "label-above-n", "not-c-contiguous", "2x2", "small-scratch"])
+def test_apply_channel_refuses_what_it_cannot_write_in_place(a, j, s, buf):
+    with pytest.raises(ValueError):
+        core.apply_channel(a, j, s, buf)
 
 
 @pytest.mark.parametrize("n,control,target", [(2, 1, 3), (3, 0, 2), (3, 2, 2), (3, 3, 1)])
