@@ -28,17 +28,19 @@ to the dephasing noise model; it is the only place J enters.
 
 Each element kind is defined once, by its operator on its own spins
 (``_local``: a 2x2 rotation for a pulse, a diagonal of phase factors for
-a delay or a z pulse) and one rule that applies it where the element acts
-(``_apply``); ``element_unitary`` applies it to the identity on ``n``
-spins.  ``run`` checks every element's operator once on its own spins,
-then is one loop, with or without noise, that applies fused pieces.  A
-spin's dephasing commutes with every operation on other spins and with
-every diagonal element, so only its order against that spin's own pulses
-matters: a run of spin pulses becomes one 4x4 channel per pulsed spin on
-its (row bit, column bit) pair, which keeps that order, and a run of
-delays and z pulses becomes one Schur product with the dephasing the
-spins owe.  ``sequence_unitary`` is the dense product that tests check
-``run`` against.
+a delay or a z pulse); ``element_unitary`` applies it to the identity on
+``n`` spins.  ``run`` first checks every element's labels against ``n``
+and its operator once on its own spins (``_checked``), then is one loop,
+with or without noise, that applies fused pieces.  A spin's dephasing
+commutes with every operation on other spins and with every diagonal
+element, so only its order against that spin's own pulses matters.  Every
+element's time is owed by every spin.  A run of spin pulses becomes one
+4x4 channel per pulsed spin, and each pulse takes in what its spin owes
+just before its own operator; a run of delays and z pulses becomes one
+Schur product with the dephasing the spins owe; a transition pulse is
+applied in place, to its two rows and then its two columns.
+``sequence_unitary`` is the dense product that tests check ``run``
+against.
 """
 
 from __future__ import annotations
@@ -164,20 +166,6 @@ def _phase_terms(e: CouplingDelay | CompositeZ, n: int) -> tuple[list, list]:
     return terms, sorted({j for _, *spins in terms for j in spins})
 
 
-def _on_own_spins(e: PulseElement, n: int) -> tuple[PulseElement, int]:
-    """The element moved onto its own k spins, and k: a pulse or a z pulse onto
-    spin 1, a transition onto 1 -> 2, a delay onto its spins (checked in 1..n
-    first: the check of a moved delay is O(8**k), so k may not exceed n)."""
-    if isinstance(e, SpinPulse):
-        return SpinPulse((1,), e.angle, e.phase), 1
-    if isinstance(e, TransitionPulse):
-        return TransitionPulse(1, 2, e.angle, e.phase), 1
-    if isinstance(e, CompositeZ):
-        return CompositeZ(1, e.angle), 1
-    own = {j: i for i, j in enumerate(_phase_terms(e, n)[1], start=1)}
-    return CouplingDelay(tuple((own[j], own[k], m) for j, k, m in e.legs)), len(own)
-
-
 def _local(e: PulseElement, n: int) -> np.ndarray:
     """The operator of an element on its own spins: a pulse's 2x2 rotation,
     or a delay's or a z pulse's phase factors, its diagonal over its spins."""
@@ -194,21 +182,6 @@ def _local(e: PulseElement, n: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _apply(a: np.ndarray, e: PulseElement, n: int, op: np.ndarray) -> np.ndarray:
-    """``u @ a`` for the unitary ``u`` of element ``e`` on ``n`` spins, given its
-    operator ``op`` on its own spins (``_local``): a 2x2 on each pulsed spin's
-    axis (``core.apply_local``) or on a transition's two rows, or one phase
-    factor per row, at the row's bits on the element's spins; ``a`` is not written."""
-    if isinstance(e, SpinPulse):
-        return apply_local(a, dict.fromkeys(e.spins, op))
-    if isinstance(e, TransitionPulse):
-        pair = list(transition_states(e.from_label, e.to_label, n))
-        out = np.array(a, dtype=complex)
-        out[pair] = op @ out[pair]
-        return out
-    return _phases(e, n, op)[:, None] * a
-
-
 def _phases(e: CouplingDelay | CompositeZ, n: int, op: np.ndarray) -> np.ndarray:
     """The 2**n diagonal of a delay or a z pulse on ``n`` spins, given its
     phase factors ``op`` over its own spins: one per row, at the row's bits there."""
@@ -218,16 +191,40 @@ def _phases(e: CouplingDelay | CompositeZ, n: int, op: np.ndarray) -> np.ndarray
 
 def element_unitary(e: PulseElement, n: int) -> UnitaryMatrix:
     """Exact unitary of one pulse element on ``n`` spins, the full Hilbert
-    space: its operator on its own spins applied to the identity."""
+    space: its operator on its own spins (``_local``) applied to the
+    identity, as a 2x2 on each pulsed spin's axis (``core.apply_local``) or
+    on a transition's two rows, or as one phase factor per row, at the row's
+    bits on the element's spins."""
     _check_qubit_count(n)
-    return UnitaryMatrix(_apply(np.eye(2 ** n, dtype=complex), e, n, _local(e, n)))
+    op = _local(e, n)
+    u = np.eye(2 ** n, dtype=complex)
+    if isinstance(e, SpinPulse):
+        u = apply_local(u, dict.fromkeys(e.spins, op))
+    elif isinstance(e, TransitionPulse):
+        pair = list(transition_states(e.from_label, e.to_label, n))
+        u[pair] = op @ u[pair]
+    else:
+        u = _phases(e, n, op)[:, None] * u
+    return UnitaryMatrix(u)
 
 
 def _checked(e: PulseElement, n: int) -> np.ndarray:
-    """The element's operator on its own spins, the ``element_unitary`` of the
-    element moved there (so checked unitary), in the form ``_local`` gives."""
-    u = element_unitary(*_on_own_spins(e, n)).entries
-    return u if isinstance(e, (SpinPulse, TransitionPulse)) else np.diagonal(u).copy()
+    """The element's operator on its own spins, in the form ``_local`` gives,
+    once every label it carries is checked against ``n`` (a ``ValueError``
+    otherwise; first, as the check of a delay moved onto k spins is O(8**k),
+    so k may not exceed n): the ``element_unitary`` of the element moved
+    there, so checked unitary.  A pulse or a z pulse moves onto spin 1, a
+    transition onto 1 -> 2, a delay onto its spins in order."""
+    if isinstance(e, SpinPulse):
+        _check_labels(n, e.spins)
+        return element_unitary(SpinPulse((1,), e.angle, e.phase), 1).entries
+    if isinstance(e, TransitionPulse):
+        transition_states(e.from_label, e.to_label, n)
+        return element_unitary(TransitionPulse(1, 2, e.angle, e.phase), 1).entries
+    own = {j: i for i, j in enumerate(_phase_terms(e, n)[1], start=1)}
+    moved = (CompositeZ(1, e.angle) if isinstance(e, CompositeZ)
+             else CouplingDelay(tuple((own[j], own[k], m) for j, k, m in e.legs)))
+    return np.diagonal(element_unitary(moved, len(own)).entries).copy()
 
 
 def sequence_unitary(seq: PulseSequence) -> UnitaryMatrix:
@@ -311,23 +308,24 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     """Propagate a density matrix through a sequence, with or without
     dephasing noise.  No 2**n x 2**n unitary is built.
 
-    Every element is checked once on its own spins first (``_checked``).
-    Spin j's dephasing during an element multiplies the (row bit j, column
-    bit j) pair of ``rho`` by diag(1, g, g, 1), g = exp(-rate_j * t); it
-    commutes with every operation on other spins and with every diagonal
-    element, so only its order against spin j's own pulses matters.  The
-    loop fuses on that:
+    Every element is checked on ``n`` and on its own spins first
+    (``_checked``), so the first bad element is refused before ``rho`` is
+    touched.  Spin j's dephasing during an element multiplies the (row bit
+    j, column bit j) pair of ``rho`` by diag(1, g, g, 1), g = exp(-rate_j *
+    t); it commutes with every operation on other spins and with every
+    diagonal element, so only its order against spin j's own pulses
+    matters.  Every element's time is owed by every spin, and the loop
+    fuses on that:
 
-    - a maximal run of spin pulses builds one 4x4 channel per pulsed spin,
-      S_j <- D_j(t) (u (x) conj(u)) S_j in time order, starting from the
-      dephasing the spin owes from before its first pulse in the run; spins
-      the run never pulses carry their dephasing forward.  Each channel is
+    - a maximal run of spin pulses builds one 4x4 channel per pulsed spin;
+      each pulse on spin j takes in the dephasing j owes just before its
+      own operator, S_j <- (u (x) conj(u)) D_j(owed_j) S_j.  Each channel is
       applied once, when the run ends (``core.apply_channel``);
     - a maximal run of delays and z pulses is one phase vector p, applied
       with the dephasing every spin owes as one in-place Schur product
       (``_apply_schur``, one ``damping_matrix`` per flush with noise);
-    - a transition pulse closes both, is applied as u (u rho)^H and leaves
-      its dephasing owed.
+    - a transition pulse closes both and is applied in place, to its two
+      rows and then to its two columns: u rho u^H.
     """
     count = n if noise is None else len(noise.rates)
     if not seq.n == n == rho.n == count:
@@ -338,7 +336,7 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     ops = [_checked(e, n) for e in seq.elements]  # built before the loop, which they slow
     state = np.array(rho.entries)  # written in place from here on
     buf = np.empty((2, state.size), dtype=complex)  # two reused C scratch arrays
-    owed = [0.0] * n  # seconds of dephasing each spin owes, spin j at j - 1
+    owed = np.zeros(n)  # seconds of dephasing each spin owes, spin j at j - 1
     channels = {}  # spin -> its 4x4 channel in the open pulse run
     phase = None  # the diagonal of the open run of delays and z pulses
 
@@ -349,9 +347,9 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
 
     def close_diagonal():
         nonlocal phase
-        if phase is not None or noisy and any(owed):
+        if phase is not None or noisy and owed.any():
             _apply_schur(state, phase, noise.damping_matrix(tuple(owed)) if noisy else None, buf)
-            owed[:] = [0.0] * n
+            owed[:] = 0.0
         phase = None
 
     for e, op in zip(seq.elements, ops):
@@ -360,28 +358,20 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
                 close_diagonal()
             k = np.kron(op, op.conj())
             for j in e.spins:
-                s = channels.get(j)
-                if s is None:
-                    s = np.eye(4, dtype=complex)
-                    s[1:3] *= math.exp(-rates[j - 1] * owed[j - 1])
-                    owed[j - 1] = 0.0
-                channels[j] = k @ s
+                g = math.exp(-rates[j - 1] * owed[j - 1])
+                channels[j] = (k * [1.0, g, g, 1.0]) @ channels.get(j, np.eye(4))
+                owed[j - 1] = 0.0
         elif isinstance(e, TransitionPulse):
             close_pulses()
             close_diagonal()
-            h = np.conjugate(_apply(state, e, n, op).T, out=buf[0].reshape(state.shape))
-            state[...] = _apply(h, e, n, op)
+            pair = list(transition_states(e.from_label, e.to_label, n))
+            state[pair] = op @ state[pair]
+            state[:, pair] = state[:, pair] @ op.conj().T
         else:
             close_pulses()
             p = _phases(e, n, op)
             phase = p if phase is None else np.multiply(phase, p, out=phase)
-        if noisy:  # the element's own dephasing, into an open channel or owed
-            t = element_seconds(e)
-            for j in range(1, n + 1):
-                if j in channels:
-                    channels[j][1:3] *= math.exp(-rates[j - 1] * t)
-                else:
-                    owed[j - 1] += t
+        owed += element_seconds(e)
     close_pulses()
     close_diagonal()
     del buf  # not held through the final check

@@ -18,7 +18,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -402,6 +402,20 @@ class TestSimulate:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "spinqft: error: qubit labels [0, 1] outside 1..2")
+
+    @pytest.mark.parametrize("args", [["simulate"], ["simulate", "--t2", "0.1"],
+                                      ["export-fig2"]], ids=["simulate", "simulate-t2", "fig2"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_pulse_past_the_last_spin_exits_2_with_one_line(self, n, args, capsys, tmp_path):
+        path = tmp_path / "past.seq"
+        path.write_text(f"n: {n}\n90x@s{n + 1}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--sequence", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"spinqft: error: qubit labels [{n + 1}] outside 1..{n}")
 
     @pytest.mark.parametrize("flag", ["--reverse-readout", "--no-reverse-readout"])
     def test_readout_order_is_not_an_option(self, flag, capsys):
@@ -1177,6 +1191,7 @@ class TestProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(FUZZED_ARGV)
+    @example(simulate_argv(SeqText("n: 1\n90x@s2\n"), 0.0, False, 0))  # a pulse past spin n
     def test_fuzzed_main_returns_0_1_or_exits_2(self, tmp_path_factory, argv):
         from_file = isinstance(argv[2], SeqText)
         n = int(argv[2].split("\n", 1)[0][3:]) if from_file else 0

@@ -375,14 +375,17 @@ class TestNoisyRun:
                                           for j in dict.fromkeys(s for e in run for s in e.spins)]
         assert len(calls["apply_channel"]) == 13
         # each run of delays is one Schur product; with noise one more at the end carries
-        # the dephasing spins 3 and 4 owe from the last pulse run, which pulses only 1 and 2
+        # the dephasing each spin owes since its last pulse: the last pulse run is six
+        # pulses, the third the last on spin 2 and the sixth the last on spin 1, and it
+        # never pulses spins 3 and 4
         diagonal_runs = sum(not pulses for pulses, _ in runs)
         assert diagonal_runs == 6
         assert len(calls["_apply_schur"]) == diagonal_runs + bool(rate)
         assert len(calls["damping_matrix"]) == (diagonal_runs + 1 if rate else 0)
         if rate:
             *_, last = calls["damping_matrix"]
-            assert last[:2] == (0.0, 0.0) and last[2] == last[3] > 0
+            pulse = costmodel.DEFAULT_PULSE_SECONDS
+            assert last == pytest.approx((pulse, 4 * pulse, 6 * pulse, 6 * pulse), rel=1e-12)
 
     @pytest.mark.parametrize("rate", [0.0, 5.0])
     def test_a_rate_per_spin_of_the_program_or_refused(self, rate):
@@ -405,6 +408,59 @@ class TestNoisyRun:
         for noise in (None, nmr.NoiseModel.uniform(2, 5.0)):
             with pytest.raises(ValueError, match="unit"):
                 nmr.run(seq, 2, rho, noise)
+
+
+def out_of_range(e, n):
+    """``e`` with one label moved past ``n`` spins: a pulse or a z pulse onto
+    spin n + 1, a delay's first leg onto n + 1, a transition above 2**n."""
+    if isinstance(e, nmr.SpinPulse):
+        return nmr.SpinPulse(e.spins + (n + 1,), e.angle, e.phase)
+    if isinstance(e, nmr.CompositeZ):
+        return nmr.CompositeZ(n + 1, e.angle)
+    if isinstance(e, nmr.CouplingDelay):
+        (j, _, m), *rest = e.legs
+        return nmr.CouplingDelay(((j, n + 1, m), *rest))
+    return nmr.TransitionPulse(e.from_label, e.to_label + 2 ** n, e.angle, e.phase)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("rate", [0.0, 5.0], ids=["noiseless", "t2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_spin_pulse_past_the_last_spin_is_refused(self, n, rate):
+        seq = nmr.PulseSequence("bad", n, (nmr.SpinPulse((n + 1,), math.pi / 2, nmr.PHASE_X),))
+        noise = nmr.NoiseModel.uniform(n, rate) if rate else None
+        with pytest.raises(ValueError, match=rf"^qubit labels \[{n + 1}\] outside 1\.\.{n}$"):
+            nmr.run(seq, n, nmr.pseudopure_projector_deviation(n), noise)
+
+    @pytest.mark.parametrize("rate", [0.0, 5.0], ids=["noiseless", "t2"])
+    def test_every_element_is_checked_before_the_state_is_touched(self, rate, monkeypatch):
+        # a program whose pulses and delays would all be applied before a bad
+        # transition, followed by a bad pulse: the transition, first, is reported
+        seq = serial_program(3)
+        bad = (nmr.TransitionPulse(2 ** 3 + 1, 1, math.pi, nmr.PHASE_X),
+               nmr.SpinPulse((4,), math.pi, nmr.PHASE_X))
+        seq = nmr.PulseSequence("bad", 3, seq.elements + bad)
+        applied = []
+        for name in ("apply_channel", "_apply_schur"):
+            monkeypatch.setattr(nmr, name, lambda *args, name=name: applied.append(name))
+        noise = nmr.NoiseModel.uniform(3, rate) if rate else None
+        with pytest.raises(ValueError, match=r"^transition label 9 out of range \[1, 8\]$"):
+            nmr.run(seq, 3, nmr.pseudopure_projector_deviation(3), noise)
+        assert applied == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_element_moved_out_of_range_is_refused(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        elements = list(data.draw(program_elements(n), label="elements"))
+        i = data.draw(st.integers(0, len(elements) - 1), label="position")
+        elements[i] = out_of_range(elements[i], n)
+        seq = nmr.PulseSequence("bad", n, tuple(elements))
+        rho = nmr.pseudopure_projector_deviation(n)
+        refusal = rf"outside 1\.\.{n}$|out of range \[1, {2 ** n}\]$"
+        for noise in (None, nmr.NoiseModel.uniform(n, 7.0)):
+            with pytest.raises(ValueError, match=refusal):
+                nmr.run(seq, n, rho, noise)
 
 
 class TestPseudopurePreparation:
