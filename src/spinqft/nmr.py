@@ -26,19 +26,21 @@ isolate one coupling on hardware), and pulses are instantaneous.
 ``element_seconds`` gives each element its wall time, which matters only
 to the dephasing noise model; it is the only place J enters.
 
-Each element kind is defined once, by its operator on its own spins
-(``_local``: a 2x2 rotation for a pulse, a diagonal of phase factors for
-a delay or a z pulse); ``element_unitary`` applies it to the identity on
-``n`` spins.  ``run`` first checks every element's labels against ``n``
-and its operator once on its own spins (``_checked``), then is one loop,
-with or without noise, that applies fused pieces.  A spin's dephasing
-commutes with every operation on other spins and with every diagonal
-element, so only its order against that spin's own pulses matters.  Every
-element's time is owed by every spin.  A run of spin pulses becomes one
-4x4 channel per pulsed spin, and each pulse takes in what its spin owes
-just before its own operator; a run of delays and z pulses becomes one
-Schur product with the dephasing the spins owe; a transition pulse is
-applied in place, to its two rows and then its two columns.
+``element_unitary`` is the one place an element's operator is built: a
+2x2 rotation on each pulsed spin or on a transition's two rows, or a
+diagonal of phase factors for a delay or a z pulse.  ``run`` first
+checks every element's labels against ``n`` and its operator once on its
+own spins (``_checked``, which returns a pulse's 2x2 with its spins or
+basis pair and a delay's or a z pulse's phase factors placed on the
+``n`` spins), then is one loop, with or without noise, that applies
+those as given in fused pieces.  A spin's dephasing commutes with every
+operation on other spins and with every diagonal element, so only its
+order against that spin's own pulses matters.  Every element's time is
+owed by every spin.  A run of spin pulses becomes one 4x4 channel per
+pulsed spin, and each pulse takes in what its spin owes just before its
+own operator; a run of delays and z pulses becomes one Schur product
+with the dephasing the spins owe; a transition pulse is applied in
+place, to its two rows and then its two columns.
 ``sequence_unitary`` is the dense product that tests check ``run``
 against.
 """
@@ -166,65 +168,54 @@ def _phase_terms(e: CouplingDelay | CompositeZ, n: int) -> tuple[list, list]:
     return terms, sorted({j for _, *spins in terms for j in spins})
 
 
-def _local(e: PulseElement, n: int) -> np.ndarray:
-    """The operator of an element on its own spins: a pulse's 2x2 rotation,
-    or a delay's or a z pulse's phase factors, its diagonal over its spins."""
+def element_unitary(e: PulseElement, n: int) -> UnitaryMatrix:
+    """Exact unitary of one pulse element on ``n`` spins, the full Hilbert
+    space; the one place an element's operator is built.  A pulse is the 2x2
+    rotation of its angle and phase, applied to the identity on each pulsed
+    spin's axis (``core.apply_local``) or on a transition's two rows; a delay
+    or a z pulse is diagonal, one phase factor per row from its terms at the
+    row's bits."""
+    _check_qubit_count(n)
+    u = np.eye(2 ** n, dtype=complex)
     if isinstance(e, (SpinPulse, TransitionPulse)):
         c, s = math.cos(e.angle / 2.0), math.sin(e.angle / 2.0)
         axis = np.array([[0.0, math.cos(e.phase) - 1j * math.sin(e.phase)],
                          [math.cos(e.phase) + 1j * math.sin(e.phase), 0.0]])
-        return c * np.eye(2, dtype=complex) - 1j * s * axis
-    terms, spins = _phase_terms(e, n)
-    iz = {j: 0.5 - qubit_bits(i, len(spins)) for i, j in enumerate(spins, 1)}  # +1/2 at bit 0
-    phase = np.zeros(2 ** len(spins))
-    for w, *legs in terms:
-        phase += math.prod((iz[j] for j in legs), start=w)
-    return np.exp(1j * phase)
-
-
-def _phases(e: CouplingDelay | CompositeZ, n: int, op: np.ndarray) -> np.ndarray:
-    """The 2**n diagonal of a delay or a z pulse on ``n`` spins, given its
-    phase factors ``op`` over its own spins: one per row, at the row's bits there."""
-    spins = _phase_terms(e, n)[1]
-    return op[sum(qubit_bits(j, n) << (len(spins) - i) for i, j in enumerate(spins, start=1))]
-
-
-def element_unitary(e: PulseElement, n: int) -> UnitaryMatrix:
-    """Exact unitary of one pulse element on ``n`` spins, the full Hilbert
-    space: its operator on its own spins (``_local``) applied to the
-    identity, as a 2x2 on each pulsed spin's axis (``core.apply_local``) or
-    on a transition's two rows, or as one phase factor per row, at the row's
-    bits on the element's spins."""
-    _check_qubit_count(n)
-    op = _local(e, n)
-    u = np.eye(2 ** n, dtype=complex)
-    if isinstance(e, SpinPulse):
-        u = apply_local(u, dict.fromkeys(e.spins, op))
-    elif isinstance(e, TransitionPulse):
-        pair = list(transition_states(e.from_label, e.to_label, n))
-        u[pair] = op @ u[pair]
+        op = c * np.eye(2, dtype=complex) - 1j * s * axis
+        if isinstance(e, SpinPulse):
+            u = apply_local(u, dict.fromkeys(e.spins, op))
+        else:
+            pair = list(transition_states(e.from_label, e.to_label, n))
+            u[pair] = op @ u[pair]
     else:
-        u = _phases(e, n, op)[:, None] * u
+        phase = np.zeros(2 ** n)
+        for w, *spins in _phase_terms(e, n)[0]:
+            phase += math.prod((0.5 - qubit_bits(j, n) for j in spins), start=w)  # +1/2 at bit 0
+        u = np.exp(1j * phase)[:, None] * u
     return UnitaryMatrix(u)
 
 
-def _checked(e: PulseElement, n: int) -> np.ndarray:
-    """The element's operator on its own spins, in the form ``_local`` gives,
-    once every label it carries is checked against ``n`` (a ``ValueError``
-    otherwise; first, as the check of a delay moved onto k spins is O(8**k),
-    so k may not exceed n): the ``element_unitary`` of the element moved
-    there, so checked unitary.  A pulse or a z pulse moves onto spin 1, a
-    transition onto 1 -> 2, a delay onto its spins in order."""
-    if isinstance(e, SpinPulse):
-        _check_labels(n, e.spins)
-        return element_unitary(SpinPulse((1,), e.angle, e.phase), 1).entries
-    if isinstance(e, TransitionPulse):
-        transition_states(e.from_label, e.to_label, n)
-        return element_unitary(TransitionPulse(1, 2, e.angle, e.phase), 1).entries
-    own = {j: i for i, j in enumerate(_phase_terms(e, n)[1], start=1)}
+def _checked(e: PulseElement, n: int) -> tuple[np.ndarray, tuple | list] | np.ndarray:
+    """The element as ``run`` applies it, once every label it carries is
+    checked against ``n`` (a ``ValueError`` otherwise; first, as the check of
+    a delay moved onto k spins is O(8**k), so k may not exceed n) and its
+    operator is checked unitary by one ``element_unitary`` on its own spins.
+    A pulse of either kind is the 2x2 of the one-spin ``SpinPulse`` of its
+    angle and phase, with its spins or its transition's basis pair; a delay
+    or a z pulse is its 2**n phase factors, taken from the diagonal on its
+    spins in order and placed at each row's bits there."""
+    if isinstance(e, (SpinPulse, TransitionPulse)):
+        if isinstance(e, SpinPulse):
+            _check_labels(n, on := e.spins)
+        else:
+            on = list(transition_states(e.from_label, e.to_label, n))
+        return element_unitary(SpinPulse((1,), e.angle, e.phase), 1).entries, on
+    spins = _phase_terms(e, n)[1]
+    own = {j: i for i, j in enumerate(spins, start=1)}
     moved = (CompositeZ(1, e.angle) if isinstance(e, CompositeZ)
              else CouplingDelay(tuple((own[j], own[k], m) for j, k, m in e.legs)))
-    return np.diagonal(element_unitary(moved, len(own)).entries).copy()
+    p = np.diagonal(element_unitary(moved, len(spins)).entries)
+    return p[sum(qubit_bits(j, n) << (len(spins) - i) for j, i in own.items())]
 
 
 def sequence_unitary(seq: PulseSequence) -> UnitaryMatrix:
@@ -308,14 +299,14 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     """Propagate a density matrix through a sequence, with or without
     dephasing noise.  No 2**n x 2**n unitary is built.
 
-    Every element is checked on ``n`` and on its own spins first
-    (``_checked``), so the first bad element is refused before ``rho`` is
-    touched.  Spin j's dephasing during an element multiplies the (row bit
-    j, column bit j) pair of ``rho`` by diag(1, g, g, 1), g = exp(-rate_j *
-    t); it commutes with every operation on other spins and with every
-    diagonal element, so only its order against spin j's own pulses
-    matters.  Every element's time is owed by every spin, and the loop
-    fuses on that:
+    Every element is checked on ``n`` and on its own spins first, and the
+    loop applies it as ``_checked`` returns it, so the first bad element is
+    refused before ``rho`` is touched.  Spin j's dephasing during an element
+    multiplies the (row bit j, column bit j) pair of ``rho`` by diag(1, g,
+    g, 1), g = exp(-rate_j * t); it commutes with every operation on other
+    spins and with every diagonal element, so only its order against spin
+    j's own pulses matters.  Every element's time is owed by every spin, and
+    the loop fuses on that:
 
     - a maximal run of spin pulses builds one 4x4 channel per pulsed spin;
       each pulse on spin j takes in the dephasing j owes just before its
@@ -356,21 +347,21 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         if isinstance(e, SpinPulse):
             if phase is not None:  # only a diagonal run closes here: what spins owe stays owed
                 close_diagonal()
-            k = np.kron(op, op.conj())
-            for j in e.spins:
+            u, spins = op
+            k = np.kron(u, u.conj())
+            for j in spins:
                 g = math.exp(-rates[j - 1] * owed[j - 1])
                 channels[j] = (k * [1.0, g, g, 1.0]) @ channels.get(j, np.eye(4))
                 owed[j - 1] = 0.0
         elif isinstance(e, TransitionPulse):
             close_pulses()
             close_diagonal()
-            pair = list(transition_states(e.from_label, e.to_label, n))
-            state[pair] = op @ state[pair]
-            state[:, pair] = state[:, pair] @ op.conj().T
+            u, pair = op
+            state[pair] = u @ state[pair]
+            state[:, pair] = state[:, pair] @ u.conj().T
         else:
             close_pulses()
-            p = _phases(e, n, op)
-            phase = p if phase is None else np.multiply(phase, p, out=phase)
+            phase = op if phase is None else np.multiply(phase, op, out=phase)
         owed += element_seconds(e)
     close_pulses()
     close_diagonal()

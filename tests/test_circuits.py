@@ -121,6 +121,12 @@ class TestGateUnitaries:
         with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
             circuits.Gate("swap", j=1, k=2)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
+    def test_root_cnot_exponent_outside_zero_one_is_refused(self, alpha):
+        with pytest.raises(ValueError, match=rf"^root-of-CNOT exponent must lie in \(0, 1\], "
+                                             rf"got {alpha}$"):
+            circuits.root_cnot(1, 2, alpha)
+
 
 class TestCircuitUnitary:
     def test_empty_circuit_is_identity(self):

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import serial_program_text
 
-from spinqft import circuits, cli, nmr
+from spinqft import circuits, cli, nmr, tomography
 
 
 SCHEMA = json.loads(
@@ -417,6 +417,31 @@ class TestSimulate:
         assert captured.err.splitlines()[-1] == (
             f"spinqft: error: qubit labels [{n + 1}] outside 1..{n}")
 
+    @pytest.mark.parametrize("args", [["simulate"], ["simulate", "--t2", "0.1"],
+                                      ["export-fig2"]], ids=["simulate", "simulate-t2", "fig2"])
+    def test_a_transition_with_equal_endpoints_exits_2_with_one_line(self, args, capsys,
+                                                                      tmp_path):
+        path = tmp_path / "equal.seq"
+        path.write_text("n: 2\n90y@s1,s2 180x@s1,s2 90x@t3-3\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--sequence", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "spinqft: error: transition endpoints must differ"
+
+    def test_a_reconstruction_past_the_tolerance_exits_1_with_its_report(self, capsys,
+                                                                          monkeypatch):
+        exact = tomography.reconstruct
+        monkeypatch.setattr(tomography, "reconstruct",
+                            lambda values: exact(values) + 10 * cli.TOMO_TOL)
+        code, out, _ = run_cli(["simulate", "--sequence", "parallel-n2", "--tomography"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        validate(doc)
+        assert doc["tomography_max_error"] == pytest.approx(10 * cli.TOMO_TOL, rel=1e-6)
+        assert doc["tomography_tolerance"] == cli.TOMO_TOL
+
     @pytest.mark.parametrize("flag", ["--reverse-readout", "--no-reverse-readout"])
     def test_readout_order_is_not_an_option(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -585,6 +610,27 @@ class TestExportFig2:
         assert code == 0
         first = out.strip().splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(1.0, abs=1e-9)  # |00> population
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_target_is_the_transformed_input_and_simulates_target(self, n, capsys):
+        # the pseudopure input, s(|0..0><0..0| - I/2**n), goes to s(J - I)/2**n
+        # (J all ones); s = 4/3 for the temporal average at n = 2
+        name, dim = f"serial-n{n}", 2 ** n
+        code, out, _ = run_cli(["export-fig2", "--sequence", name, "--what", "target"], capsys)
+        assert code == 0
+        lines = [line.split(",") for line in out.splitlines()]
+        labels = [format(i, f"0{n}b") for i in range(dim)]
+        assert lines[0] == ["row", "col", "re", "im"]
+        assert [line[:2] for line in lines[1:]] == [[r, c] for r in labels for c in labels]
+        chart = np.array([float(re) + 1j * float(im) for *_, re, im in lines[1:]])
+        chart = chart.reshape(dim, dim)
+        s = 4 / 3 if n == 2 else 1.0
+        np.testing.assert_allclose(chart, s * (np.ones((dim, dim)) - np.eye(dim)) / dim,
+                                   rtol=0, atol=1e-12)
+        _, report, _ = run_cli(["simulate", "--sequence", name], capsys)
+        target = json.loads(report)["rho_target"]
+        np.testing.assert_allclose(chart, np.array(target["re"]) + 1j * np.array(target["im"]),
+                                   rtol=0, atol=1e-12)
 
     def test_at_the_cap_is_accepted(self, capsys, tmp_path):
         n = cli.FIG2_MAX_QUBITS

@@ -103,6 +103,14 @@ class TestGlobalPhase:
         ok, _ = core.equal_up_to_global_phase(b, a, tol=1e-6)
         assert not ok
 
+    def test_shapes_that_differ_are_unequal_even_where_they_broadcast(self):
+        assert core.equal_up_to_global_phase(np.ones((1, 1)), np.ones((2, 2))) == (False, 0.0)
+
+    @pytest.mark.parametrize("scale,equal", [(1e-12, True), (1e-3, False)])
+    def test_a_zero_reference_equals_what_is_within_tol_of_zero_at_phase_zero(self, scale, equal):
+        a = 1j * scale * np.ones((2, 2))  # gamma stays 0.0, not the phase of a
+        assert core.equal_up_to_global_phase(a, np.zeros((2, 2))) == (equal, 0.0)
+
     def test_equivalence_relation(self):
         # reflexive + symmetric + transitive at a third of the tolerance
         rng = np.random.default_rng(3)
@@ -150,6 +158,12 @@ class TestTransitionLabels:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             core.transition_states(3, 5, 2)
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (2, 3), (3, 8)])
+    def test_rejects_equal_endpoints(self, n, r):
+        # r ^ r == 0 passes the one-bit test, so only this refusal stops it
+        with pytest.raises(ValueError, match=r"^transition endpoints must differ$"):
+            core.transition_states(r, r, n)
 
 
 class TestValidation:

@@ -126,6 +126,11 @@ class TestLiquid:
         assert all(t < p.delta + p.kappa for t in per_qubit)
         assert per_qubit[-1] == pytest.approx(p.delta + p.kappa, rel=0.04)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_qubit_is_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            costmodel.t_serial_liquid(n, costmodel.LiquidParams())
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             costmodel.LiquidParams(J=0.0)
@@ -163,6 +168,11 @@ class TestParallel:
         assert row.total == pytest.approx(math.pi / 215.0, rel=1e-12)
         assert row.total == pytest.approx(14.61e-3, abs=1e-5)
         assert row.pulse_term == 0.0 and row.swap_term == 0.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_qubit_is_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            costmodel.t_parallel(n, costmodel.LiquidParams())
 
     def test_n4_is_two_kappa(self):
         p = costmodel.LiquidParams()

@@ -45,6 +45,10 @@ class TestSpinPulse:
         with pytest.raises(ValueError):
             nmr.element_unitary(nmr.SpinPulse((3,), 1.0, 0.0), 2)
 
+    def test_no_spin_is_refused(self):
+        with pytest.raises(ValueError, match="^pulse must address at least one spin$"):
+            nmr.SpinPulse((), 1.0, 0.0)
+
 
 class TestTransitionPulse:
     def test_pi_pulse_swaps_upper_pair(self):
@@ -55,6 +59,16 @@ class TestTransitionPulse:
     def test_invalid_transition(self):
         with pytest.raises(ValueError):
             nmr.element_unitary(nmr.TransitionPulse(1, 4, math.pi, 0.0), 2)
+
+    def test_equal_endpoints_are_refused(self):
+        e = nmr.TransitionPulse(3, 3, math.pi / 2, nmr.PHASE_X)
+        refusal = "^transition endpoints must differ$"
+        with pytest.raises(ValueError, match=refusal):
+            nmr.element_unitary(e, 2)
+        for noise in (None, nmr.NoiseModel.uniform(2, 5.0)):
+            with pytest.raises(ValueError, match=refusal):
+                nmr.run(nmr.PulseSequence("equal", 2, (e,)), 2,
+                        nmr.pseudopure_projector_deviation(2), noise)
 
     def test_disjoint_transitions_commute(self):
         a = nmr.element_unitary(nmr.TransitionPulse(5, 7, 1.0, 0.0), 3).entries
@@ -82,6 +96,10 @@ class TestCouplingDelay:
                 ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(seq),
                                                       plain.conj(), 1e-14)
                 assert ok, (m, spin)
+
+    def test_no_pair_is_refused(self):
+        with pytest.raises(ValueError, match="^delay must list at least one coupling pair$"):
+            nmr.CouplingDelay(())
 
     def test_largest_denominator_lasts_zero_seconds(self):
         # no delay is shorter: 1/(m*J) rounds to 0.0, the phases 2*pi/m to almost nothing
@@ -225,6 +243,16 @@ class TestSequenceEvaluation:
         own = [len({s for j, k, _ in e.legs for s in (j, k)})
                if isinstance(e, nmr.CouplingDelay) else 1 for e in seq.elements]
         assert calls == own
+
+    @pytest.mark.parametrize("call", [
+        lambda e: nmr.element_unitary(e, 2),
+        lambda e: nmr.run(nmr.PulseSequence("odd", 2, (e,)), 2,
+                          nmr.pseudopure_projector_deviation(2)),
+        nmr.element_seconds,
+    ], ids=["element_unitary", "run", "element_seconds"])
+    def test_an_unknown_element_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match=r"^unknown pulse element \('90x', 1\)$"):
+            call(("90x", 1))
 
     def test_zero_rate_noise_identical_to_noiseless(self):
         seq = nmr.library_sequence("parallel-n2")
@@ -650,6 +678,11 @@ class TestDsl:
             nmr.parse_sequence("n: 2\n90y@s1 bogus@s2\n")
         assert err.value.line == 2
         assert err.value.column == 8
+
+    def test_bad_pulse_target_is_named(self):
+        with pytest.raises(nmr.SequenceParseError,
+                           match=r"^line 2, column 3: bad pulse target 'q1'$"):
+            nmr.parse_sequence("n: 2\n  90x@q1\n")
 
     def test_missing_spin_count(self):
         with pytest.raises(nmr.SequenceParseError):

@@ -413,6 +413,17 @@ class TestFidelity:
         assert rep.correlation == pytest.approx(0.0, abs=1e-12)
         assert rep.fidelity == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("odd", range(3), ids=["rho_th", "rho_exp", "rho_init"])
+    def test_inputs_of_different_sizes_are_refused(self, odd):
+        args = [nmr.pseudopure_projector_deviation(2)] * 3
+        args[odd] = nmr.pseudopure_projector_deviation(1)
+        with pytest.raises(ValueError, match="^fidelity inputs must share dimensions$"):
+            tomography.fidelity(*args)
+
+    def test_a_zero_output_reads_zero(self):
+        rho = nmr.pseudopure_projector_deviation(2)
+        assert tomography.fidelity(rho, np.zeros((4, 4)), rho) == (0.0, 0.0, 0.0)
+
     def test_correlation_bounded_over_random_pairs(self):
         rng = np.random.default_rng(1234)
         for _ in range(1000):
