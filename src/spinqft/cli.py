@@ -20,7 +20,7 @@ bundled programs read out in).
 
 A JSON report has the bytes ``json.dumps(..., sort_keys=True, indent=2)``
 would give, written row by row without ever holding the report as one
-string (``_write_report``).  It holds only str-keyed dicts, scalars and
+string (``_encode_into``).  It holds only str-keyed dicts, scalars and
 non-empty 2-D float64 arrays; any other value is a ``TypeError``.
 ``_emit`` decides how a report reaches its destination.  For stdout, or
 an ``--out`` that is not a regular file, it is encoded in full before
@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import errno
+import itertools
 import json
 import math
 import os
@@ -77,11 +78,11 @@ TOMO_MAX_QUBITS = 5
 FIG2_MAX_QUBITS = 8
 
 
-def _replace(path: str, report) -> None:
-    """Encode ``report`` (see ``_write_report``) straight into a temporary
-    file beside the regular or new file ``path``, with the mode ``open(path,
-    "w")`` would give it, then replace ``path`` with it; the temporary is
-    removed if encoding or writing fails."""
+def _replace(path: str, chunks) -> None:
+    """Write the text ``chunks`` into a temporary file beside the regular or
+    new file ``path``, with the mode ``open(path, "w")`` would give it, then
+    replace ``path`` with it; the temporary is removed if drawing a chunk
+    (encoding it) or writing fails."""
     umask = os.umask(0)
     os.umask(umask)
     mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
@@ -89,7 +90,7 @@ def _replace(path: str, report) -> None:
     try:
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
-            _write_report(fh.write, report)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -98,16 +99,18 @@ def _replace(path: str, report) -> None:
 
 
 def _emit(report, out: str) -> None:
-    """Write ``report`` (see ``_write_report``) to ``out``, or to stdout when
-    it is empty, where ``open(out, "w")`` would (symlinks followed): a
-    regular or new file through ``_replace``, stdout, a FIFO or a device in
-    place once the report is encoded in full."""
+    """Write ``report`` to ``out``, or to stdout when it is empty, where
+    ``open(out, "w")`` would (symlinks followed): a ``str`` as it is, a dict
+    as ``_encode_into``'s chunks and a line break, streamed into a regular
+    or new file through ``_replace`` and encoded in full before stdout, a
+    FIFO or a device is written."""
+    chunks = ([report] if isinstance(report, str)
+              else itertools.chain(_encode_into(report, "\n"), ("\n",)))
     try:
         path = os.path.realpath(out) if out else ""
         if path and (os.path.isfile(path) or not os.path.exists(path)):
-            return _replace(path, report)
-        chunks = []
-        _write_report(chunks.append, report)
+            return _replace(path, chunks)
+        chunks = list(chunks)
         if path:
             with open(path, "w") as fh:
                 fh.writelines(chunks)
@@ -126,40 +129,28 @@ def _emit(report, out: str) -> None:
         raise SystemExit(2) from None
 
 
-def _write_report(write, report) -> None:
-    """Pass ``report`` to ``write`` in chunks: a ``str`` as it is, a dict
-    as the chunks of ``json.dumps(report, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n"``.
-
-    Dicts are walked here, and a matrix is written one row at a time
-    (``_encode_matrix``), so no nested list of Python floats is built.  NaN
-    or infinity raises ``ValueError``.  Keys must be strings, as in every
-    report.
-    """
-    if isinstance(report, str):
-        write(report)
-    else:
-        _encode_into(write, report, "\n")
-        write("\n")
-
-
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def _encode_into(write, value, newline: str) -> None:
-    # ``newline`` is a line break plus the indent of the line that opens ``value``
+def _encode_into(value, newline: str):
+    """Yield ``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)``
+    in chunks; ``newline`` is a line break plus the indent of the line that
+    opens ``value``.  Dicts are walked here, and a matrix is yielded one row
+    at a time (``_encode_matrix``), so no nested list of Python floats is
+    built.  NaN or infinity raises ``ValueError``.  Keys must be strings, as
+    in every report."""
     if isinstance(value, dict) and value:
         inner = newline + "  "
         opener = "{"
         for key, item in sorted(value.items()):
-            write(f"{opener}{inner}{_encode(key)}: ")
-            _encode_into(write, item, inner)
+            yield f"{opener}{inner}{_encode(key)}: "
+            yield from _encode_into(item, inner)
             opener = ","
-        write(newline + "}")
+        yield newline + "}"
     elif isinstance(value, (dict, str, int, float)) or value is None:
-        write(_encode(value))
+        yield _encode(value)
     elif getattr(value, "ndim", 0) == 2 and value.size and value.dtype == float:
-        _encode_matrix(write, value, newline)
+        yield from _encode_matrix(value, newline)
     else:
         raise TypeError(f"a report holds no {type(value).__name__}{getattr(value, 'shape', '')}")
 
@@ -167,8 +158,8 @@ def _encode_into(write, value, newline: str) -> None:
 _TABLE_ROWS = 64  # the rows that share one table of repeated values in ``_encode_matrix``
 
 
-def _encode_matrix(write, a, newline: str) -> None:
-    """Write a non-empty 2-D float64 array as ``_encode_into`` writes its
+def _encode_matrix(a, newline: str):
+    """Yield a non-empty 2-D float64 array as ``_encode_into`` yields its
     rows, each block of ``_TABLE_ROWS`` rows formatted by ``_block_texts``."""
     import numpy as np
 
@@ -179,9 +170,9 @@ def _encode_matrix(write, a, newline: str) -> None:
     opener = "["
     for top in range(0, len(a), _TABLE_ROWS):
         for text in _block_texts(a[top:top + _TABLE_ROWS]):
-            write(f"{opener}{inner}[{inner}  {sep.join(text)}{inner}]")
+            yield f"{opener}{inner}[{inner}  {sep.join(text)}{inner}]"
             opener = ","
-    write(newline + "]")
+    yield newline + "]"
 
 
 def _block_texts(block):

@@ -89,6 +89,15 @@ class TestVerify:
         validate(doc)
         assert doc["n"] == 9 and doc["passed"]
 
+    def test_the_cap_reaches_the_handler_and_one_past_it_does_not(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "verify", lambda args: seen.append(args.n) or 0)
+        assert cli.main(["verify", "--n", str(cli.VERIFY_MAX_QUBITS)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", str(cli.VERIFY_MAX_QUBITS + 1)])
+        assert exc.value.code == 2
+        assert seen == [cli.VERIFY_MAX_QUBITS]
+
     def test_n11_exits_2_with_one_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--n", "11"])
@@ -442,6 +451,24 @@ class TestSimulate:
         assert doc["tomography_max_error"] == pytest.approx(10 * cli.TOMO_TOL, rel=1e-6)
         assert doc["tomography_tolerance"] == cli.TOMO_TOL
 
+    @pytest.mark.parametrize("command, key", [
+        (["simulate", "--sequence", "parallel-n2", "--tomography"], "tomography_max_error"),
+        (["tomo-roundtrip", "--n", "2", "--samples", "3"], "max_error"),
+    ], ids=["simulate", "tomo-roundtrip"])
+    @pytest.mark.parametrize("factor, code", [(2.0, 1), (0.5, 0)], ids=["twice", "half"])
+    def test_the_tomography_tolerance_is_tomo_tol(self, command, key, factor, code, capsys,
+                                                 monkeypatch):
+        exact = tomography.reconstruct
+        monkeypatch.setattr(tomography, "reconstruct",
+                            lambda values: exact(values) + factor * cli.TOMO_TOL)
+        status, out, _ = run_cli(command, capsys)
+        assert status == code
+        doc = json.loads(out)
+        validate(doc)
+        assert doc[key] == pytest.approx(factor * cli.TOMO_TOL, rel=1e-6)
+        if "passed" in doc:  # tomo-roundtrip's verdict; simulate has only its exit code
+            assert doc["passed"] is (code == 0)
+
     @pytest.mark.parametrize("flag", ["--reverse-readout", "--no-reverse-readout"])
     def test_readout_order_is_not_an_option(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -550,17 +577,19 @@ class TestTomoRoundtrip:
             raise AssertionError("the handler ran")
 
         monkeypatch.setitem(cli._HANDLERS, command[0], no_work)
-        if from_env:
-            monkeypatch.setenv("SPINQFT_SEED", "-5")
-        else:
-            monkeypatch.delenv("SPINQFT_SEED", raising=False)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(command + ["--seed", "7" if from_env else "-5"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
         name = "SPINQFT_SEED" if from_env else "--seed"
-        assert captured.err.splitlines()[-1] == f"spinqft: error: {name} must be >= 0, got '-5'"
+        for seed in ("-5", "-1"):
+            if from_env:
+                monkeypatch.setenv("SPINQFT_SEED", seed)
+            else:
+                monkeypatch.delenv("SPINQFT_SEED", raising=False)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(command + ["--seed", "7" if from_env else seed])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"spinqft: error: {name} must be >= 0, got '{seed}'")
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_is_usage_error(self, samples, capsys):
@@ -778,7 +807,7 @@ class TestOutPath:
         assert not (tmp_path / "missing").exists()
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        def refuse(path, text):
+        def refuse(path, chunks):
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(cli, "_replace", refuse)
@@ -798,7 +827,7 @@ class TestOutPath:
         out.write_text("old report\n")
         report = {"a": np.ones((64, 64)), "z": float("nan")}
         with pytest.raises(ValueError, match="^Out of range float"):
-            cli._replace(str(out), report)
+            cli._emit(report, str(out))
         assert out.read_text() == "old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
@@ -845,10 +874,10 @@ def dumps(doc):
 
 
 def json_text(doc):
-    """The report ``doc`` as ``cli._write_report`` writes it, as one string."""
-    chunks = []
-    cli._write_report(chunks.append, doc)
-    return "".join(chunks)
+    """The report ``doc`` as ``cli._emit`` writes it to stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(doc, "")
+    return out.getvalue()
 
 
 FINITE = (st.floats(allow_nan=False, allow_infinity=False)
@@ -922,8 +951,7 @@ class TestJsonText:
         doc = report_shaped_doc()
         tracemalloc.start()
         try:
-            chunks = []
-            cli._write_report(chunks.append, doc)
+            chunks = list(cli._encode_into(doc, "\n"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -946,7 +974,8 @@ class TestJsonText:
         for m in (a, a[:cli._TABLE_ROWS]):
             tracemalloc.start()
             try:
-                cli._write_report(lambda chunk: None, {"m": m})
+                for _ in cli._encode_into({"m": m}, "\n"):
+                    pass
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

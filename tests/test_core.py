@@ -81,7 +81,8 @@ class TestApplyConjugate:
 
     def test_dimension_mismatch(self):
         rho = core.DensityMatrix(np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^dimension mismatch: operator on 1 qubits, state on 2$"):
             core.conjugate(core.dft_oracle(1), rho)
 
 
@@ -191,9 +192,17 @@ class TestValidation:
             core.UnitaryMatrix(np.array([[1, 0], [0, 2.0]]))
 
     def test_unitarity_tolerance_is_1e_10(self):
-        # m m^H misses the identity by 2e-6 on the diagonal
-        with pytest.raises(ValueError, match="not unitary"):
-            core.UnitaryMatrix(np.eye(2) * (1 + 1e-6))
+        # m m^H misses the identity by 2e-6, then 2e-10, on the diagonal
+        for scale in (1 + 1e-6, 1 + 1e-10):
+            with pytest.raises(ValueError, match="not unitary"):
+                core.UnitaryMatrix(np.eye(2) * scale)
+        core.UnitaryMatrix(np.eye(2) * (1 + 1e-11))  # misses it by 2e-11
+
+    def test_hermiticity_tolerance_is_1e_12(self):
+        # at unit scale, m - m^H of 5e-13 is accepted and one of 2e-12 is refused
+        core.DensityMatrix(np.array([[1.0, 5e-13], [0.0, -1.0]], dtype=complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            core.DensityMatrix(np.array([[1.0, 2e-12], [0.0, -1.0]], dtype=complex))
 
     @pytest.mark.parametrize("make", [
         lambda m: core.UnitaryMatrix(m),

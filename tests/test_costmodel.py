@@ -209,8 +209,9 @@ class TestSolid:
     def test_dipolar_band_includes_both_ends(self):
         for d in (1e3, 1e12):
             assert costmodel.SolidParams(delta=1e-8, d=d, Delta=1e-7).d == d
-        with pytest.raises(ValueError, match="outside sane range"):
-            costmodel.SolidParams(delta=1e-8, d=math.nextafter(1e12, math.inf), Delta=1e-7)
+        for d in (math.nextafter(1e3, 0), math.nextafter(1e12, math.inf)):
+            with pytest.raises(ValueError, match="outside sane range"):
+                costmodel.SolidParams(delta=1e-8, d=d, Delta=1e-7)
 
     def test_n3_reference_value(self):
         # independent spreadsheet-style evaluation of the closed form
@@ -274,6 +275,8 @@ class TestSweep:
     def test_breakdown_total_consistency(self):
         with pytest.raises(ValueError):
             costmodel.CostBreakdown(1, "x", 1.0, 1.0, 0.0, 3.0)
+        with pytest.raises(ValueError, match="sum of its terms"):  # off by 1e-13 relative
+            costmodel.CostBreakdown(1, "x", 1.0, 1.0, 0.0, 2.0 * (1 + 1e-13))
 
     @pytest.mark.parametrize("terms", [
         (1.0, 1.0, math.inf, math.inf),

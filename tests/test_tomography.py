@@ -275,13 +275,15 @@ class TestReconstruction:
         assert np.linalg.matrix_rank(a) == 4 ** n - 1
 
     def test_a_pulse_that_is_not_clifford_is_refused(self, monkeypatch):
-        def quarter(pulse, n):  # a 45-degree pulse in place of the 90
-            return nmr.element_unitary(nmr.SpinPulse(pulse.spins, pulse.angle / 2.0,
-                                                     pulse.phase), n)
+        # a 45-degree pulse in place of the 90, then a readout phase off by 1e-6 rad
+        for angle, shift in ((0.5, 0.0), (1.0, 1e-6)):
+            def perturbed(pulse, n, angle=angle, shift=shift):
+                return nmr.element_unitary(nmr.SpinPulse(pulse.spins, pulse.angle * angle,
+                                                         pulse.phase + shift), n)
 
-        monkeypatch.setattr(tomography, "element_unitary", quarter)
-        with pytest.raises(ValueError, match="not Clifford"):
-            tomography.measure_all(nmr.pseudopure_projector_deviation(2))
+            monkeypatch.setattr(tomography, "element_unitary", perturbed)
+            with pytest.raises(ValueError, match="not Clifford"):
+                tomography.measure_all(nmr.pseudopure_projector_deviation(2))
 
     def test_zero_maps_to_zero(self):
         rec = tomography.reconstruct(np.zeros(9 * 8))
