@@ -12,10 +12,10 @@ qubits' axes, without building the 2**n x 2**n matrix),
 control qubit is set), ``apply_channel`` (a 4x4 superoperator on one
 qubit's row and column bits of a matrix) and ``qubit_bits`` (one qubit's
 bit across all basis indices) apply this ordering to every gate, pulse
-and noise channel in the package; the only other places are the oracle,
-the tomography's Pauli transform, which reshapes a matrix to one axis per
-qubit, and ``nmr.NoiseModel.damping_matrix``, a Kronecker product with
-qubit 1 first.  Each is one broadcast matrix product on a reshaped view:
+and noise channel in the package and to the bit reversal; the only other
+places are the oracle, the tomography's Pauli transform, which reshapes a
+matrix to one axis per qubit, and ``nmr.NoiseModel.damping_matrix``, a
+Kronecker product with qubit 1 first.  Each is one broadcast matrix product on a reshaped view:
 a controlled gate copies its control = 0 half and rewrites only the
 control = 1 half.
 
@@ -258,6 +258,14 @@ def conjugate(u: UnitaryMatrix, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(u.entries @ rho.entries @ u.entries.conj().T)
 
 
+def _phase_deviation(am: np.ndarray, bm: np.ndarray) -> tuple[float, float]:
+    """max |A - exp(i*gamma)*B| and gamma, the phase taken at the
+    largest-magnitude entry of B (0 when B is all zero)."""
+    idx = np.unravel_index(np.argmax(np.abs(bm)), bm.shape)
+    gamma = float(np.angle(am[idx]) - np.angle(bm[idx])) if abs(bm[idx]) else 0.0
+    return float(np.max(np.abs(am - np.exp(1j * gamma) * bm))), gamma
+
+
 def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:
     """Test A = exp(i*gamma)*B entrywise within ``tol``.
 
@@ -267,21 +275,15 @@ def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:
     am, bm = entries_of(a), entries_of(b)
     if am.shape != bm.shape:
         return False, 0.0
-    idx = np.unravel_index(np.argmax(np.abs(bm)), bm.shape)
-    if abs(bm[idx]) == 0.0:
-        return bool(np.max(np.abs(am)) <= tol), 0.0
-    gamma = float(np.angle(am[idx]) - np.angle(bm[idx]))
-    ok = bool(np.max(np.abs(am - np.exp(1j * gamma) * bm)) <= tol)
-    return ok, gamma
+    dev, gamma = _phase_deviation(am, bm)
+    return dev <= tol, gamma
 
 
 def bit_reversal_permutation(n: int) -> UnitaryMatrix:
-    """Permutation P with P|b_{n-1}...b_0> = |b_0...b_{n-1}>."""
+    """Permutation P with P|b_{n-1}...b_0> = |b_0...b_{n-1}>: the bit of
+    qubit j moves to qubit n + 1 - j."""
     _check_qubit_count(n)
-    dim = 2 ** n
-    p = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        rev = int(format(a, f"0{n}b")[::-1], 2)
-        p[rev, a] = 1.0
+    rev = sum(qubit_bits(j, n) << (j - 1) for j in range(1, n + 1))
+    p = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    p[rev, np.arange(2 ** n)] = 1.0
     return UnitaryMatrix(p)
-

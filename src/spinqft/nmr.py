@@ -33,14 +33,14 @@ checks every element's labels against ``n`` and its operator once on its
 own spins (``_checked``, which returns a pulse's 2x2 with its spins or
 basis pair and a delay's or a z pulse's phase factors placed on the
 ``n`` spins), then is one loop, with or without noise, that applies
-those as given in fused pieces.  A spin's dephasing commutes with every
-operation on other spins and with every diagonal element, so only its
-order against that spin's own pulses matters.  Every element's time is
-owed by every spin.  A run of spin pulses becomes one 4x4 channel per
-pulsed spin, and each pulse takes in what its spin owes just before its
-own operator; a run of delays and z pulses becomes one Schur product
-with the dephasing the spins owe; a transition pulse is applied in
-place, to its two rows and then its two columns.
+those as given.  A spin's dephasing commutes with every operation on
+other spins and with every diagonal element, so every element's time is
+owed by every spin and taken in only where it stops commuting: by each
+pulse on that spin, just before its own operator, and, for all spins at
+once, before each transition pulse and at the end.  A run of spin pulses
+becomes one 4x4 channel per pulsed spin; a delay or a z pulse is one
+Schur product with its phases; a transition pulse is applied in place,
+to its two rows and then its two columns.
 ``sequence_unitary`` is the dense product that tests check ``run``
 against.
 """
@@ -281,17 +281,10 @@ class NoiseModel:
         return d
 
 
-def _apply_schur(state: np.ndarray, phase: np.ndarray | None, damping: np.ndarray | None,
-                 buf: np.ndarray) -> None:
-    """``state`` times (p p^H) times ``damping``, entrywise and in place, for
-    the diagonal ``phase`` p of a run of delays and z pulses; either may be
-    None, not both.  The factor is built in ``buf[0]``."""
-    if phase is not None:
-        f = np.multiply(phase[:, None], phase.conj(), out=buf[0].reshape(state.shape))
-        if damping is not None:
-            f *= damping
-        damping = f
-    state *= damping
+def _apply_schur(state: np.ndarray, phase: np.ndarray, buf: np.ndarray) -> None:
+    """``state`` times p p^H, entrywise and in place, for the diagonal
+    ``phase`` p of a delay or a z pulse.  The factor is built in ``buf[0]``."""
+    state *= np.multiply(phase[:, None], phase.conj(), out=buf[0].reshape(state.shape))
 
 
 def run(seq: PulseSequence, n: int, rho: DensityMatrix,
@@ -304,19 +297,20 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     refused before ``rho`` is touched.  Spin j's dephasing during an element
     multiplies the (row bit j, column bit j) pair of ``rho`` by diag(1, g,
     g, 1), g = exp(-rate_j * t); it commutes with every operation on other
-    spins and with every diagonal element, so only its order against spin
-    j's own pulses matters.  Every element's time is owed by every spin, and
-    the loop fuses on that:
+    spins and with every diagonal element, so it is owed, element by
+    element, until it stops commuting: at a pulse on spin j, at a
+    transition pulse, or at the end.
 
     - a maximal run of spin pulses builds one 4x4 channel per pulsed spin;
       each pulse on spin j takes in the dephasing j owes just before its
       own operator, S_j <- (u (x) conj(u)) D_j(owed_j) S_j.  Each channel is
       applied once, when the run ends (``core.apply_channel``);
-    - a maximal run of delays and z pulses is one phase vector p, applied
-      with the dephasing every spin owes as one in-place Schur product
-      (``_apply_schur``, one ``damping_matrix`` per flush with noise);
-    - a transition pulse closes both and is applied in place, to its two
-      rows and then to its two columns: u rho u^H.
+    - a delay or a z pulse is one in-place Schur product with its phase
+      diagonal p, p p^H (``_apply_schur``);
+    - a transition pulse first takes in the dephasing every spin owes, one
+      Schur product with ``damping_matrix`` of one time per spin, and is
+      applied in place, to its two rows and then to its two columns: u rho
+      u^H.  The end takes in what is owed by then the same way.
     """
     count = n if noise is None else len(noise.rates)
     if not seq.n == n == rho.n == count:
@@ -329,24 +323,20 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     buf = np.empty((2, state.size), dtype=complex)  # two reused C scratch arrays
     owed = np.zeros(n)  # seconds of dephasing each spin owes, spin j at j - 1
     channels = {}  # spin -> its 4x4 channel in the open pulse run
-    phase = None  # the diagonal of the open run of delays and z pulses
 
     def close_pulses():
         for j, s in channels.items():
             apply_channel(state, j, s, buf)
         channels.clear()
 
-    def close_diagonal():
-        nonlocal phase
-        if phase is not None or noisy and owed.any():
-            _apply_schur(state, phase, noise.damping_matrix(tuple(owed)) if noisy else None, buf)
+    def dephase():  # the open pulse run, then all that the spins owe
+        close_pulses()
+        if noisy and owed.any():
+            np.multiply(state, noise.damping_matrix(tuple(owed)), out=state)
             owed[:] = 0.0
-        phase = None
 
     for e, op in zip(seq.elements, ops):
         if isinstance(e, SpinPulse):
-            if phase is not None:  # only a diagonal run closes here: what spins owe stays owed
-                close_diagonal()
             u, spins = op
             k = np.kron(u, u.conj())
             for j in spins:
@@ -354,17 +344,15 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
                 channels[j] = (k * [1.0, g, g, 1.0]) @ channels.get(j, np.eye(4))
                 owed[j - 1] = 0.0
         elif isinstance(e, TransitionPulse):
-            close_pulses()
-            close_diagonal()
+            dephase()
             u, pair = op
             state[pair] = u @ state[pair]
             state[:, pair] = state[:, pair] @ u.conj().T
         else:
             close_pulses()
-            phase = op if phase is None else np.multiply(phase, op, out=phase)
+            _apply_schur(state, op, buf)
         owed += element_seconds(e)
-    close_pulses()
-    close_diagonal()
+    dephase()
     del buf  # not held through the final check
     return DensityMatrix(state)
 

@@ -349,6 +349,35 @@ def program_elements(draw, n):
     return tuple(e for piece in drawn for e in piece)
 
 
+def counted_steps(monkeypatch) -> dict:
+    """Record each ``apply_channel`` (its spin), ``_apply_schur`` and
+    ``damping_matrix`` (its times) that ``run`` calls, and still call it."""
+    calls = {"apply_channel": [], "_apply_schur": [], "damping_matrix": []}
+    for owner, name, key in ((nmr, "apply_channel", lambda args: args[1]),
+                             (nmr, "_apply_schur", lambda args: None),
+                             (nmr.NoiseModel, "damping_matrix", lambda args: args[1])):
+        def counting(*args, build=getattr(owner, name), name=name, key=key):
+            calls[name].append(key(args))
+            return build(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def owed_where_dephasing_is_taken_in(seq) -> list:
+    """Each spin's time, by ``element_seconds``, since its own last pulse or
+    the last transition pulse, at each transition pulse and at the end."""
+    owed, out = [0.0] * seq.n, []
+    for e in seq.elements:
+        if isinstance(e, nmr.TransitionPulse):
+            out.append(tuple(owed))
+            owed = [0.0] * seq.n
+        for j in e.spins if isinstance(e, nmr.SpinPulse) else ():
+            owed[j - 1] = 0.0
+        owed = [t + nmr.element_seconds(e) for t in owed]
+    return out + [tuple(owed)]
+
+
 class TestNoisyRun:
     @pytest.mark.parametrize("seq", list(bundled_and_serial_programs((4, 5, 6))))
     def test_matches_dense_reference_loop(self, seq):
@@ -385,15 +414,7 @@ class TestNoisyRun:
     def test_one_channel_per_pulsed_spin_per_run_one_schur_product_per_diagonal_run(
             self, rate, monkeypatch):
         seq = serial_program(4)
-        calls = {"apply_channel": [], "_apply_schur": [], "damping_matrix": []}
-        for owner, name, key in ((nmr, "apply_channel", lambda args: args[1]),  # the spin
-                                 (nmr, "_apply_schur", lambda args: None),
-                                 (nmr.NoiseModel, "damping_matrix", lambda args: args[1])):
-            def counting(*args, build=getattr(owner, name), name=name, key=key):
-                calls[name].append(key(args))
-                return build(*args)
-
-            monkeypatch.setattr(owner, name, counting)
+        calls = counted_steps(monkeypatch)
         noise = nmr.NoiseModel.uniform(4, rate) if rate else None
         nmr.run(seq, 4, nmr.pseudopure_projector_deviation(4), noise)
         runs = [(pulses, list(run)) for pulses, run in
@@ -402,18 +423,23 @@ class TestNoisyRun:
         assert calls["apply_channel"] == [j for pulses, run in runs if pulses
                                           for j in dict.fromkeys(s for e in run for s in e.spins)]
         assert len(calls["apply_channel"]) == 13
-        # each run of delays is one Schur product; with noise one more at the end carries
-        # the dephasing each spin owes since its last pulse: the last pulse run is six
-        # pulses, the third the last on spin 2 and the sixth the last on spin 1, and it
-        # never pulses spins 3 and 4
-        diagonal_runs = sum(not pulses for pulses, _ in runs)
-        assert diagonal_runs == 6
-        assert len(calls["_apply_schur"]) == diagonal_runs + bool(rate)
-        assert len(calls["damping_matrix"]) == (diagonal_runs + 1 if rate else 0)
-        if rate:
-            *_, last = calls["damping_matrix"]
-            pulse = costmodel.DEFAULT_PULSE_SECONDS
-            assert last == pytest.approx((pulse, 4 * pulse, 6 * pulse, 6 * pulse), rel=1e-12)
+        # each delay or z pulse is one Schur product of its own; with noise, the one
+        # damping_matrix is at the end, of each spin's time since its own last pulse
+        assert len(calls["_apply_schur"]) == sum(
+            isinstance(e, (nmr.CouplingDelay, nmr.CompositeZ)) for e in seq.elements) == 6
+        owed = owed_where_dephasing_is_taken_in(seq) if rate else []
+        assert len(owed) == bool(rate)
+        assert calls["damping_matrix"] == [pytest.approx(t, rel=1e-12) for t in owed]
+
+    def test_a_transition_first_takes_in_what_every_spin_owes(self, monkeypatch):
+        seq = nmr.library_sequence("selective-n3")
+        calls = counted_steps(monkeypatch)
+        nmr.run(seq, 3, nmr.pseudopure_input(3), nmr.NoiseModel.uniform(3, 5.0))
+        # once before each of the five transitions and once at the end
+        owed = owed_where_dephasing_is_taken_in(seq)
+        assert len(owed) == 6
+        assert calls["damping_matrix"] == [pytest.approx(t, rel=1e-12) for t in owed]
+        assert len(calls["_apply_schur"]) == 2  # the two z pulses
 
     @pytest.mark.parametrize("rate", [0.0, 5.0])
     def test_a_rate_per_spin_of_the_program_or_refused(self, rate):
