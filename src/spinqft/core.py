@@ -13,9 +13,8 @@ control qubit is set), ``apply_channel`` (a 4x4 superoperator on one
 qubit's row and column bits of a matrix) and ``qubit_bits`` (one qubit's
 bit across all basis indices) apply this ordering to every gate, pulse
 and noise channel in the package and to the bit reversal; the only other
-places are the oracle, the tomography's Pauli transform, which reshapes a
-matrix to one axis per qubit, and ``nmr.NoiseModel.damping_matrix``, a
-Kronecker product with qubit 1 first.  Each is one broadcast matrix product on a reshaped view:
+places are the oracle and the tomography's Pauli transform, which
+reshapes a matrix to one axis per qubit.  Each is one broadcast matrix product on a reshaped view:
 a controlled gate copies its control = 0 half and rewrites only the
 control = 1 half.
 

@@ -33,14 +33,13 @@ checks every element's labels against ``n`` and its operator once on its
 own spins (``_checked``, which returns a pulse's 2x2 with its spins or
 basis pair and a delay's or a z pulse's phase factors placed on the
 ``n`` spins), then is one loop, with or without noise, that applies
-those as given.  A spin's dephasing commutes with every operation on
-other spins and with every diagonal element, so every element's time is
-owed by every spin and taken in only where it stops commuting: by each
-pulse on that spin, just before its own operator, and, for all spins at
-once, before each transition pulse and at the end.  A run of spin pulses
-becomes one 4x4 channel per pulsed spin; a delay or a z pulse is one
-Schur product with its phases; a transition pulse is applied in place,
-to its two rows and then its two columns.
+those as given.  Spin j's dephasing is owed until an element moves
+spin j, or until the end; an element moves spin j if it is a pulse on j,
+or a transition whose two states differ in j's bit.  The owed dephasing
+is then folded into j's 4x4 channel, the one place it enters.  A run of
+spin pulses becomes one 4x4 channel per pulsed spin; a delay or a z
+pulse is one Schur product with its phases; a transition pulse is
+applied in place, to its two rows and then its two columns.
 ``sequence_unitary`` is the dense product that tests check ``run``
 against.
 """
@@ -246,9 +245,11 @@ def element_seconds(e: PulseElement) -> float:
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-spin pure dephasing (rate 1/T2 in Hz) during each element's
-    ``element_seconds``: every element damps single-spin coherence by
-    exp(-rate * time).  Zero rates reproduce the exact unitary channel.
-    One rate per spin: 1 to ``MAX_QUBITS`` of them.
+    ``element_seconds``: entry (r, c) of rho is damped by exp(-rate_j * t)
+    for each spin j where the bits of r and c differ.  ``run`` owes spin
+    j's share until an element moves spin j, or until the end, and then
+    folds it into j's 4x4 channel.  Zero rates reproduce the exact unitary
+    channel.  One rate per spin: 1 to ``MAX_QUBITS`` of them.
     """
 
     rates: tuple
@@ -263,22 +264,6 @@ class NoiseModel:
     @classmethod
     def uniform(cls, n: int, rate_hz: float) -> "NoiseModel":
         return cls((float(rate_hz),) * n)
-
-    def damping_matrix(self, seconds) -> np.ndarray:
-        """Schur-product factors of the channel: entry (r, c) is the product
-        of exp(-rate_j * t_j) over the spins j where the bits of r and c
-        differ, with t_j ``seconds``, or spin j's own time if ``seconds``
-        holds one per spin.  Built as the Kronecker product of the spins'
-        2x2 factors [[1, g_j], [g_j, 1]], spin 1 most significant, from spin
-        n up, so each step's inner loop runs over the long axis."""
-        times = (seconds,) * len(self.rates) if np.ndim(seconds) == 0 else tuple(seconds)
-        if len(times) != len(self.rates):
-            raise ValueError(f"{len(times)} times for {len(self.rates)} rates")
-        d = np.ones((1, 1))
-        for rate, t in zip(self.rates[::-1], times[::-1]):
-            g = math.exp(-rate * t)
-            d = np.kron([[1.0, g], [g, 1.0]], d)
-        return d
 
 
 def _apply_schur(state: np.ndarray, phase: np.ndarray, buf: np.ndarray) -> None:
@@ -295,64 +280,66 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     Every element is checked on ``n`` and on its own spins first, and the
     loop applies it as ``_checked`` returns it, so the first bad element is
     refused before ``rho`` is touched.  Spin j's dephasing during an element
-    multiplies the (row bit j, column bit j) pair of ``rho`` by diag(1, g,
-    g, 1), g = exp(-rate_j * t); it commutes with every operation on other
-    spins and with every diagonal element, so it is owed, element by
-    element, until it stops commuting: at a pulse on spin j, at a
-    transition pulse, or at the end.
+    multiplies the (row bit j, column bit j) pair of ``rho`` by D_j =
+    diag(1, g, g, 1), g = exp(-rate_j * t).  It commutes with every element
+    that does not move spin j, so it is owed until an element moves spin j
+    (a pulse on j, or a transition whose two states differ in j's bit) or
+    until the end.  Then ``take_in(j)`` folds it into j's 4x4 channel,
+    S_j <- D_j(owed_j) S_j, opening one if none is open; that is the only
+    place dephasing enters.
 
     - a maximal run of spin pulses builds one 4x4 channel per pulsed spin;
-      each pulse on spin j takes in the dephasing j owes just before its
-      own operator, S_j <- (u (x) conj(u)) D_j(owed_j) S_j.  Each channel is
-      applied once, when the run ends (``core.apply_channel``);
+      each pulse on spin j takes in what j owes just before its own
+      operator, S_j <- (u (x) conj(u)) D_j(owed_j) S_j.  The open channels
+      are applied once, when the run ends (``core.apply_channel``);
     - a delay or a z pulse is one in-place Schur product with its phase
       diagonal p, p p^H (``_apply_schur``);
-    - a transition pulse first takes in the dephasing every spin owes, one
-      Schur product with ``damping_matrix`` of one time per spin, and is
-      applied in place, to its two rows and then to its two columns: u rho
-      u^H.  The end takes in what is owed by then the same way.
+    - a transition pulse first takes in what its one spin owes and applies
+      the open channels, then is applied in place, to its two rows and
+      then to its two columns: u rho u^H.  The end takes in what every
+      spin owes and applies the open channels.
     """
-    count = n if noise is None else len(noise.rates)
-    if not seq.n == n == rho.n == count:
+    rates = noise.rates if noise else (0.0,) * n
+    if not seq.n == n == rho.n == len(rates):
         raise ValueError(f"the program has {seq.n} spins, n = {n}, the state {rho.n} spins "
-                         f"and the noise model {count} rates; all must be equal")
-    noisy = noise is not None and any(noise.rates)
-    rates = noise.rates if noisy else (0.0,) * n
+                         f"and the noise model {len(rates)} rates; all must be equal")
     ops = [_checked(e, n) for e in seq.elements]  # built before the loop, which they slow
     state = np.array(rho.entries)  # written in place from here on
     buf = np.empty((2, state.size), dtype=complex)  # two reused C scratch arrays
     owed = np.zeros(n)  # seconds of dephasing each spin owes, spin j at j - 1
     channels = {}  # spin -> its 4x4 channel in the open pulse run
 
+    def take_in(j):  # S_j <- D_j(owed_j) S_j, opening S_j if need be
+        if x := rates[j - 1] * owed[j - 1]:
+            g = math.exp(-x)
+            channels[j] = channels.get(j, np.eye(4)) * [[1.0], [g], [g], [1.0]]
+        owed[j - 1] = 0.0
+
     def close_pulses():
         for j, s in channels.items():
             apply_channel(state, j, s, buf)
         channels.clear()
-
-    def dephase():  # the open pulse run, then all that the spins owe
-        close_pulses()
-        if noisy and owed.any():
-            np.multiply(state, noise.damping_matrix(tuple(owed)), out=state)
-            owed[:] = 0.0
 
     for e, op in zip(seq.elements, ops):
         if isinstance(e, SpinPulse):
             u, spins = op
             k = np.kron(u, u.conj())
             for j in spins:
-                g = math.exp(-rates[j - 1] * owed[j - 1])
-                channels[j] = (k * [1.0, g, g, 1.0]) @ channels.get(j, np.eye(4))
-                owed[j - 1] = 0.0
+                take_in(j)
+                channels[j] = k @ channels.get(j, np.eye(4))
         elif isinstance(e, TransitionPulse):
-            dephase()
             u, pair = op
+            take_in(n + 1 - (pair[0] ^ pair[1]).bit_length())  # the one spin it moves
+            close_pulses()
             state[pair] = u @ state[pair]
             state[:, pair] = state[:, pair] @ u.conj().T
         else:
             close_pulses()
             _apply_schur(state, op, buf)
         owed += element_seconds(e)
-    dephase()
+    for j in range(1, n + 1):
+        take_in(j)
+    close_pulses()
     del buf  # not held through the final check
     return DensityMatrix(state)
 
@@ -504,14 +491,11 @@ def parse_sequence(text: str, name: str = "") -> PulseSequence:
         if stripped.startswith("name:"):
             name = name or stripped[5:].strip()
             continue
-        col = 0
-        for token in stripped.split():
-            col = line.index(token, col) + 1
+        for token in re.finditer(r"\S+", line):
             try:
-                elements.append(_parse_token(token))
+                elements.append(_parse_token(token.group()))
             except ValueError as exc:
-                raise SequenceParseError(str(exc), lineno, col) from None
-            col += len(token) - 1
+                raise SequenceParseError(str(exc), lineno, token.start() + 1) from None
     if n is None:
         raise SequenceParseError("missing 'n: <spins>' directive", 1, 1)
     return PulseSequence(name, n, tuple(elements))

@@ -149,14 +149,14 @@ class TestCompositeZ:
             angle = float(rng.uniform(-7, 7))
             elements += [nmr.SpinPulse((spin,), 0.9, nmr.PHASE_Y), nmr.CompositeZ(spin, angle),
                          nmr.SpinPulse(tuple(range(1, n + 1)), 0.4, nmr.PHASE_X)]
-        noise = nmr.NoiseModel.uniform(n, 40.0)
+        rates = (40.0,) * n
         rho = random_traceless_hermitian(n, rng)
         state = rho.entries
         for e in elements:
             u = (rf_sandwich(e.spin, e.angle, n) if isinstance(e, nmr.CompositeZ)
                  else nmr.element_unitary(e, n).entries)
-            state = (u @ state @ u.conj().T) * noise.damping_matrix(nmr.element_seconds(e))
-        got = nmr.run(nmr.PulseSequence("z", n, elements), n, rho, noise).entries
+            state = dephased(u @ state @ u.conj().T, rates, nmr.element_seconds(e))
+        got = nmr.run(nmr.PulseSequence("z", n, elements), n, rho, nmr.NoiseModel(rates)).entries
         np.testing.assert_allclose(got, state, rtol=0, atol=1e-14)
 
 
@@ -304,19 +304,26 @@ def test_local_conjugation_equals_dense_conjugation(n, program):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def dephased(state, rates, seconds):
+    """``state`` after ``seconds`` of dephasing by its definition: entry
+    (r, c) times exp(-rate_j * seconds) for every spin j where r and c
+    differ, one spin at a time."""
+    n = len(rates)
+    differ = np.arange(2 ** n)[:, None] ^ np.arange(2 ** n)
+    for j, rate in enumerate(rates, start=1):
+        state = state * np.where(differ >> (n - j) & 1, math.exp(-rate * seconds), 1.0)
+    return state
+
+
 def dense_reference(seq, rho, rates=None):
     """Each element's dense unitary as u rho u^H, then, with ``rates``, its
-    dephasing by definition: entry (r, c) times exp(-rate_j * t) for every
-    spin j where r and c differ.  No ``damping_matrix`` and no fusing."""
-    n = seq.n
-    differ = np.arange(2 ** n)[:, None] ^ np.arange(2 ** n)
+    dephasing by definition (``dephased``).  No fusing."""
     state = rho.entries
     for e in seq.elements:
-        u = nmr.element_unitary(e, n).entries
+        u = nmr.element_unitary(e, seq.n).entries
         state = u @ state @ u.conj().T
-        for j, rate in enumerate(rates or (), start=1):
-            state = state * np.where(differ >> (n - j) & 1,
-                                     math.exp(-rate * nmr.element_seconds(e)), 1.0)
+        if rates:
+            state = dephased(state, rates, nmr.element_seconds(e))
     return state
 
 
@@ -350,46 +357,26 @@ def program_elements(draw, n):
 
 
 def counted_steps(monkeypatch) -> dict:
-    """Record each ``apply_channel`` (its spin), ``_apply_schur`` and
-    ``damping_matrix`` (its times) that ``run`` calls, and still call it."""
-    calls = {"apply_channel": [], "_apply_schur": [], "damping_matrix": []}
-    for owner, name, key in ((nmr, "apply_channel", lambda args: args[1]),
-                             (nmr, "_apply_schur", lambda args: None),
-                             (nmr.NoiseModel, "damping_matrix", lambda args: args[1])):
-        def counting(*args, build=getattr(owner, name), name=name, key=key):
+    """Record each ``apply_channel`` (its spin) and ``_apply_schur`` that
+    ``run`` calls, and still call it."""
+    calls = {"apply_channel": [], "_apply_schur": []}
+    for name, key in (("apply_channel", lambda args: args[1]),
+                      ("_apply_schur", lambda args: None)):
+        def counting(*args, build=getattr(nmr, name), name=name, key=key):
             calls[name].append(key(args))
             return build(*args)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(nmr, name, counting)
     return calls
-
-
-def owed_where_dephasing_is_taken_in(seq) -> list:
-    """Each spin's time, by ``element_seconds``, since its own last pulse or
-    the last transition pulse, at each transition pulse and at the end."""
-    owed, out = [0.0] * seq.n, []
-    for e in seq.elements:
-        if isinstance(e, nmr.TransitionPulse):
-            out.append(tuple(owed))
-            owed = [0.0] * seq.n
-        for j in e.spins if isinstance(e, nmr.SpinPulse) else ():
-            owed[j - 1] = 0.0
-        owed = [t + nmr.element_seconds(e) for t in owed]
-    return out + [tuple(owed)]
 
 
 class TestNoisyRun:
     @pytest.mark.parametrize("seq", list(bundled_and_serial_programs((4, 5, 6))))
     def test_matches_dense_reference_loop(self, seq):
         rho = nmr.pseudopure_input(seq.n)
-        noise = nmr.NoiseModel(tuple(3.0 + 2.0 * j for j in range(seq.n)))
-        state = rho.entries
-        for e in seq.elements:  # dense unitary per element, then the channel
-            u = nmr.element_unitary(e, seq.n).entries
-            d = noise.damping_matrix(nmr.element_seconds(e))
-            state = (u @ state @ u.conj().T) * d
-        np.testing.assert_allclose(nmr.run(seq, seq.n, rho, noise).entries, state,
-                                   rtol=0, atol=1e-14)
+        rates = tuple(3.0 + 2.0 * j for j in range(seq.n))
+        np.testing.assert_allclose(nmr.run(seq, seq.n, rho, nmr.NoiseModel(rates)).entries,
+                                   dense_reference(seq, rho, rates), rtol=0, atol=1e-14)
 
     def test_generated_n8_matches_dense_reference_with_unequal_rates(self):
         seq = serial_program(8)
@@ -411,7 +398,7 @@ class TestNoisyRun:
         np.testing.assert_allclose(got, dense_reference(seq, rho, rates), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("rate", [0.0, 5.0], ids=["noiseless", "t2"])
-    def test_one_channel_per_pulsed_spin_per_run_one_schur_product_per_diagonal_run(
+    def test_one_channel_per_pulsed_spin_per_run_one_schur_product_per_diagonal_element(
             self, rate, monkeypatch):
         seq = serial_program(4)
         calls = counted_steps(monkeypatch)
@@ -420,25 +407,24 @@ class TestNoisyRun:
         runs = [(pulses, list(run)) for pulses, run in
                 itertools.groupby(seq.elements, lambda e: isinstance(e, nmr.SpinPulse))]
         # each pulse run applies one channel per spin it pulses, in order of first pulse
-        assert calls["apply_channel"] == [j for pulses, run in runs if pulses
-                                          for j in dict.fromkeys(s for e in run for s in e.spins)]
-        assert len(calls["apply_channel"]) == 13
-        # each delay or z pulse is one Schur product of its own; with noise, the one
-        # damping_matrix is at the end, of each spin's time since its own last pulse
+        pulsed = [j for pulses, run in runs if pulses
+                  for j in dict.fromkeys(s for e in run for s in e.spins)]
+        assert len(pulsed) == 13
+        # with noise, the end takes in what each spin owes: spins 1 and 2 in the
+        # channels of the last pulse run, still open, and spins 3 and 4 in one each
+        assert calls["apply_channel"] == pulsed + ([3, 4] if rate else [])
+        # each delay or z pulse is one Schur product of its own, with or without noise
         assert len(calls["_apply_schur"]) == sum(
             isinstance(e, (nmr.CouplingDelay, nmr.CompositeZ)) for e in seq.elements) == 6
-        owed = owed_where_dephasing_is_taken_in(seq) if rate else []
-        assert len(owed) == bool(rate)
-        assert calls["damping_matrix"] == [pytest.approx(t, rel=1e-12) for t in owed]
 
-    def test_a_transition_first_takes_in_what_every_spin_owes(self, monkeypatch):
+    def test_a_transition_first_takes_in_what_its_own_spin_owes(self, monkeypatch):
         seq = nmr.library_sequence("selective-n3")
         calls = counted_steps(monkeypatch)
         nmr.run(seq, 3, nmr.pseudopure_input(3), nmr.NoiseModel.uniform(3, 5.0))
-        # once before each of the five transitions and once at the end
-        owed = owed_where_dephasing_is_taken_in(seq)
-        assert len(owed) == 6
-        assert calls["damping_matrix"] == [pytest.approx(t, rel=1e-12) for t in owed]
+        # the opening pulse run's channels on spins 1-3, where t6-8 takes in spin 2;
+        # then a channel of its own on the spin each later transition moves (t5-7 on
+        # spin 2, t7-8, t5-6 and t3-4 on spin 3); then one per spin at the end
+        assert calls["apply_channel"] == [1, 2, 3, 2, 3, 3, 3, 1, 2, 3]
         assert len(calls["_apply_schur"]) == 2  # the two z pulses
 
     @pytest.mark.parametrize("rate", [0.0, 5.0])
@@ -570,27 +556,20 @@ class TestNoise:
         assert core._trace_product(out.entries, out.entries) <= (
             core._trace_product(rho.entries, rho.entries) + 1e-12)
 
-    def test_damping_hits_single_spin_coherence(self):
-        noise = nmr.NoiseModel((10.0, 0.0))
-        d = noise.damping_matrix(0.01)
-        g = math.exp(-0.1)
-        assert d[0, 0] == 1.0
-        assert d[0, 2] == pytest.approx(g)   # spin-1 coherence damped
-        assert d[0, 1] == pytest.approx(1.0)  # spin-2 untouched at zero rate
-
-    def test_damping_matrix_is_its_definition_entry_by_entry(self):
-        # entry (r, c) is the product of exp(-rate_j * t_j) over the spins j where r and c differ
-        rates, times = (3.0, 0.0, 41.0, 7.5), (2e-3, 5e-3, 7e-4, 1.9e-2)
-        noise = nmr.NoiseModel(rates)
-        d = noise.damping_matrix(times)
-        for r in range(16):
-            for c in range(16):
-                want = math.prod(math.exp(-rates[j] * times[j]) for j in range(4)
-                                 if (r ^ c) >> (3 - j) & 1)
-                assert d[r, c] == pytest.approx(want, rel=1e-15, abs=0), (r, c)
-        np.testing.assert_array_equal(noise.damping_matrix(0.01), noise.damping_matrix([0.01] * 4))
-        with pytest.raises(ValueError, match="3 times for 4 rates"):
-            noise.damping_matrix(times[:3])
+    def test_elements_that_move_no_spin_damp_each_coherence_by_their_time(self):
+        # a delay and a z pulse only rephase, so |entry (r, c)| is damped by
+        # exp(-rate_j * T) for each spin j where r and c differ, T their total time
+        rates = (0.0, 3.0, 40.0)
+        seq = nmr.parse_sequence("n: 3\ndelay:{1/(4*J12),1/(2*J23)}  z70@s2")
+        seconds = sum(nmr.element_seconds(e) for e in seq.elements)
+        rho = random_traceless_hermitian(3, np.random.default_rng(5)).entries
+        out = nmr.run(seq, 3, core.DensityMatrix(rho), nmr.NoiseModel(rates)).entries
+        for r, c in itertools.product(range(8), repeat=2):
+            g = math.prod(math.exp(-rates[j - 1] * seconds) for j in (1, 2, 3)
+                          if (r ^ c) >> (3 - j) & 1)
+            assert abs(out[r, c]) == pytest.approx(abs(rho[r, c]) * g, rel=1e-13), (r, c)
+        for r in range(4):  # spin 1's coherences, at zero rate, are undamped
+            assert abs(out[r, r + 4]) == pytest.approx(abs(rho[r, r + 4]), rel=1e-13)
 
     def test_element_durations(self):
         assert nmr.element_seconds(nmr.SpinPulse((1,), 1.0, 0.0)) == 10e-6
@@ -616,7 +595,7 @@ class TestNoise:
 
     @pytest.mark.parametrize("count", [0, 13, 40])
     def test_one_rate_per_spin_up_to_the_cap(self, count):
-        # only the constructors: a damping matrix at 13+ rates would take 0.5 GiB or more
+        # only the constructors: a state at 13+ spins would take 1 GiB or more
         with pytest.raises(ValueError, match=rf"\[1, {core.MAX_QUBITS}\], got {count}$"):
             nmr.NoiseModel((1.0,) * count)
         with pytest.raises(ValueError, match=rf"\[1, {core.MAX_QUBITS}\], got {count}$"):

@@ -165,19 +165,6 @@ def test_coupling_delay_matches_per_basis_reference(coupling_sign):
                                    rtol=0, atol=1e-12, err_msg=str(legs))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_damping_matrix_matches_per_basis_reference(n):
-    noise = nmr.NoiseModel(tuple(7.0 * j for j in range(1, n + 1)))
-    seconds = 0.0137
-    dim = 2 ** n
-    expected = np.ones((dim, dim))
-    for b, a in product(range(dim), repeat=2):
-        for j in range(1, n + 1):
-            if bit(b, j, n) != bit(a, j, n):
-                expected[b, a] *= math.exp(-noise.rates[j - 1] * seconds)
-    np.testing.assert_allclose(noise.damping_matrix(seconds), expected, rtol=1e-15, atol=0)
-
-
 def local_cases():
     for n in range(1, 6):
         for k in (1, 2):
