@@ -58,7 +58,6 @@ from . import _shown, costmodel
 if TYPE_CHECKING:
     from . import core, nmr
 
-VERIFY_TOL = 1e-10
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
 # a serial or parallel verify child at the cap takes ~0.75 s (2-CPU container), 0.24 s in the oracle
@@ -215,13 +214,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         circuit = circuits.build_serial(args.n)
     else:
         circuit = circuits.build_parallel(args.n)
-    passed, deviation = circuits.verify_against_oracle(circuit, VERIFY_TOL)
+    passed, deviation = circuits.verify_against_oracle(circuit)
     doc = {
         "command": "verify",
         "n": args.n,
         "decomposition": circuit.decomposition,
         "max_deviation": deviation,
-        "tolerance": VERIFY_TOL,
+        "tolerance": circuits.VERIFY_TOL,
         "passed": passed,
     }
     _emit(doc, args.out)

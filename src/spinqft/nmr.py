@@ -40,8 +40,6 @@ is then folded into j's 4x4 channel, the one place it enters.  A run of
 spin pulses becomes one 4x4 channel per pulsed spin; a delay or a z
 pulse is one Schur product with its phases; a transition pulse is
 applied in place, to its two rows and then its two columns.
-``sequence_unitary`` is the dense product that tests check ``run``
-against.
 """
 
 from __future__ import annotations
@@ -215,14 +213,6 @@ def _checked(e: PulseElement, n: int) -> tuple[np.ndarray, tuple | list] | np.nd
              else CouplingDelay(tuple((own[j], own[k], m) for j, k, m in e.legs)))
     p = np.diagonal(element_unitary(moved, len(spins)).entries)
     return p[sum(qubit_bits(j, n) << (len(spins) - i) for j, i in own.items())]
-
-
-def sequence_unitary(seq: PulseSequence) -> UnitaryMatrix:
-    """Ordered product of element unitaries, leftmost element first in time."""
-    out = np.eye(2 ** seq.n, dtype=complex)
-    for e in seq.elements:
-        out = element_unitary(e, seq.n).entries @ out
-    return UnitaryMatrix(out)
 
 
 # -- element time and dephasing noise ---------------------------------------

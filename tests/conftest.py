@@ -1,10 +1,36 @@
-"""Shared helpers for the pulse-level end-to-end checks."""
+"""Shared helpers for the pulse-level end-to-end checks and the child
+interpreters the package and CLI tests start."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 from spinqft import core, nmr, tomography
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def run_python(args, cwd=None, **kwargs):
+    """``python args`` in ``cwd`` on this package's source, text captured;
+    PYTHONUNBUFFERED is dropped, so stdout is block-buffered and output
+    that is not flushed is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+def sequence_unitary(seq: nmr.PulseSequence) -> core.UnitaryMatrix:
+    """Ordered product of element unitaries, leftmost element first in time:
+    the dense reference that ``nmr.run`` is checked against."""
+    out = np.eye(2 ** seq.n, dtype=complex)
+    for e in seq.elements:
+        out = nmr.element_unitary(e, seq.n).entries @ out
+    return core.UnitaryMatrix(out)
 
 
 def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
@@ -52,8 +78,10 @@ def serial_program_text(n: int) -> str:
     for m in range(n, 0, -1):
         for k in range(n, m, -1):
             d = k - m
+            angle = 90.0 / 2 ** d  # exact in binary: written whole or by repr, never rounded
             tokens += [f"delay:1/({2 ** (d + 1)}*J{m}{k})", f"90y@s{m},s{k}",
-                       f"{90.0 / 2 ** d:g}x@s{m},s{k}", f"90-y@s{m},s{k}"]
+                       f"{int(angle) if angle.is_integer() else angle!r}x@s{m},s{k}",
+                       f"90-y@s{m},s{k}"]
         tokens += [f"45y@s{m}", f"180x@s{m}", f"45-y@s{m}"]
     return f"name: serial-{n}\nn: {n}\n" + " ".join(tokens) + "\n"
 

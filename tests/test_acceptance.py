@@ -16,7 +16,7 @@ def test_criterion_1_circuit_correctness():
     start = time.monotonic()
     worst = 0.0
     for n in range(1, 9):
-        ok_s, dev_s = circuits.verify_against_oracle(circuits.build_serial(n), 1e-10)
+        ok_s, dev_s = circuits.verify_against_oracle(circuits.build_serial(n))
         us = circuits.circuit_unitary(circuits.build_serial(n)).entries
         up = circuits.circuit_unitary(circuits.build_parallel(n)).entries
         ok_p, gamma = core.equal_up_to_global_phase(up, us, 1e-10)

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import serial_program_text
+from conftest import SRC, run_python, serial_program_text
 
 from spinqft import circuits, cli, nmr, tomography
 
@@ -39,6 +39,17 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(argv, capsys) -> str:
+    """stderr of ``cli.main(argv)``, which must exit 2 with nothing on
+    stdout and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    return captured.err
 
 
 def validate(doc):
@@ -78,9 +89,7 @@ class TestVerify:
         assert json.loads(out)["max_deviation"] <= 1e-15
 
     def test_n_cap_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--n", "99"])
-        assert exc.value.code == 2
+        refused(["verify", "--n", "99"], capsys)
 
     def test_n9_is_within_the_cap(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "9", "--decomp", "parallel"], capsys)
@@ -89,34 +98,23 @@ class TestVerify:
         validate(doc)
         assert doc["n"] == 9 and doc["passed"]
 
-    def test_the_cap_reaches_the_handler_and_one_past_it_does_not(self, monkeypatch):
+    def test_the_cap_reaches_the_handler_and_one_past_it_does_not(self, capsys, monkeypatch):
         seen = []
         monkeypatch.setitem(cli._HANDLERS, "verify", lambda args: seen.append(args.n) or 0)
         assert cli.main(["verify", "--n", str(cli.VERIFY_MAX_QUBITS)]) == 0
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--n", str(cli.VERIFY_MAX_QUBITS + 1)])
-        assert exc.value.code == 2
+        refused(["verify", "--n", str(cli.VERIFY_MAX_QUBITS + 1)], capsys)
         assert seen == [cli.VERIFY_MAX_QUBITS]
 
     def test_n11_exits_2_with_one_line(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--n", "11"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.splitlines()[-1] == (
+        err = refused(["verify", "--n", "11"], capsys)
+        assert err.splitlines()[-1] == (
             "spinqft: error: --n must lie in [1, 10] for full-matrix verification")
 
     def test_m_out_of_range_exits_2_before_the_oracle(self, capsys, monkeypatch):
         monkeypatch.setattr(circuits, "verify_against_oracle", None)  # a call would raise
         for m in ("5", "0"):  # 0 is a cutoff, not "--m not given"
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["verify", "--n", "3", "--decomp", "approximate", "--m", m])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines()[-1] == (
+            err = refused(["verify", "--n", "3", "--decomp", "approximate", "--m", m], capsys)
+            assert err.splitlines()[-1] == (
                 f"spinqft: error: approximation range m must lie in [1, 3], got {m}")
 
     def test_approximate_with_cutoff_fails_verification(self, capsys):
@@ -131,11 +129,7 @@ class TestVerify:
 def loaded_in_child(code: str, cwd) -> str:
     """Last stdout line of ``code`` run in a fresh interpreter on this
     package: the test process itself has imported everything."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=60)
-    return done.stdout.splitlines()[-1]
+    return run_python(["-c", code], cwd, check=True).stdout.splitlines()[-1]
 
 
 class TestCost:
@@ -160,16 +154,12 @@ class TestCost:
         for row in rows:
             assert row["swap_term"] == pytest.approx(2 * row["n"] * 1e-7, rel=1e-12)
 
-    def test_invalid_range_is_usage_error(self):
+    def test_invalid_range_is_usage_error(self, capsys):
         for bad in ("5..2", "0..3", "nonsense"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["cost", "--model", "liquid", "--n-range", bad])
-            assert exc.value.code == 2
+            refused(["cost", "--model", "liquid", "--n-range", bad], capsys)
 
-    def test_solid_requires_parameters(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["cost", "--model", "solid", "--n-range", "1..3"])
-        assert exc.value.code == 2
+    def test_solid_requires_parameters(self, capsys):
+        refused(["cost", "--model", "solid", "--n-range", "1..3"], capsys)
 
     def test_range_above_the_cap_is_rejected_before_it_is_built(self):
         top = cli.N_RANGE_MAX
@@ -227,22 +217,16 @@ class TestSimulate:
         validate(doc)
         assert doc["tomography_max_error"] <= 1e-8
 
-    def test_unknown_sequence_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", "nonsense"])
-        assert exc.value.code == 2
+    def test_unknown_sequence_is_usage_error(self, capsys):
+        refused(["simulate", "--sequence", "nonsense"], capsys)
 
     def test_long_unknown_name_gives_a_short_line(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", "x" * 5000])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error" in line]
+        err = refused(["simulate", "--sequence", "x" * 5000], capsys)
+        errors = [line for line in err.splitlines() if "error" in line]
         assert len(errors) == 1
         assert errors[0].startswith("spinqft: error: unknown sequence 'xxx")
         assert "(5000 characters)" in errors[0]
-        assert all(len(line) < 300 for line in captured.err.splitlines())
+        assert all(len(line) < 300 for line in err.splitlines())
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reversed_target_is_the_permutation_product_bit_for_bit(self, n):
@@ -252,10 +236,8 @@ class TestSimulate:
         rows = cli._ideal_target_unitary(n).entries
         assert np.array_equal(rows.view(np.int64), dense.view(np.int64))
 
-    def test_directory_as_sequence_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_directory_as_sequence_is_usage_error(self, capsys, tmp_path):
+        refused(["simulate", "--sequence", str(tmp_path)], capsys)
 
     def test_sequence_from_file(self, capsys, tmp_path):
         path = tmp_path / "mini.seq"
@@ -267,22 +249,15 @@ class TestSimulate:
     def test_parse_error_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.seq"
         path.write_text("n: 2\n90q@s1\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)])
-        assert exc.value.code == 2
-        assert "line 2" in capsys.readouterr().err
+        assert "line 2" in refused(["simulate", "--sequence", str(path)], capsys)
 
     @pytest.mark.parametrize("token", [f"delay:1/({'9' * 400}*J12)", f"{'9' * 400}x@s1"],
                              ids=["delay", "pulse"])
     def test_number_too_large_for_a_float_is_usage_error(self, capsys, tmp_path, token):
         path = tmp_path / "huge.seq"
         path.write_text(f"n: 2\n90y@s1  {token}\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(
+        err = refused(["simulate", "--sequence", str(path)], capsys)
+        assert err.splitlines()[-1].startswith(
             f"spinqft: error: cannot parse {path}: line 2, column 9: ")
 
     @pytest.mark.parametrize("text", [f"n: 2\ndelay:1/(4*J{'1' * 5000})\n",
@@ -292,16 +267,12 @@ class TestSimulate:
     def test_long_bad_text_gives_a_short_line(self, capsys, tmp_path, text):
         path = tmp_path / "long.seq"
         path.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error" in line]
+        err = refused(["simulate", "--sequence", str(path)], capsys)
+        errors = [line for line in err.splitlines() if "error" in line]
         assert len(errors) == 1
         assert errors[0].startswith(f"spinqft: error: cannot parse {path}: line ")
         assert len(errors[0]) < 300
-        assert all(len(line) < 300 for line in captured.err.splitlines())
+        assert all(len(line) < 300 for line in err.splitlines())
 
     def test_unreadable_sequence_is_usage_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "locked.seq"
@@ -311,24 +282,15 @@ class TestSimulate:
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(cli, "open", refuse, raising=False)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.splitlines()[-1] == (
+        err = refused(["simulate", "--sequence", str(path)], capsys)
+        assert err.splitlines()[-1] == (
             f"spinqft: error: cannot read {path}: Permission denied")
 
     def test_label_above_the_cap_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "long-label.seq"
         path.write_text(f"n: 2\n90y@s1  90x@s{'1' * 400}\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        err = refused(["simulate", "--sequence", str(path)], capsys)
+        assert err.splitlines()[-1] == (
             f"spinqft: error: cannot parse {path}: line 2, column 9: spin label above 12")
 
     def test_tomography_above_the_cap_exits_2_before_any_work(self, capsys, tmp_path,
@@ -343,13 +305,9 @@ class TestSimulate:
         monkeypatch.setattr(nmr, "run", no_work)
         monkeypatch.setattr(nmr, "pseudopure_projector_deviation", no_work)
         started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path), "--tomography"])
+        err = refused(["simulate", "--sequence", str(path), "--tomography"], capsys)
         assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1:] == [TOMO_CAP_LINE.format(n=n)]
+        assert err.splitlines()[-1:] == [TOMO_CAP_LINE.format(n=n)]
 
     def test_at_the_tomography_cap_is_read_out(self, capsys, tmp_path):
         n = cli.TOMO_MAX_QUBITS
@@ -377,13 +335,10 @@ class TestSimulate:
         monkeypatch.setattr(nmr, "run", no_work)
         monkeypatch.setattr(nmr, "pseudopure_projector_deviation", no_work)
         started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)] + ["--tomography"] * tomography)
+        err = refused(["simulate", "--sequence", str(path)] + ["--tomography"] * tomography,
+                      capsys)
         assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1:] == [  # the tomography cap speaks first
+        assert err.splitlines()[-1:] == [  # the tomography cap speaks first
             TOMO_CAP_LINE.format(n=n) if tomography else
             f"spinqft: error: simulate runs at most {n - 1} spins, the sequence has {n}"]
 
@@ -406,10 +361,7 @@ class TestSimulate:
         # a delay on a spin outside the program is worded as a pulse on one
         path = tmp_path / "spin0.seq"
         path.write_text("n: 2\ndelay:1/(2*J01)\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", str(path)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
+        assert refused(["simulate", "--sequence", str(path)], capsys).splitlines()[-1] == (
             "spinqft: error: qubit labels [0, 1] outside 1..2")
 
     @pytest.mark.parametrize("args", [["simulate"], ["simulate", "--t2", "0.1"],
@@ -418,12 +370,8 @@ class TestSimulate:
     def test_a_pulse_past_the_last_spin_exits_2_with_one_line(self, n, args, capsys, tmp_path):
         path = tmp_path / "past.seq"
         path.write_text(f"n: {n}\n90x@s{n + 1}\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*args, "--sequence", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        err = refused([*args, "--sequence", str(path)], capsys)
+        assert err.splitlines()[-1] == (
             f"spinqft: error: qubit labels [{n + 1}] outside 1..{n}")
 
     @pytest.mark.parametrize("args", [["simulate"], ["simulate", "--t2", "0.1"],
@@ -432,12 +380,8 @@ class TestSimulate:
                                                                       tmp_path):
         path = tmp_path / "equal.seq"
         path.write_text("n: 2\n90y@s1,s2 180x@s1,s2 90x@t3-3\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*args, "--sequence", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "spinqft: error: transition endpoints must differ"
+        err = refused([*args, "--sequence", str(path)], capsys)
+        assert err.splitlines()[-1] == "spinqft: error: transition endpoints must differ"
 
     def test_a_reconstruction_past_the_tolerance_exits_1_with_its_report(self, capsys,
                                                                           monkeypatch):
@@ -471,10 +415,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag", ["--reverse-readout", "--no-reverse-readout"])
     def test_readout_order_is_not_an_option(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", "serial-n2", flag])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        refused(["simulate", "--sequence", "serial-n2", flag], capsys)
         _, out, _ = run_cli(["simulate", "--sequence", "serial-n2"], capsys)
         assert "reverse_readout" not in json.loads(out)
 
@@ -485,12 +426,8 @@ class TestSimulate:
             raise AssertionError("read the sequence")
 
         monkeypatch.setattr(cli, "_resolve_sequence", no_work)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--sequence", "serial-n3", f"--t2={t2}"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        err = refused(["simulate", "--sequence", "serial-n3", f"--t2={t2}"], capsys)
+        assert err.splitlines()[-1] == (
             "spinqft: error: --t2 must be 0 or a time in seconds with a finite rate 1/t2, "
             f"got {float(t2)!r}")
 
@@ -538,12 +475,8 @@ class TestTomoRoundtrip:
                                       ["tomo-roundtrip", "--n", "2", "--samples", "1"]])
     def test_bad_seed_env_is_usage_error(self, args, capsys, monkeypatch):
         monkeypatch.setenv("SPINQFT_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(args)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        err = refused(args, capsys)
+        assert err.splitlines()[-1] == (
             "spinqft: error: SPINQFT_SEED must be an integer, got 'abc'")
 
     @pytest.mark.parametrize("args", [
@@ -558,12 +491,8 @@ class TestTomoRoundtrip:
 
     def test_long_seed_env_gives_a_short_line(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINQFT_SEED", "1" * 5000)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["tomo-roundtrip", "--n", "2", "--samples", "1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        err = refused(["tomo-roundtrip", "--n", "2", "--samples", "1"], capsys)
+        assert err.splitlines()[-1] == (
             "spinqft: error: SPINQFT_SEED must be an integer, got "
             f"{'1' * 40!r}... (5000 characters)")
 
@@ -583,23 +512,14 @@ class TestTomoRoundtrip:
                 monkeypatch.setenv("SPINQFT_SEED", seed)
             else:
                 monkeypatch.delenv("SPINQFT_SEED", raising=False)
-            with pytest.raises(SystemExit) as exc:
-                cli.main(command + ["--seed", "7" if from_env else seed])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines()[-1] == (
+            err = refused(command + ["--seed", "7" if from_env else seed], capsys)
+            assert err.splitlines()[-1] == (
                 f"spinqft: error: {name} must be >= 0, got '{seed}'")
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_is_usage_error(self, samples, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["tomo-roundtrip", "--n", "2", "--samples", samples])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "spinqft: error: --samples must be >= 1"
-
+        err = refused(["tomo-roundtrip", "--n", "2", "--samples", samples], capsys)
+        assert err.splitlines()[-1] == "spinqft: error: --samples must be >= 1"
 
     def test_sample_cap_is_accepted(self, monkeypatch):
         seen = []
@@ -614,12 +534,9 @@ class TestTomoRoundtrip:
             raise AssertionError("the handler ran")
 
         monkeypatch.setitem(cli._HANDLERS, "tomo-roundtrip", no_work)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["tomo-roundtrip", "--n", "3", "--samples", str(cli.TOMO_MAX_SAMPLES + 1)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        err = refused(["tomo-roundtrip", "--n", "3", "--samples", str(cli.TOMO_MAX_SAMPLES + 1)],
+                      capsys)
+        assert err.splitlines()[-1] == (
             f"spinqft: error: --samples must be <= {cli.TOMO_MAX_SAMPLES}")
 
 
@@ -682,13 +599,9 @@ class TestExportFig2:
         monkeypatch.setattr(nmr, "run", no_work)
         monkeypatch.setattr(nmr, "pseudopure_projector_deviation", no_work)
         started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["export-fig2", "--sequence", str(path), "--what", what])
+        err = refused(["export-fig2", "--sequence", str(path), "--what", what], capsys)
         assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1:] == [
+        assert err.splitlines()[-1:] == [
             f"spinqft: error: export-fig2 charts at most {n - 1} spins, the sequence has {n}"]
 
 
@@ -738,13 +651,8 @@ class TestNonFiniteInput:
          "--n-range", "1..2"],
     ])
     def test_rejected_as_usage_error(self, args, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(args)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""  # in particular no NaN or Infinity
-        assert "Traceback" not in captured.err
-        assert captured.err.splitlines()[-1].startswith("spinqft: error: ")
+        err = refused(args, capsys)  # so in particular no NaN or Infinity on stdout
+        assert err.splitlines()[-1].startswith("spinqft: error: ")
 
 
 class TestOutPath:
@@ -797,13 +705,8 @@ class TestOutPath:
             raise AssertionError("handler ran")
 
         monkeypatch.setitem(cli._HANDLERS, "verify", no_work)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(self.ARGS + [str(tmp_path / target)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.splitlines()[-1].startswith("spinqft: error: --out ")
+        err = refused(self.ARGS + [str(tmp_path / target)], capsys)
+        assert err.splitlines()[-1].startswith("spinqft: error: --out ")
         assert not (tmp_path / "missing").exists()
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -812,13 +715,8 @@ class TestOutPath:
 
         monkeypatch.setattr(cli, "_replace", refuse)
         out = tmp_path / "x.json"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(self.ARGS + [str(out)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.splitlines()[-1] == (
+        err = refused(self.ARGS + [str(out)], capsys)
+        assert err.splitlines()[-1] == (
             f"spinqft: error: cannot write --out {out}: Permission denied")
 
     def test_failed_encoding_leaves_the_file_and_no_temporary(self, tmp_path):
@@ -989,9 +887,8 @@ class TestStdoutFailure:
     @pytest.mark.parametrize("args", [["simulate", "--sequence", "serial-n2"],
                                       ["verify", "--n", "2"]], ids=["simulate", "verify"])
     def test_full_device_exits_2_with_one_line(self, args, unbuffered, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = src
+        env["PYTHONPATH"] = SRC
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
@@ -1007,11 +904,8 @@ class TestClosedStdout:
                                       ["cost", "--model", "liquid", "--n-range", "1..3"]],
                              ids=["verify", "cost"])
     def test_exits_2_with_one_line(self, args, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "spinqft.cli", *args], cwd=tmp_path,
-                              env=env, stderr=subprocess.PIPE, text=True, timeout=60,
-                              preexec_fn=lambda: os.close(1))  # as the shell's `>&-`
+        done = run_python(["-m", "spinqft.cli", *args], tmp_path,
+                          preexec_fn=lambda: os.close(1))  # as the shell's `>&-`
         assert done.returncode == 2
         assert done.stderr == "spinqft: error: cannot write stdout: Bad file descriptor\n"
 
@@ -1028,10 +922,9 @@ class TestBlasThreads:
                     ["simulate", "--sequence", "serial-7.seq", "--t2", "0.05"],
                     ["simulate", "--sequence", "serial-8.seq", "--t2", "0.110464",
                      "--out", "report.json"]]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         default = {k: v for k, v in os.environ.items()
                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        default["PYTHONPATH"] = src
+        default["PYTHONPATH"] = SRC
         for args in commands:
             outs = []
             for env in (dict(default, OPENBLAS_NUM_THREADS="1"), default):
@@ -1039,15 +932,6 @@ class TestBlasThreads:
                                       env=env, capture_output=True, timeout=120, check=True)
                 outs.append((tmp_path / args[-1]).read_bytes() if "--out" in args else done.stdout)
             assert outs[0] and outs[0] == outs[1], args
-
-
-def run_python(args, cwd, **kwargs):
-    """``python args`` in ``cwd`` on this package, text captured; stdout is
-    block-buffered, so output that is not flushed is lost."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=120, **kwargs)
 
 
 class TestProgramExit:

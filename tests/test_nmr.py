@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_traceless_hermitian, refocused, serial_program_text, z_template
+from conftest import (random_traceless_hermitian, refocused, sequence_unitary, serial_program_text,
+                      z_template)
 
 from spinqft import core, costmodel, nmr
 
@@ -82,7 +83,7 @@ class TestCouplingDelay:
         # exponent exp(-i 2 pi J t IzIz): diag(q, q*, q*, q) for
         # q = e^{-i pi/4}, times the -1 of (-i sigma_x)**2
         seq = nmr.parse_sequence("n: 2\n180x@s1 delay:1/(2*J12) 180x@s1\n")
-        u = nmr.sequence_unitary(seq).entries
+        u = sequence_unitary(seq).entries
         q = np.exp(-1j * np.pi / 4)
         np.testing.assert_allclose(u, -np.diag([q, q.conjugate(), q.conjugate(), q]), atol=1e-15)
 
@@ -93,7 +94,7 @@ class TestCouplingDelay:
             plain = nmr.element_unitary(nmr.CouplingDelay(((1, 2, m),)), 2).entries
             for spin in (1, 2):
                 seq = nmr.parse_sequence(f"n: 2\n180x@s{spin} delay:1/({m}*J12) 180x@s{spin}\n")
-                ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(seq),
+                ok, _ = core.equal_up_to_global_phase(sequence_unitary(seq),
                                                       plain.conj(), 1e-14)
                 assert ok, (m, spin)
 
@@ -208,19 +209,19 @@ def bundled_and_serial_programs(sizes):
 class TestSequenceEvaluation:
     def test_empty_sequence_is_identity(self):
         seq = nmr.PulseSequence("empty", 2, ())
-        u = nmr.sequence_unitary(seq)
+        u = sequence_unitary(seq)
         assert np.array_equal(u.entries, np.eye(4))
 
     def test_all_library_sequences_are_unitary(self):
         for name in nmr.SEQUENCE_LIBRARY:
             seq = nmr.library_sequence(name)
-            u = nmr.sequence_unitary(seq)  # constructor checks unitarity
+            u = sequence_unitary(seq)  # constructor checks unitarity
             assert u.n == seq.n
 
     @pytest.mark.parametrize("seq", list(bundled_and_serial_programs(range(1, 7))))
     def test_noiseless_run_matches_dense_conjugation(self, seq):
         rho = nmr.pseudopure_input(seq.n)
-        u = nmr.sequence_unitary(seq).entries
+        u = sequence_unitary(seq).entries
         np.testing.assert_allclose(nmr.run(seq, seq.n, rho).entries,
                                    u @ rho.entries @ u.conj().T, rtol=0, atol=1e-15)
 

@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import refocused, z_template
+from conftest import refocused, sequence_unitary, z_template
 
 from spinqft import circuits, core, nmr
 
@@ -63,8 +63,9 @@ def gate_cases():
             for k in range(j + 1, n + 1):
                 theta, alpha = 0.3 + j - 0.1 * k, 2.0 ** (j - k)
                 cphase = np.diag([1, 1, 1, np.exp(1j * theta)])
+                w = np.exp(1j * math.pi * alpha)  # X**alpha = ((1 + w) I + (1 - w) X) / 2
                 root = np.eye(4, dtype=complex)
-                root[2:, 2:] = circuits.x_power(alpha)
+                root[2:, 2:] = ((1 + w) * np.eye(2) + (1 - w) * np.array([[0, 1], [1, 0]])) / 2
                 yield pytest.param(circuits.controlled_phase(j, k, theta), n,
                                    reference_local(n, (j, k), cphase), id=f"cphase-n{n}-{j}{k}")
                 yield pytest.param(circuits.root_cnot(j, k, alpha), n,
@@ -134,7 +135,7 @@ def test_composite_z_matches_per_basis_reference(n, angle, template):
     sandwich = rotation(math.pi / 2, last) @ mid @ rotation(math.pi / 2, first)
     for spin in range(1, n + 1):
         program = nmr.PulseSequence("z", n, z_template(spin, angle, template))
-        np.testing.assert_allclose(nmr.sequence_unitary(program).entries,
+        np.testing.assert_allclose(sequence_unitary(program).entries,
                                    reference_product(n, {spin: sandwich}),
                                    rtol=0, atol=1e-14, err_msg=f"spin {spin}")
 
@@ -160,7 +161,7 @@ def test_coupling_delay_matches_per_basis_reference(coupling_sign):
         program, sign = (delay,), 1
         if coupling_sign == 1:
             program, sign = refocused(delay, spins), (-1) ** len(spins)
-        got = nmr.sequence_unitary(nmr.PulseSequence("delay", n, program)).entries
+        got = sequence_unitary(nmr.PulseSequence("delay", n, program)).entries
         np.testing.assert_allclose(got, sign * np.diag(np.exp(1j * np.array(phases))),
                                    rtol=0, atol=1e-12, err_msg=str(legs))
 

@@ -2,18 +2,10 @@
 
 import glob
 import os
-import subprocess
-import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-
-
-def run_python(args, **kwargs):
-    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True,
-                          timeout=120, **kwargs)
+from conftest import ROOT, run_python
 
 
 def test_submodules_load_on_first_access():

@@ -8,13 +8,14 @@ programs that mirror a wrong convention, and wrong correction angles,
 fail it, so neither is decorative.
 """
 
+import math
 import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import sequence_fidelity, serial_program_text
+from conftest import sequence_fidelity, sequence_unitary, serial_program_text
 
 from spinqft import core, nmr
 
@@ -51,7 +52,7 @@ def transform_maps(n: int) -> dict:
 
 
 def is_map(seq: nmr.PulseSequence, target: np.ndarray) -> bool:
-    return core.equal_up_to_global_phase(nmr.sequence_unitary(seq), target, 1e-12)[0]
+    return core.equal_up_to_global_phase(sequence_unitary(seq), target, 1e-12)[0]
 
 
 class TestDeclaredMap:
@@ -73,6 +74,15 @@ class TestDeclaredMap:
         seq = nmr.parse_sequence(serial_program_text(n))
         maps = transform_maps(n)
         assert is_map(seq, maps["F P"]) and not is_map(seq, maps["P F"])
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_generated_coupling_angles_are_exact(self, n):
+        # each {90_y}{theta_x}{90_-y} sandwich on spins m < k turns by 90/2**(k - m) degrees
+        got = sorted((e.spins, e.angle) for e in nmr.parse_sequence(serial_program_text(n)).elements
+                     if isinstance(e, nmr.SpinPulse) and len(e.spins) == 2
+                     and e.phase == nmr.PHASE_X)
+        assert got == [((m, k), math.radians(90 / 2 ** (k - m)))
+                       for m in range(1, n) for k in range(m + 1, n + 1)]
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("high", [False, True], ids=["a=1", "a=2**n-1"])
@@ -107,7 +117,7 @@ class TestCalibrationIsLoadBearing:
         for e in nmr.library_sequence("serial-n2").elements:
             u = nmr.element_unitary(e, 2).entries
             flipped = (u.conj() if isinstance(e, nmr.CouplingDelay) else u) @ flipped
-        ok, _ = core.equal_up_to_global_phase(nmr.sequence_unitary(mirror), flipped, 1e-12)
+        ok, _ = core.equal_up_to_global_phase(sequence_unitary(mirror), flipped, 1e-12)
         assert ok
 
     def test_composite_z_sense_matters(self):
