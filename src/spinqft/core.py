@@ -16,7 +16,7 @@ and noise channel in the package and to the bit reversal; the only other
 places are the oracle and the tomography's Pauli transform, which
 reshapes a matrix to one axis per qubit.  Each is one broadcast matrix product on a reshaped view:
 a controlled gate copies its control = 0 half and rewrites only the
-control = 1 half.
+control = 1 half, and a diagonal channel is one in-place scaling.
 
 The Fourier matrix built here by a direct scalar double loop is the
 independent oracle that every circuit- and pulse-level construction in
@@ -195,6 +195,9 @@ def apply_channel(a: np.ndarray, j: int, s: np.ndarray, buf: np.ndarray) -> None
     gives u a u^H.  One transposing copy of ``a`` (the pair first) into
     ``buf[0]``, one matrix product into ``buf[1]`` and one copy back;
     ``buf`` is complex scratch of shape (2, a.size), reused across calls.
+    An ``s`` whose off-diagonal entries are exactly zero, such as a
+    dephasing diag(1, g, g, 1), is instead one in-place broadcast multiply
+    of the reshaped ``a`` that leaves ``buf`` untouched.
     """
     n = _matrix_qubits(a)
     _check_labels(n, [j])
@@ -202,6 +205,9 @@ def apply_channel(a: np.ndarray, j: int, s: np.ndarray, buf: np.ndarray) -> None
         raise ValueError("expected a C-contiguous matrix, a 4x4 operator and (2, size) scratch")
     lo, hi = 2 ** (j - 1), 2 ** (n - j)
     view = a.reshape(lo, 2, hi, lo, 2, hi)
+    if not np.any(s - np.diag(d := np.diag(s))):  # diagonal: scale each (r, c) block in place
+        view *= d.reshape(2, 1, 1, 2, 1)
+        return
     np.copyto(buf[0].reshape(2, 2, lo, hi, lo, hi), view.transpose(1, 4, 0, 2, 3, 5))
     out = np.matmul(s, buf[0].reshape(4, -1), out=buf[1].reshape(4, -1))
     np.copyto(view, out.reshape(2, 2, lo, hi, lo, hi).transpose(2, 0, 3, 4, 1, 5))

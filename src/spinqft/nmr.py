@@ -37,9 +37,10 @@ those as given.  Spin j's dephasing is owed until an element moves
 spin j, or until the end; an element moves spin j if it is a pulse on j,
 or a transition whose two states differ in j's bit.  The owed dephasing
 is then folded into j's 4x4 channel, the one place it enters.  A run of
-spin pulses becomes one 4x4 channel per pulsed spin; a delay or a z
-pulse is one Schur product with its phases; a transition pulse is
-applied in place, to its two rows and then its two columns.
+spin pulses becomes one 4x4 channel per pulsed spin, and a channel with
+no pulse in it is diagonal, one in-place scaling; a delay or a z pulse
+is one Schur product with its phases; a transition pulse is applied in
+place, to its two rows and then its two columns.
 """
 
 from __future__ import annotations
@@ -287,7 +288,8 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
     - a transition pulse first takes in what its one spin owes and applies
       the open channels, then is applied in place, to its two rows and
       then to its two columns: u rho u^H.  The end takes in what every
-      spin owes and applies the open channels.
+      spin owes and applies the open channels; one that only dephases is
+      diagonal and scales ``rho`` in place.
     """
     rates = noise.rates if noise else (0.0,) * n
     if not seq.n == n == rho.n == len(rates):

@@ -33,11 +33,15 @@ def sequence_unitary(seq: nmr.PulseSequence) -> core.UnitaryMatrix:
     return core.UnitaryMatrix(out)
 
 
+def reversed_transform(n: int) -> np.ndarray:
+    """P F: the Fourier oracle, then the reversal of the output bits.  Both
+    exact circuit builders and the ``simulate`` target are this map."""
+    return core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries
+
+
 def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
     """Transform target after reverse-order relabeling of the qubits."""
-    n = rho_init.n
-    u = core.UnitaryMatrix(core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries)
-    return core.conjugate(u, rho_init)
+    return core.conjugate(core.UnitaryMatrix(reversed_transform(rho_init.n)), rho_init)
 
 
 def sequence_fidelity(seq: nmr.PulseSequence, noise: nmr.NoiseModel | None = None) -> float:

@@ -1,15 +1,15 @@
-"""Circuit builders: oracle equivalence, gate algebra, counts, identities."""
+"""Circuit builders: oracle equivalence, gate algebra, counts, identities,
+the local product against a dense reference and the verify tolerance."""
 
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from conftest import reversed_transform
+
 from spinqft import circuits, core
-
-
-def oracle_target(n):
-    return core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries
 
 
 class TestBuilders:
@@ -105,6 +105,8 @@ class TestGateUnitaries:
     def test_invalid_labels(self):
         with pytest.raises(ValueError):
             circuits.gate_unitary(circuits.hadamard(3), 2)
+        with pytest.raises(ValueError, match="qubit count"):
+            circuits.gate_unitary(circuits.total_hadamard(), 0)
         with pytest.raises(ValueError):
             circuits.controlled_phase(2, 2, 1.0)
         for gate in (circuits.controlled_phase(1, 3, 0.5), circuits.root_cnot(1, 3, 0.5)):
@@ -135,7 +137,7 @@ class TestCircuitUnitary:
 
     def test_serial_n2_matches_reversed_oracle(self):
         u = circuits.circuit_unitary(circuits.build_serial(2)).entries
-        ok, _ = core.equal_up_to_global_phase(u, oracle_target(2), 1e-12)
+        ok, _ = core.equal_up_to_global_phase(u, reversed_transform(2), 1e-12)
         assert ok
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -154,7 +156,7 @@ class TestCircuitUnitary:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_approximate_converges_with_range(self, n):
         # larger allowed range always gets at least as close to the oracle
-        target = oracle_target(n)
+        target = reversed_transform(n)
         prev = np.inf
         for m in range(1, n + 1):
             u = circuits.circuit_unitary(circuits.build_approximate(n, m)).entries
@@ -163,6 +165,23 @@ class TestCircuitUnitary:
             assert dev <= prev + 1e-12
             prev = dev
         assert prev < 1e-10
+
+    def test_verify_passes_half_its_tolerance_and_fails_twice_it(self):
+        # turning the first controlled phase of serial-3 by delta moves the
+        # deviation by about delta / (2 sqrt 2): steer it to 0.5x and 2x of
+        # the 1e-10 that verify reports, measured, not assumed
+        serial = circuits.build_serial(3)
+
+        def turned(delta):
+            gates = list(serial.gates)
+            gates[1] = replace(gates[1], theta=gates[1].theta + delta)
+            return circuits.verify_against_oracle(circuits.Circuit(3, tuple(gates)))
+
+        slope = turned(1e-9)[1] / 1e-9
+        for factor, passes in ((0.5, True), (2.0, False)):
+            ok, dev = turned(factor * 1e-10 / slope)
+            assert abs(dev / 1e-10 - factor) < 0.05 * factor, dev
+            assert ok == passes, dev
 
 
 def embedded(n, factors):
@@ -271,7 +290,7 @@ class TestProductState:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_reversed_oracle_columns(self, n):
-        target = oracle_target(n)
+        target = reversed_transform(n)
         for a in range(2 ** n):
             v = circuits.qft_product_state(a, n)
             np.testing.assert_allclose(v, target[:, a], atol=1e-12)

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import SRC, run_python, serial_program_text
+from conftest import SRC, reversed_transform, run_python, serial_program_text
 
 from spinqft import circuits, cli, nmr, tomography
 
@@ -151,6 +151,7 @@ class TestCost:
         assert code == 0
         rows = json.loads(out)
         validate(rows)
+        assert out == json.dumps(rows, sort_keys=True, indent=2) + "\n"  # every report's layout
         for row in rows:
             assert row["swap_term"] == pytest.approx(2 * row["n"] * 1e-7, rel=1e-12)
 
@@ -230,9 +231,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reversed_target_is_the_permutation_product_bit_for_bit(self, n):
-        from spinqft import core
-
-        dense = core.bit_reversal_permutation(n).entries @ core.dft_oracle(n).entries
+        dense = reversed_transform(n)
         rows = cli._ideal_target_unitary(n).entries
         assert np.array_equal(rows.view(np.int64), dense.view(np.int64))
 

@@ -212,12 +212,6 @@ class TestSequenceEvaluation:
         u = sequence_unitary(seq)
         assert np.array_equal(u.entries, np.eye(4))
 
-    def test_all_library_sequences_are_unitary(self):
-        for name in nmr.SEQUENCE_LIBRARY:
-            seq = nmr.library_sequence(name)
-            u = sequence_unitary(seq)  # constructor checks unitarity
-            assert u.n == seq.n
-
     @pytest.mark.parametrize("seq", list(bundled_and_serial_programs(range(1, 7))))
     def test_noiseless_run_matches_dense_conjugation(self, seq):
         rho = nmr.pseudopure_input(seq.n)

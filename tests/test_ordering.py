@@ -228,14 +228,20 @@ def test_apply_channel_matches_per_basis_reference(n, j):
     s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     flip = 1 << (n - j)
-    expected = np.zeros_like(a)
-    for r, c in product(range(dim), repeat=2):
-        for x, y in product((0, 1), repeat=2):
-            src_r, src_c = r & ~flip | x * flip, c & ~flip | y * flip
-            expected[r, c] += s[2 * bit(r, j, n) + bit(c, j, n), 2 * x + y] * a[src_r, src_c]
-    got = a.copy()
-    core.apply_channel(got, j, s, np.empty((2, a.size), dtype=complex))
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+    diagonal = np.diag(np.diag(s))
+    nudged = diagonal.copy()
+    nudged[0, 3] = 1e-300
+    # a diagonal s scales a in place and never writes the scratch; any other s goes through it
+    for op, in_place in ((s, False), (diagonal, True), (nudged, False)):
+        expected = np.zeros_like(a)
+        for r, c in product(range(dim), repeat=2):
+            for x, y in product((0, 1), repeat=2):
+                src_r, src_c = r & ~flip | x * flip, c & ~flip | y * flip
+                expected[r, c] += op[2 * bit(r, j, n) + bit(c, j, n), 2 * x + y] * a[src_r, src_c]
+        got, buf = a.copy(), np.full((2, a.size), np.nan, dtype=complex)
+        core.apply_channel(got, j, op, buf)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+        assert np.isnan(buf).all() == in_place
     u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))  # u (x) conj(u) is u a u^H
     got = a.copy()
     core.apply_channel(got, j, np.kron(u, u.conj()), np.empty((2, a.size), dtype=complex))

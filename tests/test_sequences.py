@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import sequence_fidelity, sequence_unitary, serial_program_text
+from conftest import reversed_transform, sequence_fidelity, sequence_unitary, serial_program_text
 
 from spinqft import core, nmr
 
@@ -46,9 +46,8 @@ def transform_maps(n: int) -> dict:
     """The two maps a program header may declare: P F, the transform then
     the reversal of the output bits (the ``simulate`` target), and F P, the
     reversal of the input bits then the transform."""
-    f = core.dft_oracle(n).entries
-    p = core.bit_reversal_permutation(n).entries
-    return {"P F": p @ f, "F P": f @ p}
+    return {"P F": reversed_transform(n),
+            "F P": core.dft_oracle(n).entries @ core.bit_reversal_permutation(n).entries}
 
 
 def is_map(seq: nmr.PulseSequence, target: np.ndarray) -> bool:

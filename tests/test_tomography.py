@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_traceless_hermitian
+from conftest import ideal_output, random_traceless_hermitian
 
 from spinqft import core, nmr, tomography
 
@@ -275,8 +275,10 @@ class TestReconstruction:
         assert np.linalg.matrix_rank(a) == 4 ** n - 1
 
     def test_a_pulse_that_is_not_clifford_is_refused(self, monkeypatch):
-        # a 45-degree pulse in place of the 90, then a readout phase off by 1e-6 rad
-        for angle, shift in ((0.5, 0.0), (1.0, 1e-6)):
+        # a 45-degree pulse in place of the 90, then a readout phase off by 1e-6
+        # rad, and by 1e-10 rad, which moves a rotated Pauli by 1e-10: between
+        # roundoff and a bound 1e4 times looser than the one that holds
+        for angle, shift in ((0.5, 0.0), (1.0, 1e-6), (1.0, 1e-10)):
             def perturbed(pulse, n, angle=angle, shift=shift):
                 return nmr.element_unitary(nmr.SpinPulse(pulse.spins, pulse.angle * angle,
                                                          pulse.phase + shift), n)
@@ -475,8 +477,7 @@ class TestFidelity:
     def test_retention_monotone_under_dephasing(self):
         seq = nmr.library_sequence("selective-n2")
         rho0 = nmr.prepare_pseudopure_temporal_avg()
-        target = core.conjugate(core.UnitaryMatrix(
-            core.bit_reversal_permutation(2).entries @ core.dft_oracle(2).entries), rho0)
+        target = ideal_output(rho0)
         retentions = []
         for rate in (0.0, 5.0, 15.0, 40.0):
             noise = nmr.NoiseModel.uniform(2, rate) if rate else None
