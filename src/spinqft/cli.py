@@ -60,14 +60,15 @@ if TYPE_CHECKING:
 
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
-# a serial or parallel verify child at the cap takes ~0.75 s (2-CPU container), 0.24 s in the oracle
+# a serial or parallel verify child at the cap takes ~0.85 s and 82 MiB (loaded 2-CPU container),
+# ~0.3 s in the oracle
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000
 # a tomo-roundtrip --n 3 child at the cap takes about 0.5 s and 107 MiB (2-CPU container)
 TOMO_MAX_SAMPLES = 5_000
-# n = 9 serial simulate --out: 0.9 s/61 MiB, --t2 0.1 1.4-2.5 s/61 MiB (most of it writing),
-# 32 MB (2-CPU container); one n = 10 pulse: 91 MB
+# n = 9 serial simulate --out: 1.0-1.1 s/57 MiB, --t2 0.1 1.0 s/57 MiB (most of it writing),
+# 28 MB (loaded 2-CPU container); one n = 10 pulse: 91 MB
 SIMULATE_MAX_QUBITS = 9
 # a simulate --tomography child on the serial program took 0.4 s at n = 4, 0.6 s at n = 5
 # and 3.5 s at n = 6, 31-41 MiB (2-CPU container)

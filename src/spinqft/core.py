@@ -18,6 +18,16 @@ reshapes a matrix to one axis per qubit.  Each is one broadcast matrix product o
 a controlled gate copies its control = 0 half and rewrites only the
 control = 1 half, and a diagonal channel is one in-place scaling.
 
+Checks and conjugation read the structure of their matrices.
+``UnitaryMatrix`` checks a matrix with exactly one nonzero in each row
+and column (the bit reversal, a delay, a z pulse, a controlled phase)
+over those q entries alone, and every other matrix, like
+``DensityMatrix``'s Hermiticity, one row block at a time (``_row_blocks``:
+at least 64 rows and 2**16 entries), with no full-size conjugate, Gram or
+difference array.  ``conjugate`` moves only the part of rho that is not
+a multiple of the identity, which unitary conjugation fixes: the
+pseudopure deviation's image is one outer product.
+
 The Fourier matrix built here by a direct scalar double loop is the
 independent oracle that every circuit- and pulse-level construction in
 the package is checked against.  Entry (c, a) is read from a table of
@@ -73,6 +83,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK_ENTRIES = 2 ** 16  # a row block holds at least 64 rows and this many entries
+
+
+def _row_blocks(m: np.ndarray) -> list[slice]:
+    """Slices of consecutive rows of the 2-D ``m``, each of at least 64 rows
+    and ``_BLOCK_ENTRIES`` entries (the last may be shorter), covering it."""
+    step = max(64, -(-_BLOCK_ENTRIES // max(1, m.shape[1])))
+    return [slice(r, r + step) for r in range(0, len(m), step)]
+
+
+def _block_max(m: np.ndarray, f) -> float:
+    """The largest ``f(b)`` over the row blocks ``b`` of ``m``, so no
+    temporary ``f`` makes is larger than one block.  The block maxima are
+    reduced by ``np.max``, which keeps a NaN from any block (Python's
+    ``max`` would drop it)."""
+    return float(np.max([f(b) for b in _row_blocks(m)]))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Deviation density matrix: Hermitian and traceless.
@@ -80,7 +108,9 @@ class DensityMatrix:
     An ensemble NMR state is I/2**n plus a small deviation, and only the
     deviation is observable (Vandersypen & Chuang, Rev. Mod. Phys. 76,
     1037 (2005)); it is the one state representation of the package and
-    the input of the fidelity measure.
+    the input of the fidelity measure.  Hermiticity is checked as max
+    |m - m^H| <= 1e-12 * max(1, max |m|), row block by row block
+    (``_block_max``), with no full-size conjugate or difference array.
     """
 
     entries: np.ndarray
@@ -90,8 +120,9 @@ class DensityMatrix:
         object.__setattr__(self, "n", _matrix_qubits(self.entries))
         m = _frozen(self.entries)
         # every check is written `not x <= tol`, so that a NaN fails it
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * scale:
+        scale = max(1.0, _block_max(m, lambda b: np.max(np.abs(m[b]))))
+        skew = _block_max(m, lambda b: np.max(np.abs(m[b] - m[:, b].conj().T)))
+        if not skew <= HERMITICITY_TOL * scale:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
         if not abs(tr) <= 1e-9 * scale:
@@ -99,9 +130,33 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
 
 
+def _unitarity_residual(m: np.ndarray) -> float:
+    """max |m m^H - I| entrywise.  A matrix with exactly one nonzero in
+    each row and column (a permutation times a diagonal: the bit reversal,
+    a delay, a z pulse, a controlled phase) has m m^H = diag(|v|**2) over
+    its q nonzeros v, so the residual is max ||v|**2 - 1|, in O(q) after
+    one O(q**2) count.  Every other matrix is multiplied out one row block
+    at a time, conj(m[b]) m^T, the conjugate of those rows of m m^H."""
+    q = len(m)
+    if np.count_nonzero(m) == q:  # a NaN or an inf counts as a nonzero
+        rows, cols = np.nonzero(m)
+        if np.bincount(rows, minlength=q).max() == np.bincount(cols, minlength=q).max() == 1:
+            v = m[rows, cols]
+            return float(np.max(np.abs(v.real * v.real + v.imag * v.imag - 1.0)))
+
+    def block(b):
+        p = m[b].conj() @ m.T
+        p.flat[b.start :: q + 1] -= 1.0  # I's diagonal entries (i, b.start + i)
+        return np.max(np.abs(p))
+    return _block_max(m, block)
+
+
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Unitary operator on ``n`` qubits, validated to 1e-10 entrywise."""
+    """Unitary operator on ``n`` qubits: max |m m^H - I| <= 1e-10 entrywise
+    (``_unitarity_residual``: O(q) over the nonzeros of a permutation times
+    a diagonal, else in row blocks with no full-size conjugate or Gram
+    array), a NaN or an infinity refused."""
 
     entries: np.ndarray
     n: int = field(init=False)
@@ -109,11 +164,7 @@ class UnitaryMatrix:
     def __post_init__(self):
         object.__setattr__(self, "n", _matrix_qubits(self.entries))
         m = _frozen(self.entries)
-        p = m @ m.conj().T
-        # p - I in place; indexing with np.diag_indices_from instead raised a
-        # verify child's peak RSS by 0.25 MiB
-        p.flat[:: len(p) + 1] -= 1.0
-        if not np.max(np.abs(p)) <= UNITARITY_TOL:  # NaN fails
+        if not _unitarity_residual(m) <= UNITARITY_TOL:  # NaN fails
             raise ValueError("matrix is not unitary within 1e-10")
         object.__setattr__(self, "entries", m)
 
@@ -257,18 +308,55 @@ def dft_oracle(n: int) -> UnitaryMatrix:
 
 
 def conjugate(u: UnitaryMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Unitary conjugation U rho U^dagger; preserves trace and Hermiticity."""
+    """Unitary conjugation U rho U^dagger; preserves trace and Hermiticity.
+
+    Conjugation fixes the identity, so this is U (rho - cI) U^dagger + cI,
+    with c the median of rho's real diagonal (the value most of a
+    pseudopure deviation's diagonal holds), and U is multiplied only on
+    the support S of rho - cI: the rows and columns that hold a nonzero.
+    The n >= 3 pseudopure deviation has S = {0}, so its image is one outer
+    product of U's first column, O(4**n), every entry off the diagonal one
+    rounded product.  When S is every row, no shift shrinks the product,
+    and rho takes the two dense products U rho U^dagger unshifted."""
     if u.n != rho.n:
         raise ValueError(f"dimension mismatch: operator on {u.n} qubits, state on {rho.n}")
-    return DensityMatrix(u.entries @ rho.entries @ u.entries.conj().T)
+    r = rho.entries
+    # the median as np.median gives it, whose first call raised a child's peak RSS by 0.9 MiB
+    diag = sorted(r.diagonal().real.tolist())
+    c = (diag[(len(diag) - 1) // 2] + diag[len(diag) // 2]) / 2.0
+    nonzero = r != 0
+    np.fill_diagonal(nonzero, r.diagonal() != c)
+    s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if len(s) == len(r):
+        return DensityMatrix(u.entries @ r @ u.entries.conj().T)
+    d = r[np.ix_(s, s)]
+    d.flat[:: len(s) + 1] -= c
+    us = u.entries[:, s]
+    out = us @ d @ us.conj().T
+    out.flat[:: len(r) + 1] += c
+    return DensityMatrix(out)
 
 
-def _phase_deviation(am: np.ndarray, bm: np.ndarray) -> tuple[float, float]:
-    """max |A - exp(i*gamma)*B| and gamma, the phase taken at the
-    largest-magnitude entry of B (0 when B is all zero)."""
-    idx = np.unravel_index(np.argmax(np.abs(bm)), bm.shape)
-    gamma = float(np.angle(am[idx]) - np.angle(bm[idx])) if abs(bm[idx]) else 0.0
-    return float(np.max(np.abs(am - np.exp(1j * gamma) * bm))), gamma
+def _phase_deviation(am: np.ndarray, bm: np.ndarray,
+                     rows: np.ndarray | None = None) -> tuple[float, float]:
+    """max |A[rows] - exp(i*gamma)*B| and gamma, for 2-D A and B.  ``rows``
+    (default: all, in order) are the rows of A compared with B's rows, read
+    one row block at a time (``_block_max``), so no reordered copy of A is
+    made.  gamma is taken at the first largest-magnitude entry of B in row-
+    major order, as ``np.argmax`` finds it (0 when B is all zero)."""
+    rows = np.arange(len(bm)) if rows is None else rows
+    best, idx = -1.0, (0, 0)
+    for blk in _row_blocks(bm):
+        mag = np.abs(bm[blk])
+        i = int(np.argmax(mag))
+        if not mag.flat[i] <= best:  # larger, or the first NaN, which np.argmax takes
+            best, idx = mag.flat[i], (blk.start + i // bm.shape[1], i % bm.shape[1])
+            if np.isnan(best):
+                break
+    a, b = am[rows[idx[0]], idx[1]], bm[idx]
+    gamma = float(np.angle(a) - np.angle(b)) if abs(b) else 0.0
+    phase = np.exp(1j * gamma)
+    return _block_max(bm, lambda blk: np.max(np.abs(am[rows[blk]] - phase * bm[blk]))), gamma
 
 
 def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:
@@ -280,6 +368,8 @@ def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> tuple[bool, float]:
     am, bm = entries_of(a), entries_of(b)
     if am.shape != bm.shape:
         return False, 0.0
+    if am.ndim != 2 or not am.size:  # one row, which np.argmax refuses when empty
+        am, bm = am.reshape(1, -1), bm.reshape(1, -1)
     dev, gamma = _phase_deviation(am, bm)
     return dev <= tol, gamma
 

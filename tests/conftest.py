@@ -40,8 +40,11 @@ def reversed_transform(n: int) -> np.ndarray:
 
 
 def ideal_output(rho_init: core.DensityMatrix) -> core.DensityMatrix:
-    """Transform target after reverse-order relabeling of the qubits."""
-    return core.conjugate(core.UnitaryMatrix(reversed_transform(rho_init.n)), rho_init)
+    """Transform target after reverse-order relabeling of the qubits, by
+    the dense product U rho U^H (not ``core.conjugate``, which is checked
+    against this)."""
+    u = reversed_transform(rho_init.n)
+    return core.DensityMatrix(u @ rho_init.entries @ u.conj().T)
 
 
 def sequence_fidelity(seq: nmr.PulseSequence, noise: nmr.NoiseModel | None = None) -> float:

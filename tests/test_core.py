@@ -1,11 +1,14 @@
 """Core linear algebra: oracle values, unitarity, conjugation, phases."""
 
 import cmath
+import functools
 
 import numpy as np
 import pytest
 
-from spinqft import core
+from conftest import random_traceless_hermitian, reversed_transform
+
+from spinqft import core, nmr
 
 
 class TestDftOracle:
@@ -79,6 +82,35 @@ class TestApplyConjugate:
         assert abs(np.trace(out.entries)) < 1e-12
         np.testing.assert_allclose(out.entries, out.entries.conj().T, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_conjugate_equals_the_dense_product_on_random_states(self, n):
+        rng = np.random.default_rng(40 + n)
+        g = rng.normal(size=(2, 2 ** n, 2 ** n))
+        u, _ = np.linalg.qr(g[0] + 1j * g[1])
+        rho = random_traceless_hermitian(n, rng)
+        np.testing.assert_allclose(core.conjugate(core.UnitaryMatrix(u), rho).entries,
+                                   u @ rho.entries @ u.conj().T, rtol=0, atol=1e-15)
+
+    def test_conjugate_equals_the_dense_product_on_the_temporal_average(self):
+        u, rho = reversed_transform(2), nmr.prepare_pseudopure_temporal_avg()
+        np.testing.assert_allclose(core.conjugate(core.UnitaryMatrix(u), rho).entries,
+                                   u @ rho.entries @ u.conj().T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_conjugate_of_the_pseudopure_input_is_one_exact_outer_product(self, n):
+        # rho - cI is |0><0| alone, so every entry off the diagonal is one
+        # rounded product of two entries 2**(-n/2) of U's first column
+        q = 2 ** n
+        out = core.conjugate(core.UnitaryMatrix(reversed_transform(n)),
+                             nmr.pseudopure_projector_deviation(n)).entries
+        assert np.all(out.imag == 0.0)
+        off = out[~np.eye(q, dtype=bool)].view(np.uint64).reshape(-1, 2)
+        assert np.all(off == off[0])
+        diag = out.diagonal().copy().view(np.uint64).reshape(-1, 2)
+        assert np.all(diag == diag[0])
+        np.testing.assert_allclose(out, np.full((q, q), 1.0 / q) - np.eye(q) / q,
+                                   rtol=0, atol=1e-16)
+
     def test_dimension_mismatch(self):
         rho = core.DensityMatrix(np.diag([0.75, -0.25, -0.25, -0.25]).astype(complex))
         with pytest.raises(ValueError,
@@ -103,6 +135,22 @@ class TestGlobalPhase:
         b[0, 0] += 1e-3
         ok, _ = core.equal_up_to_global_phase(b, a, tol=1e-6)
         assert not ok
+
+    def test_row_blocks_through_a_row_index_give_the_whole_matrix_phase_and_deviation(self):
+        # ties for the largest |B| in three row blocks, each of another phase:
+        # gamma is taken at the first in row-major order, as np.argmax finds it
+        rng = np.random.default_rng(8)
+        q = 512
+        b = rng.uniform(0.1, 1.0, (q, q)) * np.exp(2j * np.pi * rng.uniform(size=(q, q)))
+        b[200, 9], b[300, 5], b[450, 0] = 2.0j, 2.0, -2.0
+        rows = rng.permutation(q)
+        a = np.empty_like(b)
+        a[rows] = np.exp(0.4j) * b + 1e-12 * rng.normal(size=(q, q))
+        am = a[rows]
+        idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+        gamma = float(np.angle(am[idx]) - np.angle(b[idx]))
+        dev = float(np.max(np.abs(am - np.exp(1j * gamma) * b)))
+        assert core._phase_deviation(a, b, rows) == (dev, gamma)
 
     def test_shapes_that_differ_are_unequal_even_where_they_broadcast(self):
         assert core.equal_up_to_global_phase(np.ones((1, 1)), np.ones((2, 2))) == (False, 0.0)
@@ -203,6 +251,65 @@ class TestValidation:
         core.DensityMatrix(np.array([[1.0, 5e-13], [0.0, -1.0]], dtype=complex))
         with pytest.raises(ValueError, match="not Hermitian"):
             core.DensityMatrix(np.array([[1.0, 2e-12], [0.0, -1.0]], dtype=complex))
+
+    @staticmethod
+    def monomial(kind: str, v: np.ndarray) -> np.ndarray:
+        """``v`` on the diagonal, or on the bit reversal's nonzeros."""
+        q = len(v)
+        m = np.zeros((q, q), dtype=complex)
+        rev = np.nonzero(core.bit_reversal_permutation(q.bit_length() - 1).entries)[1]
+        m[np.arange(q) if kind == "diagonal" else rev, np.arange(q)] = v
+        return m
+
+    @pytest.mark.parametrize("kind", ["diagonal", "permutation"])
+    @pytest.mark.parametrize("excess,accepted", [(2e-10, False), (-2e-10, False),
+                                                 (4.5e-11, True), (-4.5e-11, True)])
+    def test_one_nonzero_per_row_and_column_is_checked_at_1e_10(self, kind, excess, accepted):
+        # m m^H = diag(|v|**2): |v| = 1 +- 2e-10 misses 1 by about 4e-10, 1 +- 4.5e-11 by 9e-11
+        v = np.exp(1j * np.arange(8.0))
+        v[5] *= 1.0 + excess
+        if accepted:
+            core.UnitaryMatrix(self.monomial(kind, v))
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                core.UnitaryMatrix(self.monomial(kind, v))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "permutation"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)])
+    def test_a_non_finite_nonzero_of_one_per_row_and_column_is_refused(self, kind, bad):
+        v = np.exp(1j * np.arange(8.0))
+        v[6] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            core.UnitaryMatrix(self.monomial(kind, v))
+
+    @pytest.mark.parametrize("rows,cols", [([0, 1, 2, 3], [0, 0, 2, 3]),
+                                           ([0, 0, 2, 3], [0, 1, 2, 3])],
+                             ids=["two-in-a-column", "two-in-a-row"])
+    def test_q_nonzeros_not_one_per_row_and_column_take_the_dense_check(self, rows, cols):
+        m = np.zeros((4, 4), dtype=complex)
+        m[rows, cols] = 1.0  # every |v| is 1, but m m^H is not I
+        with pytest.raises(ValueError, match="not unitary"):
+            core.UnitaryMatrix(m)
+
+    @pytest.mark.parametrize("bad", ["nan", "norm"])
+    def test_the_last_row_block_of_a_dense_unitary_is_checked(self, bad):
+        # 512 x 512 is checked in four blocks of 128 rows
+        m = functools.reduce(np.kron, [core.HADAMARD] * 9)
+        core.UnitaryMatrix(m)
+        if bad == "nan":
+            m[500, 7] = np.nan
+        else:
+            m[511] *= 1.0 + 1e-6  # only m m^H's entry (511, 511) moves past 1e-10
+        with pytest.raises(ValueError, match="not unitary"):
+            core.UnitaryMatrix(m)
+
+    @pytest.mark.parametrize("bad", [1e-3, np.nan])
+    def test_the_last_row_block_of_a_density_matrix_is_checked(self, bad):
+        m = np.zeros((512, 512), dtype=complex)
+        core.DensityMatrix(m)
+        m[500, 450] = bad  # its mirror (450, 500) stays 0: both rows are in the last block
+        with pytest.raises(ValueError, match="not Hermitian"):
+            core.DensityMatrix(m)
 
     @pytest.mark.parametrize("make", [
         lambda m: core.UnitaryMatrix(m),

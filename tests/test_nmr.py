@@ -249,6 +249,21 @@ class TestSequenceEvaluation:
         with pytest.raises(TypeError, match=r"^unknown pulse element \('90x', 1\)$"):
             call(("90x", 1))
 
+    @pytest.mark.parametrize("rate", [0.0, 9.0], ids=["noiseless", "t2"])
+    @pytest.mark.parametrize("seq", list(bundled_and_serial_programs([7, 8])))
+    def test_run_returns_an_exactly_hermitian_state(self, seq, rate):
+        noise = nmr.NoiseModel.uniform(seq.n, rate) if rate else None
+        rho = nmr.run(seq, seq.n, nmr.pseudopure_input(seq.n), noise).entries
+        assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("q", [2, 64, 256])
+    def test_hermitian_part_is_the_mean_with_the_adjoint_tile_by_tile(self, q):
+        rng = np.random.default_rng(q)
+        a = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+        state = a.copy()
+        nmr._hermitian_part(state)
+        assert np.array_equal(state, (a + a.conj().T) / 2.0)
+
     def test_zero_rate_noise_identical_to_noiseless(self):
         seq = nmr.library_sequence("parallel-n2")
         rho = nmr.pseudopure_projector_deviation(2)
