@@ -6,16 +6,17 @@ parallel form (one non-selective Hadamard plus root-of-controlled-NOT
 gates, O(n) pulses), and the approximate form (serial with long-range
 phase gates dropped).  Circuits store gates first-in-time-first-in-list;
 ``gate_counts`` tallies them by kind in a ``collections.Counter``.
-Every two-qubit gate is a one-qubit operator on the target qubit k
-applied when the control qubit j is set, so each gate kind is defined
-once, by that 2x2 target operator (``_target_operator``).
-``gate_unitary`` applies it to the identity where the gate acts
-(``_apply``: ``core.apply_local`` for a Hadamard,
-``core.apply_controlled`` for a controlled phase or root of CNOT),
-giving the gate on the full space.  ``circuit_unitary`` starts from the
-identity and applies each gate in time order the same way, with its
-target operator checked unitary on one or two qubits; only the finished
-product is checked as a 2**n-dimensional unitary.
+Every two-qubit gate is a diagonal: a controlled phase scales row ``a``
+by exp(i*theta*b_j*b_k), with b_j the bit of qubit j in ``a``
+(``core.qubit_bits``), and a root of CNOT is that scaling with
+theta = pi*alpha between two Hadamards on the target k, since
+X**alpha = H diag(1, exp(i*pi*alpha)) H.  So every gate is applied as
+Hadamards (``core.apply_local``) and row scalings.  ``gate_unitary``
+applies a gate so to the identity.  ``circuit_unitary`` multiplies
+each gate's diagonal into one pending phase vector, which scales the
+running product only before the next Hadamard, and a run of roots on
+one target (a block of the parallel form) shares one pair of Hadamards:
+O(n) passes over the 2**n x 2**n product for either exact form.
 
 Both exact builders produce the transform with the output bits in
 reversed order: ``bit_reversal @ circuit_unitary(...)`` equals the
@@ -26,7 +27,7 @@ verification applies the reversal as a row permutation of the product.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +37,10 @@ from .core import (
     _check_labels,
     _check_qubit_count,
     _phase_deviation,
-    apply_controlled,
     apply_local,
     bit_reversal_permutation,
     dft_oracle,
+    qubit_bits,
 )
 
 HADAMARD_KIND = "hadamard"
@@ -157,55 +158,70 @@ def build_approximate(n: int, m: int) -> Circuit:
     return Circuit(n, kept, decomposition=f"approximate({m})")
 
 
-def x_power(alpha: float) -> np.ndarray:
-    """Principal power X**alpha = H diag(1, exp(i*pi*alpha)) H."""
-    return HADAMARD @ np.diag([1.0, np.exp(1j * np.pi * alpha)]) @ HADAMARD
+def _phases(g: Gate, n: int, phase: complex) -> np.ndarray:
+    """The diagonal of the two-qubit gate ``g`` with ``phase`` at each row
+    where qubits j and k are both set, 1 elsewhere."""
+    return np.where(qubit_bits(g.j, n) & qubit_bits(g.k, n), phase, 1.0 + 0.0j)
 
 
-def _target_operator(g: Gate) -> np.ndarray:
-    """The 2x2 the gate applies to its target: the Hadamard, or, when the
-    control is set, the phase diag(1, exp(i*theta)) or X**alpha."""
-    if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
-        return HADAMARD
-    if g.kind == CONTROLLED_PHASE_KIND:
-        return np.diag([1.0, np.exp(1j * g.theta)])
-    return x_power(g.alpha)
+def _angle(g: Gate) -> float:
+    """theta of the controlled phase, or pi*alpha of the root of CNOT."""
+    return g.theta if g.kind == CONTROLLED_PHASE_KIND else np.pi * g.alpha
 
 
-def _apply(a: np.ndarray, g: Gate, n: int, v: np.ndarray) -> np.ndarray:
-    """``g`` times ``a`` with target operator ``v``: on qubit ``j`` (every
-    qubit for the total Hadamard), or on ``k`` controlled by ``j``."""
-    if g.kind == HADAMARD_KIND:
-        return apply_local(a, {g.j: v})
-    if g.kind == TOTAL_HADAMARD_KIND:
-        return apply_local(a, dict.fromkeys(range(1, n + 1), v))
-    return apply_controlled(a, g.j, g.k, v)
+def _hadamards(out: np.ndarray, d: np.ndarray | None, on, h: np.ndarray = HADAMARD):
+    """``h`` on each qubit in ``on`` times diag(``d``) times ``out``: the
+    rows of ``out`` are scaled in place by the pending diagonal ``d``, if
+    any, and ``out`` itself is returned when ``on`` is empty."""
+    if d is not None:
+        out *= d[:, None]
+    return apply_local(out, dict.fromkeys(on, h)) if on else out
 
 
 def gate_unitary(g: Gate, n: int) -> UnitaryMatrix:
-    """The gate on the full 2**n-dimensional space: its target operator
-    applied to the identity where the gate acts."""
+    """The gate on the full 2**n-dimensional space, applied to the
+    identity: a Hadamard by ``core.apply_local``, a controlled phase as
+    the diagonal of exp(i*theta), and a root of CNOT as the diagonal of
+    exp(i*pi*alpha) between two Hadamards on its target."""
     _check_qubit_count(n)
-    return UnitaryMatrix(_apply(np.eye(2 ** n, dtype=complex), g, n, _target_operator(g)))
+    eye = np.eye(2 ** n, dtype=complex)
+    if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
+        on = [g.j] if g.kind == HADAMARD_KIND else range(1, n + 1)
+        return UnitaryMatrix(_hadamards(eye, None, on))
+    d = _phases(g, n, np.exp(1j * _angle(g)))
+    if g.kind == CONTROLLED_PHASE_KIND:
+        return UnitaryMatrix(np.diag(d))
+    return UnitaryMatrix(_hadamards(_hadamards(eye, None, [g.k]), d, [g.k]))
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
     """Ordered product of the gate unitaries, first-in-time rightmost.
 
-    Applies each gate to the running product where it acts, starting from
-    the identity.  The target operator is read from ``gate_unitary`` of the
-    gate moved onto qubit 1 or qubits (1, 2), so it is checked unitary as a
-    2x2 or 4x4; the product is checked unitary once, at the end.
+    Starts from the identity and keeps one pending diagonal: each
+    two-qubit gate multiplies its phases into it, and it scales the rows
+    of the running product only before the next Hadamard and at the end.
+    A root of CNOT opens a pair of Hadamards on its target, unless one is
+    open there; any gate but a root on that target closes the pair, and
+    so does the end.  A Hadamard is read from ``gate_unitary(hadamard(1),
+    1)`` and a phase from entry [3, 3] of the controlled phase that
+    ``gate_unitary`` builds on qubits (1, 2), so each applied operator is
+    checked unitary as a 2x2 or 4x4; the product is checked once, at the
+    end.
     """
     n = circuit.n
-    out = np.eye(2 ** n, dtype=complex)
+    out, d, pair = np.eye(2 ** n, dtype=complex), None, 0  # pair: the open pair's target
     for g in circuit.gates:
+        if pair and (g.kind != ROOT_CNOT_KIND or g.k != pair):
+            out, d, pair = _hadamards(out, d, [pair]), None, 0
         if g.kind in (HADAMARD_KIND, TOTAL_HADAMARD_KIND):
-            v = gate_unitary(hadamard(1), 1).entries
-        else:
-            v = gate_unitary(replace(g, j=1, k=2), 2).entries[2:, 2:]
-        out = _apply(out, g, n, v)
-    return UnitaryMatrix(out)
+            on = [g.j] if g.kind == HADAMARD_KIND else range(1, n + 1)
+            out, d = _hadamards(out, d, on, gate_unitary(hadamard(1), 1).entries), None
+            continue
+        if g.kind == ROOT_CNOT_KIND and not pair:
+            out, d, pair = _hadamards(out, d, [g.k]), None, g.k
+        phases = _phases(g, n, gate_unitary(controlled_phase(1, 2, _angle(g)), 2).entries[3, 3])
+        d = phases if d is None else d * phases
+    return UnitaryMatrix(_hadamards(out, d, [pair] if pair else []))
 
 
 def qft_product_state(a: int, n: int) -> np.ndarray:

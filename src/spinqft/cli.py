@@ -60,8 +60,8 @@ if TYPE_CHECKING:
 
 TOMO_TOL = 1e-8
 DEFAULT_SEED = 20260810
-# a serial or parallel verify child at the cap takes ~0.85 s and 82 MiB (loaded 2-CPU container),
-# ~0.3 s in the oracle
+# a verify child at the cap takes ~0.69 s serial, ~0.75 s parallel and 82 MiB (2-CPU container,
+# median of 7), ~0.3 s in the oracle
 VERIFY_MAX_QUBITS = 10
 # a 1..N cost sweep cross-checks ~N**2/2 terms: about 8 s at the cap (2-CPU container)
 N_RANGE_MAX = 10_000

@@ -7,16 +7,15 @@ significant bit (basis integer ``a`` has the bit of qubit ``j`` at
 position ``n - j``).  An array's n is never passed beside it: one shape
 rule reads it before any copy (``_axis_qubits``, ``_matrix_qubits``).
 ``apply_local`` (one-qubit operators applied to an array on their
-qubits' axes, without building the 2**n x 2**n matrix),
-``apply_controlled`` (a one-qubit operator on a target qubit when a
-control qubit is set), ``apply_channel`` (a 4x4 superoperator on one
-qubit's row and column bits of a matrix) and ``qubit_bits`` (one qubit's
-bit across all basis indices) apply this ordering to every gate, pulse
-and noise channel in the package and to the bit reversal; the only other
-places are the oracle and the tomography's Pauli transform, which
-reshapes a matrix to one axis per qubit.  Each is one broadcast matrix product on a reshaped view:
-a controlled gate copies its control = 0 half and rewrites only the
-control = 1 half, and a diagonal channel is one in-place scaling.
+qubits' axes, without building the 2**n x 2**n matrix), ``apply_channel``
+(a 4x4 superoperator on one qubit's row and column bits of a matrix) and
+``qubit_bits`` (one qubit's bit across all basis indices, from which
+every diagonal is built: a controlled phase, a delay, a z pulse) apply
+this ordering to every gate, pulse and noise channel in the package and
+to the bit reversal; the only other places are the oracle and the
+tomography's Pauli transform, which reshapes a matrix to one axis per
+qubit.  Each kernel is one broadcast matrix product on a reshaped view,
+and a diagonal channel is one in-place scaling.
 
 Checks and conjugation read the structure of their matrices.
 ``UnitaryMatrix`` checks a matrix with exactly one nonzero in each row
@@ -186,15 +185,18 @@ def entries_of(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
-def qubit_bits(j: int, n: int) -> np.ndarray:
-    """Bit of qubit ``j`` (1-based, qubit 1 most significant) in every
-    basis index 0 .. 2**n - 1, as an integer array."""
-    return (np.arange(2 ** n) >> (n - j)) & 1
-
-
 def _check_labels(n: int, labels) -> None:
     if not set(labels) <= set(range(1, n + 1)):
         raise ValueError(f"qubit labels {sorted(labels)} outside 1..{n}")
+
+
+def qubit_bits(j: int, n: int) -> np.ndarray:
+    """Bit of qubit ``j`` (1-based, qubit 1 most significant) in every
+    basis index 0 .. 2**n - 1, as an integer array; ``j`` outside 1..n and
+    ``n`` outside 1..MAX_QUBITS are refused."""
+    _check_qubit_count(n)
+    _check_labels(n, [j])
+    return (np.arange(2 ** n) >> (n - j)) & 1
 
 
 def apply_local(a: np.ndarray, factors: dict) -> np.ndarray:
@@ -215,27 +217,6 @@ def apply_local(a: np.ndarray, factors: dict) -> np.ndarray:
     for j, f in factors.items():
         out = np.matmul(f, out.reshape(2 ** (j - 1), 2, out.size >> j))
     return out.reshape(shape) if factors else out.copy()
-
-
-def apply_controlled(a: np.ndarray, control: int, target: int, v: np.ndarray) -> np.ndarray:
-    """The gate applying the 2x2 ``v`` to qubit ``target`` when qubit
-    ``control < target`` is set, times ``a``, without building its matrix.
-
-    Axis 0 of ``a`` is split into (2**(control-1), 2, 2**(target-control-1),
-    2, rest) as in ``apply_local``: the control = 0 half is copied and ``v``
-    goes onto the target axis of the control = 1 half in one strided matrix
-    product.  Returns a new complex array of the shape of ``a``, which is
-    not written.
-    """
-    n = _axis_qubits(np.shape(a))
-    if not 1 <= control < target <= n:
-        raise ValueError(f"control {control}, target {target} outside 1 <= control < target <= {n}")
-    src = np.asarray(a, dtype=complex)
-    src = src.reshape(2 ** (control - 1), 2, 2 ** (target - control - 1), 2, src.size >> target)
-    out = np.empty_like(src)
-    out[:, 0] = src[:, 0]
-    np.matmul(v, src[:, 1], out=out[:, 1])
-    return out.reshape(np.shape(a))
 
 
 def apply_channel(a: np.ndarray, j: int, s: np.ndarray, buf: np.ndarray) -> None:

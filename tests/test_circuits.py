@@ -231,8 +231,36 @@ def all_builds():
             yield pytest.param(circuits.build_approximate(n, m), id=f"approximate{m}-n{n}")
 
 
+def drawn_circuits():
+    """Seeded gate lists of all four kinds at n = 2-6.  Each breaks a run
+    of roots on one target k, whose Hadamard pair the product shares, by a
+    controlled phase on k, by a Hadamard on k and (n > 2) by a root on
+    another target, between drawn gates; each ends in an open pair (a run
+    of roots) or in a pending diagonal (a controlled phase)."""
+    for n in range(2, 7):
+        for end in ("open-pair", "pending-diagonal"):
+            rng = np.random.default_rng(10 * n + len(end))
+
+            def root(k):
+                return circuits.root_cnot(int(rng.integers(1, k)), k, rng.uniform(0.05, 1.0))
+
+            def cphase(k):
+                return circuits.controlled_phase(int(rng.integers(1, k)), k, rng.uniform(-3, 3))
+
+            def drawn():
+                k = int(rng.integers(2, n + 1))
+                return [circuits.total_hadamard(), circuits.hadamard(int(rng.integers(1, n + 1))),
+                        cphase(k), root(k)][rng.integers(4)]
+
+            k = int(rng.integers(2, n + 1))
+            gates = [drawn(), drawn(), root(k), root(k), cphase(k), root(k), root(k),
+                     circuits.hadamard(k), root(k), root(k), *map(root, sorted({2, n} - {k})),
+                     drawn(), drawn(), root(k), root(k) if end == "open-pair" else cphase(k)]
+            yield pytest.param(circuits.Circuit(n, tuple(gates)), id=f"drawn-n{n}-{end}")
+
+
 class TestLocalApplication:
-    @pytest.mark.parametrize("circuit", list(all_builds()))
+    @pytest.mark.parametrize("circuit", list(all_builds()) + list(drawn_circuits()))
     def test_equals_dense_product(self, circuit):
         got = circuits.circuit_unitary(circuit).entries
         np.testing.assert_allclose(got, dense_product(circuit), rtol=0, atol=1e-13)

@@ -194,6 +194,12 @@ class TestTensorAndBitReversal:
         p = core.bit_reversal_permutation(n).entries
         np.testing.assert_allclose(p @ p, np.eye(2 ** n), atol=0)
 
+    @pytest.mark.parametrize("j,n,match", [(3, 2, "outside"), (0, 2, "outside"), (70, 2, "outside"),
+                                           (1, 0, "qubit count"), (1, 13, "qubit count")])
+    def test_qubit_bits_refuses_a_label_outside_1_to_n_and_a_bad_count(self, j, n, match):
+        with pytest.raises(ValueError, match=match):
+            core.qubit_bits(j, n)
+
 
 class TestTransitionLabels:
     def test_valid_single_quantum(self):

@@ -4,8 +4,8 @@ Every gate, pulse and noise matrix is compared with a reference built
 entry by entry from the rule alone: qubit j (1-based) is bit n - j of
 the basis index, so qubit 1 is the most significant bit.  The
 matrix-free ``core.apply_local`` is compared with the Kronecker product
-of its factors, and ``core.apply_controlled`` and ``core.apply_channel``
-with per-basis-state references.
+of its factors, ``circuits.circuit_unitary``'s two-qubit gates and
+``core.apply_channel`` with per-basis-state references.
 """
 
 import math
@@ -193,25 +193,24 @@ def pair_cases():
 
 
 @pytest.mark.parametrize("n,j,k", list(pair_cases()))
-def test_apply_controlled_matches_per_basis_reference(n, j, k):
+def test_two_qubit_gates_in_a_circuit_match_per_basis_reference(n, j, k):
+    # two roots share one Hadamard pair, the phase closes it and leaves a
+    # pending diagonal, the last root opens a pair that the end closes
     rng = np.random.default_rng(n * 100 + 10 * j + k)
-    dim = 2 ** n
-    v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    op = np.eye(4, dtype=complex)
-    op[2:, 2:] = v
-    expected = reference_local(n, (j, k), op)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    locked = a.copy()
-    locked.flags.writeable = False
-    control_clear = np.array([bit(b, j, n) == 0 for b in range(dim)])
-    for operand in (a, a.conj().T, a[:, 0], a.reshape(dim, 2, -1), locked):
-        before = operand.copy()
-        got = core.apply_controlled(operand, j, k, v)
-        assert got.shape == operand.shape
-        np.testing.assert_allclose(got, np.tensordot(expected, operand, axes=1),
-                                   rtol=0, atol=1e-13)
-        assert np.array_equal(got[control_clear], operand[control_clear])
-        assert np.array_equal(operand, before)
+    alphas, theta = rng.uniform(0.05, 1.0, size=3), rng.uniform(-3, 3)
+    gates = (circuits.root_cnot(j, k, alphas[0]), circuits.root_cnot(j, k, alphas[1]),
+             circuits.controlled_phase(j, k, theta), circuits.root_cnot(j, k, alphas[2]))
+
+    def root(alpha):
+        w = np.exp(1j * math.pi * alpha)  # X**alpha = ((1 + w) I + (1 - w) X) / 2
+        op = np.eye(4, dtype=complex)
+        op[2:, 2:] = ((1 + w) * np.eye(2) + (1 - w) * np.array([[0, 1], [1, 0]])) / 2
+        return op
+
+    cphase = np.diag([1, 1, 1, np.exp(1j * theta)])
+    op = root(alphas[2]) @ cphase @ root(alphas[1]) @ root(alphas[0])
+    got = circuits.circuit_unitary(circuits.Circuit(n, gates)).entries
+    np.testing.assert_allclose(got, reference_local(n, (j, k), op), rtol=0, atol=1e-13)
 
 
 def channel_cases():
@@ -262,9 +261,12 @@ def test_apply_channel_refuses_what_it_cannot_write_in_place(a, j, s, buf):
 
 
 @pytest.mark.parametrize("n,control,target", [(2, 1, 3), (3, 0, 2), (3, 2, 2), (3, 3, 1)])
-def test_apply_controlled_rejects_bad_labels(n, control, target):
-    with pytest.raises(ValueError):
-        core.apply_controlled(np.eye(2 ** n), control, target, H)
+def test_two_qubit_gates_reject_bad_labels(n, control, target):
+    for make in (circuits.controlled_phase, circuits.root_cnot):
+        with pytest.raises(ValueError):
+            circuits.Circuit(n, (make(control, target, 0.5),))
+        with pytest.raises(ValueError):
+            circuits.gate_unitary(make(control, target, 0.5), n)
 
 
 @pytest.mark.parametrize("factors", [{(2, 1): np.eye(4)}, {(1, 2): np.eye(4), 2: H},
@@ -285,9 +287,7 @@ def test_apply_local_rejects_labels_outside_1_to_n(n, labels):
 
 
 def test_apply_local_rejects_wrong_length():
-    # no n has an axis of 0 or 3 entries, so neither kernel reads one
+    # no n has an axis of 0 or 3 entries, so the kernel reads neither
     for length in (0, 3):
         with pytest.raises(ValueError, match=r"2\*\*n"):
             core.apply_local(np.ones(length), {1: H})
-        with pytest.raises(ValueError, match=r"2\*\*n"):
-            core.apply_controlled(np.ones((length, 2)), 1, 2, H)

@@ -120,9 +120,8 @@ class TestSizeRule:
 
     # a kernel reads only axis 0, so (2, 4) is one qubit's operand to it
     @pytest.mark.parametrize("shape", [s for s in BAD_SIZES if s[0] != 2], ids=_size_id)
-    @pytest.mark.parametrize("kernel", [lambda a: core.apply_local(a, {1: core.HADAMARD}),
-                                        lambda a: core.apply_controlled(a, 1, 2, core.HADAMARD)],
-                             ids=["apply_local", "apply_controlled"])
+    @pytest.mark.parametrize("kernel", [lambda a: core.apply_local(a, {1: core.HADAMARD})],
+                             ids=["apply_local"])
     def test_kernels_refuse(self, kernel, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             kernel(_Unreadable(shape))
